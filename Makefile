@@ -1,14 +1,20 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race bench bench-json bench-compare bench-baseline experiments selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
+.PHONY: test race bench bench-json bench-compare bench-baseline bench-smoke experiments selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
 
 # Benchmarks gated by the checked-in allocation baseline (hot encode and
 # decode paths, every codec backend through the public facade, and the
 # coexistence simulator).
-BENCH_GATED = BenchmarkSledZigEncode1500B$$|BenchmarkCoreEncodeTo1500B$$|BenchmarkWaveformSynthesis$$|BenchmarkAppendWaveform$$|BenchmarkReceiverDecode1500B$$|BenchmarkReceiverDecode1500BWide$$|BenchmarkViterbiDecodeInto$$|BenchmarkViterbiDecodeSoftInto$$|BenchmarkViterbiACSReferenceHard$$|BenchmarkViterbiACSReferenceSoft$$|BenchmarkDepunctureInto$$|BenchmarkFFTPlanForward64$$|BenchmarkCodecOOKEncode400B$$|BenchmarkCodecOfdmFiEncode400B$$|BenchmarkQfunc$$|BenchmarkQfuncExact$$|BenchmarkSledvetWholeTree$$|BenchmarkRun$$|BenchmarkSimulateCoexistence$$
+BENCH_GATED = BenchmarkSledZigEncode1500B$$|BenchmarkCoreEncodeTo1500B$$|BenchmarkWaveformSynthesis$$|BenchmarkAppendWaveform$$|BenchmarkReceiverDecode1500B$$|BenchmarkViterbiDecodeInto$$|BenchmarkViterbiDecodeSoftInto$$|BenchmarkViterbiACSReferenceHard$$|BenchmarkViterbiACSReferenceSoft$$|BenchmarkDepunctureInto$$|BenchmarkFFTPlanForward64$$|BenchmarkCodecOOKEncode400B$$|BenchmarkCodecOfdmFiEncode400B$$|BenchmarkQfunc$$|BenchmarkQfuncExact$$|BenchmarkSledvetWholeTree$$|BenchmarkRun$$|BenchmarkSimulateCoexistence$$
 
-test: conformance
+test: conformance bench-smoke
 	go test ./...
+
+# bench/ is a module of its own, so `go build ./...` and `go test ./...`
+# at the root never compile it: vet and smoke-test it explicitly, so an
+# API change the benchmark depends on fails here.
+bench-smoke:
+	go -C bench vet ./... && go -C bench test ./...
 
 # The codec-conformance suite on its own: every registered backend against
 # the shared contract (round-trip, band-power floor, typed errors, claimed
@@ -34,12 +40,12 @@ bench-json:
 # with BENCHTIME=100x without weakening the gate.
 BENCHTIME ?= 1s
 bench-compare:
-	go test -run '^$$' -bench '$(BENCH_GATED)' -benchtime $(BENCHTIME) -benchmem . ./internal/mac/ ./internal/analysis/driver/ | tee bench.current.txt
+	go test -run '^$$' -bench '$(BENCH_GATED)' -benchtime $(BENCHTIME) -benchmem . ./internal/wifi/ ./internal/mac/ ./internal/analysis/driver/ | tee bench.current.txt
 	go run ./cmd/benchdiff -baseline bench.baseline.txt -current bench.current.txt
 
 # Refresh the checked-in baseline after an intentional allocation change.
 bench-baseline:
-	go test -run '^$$' -bench '$(BENCH_GATED)' -benchmem . ./internal/mac/ ./internal/analysis/driver/ | tee bench.baseline.txt
+	go test -run '^$$' -bench '$(BENCH_GATED)' -benchmem . ./internal/wifi/ ./internal/mac/ ./internal/analysis/driver/ | tee bench.baseline.txt
 
 experiments:
 	go run ./cmd/experiments

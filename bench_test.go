@@ -469,93 +469,6 @@ func BenchmarkViterbiDecodeSoftInto(b *testing.B) {
 	}
 }
 
-// BenchmarkViterbiACSReferenceHard pins the scalar reference ACS kernel —
-// the denominator of the word kernel's speedup and the bit-exact oracle
-// the identity tests decode against. Also 0 allocs/op.
-func BenchmarkViterbiACSReferenceHard(b *testing.B) {
-	if err := wifi.SetViterbiKernel("reference"); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := wifi.SetViterbiKernel("word"); err != nil {
-			b.Fatal(err)
-		}
-	}()
-	rng := rand.New(rand.NewSource(1))
-	data := bits.Random(rng, 1000)
-	coded := wifi.ConvolutionalEncode(data)
-	dst := make([]bits.Bit, 0, len(data))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wifi.ViterbiDecodeInto(dst, coded, nil, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkViterbiACSReferenceSoft is the soft-metric counterpart of
-// BenchmarkViterbiACSReferenceHard.
-func BenchmarkViterbiACSReferenceSoft(b *testing.B) {
-	if err := wifi.SetViterbiKernel("reference"); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := wifi.SetViterbiKernel("word"); err != nil {
-			b.Fatal(err)
-		}
-	}()
-	rng := rand.New(rand.NewSource(1))
-	data := bits.Random(rng, 1000)
-	coded := wifi.ConvolutionalEncode(data)
-	llrs := make([]float64, len(coded))
-	for i, c := range coded {
-		if c == 1 {
-			llrs[i] = -2.0 + rng.NormFloat64()*0.3
-		} else {
-			llrs[i] = 2.0 + rng.NormFloat64()*0.3
-		}
-	}
-	dst := make([]bits.Bit, 0, len(data))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wifi.ViterbiDecodeSoftInto(dst, llrs, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReceiverDecode1500BWide is BenchmarkReceiverDecode1500B on the
-// complex128 reference pipeline (Receiver.WideIQ) — the before side of the
-// narrow I/Q speedup, kept gated so both widths stay allocation-free.
-func BenchmarkReceiverDecode1500BWide(b *testing.B) {
-	enc, err := NewEncoder(Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame, err := enc.Encode(bits.RandomBytes(rand.New(rand.NewSource(1)), 1500))
-	if err != nil {
-		b.Fatal(err)
-	}
-	wave, err := frame.Waveform()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx := wifi.Receiver{Convention: wifi.ConventionIEEE, Seed: wifi.DefaultScramblerSeed, WideIQ: true}
-	var res wifi.RxResult
-	b.SetBytes(1500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rx.ReceiveInto(wave, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDepunctureInto measures the single-pass pattern-table
 // depuncturer into preallocated mother-stream buffers.
 func BenchmarkDepunctureInto(b *testing.B) {

@@ -156,7 +156,7 @@ func (d *Decoder) decodeSledZig(waveform []complex128) (*DecodeResult, error) {
 	// Root frame trace (nil, and free, when no tracer is installed): the
 	// receive pipeline and the SledZig stripper land their stage spans here.
 	tf := trace.Start("decode")
-	rx, err := wifi.Receiver{Seed: seed, Convention: d.cfg.Convention, Resync: d.cfg.Resilient, WideIQ: d.cfg.WideIQ, Trace: tf}.Receive(waveform)
+	rx, err := wifi.Receiver{Seed: seed, Convention: d.cfg.Convention, Resync: d.cfg.Resilient, Trace: tf}.Receive(waveform)
 	if err != nil {
 		tf.Finish(err)
 		return nil, wrapDecodeErr(err)
@@ -190,7 +190,7 @@ func (d *Decoder) decodeSledZig(waveform []complex128) (*DecodeResult, error) {
 func (d *Decoder) decodeStandard(waveform []complex128) (*DecodeResult, error) {
 	seed := d.seed()
 	tf := trace.Start("decode")
-	rx, err := wifi.Receiver{Seed: seed, Convention: d.cfg.Convention, Resync: d.cfg.Resilient, WideIQ: d.cfg.WideIQ, Trace: tf}.Receive(waveform)
+	rx, err := wifi.Receiver{Seed: seed, Convention: d.cfg.Convention, Resync: d.cfg.Resilient, Trace: tf}.Receive(waveform)
 	tf.Finish(err)
 	if err != nil {
 		return nil, wrapDecodeErr(err)

@@ -108,7 +108,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		MaxAbandoned: cfg.MaxAbandonedWorkers,
 		Breaker:      cfg.Breaker,
 		Resilient:    cfg.Resilient,
-		WideIQ:       cfg.WideIQ,
 		Codec:        cfg.Codec,
 	})
 	if err != nil {

@@ -44,10 +44,6 @@ type Params struct {
 	// Resilient enables the receiver's graceful-degradation ladder where
 	// the backend decodes through the standard WiFi receiver.
 	Resilient bool
-	// WideIQ selects the complex128 reference receive pipeline where the
-	// backend decodes through the standard WiFi receiver. The zero value
-	// runs the narrow complex64 path.
-	WideIQ bool
 }
 
 // Encoded is one encoded frame: the complete baseband PPDU at 20 MS/s

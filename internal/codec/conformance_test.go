@@ -104,24 +104,6 @@ func TestCodecConformance(t *testing.T) {
 					if dec.Channel != p.Channel {
 						t.Fatalf("round trip of %d octets: channel %v, want %v", n, dec.Channel, p.Channel)
 					}
-					// Both sample widths must decode: the default codec
-					// instance runs the narrow complex64 receive path, a
-					// WideIQ instance the complex128 reference. A backend
-					// whose waveform only survives complex128 precision
-					// fails here.
-					wideParams := p
-					wideParams.WideIQ = true
-					cw, err := New(name, wideParams)
-					if err != nil {
-						t.Fatalf("New(%q, WideIQ): %v", name, err)
-					}
-					decW, err := cw.Decode(enc.Waveform)
-					if err != nil {
-						t.Fatalf("Decode(%d octets, WideIQ): %v", n, err)
-					}
-					if !bytes.Equal(decW.Payload, payload) {
-						t.Fatalf("wide round trip of %d octets: payload mismatch", n)
-					}
 				}
 			})
 

@@ -69,7 +69,7 @@ func newOOK(p Params) (*ook, error) {
 		plan:   plan,
 		enc:    ctc.Encoder{Convention: p.Convention, Mode: mode, Channel: p.Channel, Seed: p.Seed},
 		dec:    ctc.Decoder{Convention: p.Convention, Channel: p.Channel},
-		rxr:    wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient, WideIQ: p.WideIQ},
+		rxr:    wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient},
 	}, nil
 }
 

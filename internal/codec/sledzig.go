@@ -46,7 +46,7 @@ func newSledZig(p Params) (*sledZig, error) {
 		params: p,
 		plan:   plan,
 		enc:    core.Encoder{Plan: plan, Seed: p.Seed},
-		rxr:    wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient, WideIQ: p.WideIQ},
+		rxr:    wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient},
 		dec:    core.Decoder{Convention: p.Convention},
 	}, nil
 }

@@ -22,7 +22,6 @@ type Plan32 struct {
 	n   int
 	rev []int32
 	tw  []complex64
-	itw []complex64
 }
 
 type planEntry32 struct {
@@ -45,15 +44,6 @@ func PlanFor32(n int) (*Plan32, error) {
 	return e.plan, e.err
 }
 
-// MustPlan32 is PlanFor32 for sizes known to be powers of two.
-func MustPlan32(n int) *Plan32 {
-	p, err := PlanFor32(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func newPlan32(n int) (*Plan32, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dsp: FFT length %d is not a positive power of two", n)
@@ -62,7 +52,6 @@ func newPlan32(n int) (*Plan32, error) {
 		n:   n,
 		rev: make([]int32, n),
 		tw:  make([]complex64, n/2),
-		itw: make([]complex64, n/2),
 	}
 	if n > 1 {
 		shift := 64 - uint(bits.TrailingZeros(uint(n)))
@@ -73,13 +62,9 @@ func newPlan32(n int) (*Plan32, error) {
 	for k := range p.tw {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		p.tw[k] = complex(float32(c), float32(s))
-		p.itw[k] = complex(float32(c), float32(-s))
 	}
 	return p, nil
 }
-
-// Size returns the transform length the plan was built for.
-func (p *Plan32) Size() int { return p.n }
 
 // Forward computes the DFT of x into dst. Both must have the plan's
 // length; they must not alias. No allocation.
@@ -88,19 +73,7 @@ func (p *Plan32) Forward(dst, x []complex64) error {
 		return err
 	}
 	p.permute(dst, x)
-	p.butterflies(dst, p.tw, 0)
-	return nil
-}
-
-// Inverse computes the inverse DFT of x into dst, including the 1/N
-// normalization folded into the final butterfly stage. Same aliasing and
-// length rules as Forward.
-func (p *Plan32) Inverse(dst, x []complex64) error {
-	if err := p.check(dst, x); err != nil {
-		return err
-	}
-	p.permute(dst, x)
-	p.butterflies(dst, p.itw, 1/float32(p.n))
+	p.butterflies(dst)
 	return nil
 }
 
@@ -124,14 +97,11 @@ func (p *Plan32) permute(dst, x []complex64) {
 	}
 }
 
-func (p *Plan32) butterflies(out []complex64, tw []complex64, norm float32) {
-	n := p.n
+func (p *Plan32) butterflies(out []complex64) {
+	n, tw := p.n, p.tw
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
 		stride := n / size
-		if size == n && norm != 0 {
-			break // final stage runs fused with the normalization below
-		}
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
 				w := tw[k*stride]
@@ -140,17 +110,6 @@ func (p *Plan32) butterflies(out []complex64, tw []complex64, norm float32) {
 				out[start+k] = a + b
 				out[start+k+half] = a - b
 			}
-		}
-	}
-	if norm != 0 && n > 1 {
-		half := n / 2
-		scale := complex(norm, 0)
-		for k := 0; k < half; k++ {
-			w := tw[k]
-			a := out[k]
-			b := out[k+half] * w
-			out[k] = (a + b) * scale
-			out[k+half] = (a - b) * scale
 		}
 	}
 }
@@ -165,16 +124,6 @@ func FFTInto32(dst, x []complex64) error {
 	return p.Forward(dst, x)
 }
 
-// IFFTInto32 computes the inverse DFT of x into dst, including the 1/N
-// normalization. Same rules as FFTInto32.
-func IFFTInto32(dst, x []complex64) error {
-	p, err := PlanFor32(len(x))
-	if err != nil {
-		return err
-	}
-	return p.Inverse(dst, x)
-}
-
 // Narrow converts wide samples to complex64 into dst, reusing its capacity,
 // and returns the resized slice. This is the single rounding step of the
 // narrow receive path: everything downstream stays complex64.
@@ -187,75 +136,6 @@ func Narrow(dst []complex64, src []complex128) []complex64 {
 		dst[i] = complex(float32(real(v)), float32(imag(v)))
 	}
 	return dst
-}
-
-// Widen converts narrow samples back to complex128 into dst, reusing its
-// capacity, and returns the resized slice. Exact (no rounding).
-func Widen(dst []complex128, src []complex64) []complex128 {
-	if cap(dst) < len(src) {
-		dst = make([]complex128, len(src))
-	}
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = complex(float64(real(v)), float64(imag(v)))
-	}
-	return dst
-}
-
-// FrequencyShift32 is FrequencyShift over narrow samples: a copy of x
-// multiplied by exp(j*2*pi*offset*t). The oscillator phase is accumulated
-// in float64 so long captures do not drift with float32 phase error.
-func FrequencyShift32(x []complex64, sampleRate, offset float64) []complex64 {
-	out := make([]complex64, len(x))
-	step := 2 * math.Pi * offset / sampleRate
-	for i, v := range x {
-		phase := step * float64(i)
-		s, c := math.Sincos(phase)
-		out[i] = v * complex(float32(c), float32(s))
-	}
-	return out
-}
-
-// Downsample32 keeps every factor-th sample of x starting at offset.
-func Downsample32(x []complex64, factor, offset int) ([]complex64, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("dsp: downsample factor %d < 1", factor)
-	}
-	if offset < 0 || (offset >= factor && factor > 1) {
-		return nil, fmt.Errorf("dsp: downsample offset %d out of range [0,%d)", offset, factor)
-	}
-	out := make([]complex64, 0, (len(x)+factor-1)/factor)
-	for i := offset; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out, nil
-}
-
-// MixInto32 adds src (scaled by gain, delayed by delay samples) into dst in
-// place, dropping samples that fall outside dst.
-func MixInto32(dst, src []complex64, gain float64, delay int) {
-	g := complex(float32(gain), 0)
-	for i, v := range src {
-		j := i + delay
-		if j < 0 || j >= len(dst) {
-			continue
-		}
-		dst[j] += v * g
-	}
-}
-
-// Power32 returns the mean squared magnitude of narrow samples,
-// accumulated in float64.
-func Power32(x []complex64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range x {
-		re, im := float64(real(v)), float64(imag(v))
-		sum += re*re + im*im
-	}
-	return sum / float64(len(x))
 }
 
 // Periodogram32 is Periodogram over narrow samples: the FFTs run in

@@ -50,7 +50,7 @@ func (e *Engine) newDecoderState() *decoderState {
 		seed = wifi.DefaultScramblerSeed
 	}
 	return &decoderState{
-		rxr: wifi.Receiver{Seed: seed, Convention: e.cfg.Convention, Resync: e.cfg.Resilient, WideIQ: e.cfg.WideIQ},
+		rxr: wifi.Receiver{Seed: seed, Convention: e.cfg.Convention, Resync: e.cfg.Resilient},
 		dec: core.Decoder{Convention: e.cfg.Convention},
 	}
 }

@@ -80,9 +80,6 @@ type Config struct {
 	// Resilient enables the receivers' graceful-degradation ladder
 	// (preamble resync after a failed decode at sample 0).
 	Resilient bool
-	// WideIQ selects the complex128 reference receive pipeline; the zero
-	// value decodes on the narrow complex64 path.
-	WideIQ bool
 
 	// Codec selects a registry backend ("ook-ctc", "ofdmfi", ...). Empty
 	// or "sledzig" runs the specialized zero-allocation SledZig path;
@@ -107,7 +104,6 @@ func (c Config) codecParams() codec.Params {
 		Channel:    c.Channel,
 		Seed:       c.Seed,
 		Resilient:  c.Resilient,
-		WideIQ:     c.WideIQ,
 	}
 }
 

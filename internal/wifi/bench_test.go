@@ -75,3 +75,46 @@ func BenchmarkSoftDemapQAM256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkViterbiACSReferenceHard pins the scalar reference ACS kernel —
+// the denominator of the word kernel's speedup and the bit-exact oracle
+// the identity tests decode against. Also 0 allocs/op.
+func BenchmarkViterbiACSReferenceHard(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := bits.Random(rng, 1000)
+	coded := ConvolutionalEncode(data)
+	dst := make([]bits.Bit, 0, len(data))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := viterbiDecodeInto(dst, coded, nil, false, refHardACS); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkViterbiACSReferenceSoft is the soft-metric counterpart of
+// BenchmarkViterbiACSReferenceHard.
+func BenchmarkViterbiACSReferenceSoft(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := bits.Random(rng, 1000)
+	coded := ConvolutionalEncode(data)
+	llrs := make([]float64, len(coded))
+	for i, c := range coded {
+		if c == 1 {
+			llrs[i] = -2.0 + rng.NormFloat64()*0.3
+		} else {
+			llrs[i] = 2.0 + rng.NormFloat64()*0.3
+		}
+	}
+	dst := make([]bits.Bit, 0, len(data))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := viterbiDecodeSoftInto(dst, llrs, false, refSoftACS); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"sync"
 
 	"sledzig/internal/bits"
@@ -31,7 +30,8 @@ type RxResult struct {
 // Receiver demodulates PPDUs generated by Transmitter. Synchronization is
 // assumed perfect (the simulator controls sample alignment); channel
 // estimation uses the two long training symbols, so flat or mildly
-// frequency-selective channels are equalized.
+// frequency-selective channels are equalized. The capture is rounded to
+// complex64 once on entry and demodulated at that width (see rx32.go).
 type Receiver struct {
 	// Seed must match the transmitter's scrambler seed (0 selects
 	// DefaultScramblerSeed). A real receiver recovers it from the SERVICE
@@ -53,13 +53,6 @@ type Receiver struct {
 	// the capture for the STS/LTS preamble and retries once from the
 	// detected PPDU start.
 	Resync bool
-	// WideIQ selects the complex128 reference pipeline. The zero value
-	// demodulates with the narrow (complex64) I/Q path — the waveform is
-	// rounded once on entry and every FFT, equalization, and demap pass
-	// runs at half the memory bandwidth, with precision loss bounded by
-	// the golden tests in rx32_test.go. Set WideIQ for bit-exact parity
-	// with the historical complex128 receiver.
-	WideIQ bool
 	// Trace, when non-nil, receives one child span per pipeline stage of
 	// this frame's demodulation (rx.channel_estimate → rx.signal →
 	// rx.equalize → rx.demap → rx.deinterleave → rx.viterbi →
@@ -71,10 +64,11 @@ type Receiver struct {
 // Instances are recycled through a pool, so a steady-state receiver touches
 // the allocator only to grow a frame's own RxResult buffers.
 type rxScratch struct {
-	h      []complex128 // per-data-subcarrier channel gains
-	hPilot []complex128 // per-pilot channel gains
-	freq   []complex128 // 64-bin FFT of the current symbol
-	sigPts []complex128 // equalized points of one symbol (SIGNAL, LTS)
+	wave32   []complex64 // the capture, rounded once on entry
+	freq32   []complex64 // 64-bin FFT of the current symbol
+	pts32    []complex64 // equalized points of one symbol
+	hInv32   []complex64 // reciprocal data-subcarrier channel gains
+	hPilot32 []complex64 // reciprocal pilot channel gains
 
 	symBits []bits.Bit // one symbol's demapped bits (hard path)
 	symLLRs []float64  // one symbol's LLRs (soft path)
@@ -85,21 +79,10 @@ type rxScratch struct {
 	motherErased []bool
 	motherLLRs   []float64
 	scrambled    []bits.Bit // Viterbi output, still scrambled
-
-	// Narrow (complex64) pipeline state — see rx32.go.
-	wave32   []complex64 // the capture, rounded once on entry
-	freq32   []complex64 // 64-bin FFT of the current symbol
-	pts32    []complex64 // equalized points of one symbol
-	hInv32   []complex64 // reciprocal data-subcarrier channel gains
-	hPilot32 []complex64 // reciprocal pilot channel gains
 }
 
 var rxScratchPool = sync.Pool{New: func() any {
 	return &rxScratch{
-		h:        make([]complex128, NumDataSubcarriers),
-		hPilot:   make([]complex128, NumPilotSubcarriers),
-		freq:     make([]complex128, NumSubcarriers),
-		sigPts:   make([]complex128, NumDataSubcarriers),
 		freq32:   make([]complex64, NumSubcarriers),
 		pts32:    make([]complex64, NumDataSubcarriers),
 		hInv32:   make([]complex64, NumDataSubcarriers),
@@ -189,18 +172,10 @@ func (r Receiver) ReceiveInto(waveform []complex128, res *RxResult) error {
 var softViterbiInto = ViterbiDecodeSoftInto
 
 // receiveOnce runs one pass of the demodulation pipeline with an explicit
-// hard/soft selection — the unit the degradation ladder retries. It
-// dispatches on the sample width: the narrow complex64 path by default,
-// the wide complex128 reference when WideIQ is set.
+// hard/soft selection — the unit the degradation ladder retries.
+//
+//sledzig:noalloc
 func (r Receiver) receiveOnce(waveform []complex128, res *RxResult, soft bool) error {
-	if r.WideIQ {
-		return r.receiveOnceWide(waveform, res, soft)
-	}
-	return r.receiveOnceNarrow(waveform, res, soft)
-}
-
-// receiveOnceWide is the complex128 reference pipeline.
-func (r Receiver) receiveOnceWide(waveform []complex128, res *RxResult, soft bool) error {
 	m := phy()
 	if len(waveform) < PreambleLength+SymbolLength {
 		err := fmt.Errorf("wifi: %w (%d samples) for preamble and SIGNAL", ErrShortWaveform, len(waveform))
@@ -210,10 +185,11 @@ func (r Receiver) receiveOnceWide(waveform []complex128, res *RxResult, soft boo
 
 	s := rxScratchPool.Get().(*rxScratch)
 	defer rxScratchPool.Put(s)
+	s.wave32 = dsp.Narrow(s.wave32, waveform)
 
 	t0 := m.rxSync.Start()
 	mk := r.Trace.Begin("rx.channel_estimate")
-	if err := estimateChannelInto(s, waveform); err != nil {
+	if err := estimateChannelInto32(s, s.wave32); err != nil {
 		mk.End()
 		err = fmt.Errorf("wifi: %w: channel estimate: %w", ErrDemodFailed, err)
 		m.rxSync.Fail(t0)
@@ -227,14 +203,14 @@ func (r Receiver) receiveOnceWide(waveform []complex128, res *RxResult, soft boo
 	t0 = m.rxSignal.Start()
 	mk = r.Trace.Begin("rx.signal")
 	sigStart := PreambleLength
-	if err := equalizeSymbolInto(s.sigPts, s, waveform[sigStart:sigStart+SymbolLength], 0); err != nil {
+	if err := equalizeSymbolInto32(s.pts32, s, s.wave32[sigStart:sigStart+SymbolLength], 0); err != nil {
 		mk.End()
 		err = fmt.Errorf("wifi: %w: SIGNAL equalize: %w", ErrDemodFailed, err)
 		m.rxSignal.Fail(t0)
 		m.rxFail(m.rxFailSignal, "signal", err)
 		return err
 	}
-	mode, length, err := decodeSignalSymbolInto(s)
+	mode, length, err := decodeSignalSymbolInto32(s)
 	mk.End()
 	if err != nil {
 		err = fmt.Errorf("wifi: SIGNAL decode: %w: %w", ErrBadSignal, err)
@@ -246,14 +222,14 @@ func (r Receiver) receiveOnceWide(waveform []complex128, res *RxResult, soft boo
 
 	nSym := NumDataSymbols(mode, length)
 	need := PreambleLength + (1+nSym)*SymbolLength
-	if len(waveform) < need {
-		err := fmt.Errorf("wifi: %w: waveform has %d samples, PPDU needs %d", ErrShortWaveform, len(waveform), need)
+	if len(s.wave32) < need {
+		err := fmt.Errorf("wifi: %w: waveform has %d samples, PPDU needs %d", ErrShortWaveform, len(s.wave32), need)
 		m.rxFail(m.rxFailTrunc, "truncated", err)
 		return err
 	}
 
-	// DATA symbols: equalized points land in the result's recycled
-	// DataPoints matrix, demapped bits/LLRs in the pooled scratch.
+	// DATA symbols: equalized points land in the pooled narrow scratch and
+	// are widened into the result's recycled DataPoints matrix.
 	if cap(res.DataPoints) < nSym {
 		old := res.DataPoints
 		res.DataPoints = make([][]complex128, nSym)
@@ -278,10 +254,13 @@ func (r Receiver) receiveOnceWide(waveform []complex128, res *RxResult, soft boo
 		start := PreambleLength + (1+sym)*SymbolLength
 		t0 = m.rxEqualize.Start()
 		mk = r.Trace.Begin("rx.equalize")
-		if err := equalizeSymbolInto(pts, s, waveform[start:start+SymbolLength], sym+1); err != nil {
+		if err := equalizeSymbolInto32(s.pts32, s, s.wave32[start:start+SymbolLength], sym+1); err != nil {
 			mk.End()
 			m.rxEqualize.Fail(t0)
 			return fmt.Errorf("wifi: %w: equalize symbol %d: %w", ErrDemodFailed, sym, err)
+		}
+		for i, v := range s.pts32 {
+			pts[i] = complex128(v)
 		}
 		mk.End()
 		m.rxEqualize.Done(t0, 0)
@@ -290,7 +269,7 @@ func (r Receiver) receiveOnceWide(waveform []complex128, res *RxResult, soft boo
 		if soft {
 			t0 = m.rxDemap.Start()
 			mk = r.Trace.Begin("rx.demap")
-			if err := r.Convention.SoftDemapAllInto(s.symLLRs, mode.Modulation, pts); err != nil {
+			if err := r.Convention.SoftDemapAll64Into(s.symLLRs, mode.Modulation, s.pts32); err != nil {
 				mk.End()
 				m.rxDemap.Fail(t0)
 				return fmt.Errorf("wifi: %w: soft demap: %w", ErrDemodFailed, err)
@@ -310,7 +289,7 @@ func (r Receiver) receiveOnceWide(waveform []complex128, res *RxResult, soft boo
 		}
 		t0 = m.rxDemap.Start()
 		mk = r.Trace.Begin("rx.demap")
-		if err := r.Convention.DemapAllCInto(s.symBits, mode.Modulation, pts); err != nil {
+		if err := r.Convention.DemapAll64Into(s.symBits, mode.Modulation, s.pts32); err != nil {
 			mk.End()
 			m.rxDemap.Fail(t0)
 			return fmt.Errorf("wifi: %w: demap: %w", ErrDemodFailed, err)
@@ -401,119 +380,6 @@ func checkFiniteLLRs(llrs []float64) error {
 	for i, v := range llrs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("wifi: non-finite LLR at coded bit %d", i)
-		}
-	}
-	return nil
-}
-
-// decodeSignalSymbolInto is DecodeSignalSymbol routed through the pooled
-// scratch: BPSK demap into s.symBits, deinterleave into s.rxBits, then
-// depuncture and terminated Viterbi in the scratch mother-stream buffers.
-// It runs before the DATA loop, which regrows the same buffers for the
-// signalled mode.
-func decodeSignalSymbolInto(s *rxScratch) (Mode, int, error) {
-	s.symBits = growBits(s.symBits, NumDataSubcarriers)
-	for i, p := range s.sigPts {
-		if real(p) >= 0 {
-			s.symBits[i] = 1
-		} else {
-			s.symBits[i] = 0
-		}
-	}
-	return signalFromSymBits(s)
-}
-
-// signalFromSymBits is the modulation-independent tail of SIGNAL decoding:
-// deinterleave s.symBits, depuncture, terminated Viterbi, parse.
-func signalFromSymBits(s *rxScratch) (Mode, int, error) {
-	s.rxBits = growBits(s.rxBits, NumDataSubcarriers)
-	for j, b := range s.symBits {
-		s.rxBits[DeinterleaveIndex(signalMode.Modulation, j)] = b
-	}
-	var err error
-	s.mother, s.motherErased, err = DepunctureInto(s.mother, s.motherErased, s.rxBits, signalMode.CodeRate)
-	if err != nil {
-		return Mode{}, 0, err
-	}
-	s.scrambled, err = ViterbiDecodeInto(s.scrambled, s.mother, s.motherErased, true)
-	if err != nil {
-		return Mode{}, 0, err
-	}
-	return ParseSignalField(s.scrambled)
-}
-
-// equalizeSymbolInto applies the LTS channel estimate held in s and then
-// removes the common phase error measured on the four pilots — the standard
-// defense against residual carrier offset and phase noise, without which
-// long frames rotate off the constellation. The 48 equalized data points
-// are written into pts; s.freq is clobbered.
-func equalizeSymbolInto(pts []complex128, s *rxScratch, sym []complex128, symbolIndex int) error {
-	if err := FrequencyDomainInto(s.freq, sym); err != nil {
-		return err
-	}
-	if err := ExtractSubcarriersInto(pts, s.freq); err != nil {
-		return err
-	}
-	for i := range pts {
-		pts[i] /= s.h[i]
-	}
-	var cpe complex128
-	pol := complex(PilotPolarity(symbolIndex), 0)
-	for i, k := range pilotSubcarriers {
-		expected := pol
-		if k == 21 {
-			expected = -pol
-		}
-		cpe += (s.freq[bin(k)] / s.hPilot[i]) * cmplx.Conj(expected)
-	}
-	if cpe != 0 {
-		rot := cmplx.Conj(cpe / complex(cmplx.Abs(cpe), 0))
-		for i := range pts {
-			pts[i] *= rot
-		}
-	}
-	return nil
-}
-
-// estimateChannelInto derives channel gains from the two long training
-// symbols (samples 192..320 of the preamble) into s.h and s.hPilot: one
-// gain per data subcarrier, plus the four pilot-subcarrier gains used for
-// common-phase tracking. s.freq and s.sigPts are clobbered.
-func estimateChannelInto(s *rxScratch, waveform []complex128) error {
-	ref, ltsf := ltsCached()
-	for i := range s.h {
-		s.h[i] = 0
-	}
-	for i := range s.hPilot {
-		s.hPilot[i] = 0
-	}
-	for rep := 0; rep < 2; rep++ {
-		// The LTS repetitions are contiguous, so the 64-sample FFT window
-		// can be taken directly — no cyclic prefix to strip.
-		start := 160 + 32 + rep*NumSubcarriers
-		if err := dsp.FFTInto(s.freq, waveform[start:start+NumSubcarriers]); err != nil {
-			return err
-		}
-		if err := ExtractSubcarriersInto(s.sigPts, s.freq); err != nil {
-			return err
-		}
-		for i := range s.h {
-			s.h[i] += s.sigPts[i] / ref[i]
-		}
-		for i, k := range pilotSubcarriers {
-			s.hPilot[i] += s.freq[bin(k)] / ltsf[bin(k)]
-		}
-	}
-	for i := range s.h {
-		s.h[i] /= 2
-		if s.h[i] == 0 {
-			return fmt.Errorf("wifi: channel estimate is zero on data subcarrier %d", i)
-		}
-	}
-	for i := range s.hPilot {
-		s.hPilot[i] /= 2
-		if s.hPilot[i] == 0 {
-			return fmt.Errorf("wifi: channel estimate is zero on pilot %d", i)
 		}
 	}
 	return nil

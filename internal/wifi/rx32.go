@@ -4,242 +4,36 @@ import (
 	"fmt"
 	"math/cmplx"
 
-	"sledzig/internal/bits"
 	"sledzig/internal/dsp"
 )
 
-// Narrow (complex64) receive pipeline — the default demodulation path.
+// Complex64 stages of the receive pipeline (receiveOnce in rx.go).
 //
 // The capture is rounded to complex64 once on entry; channel estimation,
 // per-symbol FFTs, equalization, and demapping then run entirely on
 // 8-byte samples, halving the memory bandwidth of the per-symbol hot
-// loop. Two further instruction-level changes ride on the width change:
+// loop. Two further instruction-level choices ride on the width:
 //
 //   - equalization multiplies by precomputed reciprocal gains (1/h,
 //     computed once per frame in float64 and rounded) instead of dividing
 //     per point — complex division is by far the slowest primitive in the
-//     loop, and the wide path keeps it only to preserve its historical
-//     bit-exact outputs;
+//     loop;
 //   - the max-log soft demapper accumulates its distance search in
 //     float32 (see demap32.go), which the LLR subtraction then widens.
 //
 // Precision: one float32 rounding per input sample plus ~6 butterfly
 // stages and one multiply leaves the equalized constellation points
-// within ~1e-5 relative of the wide pipeline — orders of magnitude below
-// the decision distance of QAM-256 — and the golden tests in rx32_test.go
-// bound the end-to-end EVM gap. Results (RxResult.DataPoints) are widened
-// back to complex128, so downstream consumers (channel detection,
-// EVM measurement) are width-agnostic.
+// within ~1e-5 relative of a complex128 receiver — orders of magnitude
+// below the decision distance of QAM-256 — and rx32_test.go bounds the
+// gap against a complex128 oracle. Results (RxResult.DataPoints) are
+// widened back to complex128, so downstream consumers (channel
+// detection, EVM measurement) are width-agnostic.
 
-// growC64 returns s resized to n elements, reusing capacity.
-func growC64(s []complex64, n int) []complex64 {
-	if cap(s) < n {
-		return make([]complex64, n)
-	}
-	return s[:n]
-}
-
-// receiveOnceNarrow mirrors receiveOnceWide stage for stage on complex64
-// samples.
-func (r Receiver) receiveOnceNarrow(waveform []complex128, res *RxResult, soft bool) error {
-	m := phy()
-	if len(waveform) < PreambleLength+SymbolLength {
-		err := fmt.Errorf("wifi: %w (%d samples) for preamble and SIGNAL", ErrShortWaveform, len(waveform))
-		m.rxFail(m.rxFailShort, "short_waveform", err)
-		return err
-	}
-
-	s := rxScratchPool.Get().(*rxScratch)
-	defer rxScratchPool.Put(s)
-	s.wave32 = dsp.Narrow(s.wave32, waveform)
-
-	t0 := m.rxSync.Start()
-	mk := r.Trace.Begin("rx.channel_estimate")
-	if err := estimateChannelInto32(s, s.wave32); err != nil {
-		mk.End()
-		err = fmt.Errorf("wifi: %w: channel estimate: %w", ErrDemodFailed, err)
-		m.rxSync.Fail(t0)
-		m.rxFail(m.rxFailChanEst, "channel_estimate", err)
-		return err
-	}
-	mk.End()
-	m.rxSync.Done(t0, 0)
-
-	// SIGNAL symbol.
-	t0 = m.rxSignal.Start()
-	mk = r.Trace.Begin("rx.signal")
-	sigStart := PreambleLength
-	if err := equalizeSymbolInto32(s.pts32, s, s.wave32[sigStart:sigStart+SymbolLength], 0); err != nil {
-		mk.End()
-		err = fmt.Errorf("wifi: %w: SIGNAL equalize: %w", ErrDemodFailed, err)
-		m.rxSignal.Fail(t0)
-		m.rxFail(m.rxFailSignal, "signal", err)
-		return err
-	}
-	mode, length, err := decodeSignalSymbolInto32(s)
-	mk.End()
-	if err != nil {
-		err = fmt.Errorf("wifi: SIGNAL decode: %w: %w", ErrBadSignal, err)
-		m.rxSignal.Fail(t0)
-		m.rxFail(m.rxFailSignal, "signal", err)
-		return err
-	}
-	m.rxSignal.Done(t0, 0)
-
-	nSym := NumDataSymbols(mode, length)
-	need := PreambleLength + (1+nSym)*SymbolLength
-	if len(s.wave32) < need {
-		err := fmt.Errorf("wifi: %w: waveform has %d samples, PPDU needs %d", ErrShortWaveform, len(s.wave32), need)
-		m.rxFail(m.rxFailTrunc, "truncated", err)
-		return err
-	}
-
-	// DATA symbols: equalized points land in the pooled narrow scratch and
-	// are widened into the result's recycled DataPoints matrix.
-	if cap(res.DataPoints) < nSym {
-		old := res.DataPoints
-		res.DataPoints = make([][]complex128, nSym)
-		copy(res.DataPoints, old[:cap(old)])
-	}
-	res.DataPoints = res.DataPoints[:nSym]
-	nCBPS := mode.CodedBitsPerSymbol()
-	if soft {
-		s.rxLLRs = growF64(s.rxLLRs, nSym*nCBPS)
-		s.symLLRs = growF64(s.symLLRs, nCBPS)
-	} else {
-		s.rxBits = growBits(s.rxBits, nSym*nCBPS)
-		s.symBits = growBits(s.symBits, nCBPS)
-	}
-	for sym := 0; sym < nSym; sym++ {
-		if cap(res.DataPoints[sym]) < NumDataSubcarriers {
-			res.DataPoints[sym] = make([]complex128, NumDataSubcarriers)
-		}
-		pts := res.DataPoints[sym][:NumDataSubcarriers]
-		res.DataPoints[sym] = pts
-
-		start := PreambleLength + (1+sym)*SymbolLength
-		t0 = m.rxEqualize.Start()
-		mk = r.Trace.Begin("rx.equalize")
-		if err := equalizeSymbolInto32(s.pts32, s, s.wave32[start:start+SymbolLength], sym+1); err != nil {
-			mk.End()
-			m.rxEqualize.Fail(t0)
-			return fmt.Errorf("wifi: %w: equalize symbol %d: %w", ErrDemodFailed, sym, err)
-		}
-		for i, v := range s.pts32 {
-			pts[i] = complex128(v)
-		}
-		mk.End()
-		m.rxEqualize.Done(t0, 0)
-
-		off := sym * nCBPS
-		if soft {
-			t0 = m.rxDemap.Start()
-			mk = r.Trace.Begin("rx.demap")
-			if err := r.Convention.SoftDemapAll64Into(s.symLLRs, mode.Modulation, s.pts32); err != nil {
-				mk.End()
-				m.rxDemap.Fail(t0)
-				return fmt.Errorf("wifi: %w: soft demap: %w", ErrDemodFailed, err)
-			}
-			mk.End()
-			m.rxDemap.Done(t0, 0)
-			t0 = m.rxDeinterlv.Start()
-			mk = r.Trace.Begin("rx.deinterleave")
-			if err := r.Convention.DeinterleaveFloatsInto(s.rxLLRs[off:off+nCBPS], s.symLLRs, mode.Modulation); err != nil {
-				mk.End()
-				m.rxDeinterlv.Fail(t0)
-				return fmt.Errorf("wifi: %w: deinterleave: %w", ErrDemodFailed, err)
-			}
-			mk.End()
-			m.rxDeinterlv.Done(t0, 0)
-			continue
-		}
-		t0 = m.rxDemap.Start()
-		mk = r.Trace.Begin("rx.demap")
-		if err := r.Convention.DemapAll64Into(s.symBits, mode.Modulation, s.pts32); err != nil {
-			mk.End()
-			m.rxDemap.Fail(t0)
-			return fmt.Errorf("wifi: %w: demap: %w", ErrDemodFailed, err)
-		}
-		mk.End()
-		m.rxDemap.Done(t0, 0)
-		t0 = m.rxDeinterlv.Start()
-		mk = r.Trace.Begin("rx.deinterleave")
-		if err := r.Convention.DeinterleaveCInto(s.rxBits[off:off+nCBPS], s.symBits, mode.Modulation); err != nil {
-			mk.End()
-			m.rxDeinterlv.Fail(t0)
-			return fmt.Errorf("wifi: %w: deinterleave: %w", ErrDemodFailed, err)
-		}
-		mk.End()
-		m.rxDeinterlv.Done(t0, 0)
-	}
-
-	// Viterbi over the whole DATA field. Termination state is unknown in
-	// general (pad bits keep shifting the register), so decode untailed.
-	t0 = m.rxViterbi.Start()
-	mk = r.Trace.Begin("rx.viterbi")
-	if soft {
-		err = checkFiniteLLRs(s.rxLLRs)
-		if err == nil {
-			s.motherLLRs, err = DepunctureFloatsInto(s.motherLLRs, s.rxLLRs, mode.CodeRate)
-		}
-		if err == nil {
-			s.scrambled, err = softViterbiInto(s.scrambled, s.motherLLRs, false)
-		}
-	} else {
-		s.mother, s.motherErased, err = DepunctureInto(s.mother, s.motherErased, s.rxBits, mode.CodeRate)
-		if err == nil {
-			s.scrambled, err = ViterbiDecodeInto(s.scrambled, s.mother, s.motherErased, false)
-		}
-	}
-	mk.End()
-	if err != nil {
-		err = fmt.Errorf("wifi: %w: viterbi: %w", ErrDemodFailed, err)
-		m.rxViterbi.Fail(t0)
-		m.rxFail(m.rxFailDecode, "viterbi", err)
-		return err
-	}
-	m.rxViterbi.Done(t0, len(s.scrambled)/8)
-
-	seed := r.Seed
-	if seed == 0 {
-		seed = DefaultScramblerSeed
-	}
-	t0 = m.rxDescramble.Start()
-	mk = r.Trace.Begin("rx.descramble")
-	res.DataBits = growBits(res.DataBits, len(s.scrambled))
-	if err := ScrambleWithSeedInto(res.DataBits, s.scrambled, seed); err != nil {
-		mk.End()
-		err = fmt.Errorf("wifi: %w: descramble: %w", ErrDemodFailed, err)
-		m.rxDescramble.Fail(t0)
-		m.rxFail(m.rxFailDecode, "descramble", err)
-		return err
-	}
-	mk.End()
-	m.rxDescramble.Done(t0, 0)
-
-	if need := serviceBits + 8*length; len(res.DataBits) < need {
-		err := fmt.Errorf("wifi: %w: %d decoded bits cannot hold a %d-octet PSDU", ErrDemodFailed, len(res.DataBits), length)
-		m.rxFail(m.rxFailDecode, "psdu", err)
-		return err
-	}
-	psduBits := res.DataBits[serviceBits : serviceBits+8*length]
-	if cap(res.PSDU) < length {
-		res.PSDU = make([]byte, length)
-	}
-	res.PSDU = res.PSDU[:length]
-	if err := bits.ToBytesInto(res.PSDU, psduBits); err != nil {
-		err = fmt.Errorf("wifi: %w: PSDU extract: %w", ErrDemodFailed, err)
-		m.rxFail(m.rxFailDecode, "psdu", err)
-		return err
-	}
-	res.Mode = mode
-	res.PSDULength = length
-	m.rxFrames.Inc()
-	return nil
-}
-
-// decodeSignalSymbolInto32 BPSK-demaps the narrow SIGNAL points in s.pts32
-// and hands off to the shared SIGNAL tail.
+// decodeSignalSymbolInto32 decodes the SIGNAL points in s.pts32 through
+// the pooled scratch: BPSK demap into s.symBits, deinterleave into
+// s.rxBits, then depuncture and terminated Viterbi in the scratch
+// mother-stream buffers. It runs before the DATA loop, which regrows the
+// same buffers for the signalled mode.
 func decodeSignalSymbolInto32(s *rxScratch) (Mode, int, error) {
 	s.symBits = growBits(s.symBits, NumDataSubcarriers)
 	for i, p := range s.pts32 {
@@ -249,13 +43,28 @@ func decodeSignalSymbolInto32(s *rxScratch) (Mode, int, error) {
 			s.symBits[i] = 0
 		}
 	}
-	return signalFromSymBits(s)
+	s.rxBits = growBits(s.rxBits, NumDataSubcarriers)
+	for j, b := range s.symBits {
+		s.rxBits[DeinterleaveIndex(signalMode.Modulation, j)] = b
+	}
+	var err error
+	s.mother, s.motherErased, err = DepunctureInto(s.mother, s.motherErased, s.rxBits, signalMode.CodeRate)
+	if err != nil {
+		return Mode{}, 0, err
+	}
+	s.scrambled, err = ViterbiDecodeInto(s.scrambled, s.mother, s.motherErased, true)
+	if err != nil {
+		return Mode{}, 0, err
+	}
+	return ParseSignalField(s.scrambled)
 }
 
-// equalizeSymbolInto32 is equalizeSymbolInto on narrow samples, with the
-// per-point complex division replaced by a multiply with the reciprocal
-// gains prepared by estimateChannelInto32. The 48 equalized data points
-// are written into pts; s.freq32 is clobbered.
+// equalizeSymbolInto32 applies the LTS channel estimate held in s, as a
+// multiply with the reciprocal gains prepared by estimateChannelInto32,
+// and then removes the common phase error measured on the four pilots —
+// the standard defense against residual carrier offset and phase noise,
+// without which long frames rotate off the constellation. The 48
+// equalized data points are written into pts; s.freq32 is clobbered.
 func equalizeSymbolInto32(pts []complex64, s *rxScratch, sym []complex64, symbolIndex int) error {
 	if len(sym) != SymbolLength {
 		return fmt.Errorf("wifi: symbol length %d != %d", len(sym), SymbolLength)
@@ -291,7 +100,7 @@ func equalizeSymbolInto32(pts []complex64, s *rxScratch, sym []complex64, symbol
 	return nil
 }
 
-// extractSubcarriersInto32 is ExtractSubcarriersInto on narrow bins.
+// extractSubcarriersInto32 is ExtractSubcarriersInto on complex64 bins.
 func extractSubcarriersInto32(dst, freq []complex64) error {
 	if len(freq) != NumSubcarriers {
 		return fmt.Errorf("wifi: need %d bins, got %d", NumSubcarriers, len(freq))
@@ -306,10 +115,11 @@ func extractSubcarriersInto32(dst, freq []complex64) error {
 }
 
 // estimateChannelInto32 derives the channel estimate from the two long
-// training symbols like estimateChannelInto, but stores reciprocal gains
-// (1/h, and 1/h on the pilots) so equalization multiplies instead of
-// divides. The 52 reciprocals are computed in float64 once per frame and
-// rounded to complex64. s.freq32 and s.pts32 are clobbered.
+// training symbols (samples 192..320 of the preamble): one gain per data
+// subcarrier, plus the four pilot-subcarrier gains used for common-phase
+// tracking. It stores reciprocal gains (1/h) so equalization multiplies
+// instead of divides; the 52 reciprocals are computed in float64 once per
+// frame and rounded to complex64. s.freq32 and s.pts32 are clobbered.
 func estimateChannelInto32(s *rxScratch, waveform []complex64) error {
 	ref, ltsf := ltsCached()
 	var h [NumDataSubcarriers]complex128

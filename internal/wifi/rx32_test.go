@@ -1,7 +1,6 @@
 package wifi
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -11,13 +10,13 @@ import (
 	"sledzig/internal/dsp"
 )
 
-// Golden tests for the narrow (complex64) receive path: the narrow and
-// wide pipelines must recover identical payloads over realistic channels,
-// and the narrow pipeline's equalized constellation points must stay
-// within a float32-rounding-scale distance of the wide reference.
+// Golden tests for the complex64 receive path: it must recover the same
+// payloads as the complex128 oracle (oracle_test.go) over realistic
+// channels, and its equalized constellation points must stay within a
+// float32-rounding-scale distance of the oracle's.
 
-// narrowWideChannels builds the impairment menu both pipelines are
-// compared under: clean, AWGN, a flat complex gain, and a mild two-tap
+// narrowWideChannels builds the impairment menu the receiver and the
+// oracle are compared under: clean, AWGN, a flat complex gain, and a mild two-tap
 // multipath channel.
 func narrowWideChannels(rng *rand.Rand, wave []complex128) map[string][]complex128 {
 	awgn := make([]complex128, len(wave))
@@ -45,61 +44,37 @@ func narrowWideChannels(rng *rand.Rand, wave []complex128) map[string][]complex1
 	}
 }
 
-// TestNarrowWideParity demodulates every transmittable mode through both
-// sample widths, hard and soft, over each impairment, and requires the
-// recovered PSDUs to be identical and the equalized points to agree to
-// float32 rounding scale.
+// TestNarrowWideParity demodulates every transmittable mode through the
+// complex64 receiver and the complex128 oracle, hard and soft, over each
+// impairment, and requires the recovered PSDUs to be identical and the
+// equalized points to agree to float32 rounding scale.
 func TestNarrowWideParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, mod := range []Modulation{BPSK, QPSK, QAM16, QAM64, QAM256} {
-		for _, rate := range []CodeRate{Rate12, Rate23, Rate34, Rate56} {
-			mode := Mode{mod, rate}
-			if _, err := rateCode(mode); err != nil {
-				continue
-			}
-			psdu := bits.RandomBytes(rng, 240)
-			frame, err := Transmitter{Mode: mode}.Frame(psdu)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wave, err := frame.Waveform()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, ch := range narrowWideChannels(rng, wave) {
-				for _, soft := range []bool{false, true} {
-					desc := fmt.Sprintf("%v %s soft=%v", mode, name, soft)
-					wide, err := (Receiver{Soft: soft, WideIQ: true}).Receive(ch)
-					if err != nil {
-						t.Fatalf("%s: wide: %v", desc, err)
-					}
-					narrow, err := (Receiver{Soft: soft}).Receive(ch)
-					if err != nil {
-						t.Fatalf("%s: narrow: %v", desc, err)
-					}
-					if string(narrow.PSDU) != string(wide.PSDU) {
-						t.Fatalf("%s: narrow PSDU differs from wide", desc)
-					}
-					if narrow.Mode != wide.Mode {
-						t.Fatalf("%s: mode %v vs %v", desc, narrow.Mode, wide.Mode)
-					}
-					// Precision: equalized points must agree to a scale set
-					// by float32 rounding of unit-power symbols, far below
-					// the minimum decision distance of QAM-256 (~0.077).
-					const tol = 2e-4
-					for s := range wide.DataPoints {
-						for i := range wide.DataPoints[s] {
-							d := cmplx.Abs(narrow.DataPoints[s][i] - wide.DataPoints[s][i])
-							if d > tol {
-								t.Fatalf("%s: symbol %d point %d: |narrow-wide| = %g > %g",
-									desc, s, i, d, tol)
-							}
-						}
-					}
+	forEachParityCase(t, func(desc string, ch []complex128, soft bool) {
+		wide := wideReceive(t, ch, soft, wordACS)
+		narrow, err := (Receiver{Soft: soft}).Receive(ch)
+		if err != nil {
+			t.Fatalf("%s: narrow: %v", desc, err)
+		}
+		if string(narrow.PSDU) != string(wide.PSDU) {
+			t.Fatalf("%s: narrow PSDU differs from wide", desc)
+		}
+		if narrow.Mode != wide.Mode {
+			t.Fatalf("%s: mode %v vs %v", desc, narrow.Mode, wide.Mode)
+		}
+		// Precision: equalized points must agree to a scale set by
+		// float32 rounding of unit-power symbols, far below the minimum
+		// decision distance of QAM-256 (~0.077).
+		const tol = 2e-4
+		for s := range wide.DataPoints {
+			for i := range wide.DataPoints[s] {
+				d := cmplx.Abs(narrow.DataPoints[s][i] - wide.DataPoints[s][i])
+				if d > tol {
+					t.Fatalf("%s: symbol %d point %d: |narrow-wide| = %g > %g",
+						desc, s, i, d, tol)
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestNarrowEVMFloor pins the narrow path's clean-channel error floor: the
@@ -236,8 +211,8 @@ func FuzzDemap64RoundTrip(f *testing.F) {
 	})
 }
 
-// TestNarrowEqualizeAgainstWide compares the two equalizers symbol by
-// symbol through a frequency-selective channel, bounding the narrow
+// TestNarrowEqualizeAgainstWide compares the complex64 equalizer with the
+// oracle's symbol by symbol through a frequency-selective channel, bounding the narrow
 // pipeline's added EVM directly (not just the decision outcomes).
 func TestNarrowEqualizeAgainstWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
@@ -257,10 +232,7 @@ func TestNarrowEqualizeAgainstWide(t *testing.T) {
 			ch[i] += wave[i-2] * complex(-0.06, 0.09)
 		}
 	}
-	wide, err := (Receiver{WideIQ: true}).Receive(ch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := wideReceive(t, ch, false, wordACS)
 	narrow, err := (Receiver{}).Receive(ch)
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +285,8 @@ func TestNarrowScratchReuse(t *testing.T) {
 	}
 }
 
-// TestNarrowDSPPrimitives pins the dsp complex64 kernels against their
-// wide counterparts on receiver-shaped data.
+// TestNarrowDSPPrimitives pins the receiver's complex64 FFT against the
+// complex128 one on receiver-shaped data.
 func TestNarrowDSPPrimitives(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	x64 := make([]complex128, NumSubcarriers)
@@ -335,27 +307,5 @@ func TestNarrowDSPPrimitives(t *testing.T) {
 		if d := cmplx.Abs(complex128(fnarrow[i]) - fwide[i]); d > 1e-4 {
 			t.Fatalf("FFT bin %d: |narrow-wide| = %g", i, d)
 		}
-	}
-
-	back := make([]complex64, NumSubcarriers)
-	if err := dsp.IFFTInto32(back, fnarrow); err != nil {
-		t.Fatal(err)
-	}
-	for i := range back {
-		if d := cmplx.Abs(complex128(back[i]) - x64[i]); d > 1e-5 {
-			t.Fatalf("IFFT(FFT) sample %d: round-trip error %g", i, d)
-		}
-	}
-
-	widened := dsp.Widen(nil, x32)
-	for i := range widened {
-		if widened[i] != complex128(x32[i]) {
-			t.Fatalf("Widen sample %d not exact", i)
-		}
-	}
-
-	pw, pn := dsp.Power(x64), dsp.Power32(x32)
-	if math.Abs(pw-pn) > 1e-5*pw {
-		t.Fatalf("Power %g vs Power32 %g", pw, pn)
 	}
 }

@@ -19,16 +19,21 @@ import (
 // so a 1500-byte frame's survivor memory is ~100 KiB smaller than the
 // struct-matrix representation and is recycled through a sync.Pool.
 //
-// The add-compare-select forward pass itself lives behind a small kernel
-// seam (see viterbi_acs.go): the default "word" kernel computes all 64
-// states with branch-free, word-parallel arithmetic (eight byte lanes per
-// uint64 for hard decisions, sign-bit selects for soft), and the
-// "reference" kernel keeps the straightforward paired-butterfly loops the
-// word kernel is tested byte-identical against.
+// The add-compare-select forward pass is a kernel function handed to the
+// decode body (see viterbi_acs.go): production passes the word kernels,
+// which compute all 64 states with branch-free, word-parallel arithmetic
+// (eight byte lanes per uint64 for hard decisions, sign-bit selects for
+// soft); the identity tests pass the straightforward paired-butterfly
+// loops the word kernels are tested byte-identical against.
 
-const (
-	viterbiStates = 64 // 2^(K-1)
-	viterbiInfI32 = int32(1) << 30
+const viterbiStates = 64 // 2^(K-1)
+
+// hardACS and softACS run the full forward pass of one decode, filling
+// s.decisions and returning the final path metrics for the best-state
+// scan.
+type (
+	hardACS func(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *[viterbiStates]int32
+	softACS func(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]float64
 )
 
 // trellis holds the per-destination branch-output indices: for destination
@@ -121,6 +126,14 @@ func growBits(dst []bits.Bit, n int) []bits.Bit {
 //
 //sledzig:noalloc
 func ViterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool) ([]bits.Bit, error) {
+	return viterbiDecodeSoftInto(dst, llrs, terminated, wordSoftACS)
+}
+
+// viterbiDecodeSoftInto is ViterbiDecodeSoftInto with the forward-pass
+// kernel as an argument.
+//
+//sledzig:noalloc
+func viterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool, acs softACS) ([]bits.Bit, error) {
 	if len(llrs)%2 != 0 {
 		return dst, fmt.Errorf("wifi: LLR stream length %d is odd", len(llrs))
 	}
@@ -131,20 +144,7 @@ func ViterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool) ([]b
 	s := viterbiPool.Get().(*viterbiScratch)
 	defer viterbiPool.Put(s)
 	s.grow(steps)
-
-	metric := currentACS().soft(s, llrs, steps)
-
-	best := 0
-	if !terminated {
-		for st := 1; st < viterbiStates; st++ {
-			if metric[st] < metric[best] {
-				best = st
-			}
-		}
-	}
-	dst = growBits(dst, steps)
-	traceback(dst, s.decisions, best)
-	return dst, nil
+	return survivorPath(dst, s.decisions, acs(s, llrs, steps), terminated), nil
 }
 
 // ViterbiDecodeInto is ViterbiDecode decoding into dst (reusing its
@@ -152,6 +152,14 @@ func ViterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool) ([]b
 //
 //sledzig:noalloc
 func ViterbiDecodeInto(dst []bits.Bit, coded []bits.Bit, erased []bool, terminated bool) ([]bits.Bit, error) {
+	return viterbiDecodeInto(dst, coded, erased, terminated, wordHardACS)
+}
+
+// viterbiDecodeInto is ViterbiDecodeInto with the forward-pass kernel as
+// an argument.
+//
+//sledzig:noalloc
+func viterbiDecodeInto(dst []bits.Bit, coded []bits.Bit, erased []bool, terminated bool, acs hardACS) ([]bits.Bit, error) {
 	if len(coded)%2 != 0 {
 		return dst, fmt.Errorf("wifi: coded length %d is odd", len(coded))
 	}
@@ -165,9 +173,13 @@ func ViterbiDecodeInto(dst []bits.Bit, coded []bits.Bit, erased []bool, terminat
 	s := viterbiPool.Get().(*viterbiScratch)
 	defer viterbiPool.Put(s)
 	s.grow(steps)
+	return survivorPath(dst, s.decisions, acs(s, coded, erased, steps), terminated), nil
+}
 
-	metric := currentACS().hard(s, coded, erased, steps)
-
+// survivorPath picks the end state — state 0 for a terminated stream,
+// else the best final metric — and traces the decoded bits back into dst
+// (reusing its capacity).
+func survivorPath[M int32 | float64](dst []bits.Bit, decisions []uint64, metric *[viterbiStates]M, terminated bool) []bits.Bit {
 	best := 0
 	if !terminated {
 		for st := 1; st < viterbiStates; st++ {
@@ -176,9 +188,9 @@ func ViterbiDecodeInto(dst []bits.Bit, coded []bits.Bit, erased []bool, terminat
 			}
 		}
 	}
-	dst = growBits(dst, steps)
-	traceback(dst, s.decisions, best)
-	return dst, nil
+	dst = growBits(dst, len(decisions))
+	traceback(dst, decisions, best)
+	return dst
 }
 
 // traceback walks the bit-packed survivor words from the chosen end state,

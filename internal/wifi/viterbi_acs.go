@@ -1,29 +1,23 @@
 package wifi
 
 import (
-	"fmt"
 	"math"
-	"sync/atomic"
 
 	"sledzig/internal/bits"
 )
 
-// Add-compare-select kernels behind the Viterbi dispatch seam.
-//
-// The forward pass is the decoder's whole cost, so it is isolated behind a
-// tiny kernel interface with two interchangeable implementations:
-//
-//   - "word" (default): branch-free. The hard pass packs the 64 path
-//     metrics into eight uint64 words of eight byte lanes each and runs
-//     the whole add-compare-select step with SIMD-within-a-register
-//     arithmetic — no data-dependent branches, eight states per
-//     instruction stream. The soft pass keeps float64 metrics but replaces
-//     the compare branch with a sign-bit select, and exploits the
-//     generator structure (both 802.11 polynomials tap delays 0 and 6) to
-//     load one branch metric per predecessor pair instead of four.
-//   - "reference": the straightforward paired-butterfly loops. Kept as the
-//     oracle the word kernels are tested byte-identical against, and as a
-//     fallback selectable at runtime.
+// Add-compare-select kernels. The forward pass is the decoder's whole
+// cost, and both kernels here are branch-free. The hard pass packs the 64
+// path metrics into eight uint64 words of eight byte lanes each and runs
+// the whole add-compare-select step with SIMD-within-a-register
+// arithmetic — no data-dependent branches, eight states per instruction
+// stream. The soft pass keeps float64 metrics but replaces the compare
+// branch with a sign-bit select, and exploits the generator structure
+// (both 802.11 polynomials tap delays 0 and 6) to load one branch metric
+// per predecessor pair instead of four. The straightforward
+// paired-butterfly loops (refHardACS and refSoftACS in
+// viterbi_acs_test.go) are the reference these kernels are tested
+// byte-identical against.
 //
 // Byte-lane representation of the hard kernel. Metrics are unsigned bytes
 // ≤ hardLaneInf, so every SWAR compare precondition (lane values < 128)
@@ -47,51 +41,6 @@ import (
 // The decoded output is therefore byte-identical to the reference kernel
 // for any input (viterbi_acs_test.go checks this across every code rate ×
 // modulation combination, hard and soft).
-
-// viterbiACS is one add-compare-select implementation: each kernel runs
-// the full forward pass, filling s.decisions and returning the final
-// path-metric array for the best-state scan.
-type viterbiACS struct {
-	name string
-	hard func(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *[viterbiStates]int32
-	soft func(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]float64
-}
-
-var (
-	wordKernel      = &viterbiACS{name: "word", hard: wordHardACS, soft: wordSoftACS}
-	referenceKernel = &viterbiACS{name: "reference", hard: refHardACS, soft: refSoftACS}
-
-	// acsKernel is the selected kernel; nil selects the default (word).
-	acsKernel atomic.Pointer[viterbiACS]
-)
-
-// currentACS returns the kernel every decode dispatches through.
-func currentACS() *viterbiACS {
-	if k := acsKernel.Load(); k != nil {
-		return k
-	}
-	return wordKernel
-}
-
-// SetViterbiKernel selects the add-compare-select implementation by name
-// ("word" or "reference"). The default is "word"; "reference" restores the
-// scalar loops the word kernel is verified byte-identical against. Safe
-// for concurrent use; in-flight decodes finish on the kernel they started
-// with.
-func SetViterbiKernel(name string) error {
-	switch name {
-	case "word":
-		acsKernel.Store(wordKernel)
-	case "reference":
-		acsKernel.Store(referenceKernel)
-	default:
-		return fmt.Errorf("wifi: unknown Viterbi kernel %q (want \"word\" or \"reference\")", name)
-	}
-	return nil
-}
-
-// ViterbiKernel reports the name of the selected kernel.
-func ViterbiKernel() string { return currentACS().name }
 
 // SWAR constants: per-lane LSB/MSB masks, the decision-gather multiplier,
 // and the byte-lane "infinity".
@@ -251,113 +200,6 @@ func wordSoftACS(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]f
 			u0, u1 = math.Float64bits(c0), math.Float64bits(c1)
 			next[ns+1] = math.Float64frombits(u0 ^ (u0^u1)&-sel)
 			word |= sel << uint(ns+1)
-		}
-		s.decisions[t] = word
-		metric, next = next, metric
-	}
-	return metric
-}
-
-// refHardACS is the scalar paired-butterfly hard pass — the oracle the
-// word kernel is tested byte-identical against.
-func refHardACS(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *[viterbiStates]int32 {
-	tr := viterbiTrellis()
-	metric, next := &s.h0, &s.h1
-	for i := range metric {
-		metric[i] = viterbiInfI32
-	}
-	metric[0] = 0
-
-	var bmv [4]int32
-	for t := 0; t < steps; t++ {
-		// Hamming branch metrics against the received pair, with erased
-		// positions contributing nothing; four values indexed by y0<<1|y1.
-		r0, r1 := int32(coded[2*t]&1), int32(coded[2*t+1]&1)
-		e0, e1 := int32(1), int32(1)
-		if erased != nil {
-			if erased[2*t] {
-				e0 = 0
-			}
-			if erased[2*t+1] {
-				e1 = 0
-			}
-		}
-		bmv[0] = e0*r0 + e1*r1         // outputs (0,0)
-		bmv[1] = e0*r0 + e1*(1-r1)     // outputs (0,1)
-		bmv[2] = e0*(1-r0) + e1*r1     // outputs (1,0)
-		bmv[3] = e0*(1-r0) + e1*(1-r1) // outputs (1,1)
-		var word uint64
-		for p := 0; p < viterbiStates/2; p++ {
-			m0, m1 := metric[p], metric[p+32]
-			ns := 2 * p
-			c0 := m0 + bmv[tr.out0[ns]&3]
-			c1 := m1 + bmv[tr.out1[ns]&3]
-			if c1 < c0 {
-				next[ns] = c1
-				word |= 1 << uint(ns)
-			} else {
-				next[ns] = c0
-			}
-			ns++
-			c0 = m0 + bmv[tr.out0[ns]&3]
-			c1 = m1 + bmv[tr.out1[ns]&3]
-			if c1 < c0 {
-				next[ns] = c1
-				word |= 1 << uint(ns)
-			} else {
-				next[ns] = c0
-			}
-		}
-		s.decisions[t] = word
-		metric, next = next, metric
-	}
-	return metric
-}
-
-// refSoftACS is the scalar paired-butterfly soft pass (see refHardACS).
-func refSoftACS(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]float64 {
-	tr := viterbiTrellis()
-	metric, next := &s.m0, &s.m1
-	inf := math.Inf(1)
-	for i := range metric {
-		metric[i] = inf
-	}
-	metric[0] = 0
-
-	var bmv [4]float64
-	for t := 0; t < steps; t++ {
-		// Cost of asserting bit value b against LLR l (l = log P(0)/P(1)):
-		// add l when the branch outputs 1, -l when it outputs 0; constant
-		// offsets cancel. Only four branch metrics exist per step, indexed
-		// by the output pair y0<<1|y1.
-		l0, l1 := llrs[2*t], llrs[2*t+1]
-		bmv[0] = -l0 - l1
-		bmv[1] = -l0 + l1
-		bmv[2] = l0 - l1
-		bmv[3] = l0 + l1
-		var word uint64
-		// Destination states 2p and 2p+1 share the predecessor pair
-		// (p, p+32); walking pairs halves the path-metric loads.
-		for p := 0; p < viterbiStates/2; p++ {
-			m0, m1 := metric[p], metric[p+32]
-			ns := 2 * p
-			c0 := m0 + bmv[tr.out0[ns]&3]
-			c1 := m1 + bmv[tr.out1[ns]&3]
-			if c1 < c0 {
-				next[ns] = c1
-				word |= 1 << uint(ns)
-			} else {
-				next[ns] = c0
-			}
-			ns++
-			c0 = m0 + bmv[tr.out0[ns]&3]
-			c1 = m1 + bmv[tr.out1[ns]&3]
-			if c1 < c0 {
-				next[ns] = c1
-				word |= 1 << uint(ns)
-			} else {
-				next[ns] = c0
-			}
 		}
 		s.decisions[t] = word
 		metric, next = next, metric

@@ -2,6 +2,7 @@ package wifi
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -124,38 +125,10 @@ func TestTrellisGeneratorStructure(t *testing.T) {
 	}
 }
 
-func TestSetViterbiKernel(t *testing.T) {
-	defer func() {
-		if err := SetViterbiKernel("word"); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if got := ViterbiKernel(); got != "word" {
-		t.Fatalf("default kernel = %q, want word", got)
-	}
-	if err := SetViterbiKernel("reference"); err != nil {
-		t.Fatal(err)
-	}
-	if got := ViterbiKernel(); got != "reference" {
-		t.Fatalf("kernel after select = %q, want reference", got)
-	}
-	if err := SetViterbiKernel("simd-ha"); err == nil {
-		t.Fatal("unknown kernel name accepted")
-	}
-}
-
-// decodeBothKernels runs one decode under each kernel and requires
-// bit-identical output.
-func decodeBothKernels(t *testing.T, desc string, run func() []bits.Bit) {
+// requireIdentical fails the test when a word-kernel decode got differs
+// from the reference-kernel decode want.
+func requireIdentical(t *testing.T, desc string, got, want []bits.Bit) {
 	t.Helper()
-	if err := SetViterbiKernel("reference"); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]bits.Bit(nil), run()...)
-	if err := SetViterbiKernel("word"); err != nil {
-		t.Fatal(err)
-	}
-	got := run()
 	if !bits.Equal(got, want) {
 		i := 0
 		for i < len(got) && i < len(want) && got[i] == want[i] {
@@ -170,11 +143,6 @@ func decodeBothKernels(t *testing.T, desc string, run func() []bits.Bit) {
 // punctured streams at every code rate — clean, noisy, erasure-laden, and
 // tie-heavy — and requires byte-identical decodes, terminated or not.
 func TestViterbiKernelIdentityStreams(t *testing.T) {
-	defer func() {
-		if err := SetViterbiKernel("word"); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	rng := rand.New(rand.NewSource(77))
 	rates := []CodeRate{Rate12, Rate23, Rate34, Rate56}
 	// Lengths straddle the warm-up window (6 steps) and several
@@ -202,14 +170,15 @@ func TestViterbiKernelIdentityStreams(t *testing.T) {
 					t.Fatal(err)
 				}
 				terminated := trial%2 == 0
-				desc := fmt.Sprintf("hard rate %v len %d trial %d", rate, n, trial)
-				decodeBothKernels(t, desc, func() []bits.Bit {
-					out, err := ViterbiDecodeInto(nil, coded, erased, terminated)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return out
-				})
+				want, err := viterbiDecodeInto(nil, coded, erased, terminated, refHardACS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ViterbiDecodeInto(nil, coded, erased, terminated)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, fmt.Sprintf("hard rate %v len %d trial %d", rate, n, trial), got, want)
 
 				// Soft: LLR per mother bit, zeros on erasures. Trial 3
 				// draws from {-1, 0, +1} to force metric ties.
@@ -228,28 +197,26 @@ func TestViterbiKernelIdentityStreams(t *testing.T) {
 						llrs[i] = sign * (0.25 + rng.Float64()) * (1 - 0.3*float64(trial)*rng.Float64())
 					}
 				}
-				desc = fmt.Sprintf("soft rate %v len %d trial %d", rate, n, trial)
-				decodeBothKernels(t, desc, func() []bits.Bit {
-					out, err := ViterbiDecodeSoftInto(nil, llrs, terminated)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return out
-				})
+				want, err = viterbiDecodeSoftInto(nil, llrs, terminated, refSoftACS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = ViterbiDecodeSoftInto(nil, llrs, terminated)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, fmt.Sprintf("soft rate %v len %d trial %d", rate, n, trial), got, want)
 			}
 		}
 	}
 }
 
 // TestViterbiKernelIdentityModes runs the full transmit→receive pipeline
-// at every code rate × modulation combination under both kernels, hard and
-// soft, over a noisy channel, and requires byte-identical recovered PSDUs.
+// (through the complex128 oracle, whose Viterbi stage takes the kernels as
+// arguments) at every code rate × modulation combination under both
+// kernels, hard and soft, over a noisy channel, and requires
+// byte-identical recovered PSDUs.
 func TestViterbiKernelIdentityModes(t *testing.T) {
-	defer func() {
-		if err := SetViterbiKernel("word"); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	rng := rand.New(rand.NewSource(78))
 	for _, mod := range []Modulation{QAM16, QAM64, QAM256} {
 		for _, rate := range []CodeRate{Rate12, Rate23, Rate34, Rate56} {
@@ -276,15 +243,120 @@ func TestViterbiKernelIdentityModes(t *testing.T) {
 				noisy[i] = v + complex(rng.NormFloat64(), rng.NormFloat64())*0.002
 			}
 			for _, soft := range []bool{false, true} {
-				desc := fmt.Sprintf("%v soft=%v", mode, soft)
-				decodeBothKernels(t, desc, func() []bits.Bit {
-					res, err := (Receiver{Soft: soft}).Receive(noisy)
-					if err != nil {
-						t.Fatalf("%s: %v", desc, err)
-					}
-					return bits.FromBytes(res.PSDU)
-				})
+				want := wideReceive(t, noisy, soft, refACS)
+				got := wideReceive(t, noisy, soft, wordACS)
+				requireIdentical(t, fmt.Sprintf("%v soft=%v", mode, soft), bits.FromBytes(got.PSDU), bits.FromBytes(want.PSDU))
 			}
 		}
 	}
+}
+
+// viterbiInfI32 is the reference hard kernel's "unreached state" metric.
+const viterbiInfI32 = int32(1) << 30
+
+// refHardACS is the scalar paired-butterfly hard pass — the oracle the
+// word kernel is tested byte-identical against.
+func refHardACS(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *[viterbiStates]int32 {
+	tr := viterbiTrellis()
+	metric, next := &s.h0, &s.h1
+	for i := range metric {
+		metric[i] = viterbiInfI32
+	}
+	metric[0] = 0
+
+	var bmv [4]int32
+	for t := 0; t < steps; t++ {
+		// Hamming branch metrics against the received pair, with erased
+		// positions contributing nothing; four values indexed by y0<<1|y1.
+		r0, r1 := int32(coded[2*t]&1), int32(coded[2*t+1]&1)
+		e0, e1 := int32(1), int32(1)
+		if erased != nil {
+			if erased[2*t] {
+				e0 = 0
+			}
+			if erased[2*t+1] {
+				e1 = 0
+			}
+		}
+		bmv[0] = e0*r0 + e1*r1         // outputs (0,0)
+		bmv[1] = e0*r0 + e1*(1-r1)     // outputs (0,1)
+		bmv[2] = e0*(1-r0) + e1*r1     // outputs (1,0)
+		bmv[3] = e0*(1-r0) + e1*(1-r1) // outputs (1,1)
+		var word uint64
+		for p := 0; p < viterbiStates/2; p++ {
+			m0, m1 := metric[p], metric[p+32]
+			ns := 2 * p
+			c0 := m0 + bmv[tr.out0[ns]&3]
+			c1 := m1 + bmv[tr.out1[ns]&3]
+			if c1 < c0 {
+				next[ns] = c1
+				word |= 1 << uint(ns)
+			} else {
+				next[ns] = c0
+			}
+			ns++
+			c0 = m0 + bmv[tr.out0[ns]&3]
+			c1 = m1 + bmv[tr.out1[ns]&3]
+			if c1 < c0 {
+				next[ns] = c1
+				word |= 1 << uint(ns)
+			} else {
+				next[ns] = c0
+			}
+		}
+		s.decisions[t] = word
+		metric, next = next, metric
+	}
+	return metric
+}
+
+// refSoftACS is the scalar paired-butterfly soft pass (see refHardACS).
+func refSoftACS(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]float64 {
+	tr := viterbiTrellis()
+	metric, next := &s.m0, &s.m1
+	inf := math.Inf(1)
+	for i := range metric {
+		metric[i] = inf
+	}
+	metric[0] = 0
+
+	var bmv [4]float64
+	for t := 0; t < steps; t++ {
+		// Cost of asserting bit value b against LLR l (l = log P(0)/P(1)):
+		// add l when the branch outputs 1, -l when it outputs 0; constant
+		// offsets cancel. Only four branch metrics exist per step, indexed
+		// by the output pair y0<<1|y1.
+		l0, l1 := llrs[2*t], llrs[2*t+1]
+		bmv[0] = -l0 - l1
+		bmv[1] = -l0 + l1
+		bmv[2] = l0 - l1
+		bmv[3] = l0 + l1
+		var word uint64
+		// Destination states 2p and 2p+1 share the predecessor pair
+		// (p, p+32); walking pairs halves the path-metric loads.
+		for p := 0; p < viterbiStates/2; p++ {
+			m0, m1 := metric[p], metric[p+32]
+			ns := 2 * p
+			c0 := m0 + bmv[tr.out0[ns]&3]
+			c1 := m1 + bmv[tr.out1[ns]&3]
+			if c1 < c0 {
+				next[ns] = c1
+				word |= 1 << uint(ns)
+			} else {
+				next[ns] = c0
+			}
+			ns++
+			c0 = m0 + bmv[tr.out0[ns]&3]
+			c1 = m1 + bmv[tr.out1[ns]&3]
+			if c1 < c0 {
+				next[ns] = c1
+				word |= 1 << uint(ns)
+			} else {
+				next[ns] = c0
+			}
+		}
+		s.decisions[t] = word
+		metric, next = next, metric
+	}
+	return metric
 }

@@ -136,13 +136,6 @@ type Config struct {
 	// selects CodecSledZig. Non-default codecs need a valid Channel on
 	// both sides (their receivers decode a fixed configured channel).
 	Codec string
-	// WideIQ routes decoding through the complex128 reference receive
-	// pipeline. The zero value uses the narrow complex64 I/Q path, which
-	// is ~equally accurate (precision loss far below the noise floor of
-	// any real capture — see docs/performance.md) and markedly faster.
-	// Set WideIQ only when bit-exact parity with the historical wide
-	// receiver matters, e.g. when diffing against archived results.
-	WideIQ bool
 }
 
 // WithDefaults returns a copy of the config with every zero field resolved
@@ -208,7 +201,6 @@ func (c Config) codecParams() codec.Params {
 		Channel:    c.Channel,
 		Seed:       c.ScramblerSeed,
 		Resilient:  c.Resilient,
-		WideIQ:     c.WideIQ,
 	}
 }
 
