@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"sledzig/internal/wifi"
 )
 
 // TestCodecsLists checks the public registry view.
@@ -68,6 +70,27 @@ func TestGenericCodecNeedsChannel(t *testing.T) {
 		}
 		if _, err := NewEngine(EngineConfig{Config: cfg}); !errors.Is(err, ErrInvalidChannel) {
 			t.Fatalf("NewEngine(%s): %v does not wrap ErrInvalidChannel", name, err)
+		}
+	}
+}
+
+// TestSledZigDecoderReadsModeOffTheAir checks that a SledZig Decoder's
+// configured mode and channel never constrain decoding: configs with no
+// channel, a mode SledZig cannot pin (BPSK), or another mode and channel
+// all decode a QAM-64 r3/4 CH2 frame and report what was on the air.
+func TestSledZigDecoderReadsModeOffTheAir(t *testing.T) {
+	wave := encodeTestWaveform(t, Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH2}, 200)
+	for _, cfg := range []Config{{}, {Modulation: BPSK}, {Modulation: QAM256, CodeRate: Rate34, Channel: CH4}} {
+		dec, err := NewDecoder(cfg)
+		if err != nil {
+			t.Fatalf("NewDecoder(%+v): %v", cfg, err)
+		}
+		res, err := dec.Decode(wave)
+		if err != nil {
+			t.Fatalf("Decode with %+v: %v", cfg, err)
+		}
+		if res.Channel != CH2 || res.Modulation != QAM64 || res.CodeRate != Rate34 {
+			t.Fatalf("decoder %+v reported %v %v r=%v, want CH2 QAM-64 r=3/4", cfg, res.Channel, res.Modulation, res.CodeRate)
 		}
 	}
 }
@@ -156,59 +179,6 @@ func TestFrameProtectedSymbols(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersAgree checks the deprecated decode entry points
-// still work and preserve errors.Is against the unified Decode.
-func TestDeprecatedWrappersAgree(t *testing.T) {
-	cfg := Config{Channel: CH3}
-	enc, err := NewEncoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("wrapper agreement payload")
-	frame, err := enc.Encode(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave, err := frame.Waveform()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := dec.Decode(wave)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ch, err := dec.DecodePayload(wave)
-	if err != nil {
-		t.Fatalf("DecodePayload: %v", err)
-	}
-	if !bytes.Equal(got, res.Payload) || ch != res.Channel {
-		t.Fatal("DecodePayload disagrees with Decode")
-	}
-	det, err := dec.DecodeDetailed(wave)
-	if err != nil {
-		t.Fatalf("DecodeDetailed: %v", err)
-	}
-	if !bytes.Equal(det.Payload, res.Payload) || det.Codec != res.Codec {
-		t.Fatal("DecodeDetailed disagrees with Decode")
-	}
-
-	// Error identity must be preserved through every wrapper.
-	garbage := make([]complex128, 64)
-	_, uerr := dec.Decode(garbage)
-	_, _, werr := dec.DecodePayload(garbage)
-	_, nerr := dec.DecodeNormal(garbage)
-	for _, e := range []error{uerr, werr, nerr} {
-		if !errors.Is(e, ErrNoPreamble) {
-			t.Fatalf("short-capture error %v does not wrap ErrNoPreamble", e)
-		}
-	}
-}
-
 // TestDecodeAsStandardFrame checks the option path: the same capture
 // decodes as a raw PSDU with codec stages skipped.
 func TestDecodeAsStandardFrame(t *testing.T) {
@@ -236,12 +206,12 @@ func TestDecodeAsStandardFrame(t *testing.T) {
 	if res.Codec != "" || res.Channel != 0 {
 		t.Fatalf("standard decode reported codec %q channel %v; want raw PSDU view", res.Codec, res.Channel)
 	}
-	normal, err := dec.DecodeNormal(wave)
+	rx, err := wifi.Receiver{Seed: wifi.DefaultScramblerSeed}.Receive(wave)
 	if err != nil {
-		t.Fatalf("DecodeNormal: %v", err)
+		t.Fatalf("plain 802.11 Receive: %v", err)
 	}
-	if !bytes.Equal(normal, res.Payload) {
-		t.Fatal("DecodeNormal disagrees with Decode(AsStandardFrame)")
+	if !bytes.Equal(rx.PSDU, res.Payload) {
+		t.Fatal("plain 802.11 receiver disagrees with Decode(AsStandardFrame)")
 	}
 }
 

@@ -4,18 +4,18 @@ import (
 	"sync"
 
 	"sledzig/internal/codec"
-	"sledzig/internal/core"
 	"sledzig/internal/obs/trace"
 	"sledzig/internal/wifi"
 )
 
 // Decoder recovers payloads from received waveforms using the configured
-// codec backend (SledZig by default). It is safe for concurrent use.
+// codec backend (SledZig by default). It is safe for concurrent use, but
+// calls serialize on one backend instance: parallel decoding is the
+// Engine's job.
 type Decoder struct {
 	cfg Config
 
-	// Non-default codec backends decode through the registry contract;
-	// instances hold recycled state, so calls serialize on mu.
+	// cdc holds recycled demodulation state, so calls serialize on mu.
 	cdc codec.Codec
 	mu  sync.Mutex
 }
@@ -29,15 +29,17 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Decoder{cfg: cfg}
-	if cfg.Codec != CodecSledZig {
-		cdc, err := cfg.newCodec()
-		if err != nil {
-			return nil, err
-		}
-		d.cdc = cdc
+	backend := cfg
+	if cfg.Codec == CodecSledZig {
+		// The backend needs a pinnable mode and a channel only to encode;
+		// any pair serves, so a mode-less or BPSK config still decodes.
+		backend.Modulation, backend.CodeRate, backend.Channel = QAM16, Rate12, CH1
 	}
-	return d, nil
+	cdc, err := backend.newCodec()
+	if err != nil {
+		return nil, err
+	}
+	return &Decoder{cfg: cfg, cdc: cdc}, nil
 }
 
 // DecodeResult carries everything Decode learns about a received frame
@@ -92,53 +94,49 @@ func AsStandardFrame() DecodeOption {
 // chain learned (see DecodeResult). For the default SledZig codec the
 // protected channel is detected from the constellation and the extra
 // bits are stripped; options adjust the interpretation of the capture.
-//
-// Decode is the single decoding entry point; DecodePayload, DecodeNormal
-// and DecodeDetailed are thin deprecated wrappers over it.
 func (d *Decoder) Decode(waveform []complex128, opts ...DecodeOption) (*DecodeResult, error) {
 	var o decodeOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	switch {
-	case o.standard:
+	if o.standard {
 		return d.decodeStandard(waveform)
-	case d.cdc != nil:
-		return d.decodeCodec(waveform)
 	}
-	return d.decodeSledZig(waveform)
-}
-
-// DecodePayload demodulates a PPDU waveform and returns the payload and
-// detected channel.
-//
-// Deprecated: use Decode, which reports the same through DecodeResult.
-func (d *Decoder) DecodePayload(waveform []complex128) ([]byte, Channel, error) {
-	res, err := d.Decode(waveform)
+	// Root frame trace (nil, and free, when no tracer is installed): the
+	// backend lands its stage spans here.
+	tf := trace.Start("decode")
+	dec, err := d.decode(waveform, tf)
+	tf.Finish(err)
 	if err != nil {
-		return nil, 0, err
+		return nil, wrapDecodeErr(err)
 	}
-	return res.Payload, res.Channel, nil
+	return resultFrom(d.cfg.Codec, dec), nil
 }
 
-// DecodeNormal demodulates a standard (non-SledZig) WiFi PPDU and returns
-// its PSDU.
-//
-// Deprecated: use Decode with AsStandardFrame.
-func (d *Decoder) DecodeNormal(waveform []complex128) ([]byte, error) {
-	res, err := d.Decode(waveform, AsStandardFrame())
-	if err != nil {
-		return nil, err
-	}
-	return res.Payload, nil
+// decode runs the backend under the mutex, deferring the unlock so a
+// panicking backend never leaves the Decoder locked.
+func (d *Decoder) decode(waveform []complex128, tf *trace.Frame) (*codec.Decoded, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.cdc.SetTrace(tf)
+	defer d.cdc.SetTrace(nil)
+	return d.cdc.Decode(waveform)
 }
 
-// DecodeDetailed demodulates a PPDU waveform and returns the full
-// DecodeResult.
-//
-// Deprecated: DecodeDetailed is the old name of Decode; call Decode.
-func (d *Decoder) DecodeDetailed(waveform []complex128) (*DecodeResult, error) {
-	return d.Decode(waveform)
+// resultFrom maps a backend's decode onto the public result, sharing its
+// slices: every backend hands out self-contained results.
+func resultFrom(codecName string, dec *codec.Decoded) *DecodeResult {
+	return &DecodeResult{
+		Payload:       dec.Payload,
+		Channel:       dec.Channel,
+		Codec:         codecName,
+		Modulation:    dec.Mode.Modulation,
+		CodeRate:      dec.Mode.CodeRate,
+		ScramblerSeed: dec.ScramblerSeed,
+		ExtraBits:     dec.ExtraBits,
+		NumSymbols:    dec.NumSymbols,
+		SymbolEVM:     dec.SymbolEVM,
+	}
 }
 
 // seed resolves the configured scrambler seed.
@@ -147,43 +145,6 @@ func (d *Decoder) seed() uint8 {
 		return wifi.DefaultScramblerSeed
 	}
 	return d.cfg.ScramblerSeed
-}
-
-// decodeSledZig is the default path: standard receive, channel detection,
-// extra-bit strip.
-func (d *Decoder) decodeSledZig(waveform []complex128) (*DecodeResult, error) {
-	seed := d.seed()
-	// Root frame trace (nil, and free, when no tracer is installed): the
-	// receive pipeline and the SledZig stripper land their stage spans here.
-	tf := trace.Start("decode")
-	rx, err := wifi.Receiver{Seed: seed, Convention: d.cfg.Convention, Resync: d.cfg.Resilient, Trace: tf}.Receive(waveform)
-	if err != nil {
-		tf.Finish(err)
-		return nil, wrapDecodeErr(err)
-	}
-	payload, ch, err := core.Decoder{Convention: d.cfg.Convention, Trace: tf}.DecodeAuto(rx)
-	tf.Finish(err)
-	if err != nil {
-		return nil, wrapDecodeErr(err)
-	}
-	res := &DecodeResult{
-		Payload:       payload,
-		Channel:       ch,
-		Codec:         CodecSledZig,
-		Modulation:    rx.Mode.Modulation,
-		CodeRate:      rx.Mode.CodeRate,
-		ScramblerSeed: seed,
-		NumSymbols:    len(rx.DataPoints),
-		SymbolEVM:     wifi.SymbolEVM(rx.Mode.Modulation, rx.DataPoints),
-	}
-	// The extra-bit count follows from the detected plan's layout; the
-	// plan cache makes this lookup free after the first frame.
-	if plan, perr := core.CachedPlan(d.cfg.Convention, rx.Mode, ch); perr == nil {
-		if layout, lerr := plan.FrameLayout(len(rx.DataPoints)); lerr == nil {
-			res.ExtraBits = len(layout.Positions)
-		}
-	}
-	return res, nil
 }
 
 // decodeStandard skips every codec stage and returns the raw PSDU.
@@ -202,29 +163,5 @@ func (d *Decoder) decodeStandard(waveform []complex128) (*DecodeResult, error) {
 		ScramblerSeed: seed,
 		NumSymbols:    len(rx.DataPoints),
 		SymbolEVM:     wifi.SymbolEVM(rx.Mode.Modulation, rx.DataPoints),
-	}, nil
-}
-
-// decodeCodec routes through the configured registry backend.
-func (d *Decoder) decodeCodec(waveform []complex128) (*DecodeResult, error) {
-	tf := trace.Start("decode")
-	d.mu.Lock()
-	t, traceable := d.cdc.(codec.Traceable)
-	if traceable {
-		t.SetTrace(tf)
-	}
-	dec, err := d.cdc.Decode(waveform)
-	if traceable {
-		t.SetTrace(nil)
-	}
-	d.mu.Unlock()
-	tf.Finish(err)
-	if err != nil {
-		return nil, wrapDecodeErr(err)
-	}
-	return &DecodeResult{
-		Payload: dec.Payload,
-		Channel: dec.Channel,
-		Codec:   d.cfg.Codec,
 	}, nil
 }

@@ -83,10 +83,11 @@ type Engine struct {
 }
 
 // NewEngine resolves the config defaults, validates it, and starts the
-// worker pool for the selected codec backend. For the default SledZig
-// codec the plan comes from the same process-wide cache NewEncoder uses,
-// so engines and encoders with identical parameters share constraint
-// state; other codecs give each worker its own backend instance.
+// worker pool for the selected codec backend; each worker decodes (and,
+// for codecs other than SledZig, encodes) through its own backend
+// instance. For the default SledZig codec the encode plan comes from the
+// same process-wide cache NewEncoder uses, so engines and encoders with
+// identical parameters share constraint state.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	cfg.Config = cfg.Config.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -204,23 +205,8 @@ func (e *Engine) Stream(ctx context.Context, in <-chan []byte) <-chan StreamFram
 	return out
 }
 
-// decodeResultFrom maps an engine decode result to the public type.
-func decodeResultFrom(r *engine.DecodeResult) *DecodeResult {
-	return &DecodeResult{
-		Payload:       r.Payload,
-		Channel:       Channel(r.Channel),
-		Codec:         r.Codec,
-		Modulation:    Modulation(r.Mode.Modulation),
-		CodeRate:      CodeRate(r.Mode.CodeRate),
-		ScramblerSeed: r.ScramblerSeed,
-		ExtraBits:     r.ExtraBits,
-		NumSymbols:    r.NumSymbols,
-		SymbolEVM:     r.SymbolEVM,
-	}
-}
-
 // DecodeBatch decodes every PPDU waveform across the pool and returns the
-// results in input order — byte-identical to calling Decoder.DecodeDetailed
+// results in input order — byte-identical to calling Decoder.Decode
 // sequentially with the same Config. Each worker recycles its demodulation
 // buffers internally; the returned results are self-contained and safe to
 // retain. The first failing waveform's error (wrapped in the public
@@ -232,7 +218,7 @@ func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*
 	}
 	out := make([]*DecodeResult, len(results))
 	for i, r := range results {
-		out[i] = decodeResultFrom(r)
+		out[i] = resultFrom(e.codec, r)
 	}
 	return out, nil
 }
@@ -254,7 +240,7 @@ func (e *Engine) DecodeEach(ctx context.Context, waveforms [][]complex128) []Dec
 	for i, r := range results {
 		out[i].Err = wrapDecodeErr(r.Err)
 		if r.Result != nil {
-			out[i].Result = decodeResultFrom(r.Result)
+			out[i].Result = resultFrom(e.codec, r.Result)
 		}
 	}
 	return out
@@ -281,7 +267,7 @@ func (e *Engine) DecodeStream(ctx context.Context, in <-chan []complex128) <-cha
 		for r := range src {
 			sf := DecodeStreamFrame{Index: r.Index, Err: wrapDecodeErr(r.Err)}
 			if r.Result != nil {
-				sf.Result = decodeResultFrom(r.Result)
+				sf.Result = resultFrom(e.codec, r.Result)
 			}
 			select {
 			case out <- sf:

@@ -111,7 +111,7 @@ func TestEngineStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEngineDecodeBatchMatchesDecodeDetailed(t *testing.T) {
+func TestEngineDecodeBatchMatchesDecode(t *testing.T) {
 	cfg := Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH2}
 	eng, err := NewEngine(EngineConfig{Config: cfg, Workers: 4})
 	if err != nil {
@@ -147,23 +147,23 @@ func TestEngineDecodeBatchMatchesDecodeDetailed(t *testing.T) {
 		t.Fatalf("DecodeBatch: %v", err)
 	}
 	for i, w := range waves {
-		want, err := dec.DecodeDetailed(w)
+		want, err := dec.Decode(w)
 		if err != nil {
-			t.Fatalf("DecodeDetailed %d: %v", i, err)
+			t.Fatalf("Decode %d: %v", i, err)
 		}
 		got := results[i]
 		if string(got.Payload) != string(want.Payload) {
-			t.Fatalf("waveform %d: payload differs from DecodeDetailed", i)
+			t.Fatalf("waveform %d: payload differs from Decode", i)
 		}
 		if string(got.Payload) != string(payloads[i]) {
 			t.Fatalf("waveform %d: payload does not round-trip", i)
 		}
 		if got.Channel != want.Channel || got.Modulation != want.Modulation ||
 			got.CodeRate != want.CodeRate || got.ScramblerSeed != want.ScramblerSeed {
-			t.Fatalf("waveform %d: header fields differ from DecodeDetailed", i)
+			t.Fatalf("waveform %d: header fields differ from Decode", i)
 		}
 		if got.ExtraBits != want.ExtraBits || got.NumSymbols != want.NumSymbols {
-			t.Fatalf("waveform %d: layout accounting differs from DecodeDetailed", i)
+			t.Fatalf("waveform %d: layout accounting differs from Decode", i)
 		}
 		if len(got.SymbolEVM) != len(want.SymbolEVM) {
 			t.Fatalf("waveform %d: EVM lengths differ", i)
@@ -176,7 +176,7 @@ func TestEngineDecodeBatchMatchesDecodeDetailed(t *testing.T) {
 	}
 }
 
-func TestDecodeDetailed(t *testing.T) {
+func TestDecodeReportsPHYDetails(t *testing.T) {
 	cfg := Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH3}
 	enc, err := NewEncoder(cfg)
 	if err != nil {
@@ -195,9 +195,9 @@ func TestDecodeDetailed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDecoder: %v", err)
 	}
-	res, err := dec.DecodeDetailed(wave)
+	res, err := dec.Decode(wave)
 	if err != nil {
-		t.Fatalf("DecodeDetailed: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if string(res.Payload) != string(payload) {
 		t.Fatalf("payload %q != %q", res.Payload, payload)
@@ -229,12 +229,13 @@ func TestDecodeDetailed(t *testing.T) {
 		t.Fatal("ScramblerSeed not reported")
 	}
 
-	// The deprecated thin wrapper agrees with the detailed result.
-	p2, ch2, err := dec.DecodePayload(wave)
+	// A second decode on the Decoder's recycled backend agrees with the
+	// first.
+	res2, err := dec.Decode(wave)
 	if err != nil {
-		t.Fatalf("DecodePayload: %v", err)
+		t.Fatalf("second Decode: %v", err)
 	}
-	if string(p2) != string(payload) || ch2 != CH3 {
-		t.Fatalf("DecodePayload disagrees with Decode: %q on %v", p2, ch2)
+	if string(res2.Payload) != string(payload) || res2.Channel != CH3 {
+		t.Fatalf("second Decode disagrees with the first: %q on %v", res2.Payload, res2.Channel)
 	}
 }

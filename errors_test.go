@@ -46,6 +46,15 @@ func TestErrNoPreambleReachable(t *testing.T) {
 	if _, err := dec.Decode(make([]complex128, 50)); !errors.Is(err, ErrNoPreamble) {
 		t.Fatalf("Decode(short): got %v, want ErrNoPreamble", err)
 	}
+	// The codec path and the standard-frame path share the identity.
+	garbage := make([]complex128, 64)
+	_, uerr := dec.Decode(garbage)
+	_, nerr := dec.Decode(garbage, AsStandardFrame())
+	for _, e := range []error{uerr, nerr} {
+		if !errors.Is(e, ErrNoPreamble) {
+			t.Fatalf("short-capture error %v does not wrap ErrNoPreamble", e)
+		}
+	}
 
 	// Truncated mid-PPDU: the SIGNAL field promises more symbols than the
 	// capture holds.
@@ -109,9 +118,9 @@ func TestErrNoProtectedChannelReachable(t *testing.T) {
 	if _, err := dec.Decode(wave); !errors.Is(err, ErrNoProtectedChannel) {
 		t.Fatalf("Decode(standard frame): got %v, want ErrNoProtectedChannel", err)
 	}
-	// DecodeNormal remains the escape hatch for such frames.
-	if _, err := dec.DecodeNormal(wave); err != nil {
-		t.Fatalf("DecodeNormal(standard frame): %v", err)
+	// AsStandardFrame remains the escape hatch for such frames.
+	if _, err := dec.Decode(wave, AsStandardFrame()); err != nil {
+		t.Fatalf("Decode(standard frame, AsStandardFrame): %v", err)
 	}
 }
 

@@ -62,7 +62,11 @@ type Encoded struct {
 	AirtimeSeconds float64
 }
 
-// Decoded is one recovered frame.
+// Decoded is one recovered frame. Every slice is freshly allocated per
+// call: a backend's recycled demodulation buffers never leak into it, so
+// callers may retain it across later decodes on the same instance. The
+// sledzig backend fills every field; ook-ctc and ofdmfi fill Payload and
+// Channel and leave the PHY-detail fields zero.
 type Decoded struct {
 	// Payload is the original payload handed to Encode.
 	Payload []byte
@@ -70,6 +74,18 @@ type Decoded struct {
 	// (detected from the air where the mechanism allows, configured
 	// otherwise).
 	Channel core.ZigBeeChannel
+	// Mode is the modulation and code rate signalled in the PLCP header.
+	Mode wifi.Mode
+	// ScramblerSeed is the seed the descrambler used.
+	ScramblerSeed uint8
+	// ExtraBits is how many extra bits the frame spent on the
+	// constellation constraints.
+	ExtraBits int
+	// NumSymbols is the DATA-field length in OFDM symbols.
+	NumSymbols int
+	// SymbolEVM is the per-DATA-symbol RMS error-vector magnitude of the
+	// equalized points against the nearest ideal points.
+	SymbolEVM []float64
 }
 
 // Contract is the codec's band-power promise, the common currency the
@@ -94,11 +110,14 @@ type Contract struct {
 // Codec is the cross-technology-coexistence codec contract.
 //
 // A Codec instance is NOT safe for concurrent use — it may hold recycled
-// demodulation state. The engine gives each worker its own instance; other
-// callers construct one per goroutine through New.
+// demodulation state. The engine gives each worker its own instance; the
+// facade serializes calls on one instance behind a mutex.
 type Codec interface {
 	// Name returns the registry name ("sledzig", "ook-ctc", ...).
 	Name() string
+	// SetTrace attaches the frame trace the next Encode or Decode lands
+	// its stage spans on; nil detaches it.
+	SetTrace(*trace.Frame)
 	// Encode embeds payload into a fresh baseband PPDU honouring the
 	// Contract on the configured protected channel.
 	Encode(payload []byte) (*Encoded, error)
@@ -113,11 +132,4 @@ type Codec interface {
 	// throughput the mechanism costs (1 = the frame carries no ordinary
 	// WiFi data at all).
 	OverheadFraction() float64
-}
-
-// Traceable is implemented by codecs that can land per-stage spans on a
-// frame trace; the engine threads each job's trace through it so every
-// backend shows up in the flight recorder the same way.
-type Traceable interface {
-	SetTrace(*trace.Frame)
 }

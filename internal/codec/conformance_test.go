@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,9 +45,25 @@ func isTypedDecodeErr(err error) bool {
 	return false
 }
 
+// addNoise returns a copy of wave with complex AWGN snrDB below its mean
+// power.
+func addNoise(rng *rand.Rand, wave []complex128, snrDB float64) []complex128 {
+	var p float64
+	for _, v := range wave {
+		p += real(v)*real(v) + imag(v)*imag(v)
+	}
+	sigma := math.Sqrt(p / float64(len(wave)) * math.Pow(10, -snrDB/10) / 2)
+	out := make([]complex128, len(wave))
+	for i, v := range wave {
+		out[i] = v + complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+	}
+	return out
+}
+
 // TestCodecConformance is the shared conformance suite: every registered
 // backend must round-trip payloads, honour its own band-power contract,
-// keep decode failures inside the typed-error taxonomy, and hold any
+// keep decode failures inside the typed-error taxonomy, hand out results
+// that later decodes on the same instance leave intact, and hold any
 // allocation bound it claims. Adding a backend to the registry opts it
 // into all of this automatically.
 func TestCodecConformance(t *testing.T) {
@@ -161,6 +178,44 @@ func TestCodecConformance(t *testing.T) {
 					}
 					if !isTypedDecodeErr(derr) {
 						t.Fatalf("%s: error outside the typed taxonomy: %v", label, derr)
+					}
+				}
+			})
+
+			t.Run("results_owned", func(t *testing.T) {
+				// Same-length frames, so an instance that aliased its
+				// recycled buffers into results would overwrite A in place;
+				// B carries noise so its EVM differs from A's.
+				rng := rand.New(rand.NewSource(17))
+				pa, pb := make([]byte, 300), make([]byte, 300)
+				rng.Read(pa)
+				rng.Read(pb)
+				ea, err := c.Encode(pa)
+				if err != nil {
+					t.Fatalf("Encode A: %v", err)
+				}
+				eb, err := c.Encode(pb)
+				if err != nil {
+					t.Fatalf("Encode B: %v", err)
+				}
+				a, err := c.Decode(ea.Waveform)
+				if err != nil {
+					t.Fatalf("Decode A: %v", err)
+				}
+				payload := append([]byte(nil), a.Payload...)
+				evm := append([]float64(nil), a.SymbolEVM...)
+				if _, err := c.Decode(addNoise(rng, eb.Waveform, 35)); err != nil {
+					t.Fatalf("Decode B: %v", err)
+				}
+				if !bytes.Equal(a.Payload, payload) {
+					t.Fatal("decoding frame B changed frame A's Payload")
+				}
+				if len(a.SymbolEVM) != len(evm) {
+					t.Fatalf("decoding frame B resized frame A's SymbolEVM from %d to %d", len(evm), len(a.SymbolEVM))
+				}
+				for s := range evm {
+					if math.Float64bits(a.SymbolEVM[s]) != math.Float64bits(evm[s]) {
+						t.Fatalf("decoding frame B changed frame A's SymbolEVM[%d]", s)
 					}
 				}
 			})

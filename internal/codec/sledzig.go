@@ -18,10 +18,10 @@ func init() {
 // whole frame honours the band-power promise while remaining a 100%
 // standard PPDU carrying the payload as ordinary (strippable) WiFi data.
 //
-// This is the waveform-level view of the facade's Encoder/Decoder pair;
-// the facade keeps its specialized zero-allocation frame path, while this
-// backend serves the registry, the conformance suite and the comparative
-// experiment harness.
+// Every SledZig decode in the repository runs through this backend: the
+// facade Decoder, the engine workers, the conformance suite and the
+// experiment harness. Encoding still has a lazy-render path of its own in
+// the facade and the engine, because Encode here renders eagerly.
 type sledZig struct {
 	params Params
 	plan   *core.Plan
@@ -87,7 +87,22 @@ func (c *sledZig) Decode(waveform []complex128) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Decoded{Payload: payload, Channel: ch}, nil
+	res := &Decoded{
+		Payload:       payload,
+		Channel:       ch,
+		Mode:          c.rx.Mode,
+		ScramblerSeed: c.rxr.Seed,
+		NumSymbols:    len(c.rx.DataPoints),
+		SymbolEVM:     wifi.SymbolEVM(c.rx.Mode.Modulation, c.rx.DataPoints),
+	}
+	// The extra-bit count follows from the detected plan's layout; both the
+	// plan and its per-length layouts are cached process-wide.
+	if plan, perr := core.CachedPlan(c.dec.Convention, c.rx.Mode, ch); perr == nil {
+		if layout, lerr := plan.FrameLayout(len(c.rx.DataPoints)); lerr == nil {
+			res.ExtraBits = len(layout.Positions)
+		}
+	}
+	return res, nil
 }
 
 func (c *sledZig) Contract() Contract {

@@ -5,89 +5,14 @@ import (
 	"fmt"
 	"sync"
 
-	"sledzig/internal/core"
+	"sledzig/internal/codec"
 	"sledzig/internal/obs/trace"
-	"sledzig/internal/wifi"
 )
-
-// DecodeResult is one demodulated and payload-stripped frame. Every slice
-// is freshly allocated per frame — the worker's pooled receive buffers
-// never leak into results, so callers may retain them indefinitely.
-// Generic codec backends fill Payload, Channel and Codec only.
-type DecodeResult struct {
-	// Payload is the recovered original payload.
-	Payload []byte
-	// Channel is the protected ZigBee channel detected from the
-	// constellation (configured, for fixed-channel codec backends).
-	Channel core.ZigBeeChannel
-	// Codec names the backend that decoded the frame.
-	Codec string
-	// Mode is the modulation and code rate signalled in the PLCP header.
-	Mode wifi.Mode
-	// ScramblerSeed is the seed the descrambler used.
-	ScramblerSeed uint8
-	// ExtraBits is how many extra bits the frame spent on the
-	// constellation constraints.
-	ExtraBits int
-	// NumSymbols is the DATA-field length in OFDM symbols.
-	NumSymbols int
-	// SymbolEVM is the per-DATA-symbol RMS error-vector magnitude of the
-	// equalized points against the nearest ideal points.
-	SymbolEVM []float64
-}
-
-// decoderState is the per-worker receive pipeline: a receiver whose
-// RxResult buffers are recycled across frames, and the stripping decoder.
-type decoderState struct {
-	rxr wifi.Receiver
-	dec core.Decoder
-	rx  wifi.RxResult
-}
-
-func (e *Engine) newDecoderState() *decoderState {
-	seed := e.cfg.Seed
-	if seed == 0 {
-		seed = wifi.DefaultScramblerSeed
-	}
-	return &decoderState{
-		rxr: wifi.Receiver{Seed: seed, Convention: e.cfg.Convention, Resync: e.cfg.Resilient},
-		dec: core.Decoder{Convention: e.cfg.Convention},
-	}
-}
-
-// decodeOne demodulates one waveform with the worker's recycled buffers
-// and builds a self-contained result.
-func (d *decoderState) decodeOne(waveform []complex128) (*DecodeResult, error) {
-	if err := d.rxr.ReceiveInto(waveform, &d.rx); err != nil {
-		return nil, err
-	}
-	payload, ch, err := d.dec.DecodeAuto(&d.rx)
-	if err != nil {
-		return nil, err
-	}
-	res := &DecodeResult{
-		Payload:       payload,
-		Channel:       ch,
-		Codec:         codecSledZig,
-		Mode:          d.rx.Mode,
-		ScramblerSeed: d.rxr.Seed,
-		NumSymbols:    len(d.rx.DataPoints),
-		SymbolEVM:     wifi.SymbolEVM(d.rx.Mode.Modulation, d.rx.DataPoints),
-	}
-	// The extra-bit count follows from the detected plan's layout; both the
-	// plan and its per-length layouts are cached process-wide.
-	if plan, perr := core.CachedPlan(d.dec.Convention, d.rx.Mode, ch); perr == nil {
-		if layout, lerr := plan.FrameLayout(len(d.rx.DataPoints)); lerr == nil {
-			res.ExtraBits = len(layout.Positions)
-		}
-	}
-	return res, nil
-}
 
 // DecodeOutcome is one frame's result in a per-frame batch: exactly one of
 // Result and Err is set.
 type DecodeOutcome struct {
-	Result *DecodeResult
+	Result *codec.Decoded
 	Err    error
 }
 
@@ -101,7 +26,7 @@ func (e *Engine) DecodeEach(ctx context.Context, waveforms [][]complex128) []Dec
 	start := e.now()
 	outcomes := make([]DecodeOutcome, len(waveforms))
 	var done sync.WaitGroup
-	deliver := func(idx int, res *DecodeResult, err error) {
+	deliver := func(idx int, res *codec.Decoded, err error) {
 		outcomes[idx] = DecodeOutcome{Result: res, Err: err}
 	}
 	for i, w := range waveforms {
@@ -131,14 +56,16 @@ func (e *Engine) DecodeEach(ctx context.Context, waveforms [][]complex128) []Dec
 }
 
 // DecodeBatch decodes every waveform across the pool and returns the
-// results in input order — byte-identical to a sequential receiver with the
-// same configuration. The first error (by input order) is returned after
-// all submitted work has drained; a cancelled context abandons the
-// unsubmitted remainder but still waits for in-flight frames. Callers that
-// need sibling results to survive one bad frame use DecodeEach.
-func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*DecodeResult, error) {
+// results in input order — identical to decoding them one after another on
+// a single instance of the configured backend. Each result is the one the
+// worker's backend built, self-contained and safe to retain. The first
+// error (by input order) is returned after all submitted work has drained;
+// a cancelled context abandons the unsubmitted remainder but still waits
+// for in-flight frames. Callers that need sibling results to survive one
+// bad frame use DecodeEach.
+func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*codec.Decoded, error) {
 	outcomes := e.DecodeEach(ctx, waveforms)
-	results := make([]*DecodeResult, len(outcomes))
+	results := make([]*codec.Decoded, len(outcomes))
 	for i, o := range outcomes {
 		if o.Err != nil {
 			return nil, fmt.Errorf("engine: waveform %d: %w", i, o.Err)
@@ -152,7 +79,7 @@ func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*
 // zero-based position of the waveform in the input stream.
 type DecodeStreamResult struct {
 	Index  int
-	Result *DecodeResult
+	Result *codec.Decoded
 	Err    error
 }
 
@@ -167,7 +94,7 @@ func (e *Engine) DecodeStream(ctx context.Context, in <-chan []complex128) <-cha
 	go func() {
 		defer close(out)
 		var inflight sync.WaitGroup
-		deliver := func(idx int, res *DecodeResult, err error) {
+		deliver := func(idx int, res *codec.Decoded, err error) {
 			select {
 			case out <- DecodeStreamResult{Index: idx, Result: res, Err: err}:
 			case <-ctx.Done():

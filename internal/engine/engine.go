@@ -3,9 +3,9 @@
 // with bounded queues for backpressure and full pipeline instrumentation.
 // It exists so callers that process many frames (sweeps, simulators,
 // traffic generators) saturate every core without re-deriving plans or
-// re-implementing fan-out. Each worker owns one encoder and one receiver
-// (or one registry codec instance) whose scratch buffers are recycled
-// frame to frame.
+// re-implementing fan-out. Each worker owns one registry codec instance
+// (plus, for SledZig, the encoder of the lazy-render encode path) whose
+// scratch buffers are recycled frame to frame.
 package engine
 
 import (
@@ -81,20 +81,14 @@ type Config struct {
 	// (preamble resync after a failed decode at sample 0).
 	Resilient bool
 
-	// Codec selects a registry backend ("ook-ctc", "ofdmfi", ...). Empty
-	// or "sledzig" runs the specialized zero-allocation SledZig path;
-	// any other name routes every frame through codec.New instances, one
-	// per worker.
+	// Codec selects a registry backend ("sledzig", "ook-ctc", "ofdmfi",
+	// ...); empty selects "sledzig". Every frame decodes through a
+	// codec.New instance, one per worker. SledZig frames encode through
+	// the shared cached plan instead, so their waveforms render lazily.
 	Codec string
 }
 
 const codecSledZig = "sledzig"
-
-// generic reports whether the engine routes through the codec registry
-// instead of the specialized SledZig path.
-func (c Config) generic() bool {
-	return c.Codec != "" && c.Codec != codecSledZig
-}
 
 // codecParams maps the engine config onto codec-layer parameters.
 func (c Config) codecParams() codec.Params {
@@ -107,8 +101,11 @@ func (c Config) codecParams() codec.Params {
 	}
 }
 
-// withDefaults resolves the pool geometry.
+// withDefaults resolves the pool geometry and the backend name.
 func (c Config) withDefaults() Config {
+	if c.Codec == "" {
+		c.Codec = codecSledZig
+	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -131,7 +128,7 @@ type job struct {
 	ctx context.Context
 
 	deliver    func(idx int, res *Product, err error)
-	deliverDec func(idx int, res *DecodeResult, err error)
+	deliverDec func(idx int, res *codec.Decoded, err error)
 	done       *sync.WaitGroup
 
 	// probe marks a frame admitted as a half-open circuit-breaker trial;
@@ -189,19 +186,18 @@ type Engine struct {
 	wg     sync.WaitGroup
 }
 
-// New builds the engine: resolves the plan through the process-wide plan
-// cache (so engines and plain Encoders with the same parameters share
-// constraint state) and starts the workers. With a generic Config.Codec
-// the plan is skipped and the backend is constructed once up front to
-// surface configuration errors here rather than per frame.
+// New builds the engine and starts the workers. The backend is
+// constructed once up front to surface configuration errors here rather
+// than per frame. For SledZig the plan resolves through the process-wide
+// plan cache, so engines and plain Encoders with the same parameters
+// share constraint state.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	if _, err := codec.New(cfg.Codec, cfg.codecParams()); err != nil {
+		return nil, err
+	}
 	var plan *core.Plan
-	if cfg.generic() {
-		if _, err := codec.New(cfg.Codec, cfg.codecParams()); err != nil {
-			return nil, err
-		}
-	} else {
+	if cfg.Codec == codecSledZig {
 		var err error
 		plan, err = core.CachedPlan(cfg.Convention, cfg.Mode, cfg.Channel)
 		if err != nil {
@@ -233,35 +229,24 @@ func (e *Engine) Plan() *core.Plan { return e.plan }
 
 // workerState is one worker's mutable PHY state. It is rebuilt whenever a
 // frame is abandoned to a deadline: the timed-out goroutine still owns the
-// old encoder/decoder buffers (or codec instance), so the worker must
-// never touch them again.
+// old codec instance (and encoder), so the worker must never touch them
+// again.
 type workerState struct {
 	e   *Engine
-	enc *core.Encoder
-	dec *decoderState
-	cdc codec.Codec // non-nil iff cfg.generic()
+	cdc codec.Codec
+	enc *core.Encoder // SledZig encode path; nil for other codecs
 }
 
 func (w *workerState) reset() {
-	if w.e.cfg.generic() {
-		// New validated this construction; a failure here means the
-		// registry changed underneath a running engine — fail loudly.
-		cdc, err := codec.New(w.e.cfg.Codec, w.e.cfg.codecParams())
-		if err != nil {
-			panic(fmt.Sprintf("engine: codec %q vanished mid-run: %v", w.e.cfg.Codec, err))
-		}
-		w.cdc = cdc
-		return
+	// New validated this construction; a failure here means the registry
+	// changed underneath a running engine — fail loudly.
+	cdc, err := codec.New(w.e.cfg.Codec, w.e.cfg.codecParams())
+	if err != nil {
+		panic(fmt.Sprintf("engine: codec %q vanished mid-run: %v", w.e.cfg.Codec, err))
 	}
-	w.enc = &core.Encoder{Plan: w.e.plan, Seed: w.e.cfg.Seed}
-	w.dec = w.e.newDecoderState()
-}
-
-// setTrace threads a frame trace into a codec instance when it supports
-// tracing; it must only be called while w still owns cdc.
-func setTrace(cdc codec.Codec, tr *trace.Frame) {
-	if t, ok := cdc.(codec.Traceable); ok {
-		t.SetTrace(tr)
+	w.cdc = cdc
+	if w.e.plan != nil {
+		w.enc = &core.Encoder{Plan: w.e.plan, Seed: w.e.cfg.Seed}
 	}
 }
 
@@ -304,7 +289,7 @@ func (e *Engine) strike(j *job, decode bool) {
 		h(j)
 	}
 	if hp := frameHook.Load(); hp != nil {
-		(*hp)(FrameHookInfo{Codec: e.codecName(), Decode: decode, Index: j.idx})
+		(*hp)(FrameHookInfo{Codec: e.cfg.Codec, Decode: decode, Index: j.idx})
 	}
 }
 
@@ -386,49 +371,23 @@ type Product struct {
 	Generic *codec.Encoded
 }
 
-func (w *workerState) decodeFrame(j *job) (*DecodeResult, error) {
-	if w.cdc != nil {
-		return w.decodeGeneric(j)
-	}
-	var res *DecodeResult
-	dec := w.dec
-	// Thread the frame trace into the receive pipeline. On a timeout the
-	// abandoned goroutine keeps this dec (reset replaces it), and the
-	// finished frame drops its late span writes.
-	dec.rxr.Trace = j.tr
-	dec.dec.Trace = j.tr
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, true)
-		r, derr := dec.decodeOne(j.waveform)
-		if derr != nil {
-			return derr
-		}
-		res = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func (w *workerState) decodeGeneric(j *job) (*DecodeResult, error) {
-	var res *DecodeResult
+func (w *workerState) decodeFrame(j *job) (*codec.Decoded, error) {
+	var res *codec.Decoded
 	cdc := w.cdc
-	setTrace(cdc, j.tr)
+	cdc.SetTrace(j.tr)
 	err := w.guarded(j.ctx, func() error {
 		w.e.strike(j, true)
 		dec, derr := cdc.Decode(j.waveform)
 		if derr != nil {
 			return derr
 		}
-		res = &DecodeResult{Payload: dec.Payload, Channel: dec.Channel, Codec: w.e.cfg.Codec}
+		res = dec
 		return nil
 	})
 	// On abandonment (timeout/cancel) reset already replaced w.cdc and the
 	// stuck goroutine still owns cdc — leave its trace alone.
 	if cdc == w.cdc {
-		setTrace(cdc, nil)
+		cdc.SetTrace(nil)
 	}
 	if err != nil {
 		return nil, err
@@ -437,7 +396,7 @@ func (w *workerState) decodeGeneric(j *job) (*DecodeResult, error) {
 }
 
 func (w *workerState) encodeFrame(j *job) (*Product, error) {
-	if w.cdc != nil {
+	if w.enc == nil {
 		return w.encodeGeneric(j)
 	}
 	res := new(core.EncodeResult)
@@ -456,7 +415,7 @@ func (w *workerState) encodeFrame(j *job) (*Product, error) {
 func (w *workerState) encodeGeneric(j *job) (*Product, error) {
 	var out *codec.Encoded
 	cdc := w.cdc
-	setTrace(cdc, j.tr)
+	cdc.SetTrace(j.tr)
 	err := w.guarded(j.ctx, func() error {
 		w.e.strike(j, false)
 		enc, cerr := cdc.Encode(j.payload)
@@ -467,7 +426,7 @@ func (w *workerState) encodeGeneric(j *job) (*Product, error) {
 		return nil
 	})
 	if cdc == w.cdc {
-		setTrace(cdc, nil)
+		cdc.SetTrace(nil)
 	}
 	if err != nil {
 		return nil, err
@@ -596,7 +555,7 @@ func (e *Engine) submit(ctx context.Context, j *job) error {
 	admit, probe := e.breaker.Allow(e.now())
 	if !admit {
 		e.noteShed(&e.sheds.circuit, m.shedCircuit)
-		return fmt.Errorf("%w: codec %q failing fast", ErrCircuitOpen, e.codecName())
+		return fmt.Errorf("%w: codec %q failing fast", ErrCircuitOpen, e.cfg.Codec)
 	}
 	j.probe = probe
 	// Reserve the inflight slot before the send: a worker finishing the

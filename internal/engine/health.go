@@ -67,19 +67,11 @@ type HealthSnapshot struct {
 	DrainShed    uint64 `json:"drain_shed"`
 }
 
-// codecName labels the engine for health output.
-func (e *Engine) codecName() string {
-	if e.cfg.generic() {
-		return e.cfg.Codec
-	}
-	return codecSledZig
-}
-
 // Report computes the engine's current health snapshot.
 func (e *Engine) Report() HealthSnapshot {
 	s := HealthSnapshot{
 		ID:           e.id,
-		Codec:        e.codecName(),
+		Codec:        e.cfg.Codec,
 		Breaker:      breakerStateName(e.breaker.State()),
 		Workers:      e.cfg.Workers,
 		Queue:        len(e.jobs),

@@ -273,14 +273,9 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	if e.cdc != nil {
 		tf := trace.Start("encode")
 		e.mu.Lock()
-		t, traceable := e.cdc.(codec.Traceable)
-		if traceable {
-			t.SetTrace(tf)
-		}
+		e.cdc.SetTrace(tf)
 		enc, err := e.cdc.Encode(payload)
-		if traceable {
-			t.SetTrace(nil)
-		}
+		e.cdc.SetTrace(nil)
 		e.mu.Unlock()
 		tf.Finish(err)
 		if err != nil {

@@ -233,8 +233,8 @@ func TestFacadeAccessors(t *testing.T) {
 	}
 }
 
-func TestDecodeNormalFrame(t *testing.T) {
-	// DecodeNormal reads a plain (non-SledZig) WiFi frame's PSDU.
+func TestDecodeStandardFramePSDU(t *testing.T) {
+	// AsStandardFrame reads a plain (non-SledZig) WiFi frame's PSDU.
 	enc, err := NewEncoder(Config{Modulation: QAM16, CodeRate: Rate12, Channel: CH2})
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +251,11 @@ func TestDecodeNormalFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psdu, err := dec.DecodeNormal(wave)
+	res, err := dec.Decode(wave, AsStandardFrame())
 	if err != nil {
 		t.Fatal(err)
 	}
+	psdu := res.Payload
 	// The raw PSDU is the SledZig transmit stream, longer than the
 	// embedded payload.
 	if len(psdu) < len("payload under the hood") {
@@ -285,49 +286,66 @@ func TestSenseProtectedChannelFacade(t *testing.T) {
 	}
 }
 
-// TestEncoderConcurrentUse: one Encoder may serve goroutines concurrently
-// (the plan is read-only; per-call state is local).
+// TestEncoderConcurrentUse: one Encoder and one Decoder may serve
+// goroutines concurrently, for every codec (the SledZig plan is
+// read-only; backend instances serialize behind the facade's mutex).
 func TestEncoderConcurrentUse(t *testing.T) {
-	enc, err := NewEncoder(Config{Modulation: QAM64, CodeRate: Rate23, Channel: CH1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			payload := []byte{byte(w), 1, 2, 3, 4, 5, 6, 7}
-			for i := 0; i < 10; i++ {
-				frame, err := enc.Encode(payload)
-				if err != nil {
-					errs <- err
-					return
-				}
-				wave, err := frame.Waveform()
-				if err != nil {
-					errs <- err
-					return
-				}
-				res, err := dec.Decode(wave)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := res.Payload; got[0] != byte(w) {
-					errs <- fmt.Errorf("worker %d got %d", w, got[0])
-					return
+	for _, name := range Codecs() {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Modulation: QAM64, CodeRate: Rate23, Channel: CH1, Codec: name}
+			decCfg := Config{}
+			if name != CodecSledZig {
+				decCfg = Config{Channel: CH1, Codec: name}
+			}
+			if name == CodecOOK {
+				// The OOK message fits one PPDU only at QAM-16 r1/2 here.
+				cfg.Modulation, cfg.CodeRate = QAM16, Rate12
+			}
+			enc, err := NewEncoder(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := NewDecoder(decCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const workers = 8
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					// Mixed bits: ofdmfi cannot tell its protected band
+					// from the other quiet windows when nearly every
+					// message chip is low.
+					payload := []byte{byte(w), 0xA5, 0x5A, 0xC3, 0x3C, 0x96, 0x69, 0xF0}
+					for i := 0; i < 10; i++ {
+						frame, err := enc.Encode(payload)
+						if err != nil {
+							errs <- err
+							return
+						}
+						wave, err := frame.Waveform()
+						if err != nil {
+							errs <- err
+							return
+						}
+						res, err := dec.Decode(wave)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if got := res.Payload; got[0] != byte(w) {
+							errs <- fmt.Errorf("worker %d got %d", w, got[0])
+							return
+						}
+					}
+					errs <- nil
+				}(w)
+			}
+			for w := 0; w < workers; w++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
 				}
 			}
-			errs <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 }
