@@ -3,9 +3,9 @@
 .PHONY: test race bench bench-json bench-compare bench-baseline bench-smoke experiments selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
 
 # Benchmarks gated by the checked-in allocation baseline (hot encode and
-# decode paths, every codec backend through the public facade, and the
-# coexistence simulator).
-BENCH_GATED = BenchmarkSledZigEncode1500B$$|BenchmarkCoreEncodeTo1500B$$|BenchmarkWaveformSynthesis$$|BenchmarkAppendWaveform$$|BenchmarkReceiverDecode1500B$$|BenchmarkSledZigDecode1500B$$|BenchmarkViterbiDecodeInto$$|BenchmarkViterbiDecodeSoftInto$$|BenchmarkViterbiACSReferenceHard$$|BenchmarkViterbiACSReferenceSoft$$|BenchmarkDepunctureInto$$|BenchmarkFFTPlanForward64$$|BenchmarkCodecOOKEncode400B$$|BenchmarkCodecOfdmFiEncode400B$$|BenchmarkCodecOOKDecode400B$$|BenchmarkCodecOfdmFiDecode400B$$|BenchmarkQfunc$$|BenchmarkQfuncExact$$|BenchmarkSledvetWholeTree$$|BenchmarkRun$$|BenchmarkSimulateCoexistence$$
+# decode paths with metrics off and on, every codec backend through the
+# public facade, and the coexistence simulator).
+BENCH_GATED = BenchmarkSledZigEncode1500B$$|BenchmarkEncodeInstrumented$$|BenchmarkDecodeInstrumented$$|BenchmarkCoreEncodeTo1500B$$|BenchmarkWaveformSynthesis$$|BenchmarkAppendWaveform$$|BenchmarkReceiverDecode1500B$$|BenchmarkSledZigDecode1500B$$|BenchmarkViterbiDecodeInto$$|BenchmarkViterbiDecodeSoftInto$$|BenchmarkViterbiACSReferenceHard$$|BenchmarkViterbiACSReferenceSoft$$|BenchmarkDepunctureInto$$|BenchmarkFFTPlanForward64$$|BenchmarkCodecOOKEncode400B$$|BenchmarkCodecOfdmFiEncode400B$$|BenchmarkCodecOOKDecode400B$$|BenchmarkCodecOfdmFiDecode400B$$|BenchmarkQfunc$$|BenchmarkQfuncExact$$|BenchmarkSledvetWholeTree$$|BenchmarkRun$$|BenchmarkSimulateCoexistence$$
 
 test: conformance bench-smoke
 	go test ./...

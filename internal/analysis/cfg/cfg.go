@@ -368,6 +368,9 @@ func (b *builder) stmt(s ast.Stmt) {
 				}
 			}
 		case token.GOTO:
+			if s.Label == nil {
+				break // ill-formed bare goto: handled below
+			}
 			lb := b.labeledBlock(s.Label.Name)
 			if lb.goto_ == nil {
 				lb.goto_ = b.newBlock("label." + s.Label.Name)

@@ -1,21 +1,21 @@
-// Package spanlit enforces the trace span-naming convention, the sibling
-// of metriclit for the per-frame tracing layer: names passed to trace
-// registration points must be compile-time constants in lowercase dotted
-// form.
+// Package spanlit enforces the frame-kind naming convention of the
+// per-frame tracing layer, the sibling of metriclit: the kind passed to a
+// frame root must be a compile-time constant in lowercase dotted form.
 //
-// Every call to Frame.Begin (a pipeline stage span), Tracer.Start and the
-// package-level trace.Start (a frame root kind) — matched by the callee's
-// defining package being named "trace" — is checked:
+// Every call to Tracer.Start and the package-level trace.Start — matched
+// by the callee's defining package being named "trace" — is checked:
 //
-//   - the name argument must have a constant string value (literal, const,
-//     or concatenation of those) — dynamic span names defeat the Chrome
-//     trace timeline grouping, the flight-recorder diffing workflow, and
-//     can grow a frame past its fixed span table;
+//   - the kind argument must have a constant string value (literal,
+//     const, or concatenation of those) — dynamic kinds defeat the Chrome
+//     trace timeline grouping and the flight-recorder diffing workflow;
 //   - the value must match ^[a-z0-9_]+(\.[a-z0-9_]+)*$ — the convention
-//     every existing span follows ("rx.viterbi", "core.solve", "encode").
+//     every existing kind follows ("encode", "decode", "waveform").
 //
-// The trace package itself is exempt — its tests exercise the span-table
-// overflow path with generated names by design.
+// Stage spans need no check here: Frame.Begin takes an *obs.Stage and
+// names the span after it, and metriclit already checks stage names where
+// Scope.Stage resolves them.
+//
+// The trace package itself is exempt, like obs is for metriclit.
 package spanlit
 
 import (
@@ -29,22 +29,15 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "spanlit",
-	Doc:  "trace span and frame-kind names must be lowercase-dotted compile-time constants",
+	Doc:  "trace frame kinds must be lowercase-dotted compile-time constants",
 	Run:  run,
 }
 
 var nameRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
 
-// methods are the name-taking entry points on trace types: Frame.Begin
-// opens a stage span, Tracer.Start roots a frame trace.
-var methods = map[string]bool{
-	"Begin": true,
-	"Start": true,
-}
-
 func run(pass *analysis.Pass) (any, error) {
 	if pass.Pkg.Name() == "trace" {
-		return nil, nil // the tracer's own tests generate overflow names
+		return nil, nil
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -56,7 +49,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			if !methods[sel.Sel.Name] || !traceCallee(pass, sel) {
+			if sel.Sel.Name != "Start" || !traceCallee(pass, sel) {
 				return true
 			}
 
@@ -64,15 +57,14 @@ func run(pass *analysis.Pass) (any, error) {
 			tv, ok := pass.TypesInfo.Types[arg]
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 				pass.Reportf(arg.Pos(),
-					"trace %s name must be a compile-time constant string (dynamic span names defeat timeline grouping and can overflow the frame span table)",
-					sel.Sel.Name)
+					"trace Start kind must be a compile-time constant string (dynamic kinds defeat timeline grouping)")
 				return true
 			}
 			name := constant.StringVal(tv.Value)
 			if !nameRE.MatchString(name) {
 				pass.Reportf(arg.Pos(),
-					"trace %s name %q must be lowercase dotted ([a-z0-9_] segments separated by '.')",
-					sel.Sel.Name, name)
+					"trace Start kind %q must be lowercase dotted ([a-z0-9_] segments separated by '.')",
+					name)
 			}
 			return true
 		})
@@ -81,8 +73,8 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 // traceCallee resolves whether sel names a function or method defined in a
-// package named "trace": Frame.Begin / Tracer.Start (method selections) or
-// the package-level trace.Start.
+// package named "trace": Tracer.Start (a method selection) or the
+// package-level trace.Start.
 func traceCallee(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	if selection, ok := pass.TypesInfo.Selections[sel]; ok {
 		fn, ok := selection.Obj().(*types.Func)

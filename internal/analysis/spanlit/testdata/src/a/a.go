@@ -1,48 +1,36 @@
-// Fixture for the spanlit analyzer: span naming discipline.
+// Fixture for the spanlit analyzer: frame-kind naming discipline.
 package a
 
 import "trace"
 
-const stage = "rx.viterbi"
-const prefix = "core"
+const kind = "decode"
+const prefix = "codec"
 
-func Stages(f *trace.Frame, dyn string) {
-	f.Begin("rx.preamble_detect") // allowed: literal, lowercase dotted
-	f.Begin(stage)                // allowed: constant
-	f.Begin(prefix + ".solve")    // allowed: constant concatenation
-	m := f.Begin("tx.ifft")       // allowed
-	m.End()
+func Roots(t *trace.Tracer, dyn string) {
+	t.Start("encode")              // allowed: literal, lowercase
+	trace.Start(kind)              // allowed: constant
+	trace.Start(prefix + ".probe") // allowed: constant concatenation
+	trace.Start("waveform")        // allowed
 
-	f.Begin(dyn)          // want `compile-time constant`
-	f.Begin("RX.Viterbi") // want `lowercase dotted`
-	f.Begin("rx viterbi") // want `lowercase dotted`
-	f.Begin("rx-viterbi") // want `lowercase dotted`
-	f.Begin("trailing.")  // want `lowercase dotted`
-	f.Begin(".leading")   // want `lowercase dotted`
+	t.Start(dyn)           // want `compile-time constant`
+	trace.Start(dyn)       // want `compile-time constant`
+	trace.Start("Encode")  // want `lowercase dotted`
+	trace.Start("de code") // want `lowercase dotted`
+	trace.Start("de-code") // want `lowercase dotted`
+	t.Start("trailing.")   // want `lowercase dotted`
+	t.Start(".leading")    // want `lowercase dotted`
 }
 
-func Roots(t *trace.Tracer, kind string) {
-	t.Start("encode")       // allowed
-	trace.Start("decode")   // allowed
-	trace.Start("waveform") // allowed
-
-	t.Start(kind)         // want `compile-time constant`
-	trace.Start(kind)     // want `compile-time constant`
-	trace.Start("Encode") // want `lowercase dotted`
+func Suppressed(t *trace.Tracer, n string) {
+	//sledvet:ignore spanlit soak frames are numbered by design
+	t.Start("soak." + n)
 }
 
-func Suppressed(f *trace.Frame, stageNo string) {
-	//sledvet:ignore spanlit overflow-path test names are generated by design
-	f.Begin("stage." + stageNo)
-}
-
-// NotTrace proves unrelated Begin/Start methods are left alone.
+// other proves unrelated Start methods are left alone.
 type other struct{}
 
-func (other) Begin(name string) int { return 0 }
 func (other) Start(kind string) int { return 0 }
 
 func Unrelated(o other, dyn string) {
-	o.Begin(dyn) // allowed: not the tracer
 	o.Start(dyn) // allowed: not the tracer
 }

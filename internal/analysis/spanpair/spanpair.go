@@ -6,7 +6,7 @@
 //
 // Obligations are created when a call's result is bound to a local:
 //
-//	mk := e.Trace.Begin("core.layout")  // Mark    → needs mk.End()
+//	mk := e.Trace.Begin(m.encLayout)    // Mark    → needs mk.End(n, err)
 //	tr := trace.Start("decode")         // *Frame  → needs tr.Finish(err)
 //
 // and discharged by the matching close on every path, or by a deferred
@@ -24,7 +24,7 @@
 //
 //   - a span open (may-held) at a return or the function end with no
 //     deferred close covering it;
-//   - a span result discarded outright (`f.Begin("x")` as a statement, or
+//   - a span result discarded outright (`f.Begin(st)` as a statement, or
 //     bound to _), which can never be closed;
 //   - a live span overwritten by reassignment, which orphans the first
 //     span's End.

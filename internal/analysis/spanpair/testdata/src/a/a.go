@@ -15,15 +15,15 @@ func sink(ch chan trace.Mark) {}
 
 // Closed on the single path: fine.
 func simple(f *trace.Frame) {
-	mk := f.Begin("a.simple")
+	mk := f.Begin(st)
 	work()
-	mk.End()
+	mk.End(0, nil)
 }
 
 // Deferred close covers all exits.
 func deferred(f *trace.Frame) int {
-	mk := f.Begin("a.deferred")
-	defer mk.End()
+	mk := f.Begin(st)
+	defer mk.End(0, nil)
 	if cond() {
 		return 1
 	}
@@ -39,31 +39,31 @@ func rooted() error {
 
 // Early close on the error path, close again on the main path: fine.
 func branches(f *trace.Frame) error {
-	mk := f.Begin("a.branches")
+	mk := f.Begin(st)
 	if cond() {
-		mk.End()
+		mk.End(0, nil)
 		return errFixed
 	}
 	work()
-	mk.End()
+	mk.End(0, nil)
 	return nil
 }
 
 // Leak: the early return skips End.
 func leaky(f *trace.Frame) error {
-	mk := f.Begin("a.leaky")
+	mk := f.Begin(st)
 	if cond() {
 		return errFixed // want `span "mk" \(opened at line 54\) may reach this return without End`
 	}
-	mk.End()
+	mk.End(0, nil)
 	return nil
 }
 
 // Leak at fall-off.
 func leakyEnd(f *trace.Frame) {
-	mk := f.Begin("a.leakyend")
+	mk := f.Begin(st)
 	if cond() {
-		mk.End()
+		mk.End(0, nil)
 		return
 	}
 	work()
@@ -81,21 +81,21 @@ func frameLeak() error {
 
 // Discarded results can never be closed.
 func discarded(f *trace.Frame) {
-	f.Begin("a.discarded") // want `span result discarded: End can never be called`
-	_ = f.Begin("a.blank") // want `span result discarded: End can never be called`
+	f.Begin(st)     // want `span result discarded: End can never be called`
+	_ = f.Begin(st) // want `span result discarded: End can never be called`
 }
 
 // Overwriting a live span orphans its End.
 func overwrite(f *trace.Frame) {
-	mk := f.Begin("a.first")
-	mk = f.Begin("a.second") // want `span "mk" \(opened at line 90\) may still be open when reassigned`
-	mk.End()
+	mk := f.Begin(st)
+	mk = f.Begin(st) // want `span "mk" \(opened at line 90\) may still be open when reassigned`
+	mk.End(0, nil)
 }
 
 // Escapes hand the obligation to the receiver: all fine here.
 func escapes(f *trace.Frame) *job {
 	j := &job{tr: trace.Start("decode")} // composite literal owns it
-	mk := f.Begin("a.handoff")
+	mk := f.Begin(st)
 	register(mk) // passed along
 	tr := trace.Start("waveform")
 	adopt(tr) // passed along
@@ -104,42 +104,45 @@ func escapes(f *trace.Frame) *job {
 
 // Returning the span transfers the obligation to the caller.
 func opener(f *trace.Frame) trace.Mark {
-	mk := f.Begin("a.opener")
+	mk := f.Begin(st)
 	return mk
 }
 
-// A deferred closure close counts as coverage.
-func deferredClosure(f *trace.Frame) int {
-	mk := f.Begin("a.closure")
+// A deferred closure close counts as coverage. This is the form the
+// pipeline uses: the closure reads the named results at return time.
+func deferredClosure(f *trace.Frame) (n int, err error) {
+	mk := f.Begin(st)
 	defer func() {
 		work()
-		mk.End()
+		mk.End(n, err)
 	}()
 	if cond() {
-		return 1
+		return 1, errFixed
 	}
-	return 2
+	return 2, nil
 }
 
 // Crash edges do not bind.
 func panics(f *trace.Frame) {
-	mk := f.Begin("a.panics")
+	mk := f.Begin(st)
 	if !cond() {
 		panic("impossible")
 	}
-	mk.End()
+	mk.End(0, nil)
 }
 
 // Intentional leaks need a written justification.
 func justified(f *trace.Frame) {
-	mk := f.Begin("a.justified")
+	mk := f.Begin(st)
 	if cond() {
-		mk.End()
+		mk.End(0, nil)
 	}
 	//sledvet:ignore spanpair the non-flushed path is closed by the shutdown hook
 } // covered by the directive above
 
 var errFixed = errorString("fixed")
+
+var st = &trace.Stage{}
 
 type errorString string
 

@@ -3,14 +3,17 @@
 // needs the same shape.
 package trace
 
+// Stage stands in for *obs.Stage, the probe Begin opens.
+type Stage struct{}
+
 type Frame struct{}
 
 func Start(kind string) *Frame { return &Frame{} }
 
-func (f *Frame) Begin(name string) Mark { return Mark{} }
+func (f *Frame) Begin(st *Stage) Mark { return Mark{} }
 
 func (f *Frame) Finish(err error) {}
 
 type Mark struct{}
 
-func (m Mark) End() {}
+func (m Mark) End(n int, err error) {}

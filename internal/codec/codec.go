@@ -13,6 +13,7 @@ import (
 	"errors"
 
 	"sledzig/internal/core"
+	"sledzig/internal/obs"
 	"sledzig/internal/obs/trace"
 	"sledzig/internal/wifi"
 )
@@ -105,6 +106,26 @@ type Contract struct {
 	// allocations per Encode call; the conformance suite enforces it
 	// with testing.AllocsPerRun. Zero leaves the hot path unchecked.
 	MaxEncodeAllocs int
+}
+
+// codecStages are the stages the non-SledZig backends add around the
+// core and wifi stages they call into (codec.<backend>.embed/extract),
+// resolved lazily against the process-wide obs registry.
+type codecStages struct {
+	ookEmbed, ookExtract       *obs.Stage
+	ofdmfiEmbed, ofdmfiExtract *obs.Stage
+}
+
+var stagesLazy obs.Lazy[*codecStages]
+
+func stages() *codecStages {
+	return stagesLazy.Get(func(r *obs.Registry) *codecStages {
+		ook, fi := r.Scope("codec.ook"), r.Scope("codec.ofdmfi")
+		return &codecStages{
+			ookEmbed: ook.Stage("embed"), ookExtract: ook.Stage("extract"),
+			ofdmfiEmbed: fi.Stage("embed"), ofdmfiExtract: fi.Stage("extract"),
+		}
+	})
 }
 
 // Codec is the cross-technology-coexistence codec contract.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sledzig/internal/core"
@@ -120,6 +121,32 @@ func TestCodecConformance(t *testing.T) {
 					}
 					if dec.Channel != p.Channel {
 						t.Fatalf("round trip of %d octets: channel %v, want %v", n, dec.Channel, p.Channel)
+					}
+				}
+				// Low-entropy payloads hold nearly every message bit at one
+				// level; they must decode on every protected channel.
+				for ch := core.CH1; ch <= core.CH4; ch++ {
+					pc := p
+					pc.Channel = ch
+					cc, err := New(name, pc)
+					if err != nil {
+						t.Fatalf("New(%q) on channel %v: %v", name, ch, err)
+					}
+					for _, fill := range []byte{0x00, 0xFF} {
+						for _, n := range []int{1, min(64, cc.MaxPayload())} {
+							payload := bytes.Repeat([]byte{fill}, n)
+							enc, err := cc.Encode(payload)
+							if err != nil {
+								t.Fatalf("channel %v, %d octets of %#02x: Encode: %v", ch, n, fill, err)
+							}
+							dec, err := cc.Decode(enc.Waveform)
+							if err != nil {
+								t.Fatalf("channel %v, %d octets of %#02x: Decode: %v", ch, n, fill, err)
+							}
+							if !bytes.Equal(dec.Payload, payload) || dec.Channel != ch {
+								t.Fatalf("channel %v, %d octets of %#02x: got %d octets on channel %v", ch, n, fill, len(dec.Payload), dec.Channel)
+							}
+						}
 					}
 				}
 			})
@@ -282,5 +309,41 @@ func TestCodecInstancesIndependent(t *testing.T) {
 				t.Fatal("instances shared state: cross-decoded payloads mismatch")
 			}
 		})
+	}
+}
+
+// TestOfdmFiRejectsForeignChannel pins the strength of ofdmfi's band
+// check: a frame protecting one channel, decoded by an instance that
+// expects another, must fail on the band check, not decode.
+func TestOfdmFiRejectsForeignChannel(t *testing.T) {
+	var inst [4]Codec
+	for ch := core.CH1; ch <= core.CH4; ch++ {
+		p := conformanceParams()
+		p.Channel = ch
+		c, err := New("ofdmfi", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst[ch-core.CH1] = c
+	}
+	rng := rand.New(rand.NewSource(23))
+	for tx := core.CH1; tx <= core.CH4; tx++ {
+		for i := 0; i < 20; i++ {
+			payload := make([]byte, 1+rng.Intn(256))
+			rng.Read(payload)
+			frame, err := inst[tx-core.CH1].Encode(payload)
+			if err != nil {
+				t.Fatalf("Encode on %v: %v", tx, err)
+			}
+			for rx := core.CH1; rx <= core.CH4; rx++ {
+				if rx == tx {
+					continue
+				}
+				_, err := inst[rx-core.CH1].Decode(frame.Waveform)
+				if !errors.Is(err, ErrDecode) || !strings.Contains(err.Error(), "is not the quietest window") {
+					t.Fatalf("%d-octet frame protecting %v, decoded on %v: %v, want the band error", len(payload), tx, rx, err)
+				}
+			}
+		}
 	}
 }

@@ -127,12 +127,12 @@ func ofdmFiMessage(payload []byte) []bits.Bit {
 // before the symbol loop, which itself must not allocate per iteration.
 //
 //sledzig:noalloc budget=16
-func (c *ofdmFi) Encode(payload []byte) (*Encoded, error) {
+func (c *ofdmFi) Encode(payload []byte) (_ *Encoded, err error) {
 	if len(payload) > c.MaxPayload() {
 		return nil, fmt.Errorf("%w: ofdmfi payload of %d octets exceeds %d", core.ErrPayloadSize, len(payload), c.MaxPayload())
 	}
-	mk := c.tr.Begin("codec.embed")
-	defer mk.End()
+	mk := c.tr.Begin(stages().ofdmfiEmbed)
+	defer func() { mk.End(len(payload), err) }()
 	message := ofdmFiMessage(payload)
 	perSym := len(c.msg)
 	nSym := (len(message) + perSym - 1) / perSym
@@ -181,9 +181,10 @@ func (c *ofdmFi) Encode(payload []byte) (*Encoded, error) {
 	}, nil
 }
 
-func (c *ofdmFi) Decode(waveform []complex128) (*Decoded, error) {
-	mk := c.tr.Begin("codec.extract")
-	defer mk.End()
+func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
+	var payload []byte
+	mk := c.tr.Begin(stages().ofdmfiExtract)
+	defer func() { mk.End(len(payload), err) }()
 	body := len(waveform) - wifi.PreambleLength
 	if body < wifi.SymbolLength {
 		return nil, fmt.Errorf("%w: ofdmfi capture of %d samples holds no symbols", ErrDecode, len(waveform))
@@ -232,8 +233,12 @@ func (c *ofdmFi) Decode(waveform []complex128) (*Decoded, error) {
 			bandPower[ch-core.CH1] += p / float64(len(win))
 		}
 	}
+	// Reject only when another window is clearly quieter (half the
+	// protected band's power or less): a low-entropy message holds the
+	// other windows as low as the protected one, and a tie is no evidence.
+	own := bandPower[c.params.Channel-core.CH1]
 	for ch := core.CH1; ch <= core.CH4; ch++ {
-		if ch != c.params.Channel && bandPower[ch-core.CH1] <= bandPower[c.params.Channel-core.CH1] {
+		if ch != c.params.Channel && bandPower[ch-core.CH1] <= own/2 {
 			return nil, fmt.Errorf("%w: ofdmfi protected band %d is not the quietest window", ErrDecode, int(c.params.Channel))
 		}
 	}
@@ -252,7 +257,7 @@ func (c *ofdmFi) Decode(waveform []complex128) (*Decoded, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
 	}
-	payload := framed[2 : 2+n]
+	payload = framed[2 : 2+n]
 	if crc8(payload) != framed[2+n] {
 		return nil, fmt.Errorf("%w: ofdmfi CRC mismatch", ErrDecode)
 	}

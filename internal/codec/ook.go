@@ -97,9 +97,9 @@ func (c *ook) Encode(payload []byte) (*Encoded, error) {
 		return nil, fmt.Errorf("codec: payload of %d octets beyond the %d-octet ook-ctc bound: %w",
 			len(payload), max, core.ErrPayloadSize)
 	}
-	mk := c.tr.Begin("codec.embed")
+	mk := c.tr.Begin(stages().ookEmbed)
 	frame, err := c.enc.Encode(payload, ookMessage(payload))
-	mk.End()
+	mk.End(len(payload), err)
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +122,9 @@ func (c *ook) Decode(waveform []complex128) (*Decoded, error) {
 	if err := c.rxr.ReceiveInto(waveform, &c.rx); err != nil {
 		return nil, err
 	}
-	mk := c.tr.Begin("codec.extract")
+	mk := c.tr.Begin(stages().ookExtract)
 	payload, message, err := c.dec.Decode(&c.rx)
-	mk.End()
+	mk.End(len(payload), err)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrDecode, err)
 	}

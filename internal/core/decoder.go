@@ -17,8 +17,8 @@ import (
 type Decoder struct {
 	Convention wifi.Convention
 	// Trace, when non-nil, receives one child span per SledZig decode
-	// stage (core.detect, core.strip). A nil Trace costs one nil check
-	// per stage.
+	// stage (core.decode.detect, core.decode.strip). A nil Trace costs
+	// one nil check per stage.
 	Trace *trace.Frame
 }
 
@@ -37,17 +37,15 @@ func (d Decoder) Decode(rx *wifi.RxResult, ch ZigBeeChannel) ([]byte, error) {
 // DecodeAuto detects the protected channel and decodes.
 func (d Decoder) DecodeAuto(rx *wifi.RxResult) ([]byte, ZigBeeChannel, error) {
 	m := metrics()
-	t0 := m.decDetect.Start()
-	mk := d.Trace.Begin("core.detect")
+	mk := d.Trace.Begin(m.decDetect)
 	ch, ok := d.DetectChannel(rx.Mode.Modulation, rx.DataPoints)
-	mk.End()
 	if !ok {
-		m.decDetect.Fail(t0)
 		err := fmt.Errorf("core: no SledZig-protected channel detected: %w", ErrNoProtectedChannel)
+		mk.End(0, err)
 		m.fail(m.failDetect, "core.decode", "decode_fail.detect", err)
 		return nil, 0, err
 	}
-	m.decDetect.Done(t0, 0)
+	mk.End(0, nil)
 	payload, err := d.Decode(rx, ch)
 	if err != nil {
 		return nil, ch, err
@@ -55,22 +53,19 @@ func (d Decoder) DecodeAuto(rx *wifi.RxResult) ([]byte, ZigBeeChannel, error) {
 	return payload, ch, nil
 }
 
-func (d Decoder) decodeWithPlan(rx *wifi.RxResult, plan *Plan) ([]byte, error) {
+func (d Decoder) decodeWithPlan(rx *wifi.RxResult, plan *Plan) (payload []byte, err error) {
 	m := metrics()
-	t0 := m.decStrip.Start()
-	mk := d.Trace.Begin("core.strip")
-	defer mk.End()
+	mk := d.Trace.Begin(m.decStrip)
+	defer func() { mk.End(len(payload), err) }()
 	nDBPS := plan.Mode.DataBitsPerSymbol()
 	if len(rx.DataBits)%nDBPS != 0 {
 		err := fmt.Errorf("core: DATA field of %d bits is not whole symbols of %d: %w", len(rx.DataBits), nDBPS, ErrExtraBitLayout)
-		m.decStrip.Fail(t0)
 		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 		return nil, err
 	}
 	nSym := len(rx.DataBits) / nDBPS
 	layout, err := plan.FrameLayout(nSym)
 	if err != nil {
-		m.decStrip.Fail(t0)
 		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 		return nil, err
 	}
@@ -78,7 +73,6 @@ func (d Decoder) decodeWithPlan(rx *wifi.RxResult, plan *Plan) ([]byte, error) {
 	for _, p := range layout.Positions {
 		if p >= len(extra) {
 			err := fmt.Errorf("core: layout position %d beyond frame: %w", p, ErrExtraBitLayout)
-			m.decStrip.Fail(t0)
 			m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 			return nil, err
 		}
@@ -92,38 +86,32 @@ func (d Decoder) decodeWithPlan(rx *wifi.RxResult, plan *Plan) ([]byte, error) {
 	}
 	if len(logical) < serviceBits+8*headerOctets {
 		err := fmt.Errorf("core: stripped stream too short (%d bits): %w", len(logical), ErrExtraBitLayout)
-		m.decStrip.Fail(t0)
 		m.fail(m.failLength, "core.decode", "decode_fail.length", err)
 		return nil, err
 	}
 	body := logical[serviceBits:]
 	headerBytes, err := bits.ToBytes(body[:8*headerOctets])
 	if err != nil {
-		m.decStrip.Fail(t0)
 		m.fail(m.failHeader, "core.decode", "decode_fail.header", err)
 		return nil, err
 	}
 	length := int(headerBytes[0]) | int(headerBytes[1])<<8
 	if length == 0 {
 		err := fmt.Errorf("core: header declares empty payload: %w", ErrExtraBitLayout)
-		m.decStrip.Fail(t0)
 		m.fail(m.failHeader, "core.decode", "decode_fail.header", err)
 		return nil, err
 	}
 	need := 8 * (headerOctets + length)
 	if len(body) < need {
 		err := fmt.Errorf("core: header declares %d octets but only %d bits remain: %w", length, len(body)-8*headerOctets, ErrExtraBitLayout)
-		m.decStrip.Fail(t0)
 		m.fail(m.failLength, "core.decode", "decode_fail.length", err)
 		return nil, err
 	}
-	payload, err := bits.ToBytes(body[8*headerOctets : need])
+	payload, err = bits.ToBytes(body[8*headerOctets : need])
 	if err != nil {
-		m.decStrip.Fail(t0)
 		m.fail(m.failHeader, "core.decode", "decode_fail.header", err)
 		return nil, err
 	}
-	m.decStrip.Done(t0, len(payload))
 	m.decFrames.Inc()
 	m.decPayload.Add(uint64(len(payload)))
 	return payload, nil

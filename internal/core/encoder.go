@@ -26,9 +26,10 @@ type Encoder struct {
 	// Seed is the scrambler seed (0 selects wifi.DefaultScramblerSeed).
 	Seed uint8
 	// Trace, when non-nil, receives one child span per encode stage
-	// (core.layout → core.scramble → core.solve → core.verify) and is
-	// propagated to the produced wifi.Frame so waveform synthesis lands in
-	// the same trace. A nil Trace costs one nil check per stage.
+	// (core.encode.layout → core.encode.scramble → core.encode.solve →
+	// core.encode.verify) and is propagated to the produced wifi.Frame so
+	// waveform synthesis lands in the same trace. A nil Trace costs one
+	// nil check per stage.
 	Trace *trace.Frame
 }
 
@@ -108,16 +109,13 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		return err
 	}
 	nSym := e.NumSymbols(len(payload))
-	t0 := m.encLayout.Start()
-	mk := e.Trace.Begin("core.layout")
+	mk := e.Trace.Begin(m.encLayout)
 	layout, err := e.Plan.FrameLayout(nSym)
-	mk.End()
+	mk.End(0, err)
 	if err != nil {
-		m.encLayout.Fail(t0)
 		m.fail(m.failEncoder, "core.encode", "encode_fail.layout", err)
 		return err
 	}
-	m.encLayout.Done(t0, 0)
 	nDBPS := e.Plan.Mode.DataBitsPerSymbol()
 	total := nSym * nDBPS
 	if len(layout.Positions) >= total {
@@ -179,40 +177,31 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		x = res.Frame.ScrambledBits
 	}
 	x = bits.Grow(x, total)
-	t0 = m.encScramble.Start()
-	mk = e.Trace.Begin("core.scramble")
-	if err := wifi.ScrambleWithSeedInto(x, u, seed); err != nil {
-		mk.End()
-		m.encScramble.Fail(t0)
+	mk = e.Trace.Begin(m.encScramble)
+	err = wifi.ScrambleWithSeedInto(x, u, seed)
+	mk.End(len(payload), err)
+	if err != nil {
 		return err
 	}
-	mk.End()
-	m.encScramble.Done(t0, len(payload))
 	// Zero the placeholders: scrambling flipped some of them to the
 	// scrambler sequence; the solver assumes unknowns start at zero.
 	for _, p := range layout.Positions {
 		x[p] = 0
 	}
-	t0 = m.encSolve.Start()
-	mk = e.Trace.Begin("core.solve")
-	if err := solveClusters(x, layout.Clusters); err != nil {
-		mk.End()
-		m.encSolve.Fail(t0)
+	mk = e.Trace.Begin(m.encSolve)
+	err = solveClusters(x, layout.Clusters)
+	mk.End(0, err)
+	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.solve", err)
 		return err
 	}
-	mk.End()
-	m.encSolve.Done(t0, 0)
-	t0 = m.encVerify.Start()
-	mk = e.Trace.Begin("core.verify")
-	if err := verifyConstraints(x, layout.Clusters); err != nil {
-		mk.End()
-		m.encVerify.Fail(t0)
+	mk = e.Trace.Begin(m.encVerify)
+	err = verifyConstraints(x, layout.Clusters)
+	mk.End(0, err)
+	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.verify", err)
 		return err
 	}
-	mk.End()
-	m.encVerify.Done(t0, 0)
 
 	// The standard-compatible "transmit bits" are the descrambled stream.
 	res.TransmitBits = bits.Grow(res.TransmitBits, total)

@@ -3,8 +3,8 @@ package core
 import "sledzig/internal/obs"
 
 // Metric handles for the SledZig encoder/decoder, resolved lazily
-// against the process-wide obs registry (nil handles, and therefore
-// no-ops, when observability is off).
+// against the process-wide obs registry (named stages with nil handles,
+// and therefore no-ops, when observability is off).
 type coreMetrics struct {
 	// Encoder stages.
 	encLayout   *obs.Stage // extra-bit position planning
@@ -36,13 +36,8 @@ type coreMetrics struct {
 
 var coreLazy obs.Lazy[*coreMetrics]
 
-var coreNil = &coreMetrics{}
-
 func metrics() *coreMetrics {
 	return coreLazy.Get(func(r *obs.Registry) *coreMetrics {
-		if r == nil {
-			return coreNil
-		}
 		enc := r.Scope("core.encode")
 		dec := r.Scope("core.decode")
 		return &coreMetrics{

@@ -465,15 +465,15 @@ func (e *Engine) worker(i int) {
 			}
 		}
 		if j.deliverDec != nil {
-			t0 := decStage.Start()
+			pass := decStage.Start()
 			res, err := w.decodeFrame(j)
 			e.finishFrame(m.decodeFrameLatency, j, err)
 			if err != nil {
-				decStage.Fail(t0)
+				pass.End(0, err)
 				m.decodeFailures.Inc()
 				j.deliverDec(j.idx, nil, err)
 			} else {
-				decStage.Done(t0, len(res.Payload))
+				pass.End(len(res.Payload), nil)
 				j.deliverDec(j.idx, res, nil)
 			}
 			if j.done != nil {
@@ -482,15 +482,14 @@ func (e *Engine) worker(i int) {
 			e.frameDone(j, err)
 			continue
 		}
-		t0 := encStage.Start()
+		pass := encStage.Start()
 		res, err := w.encodeFrame(j)
 		e.finishFrame(m.encodeFrameLatency, j, err)
+		pass.End(len(j.payload), err)
 		if err != nil {
-			encStage.Fail(t0)
 			m.failures.Inc()
 			j.deliver(j.idx, nil, err)
 		} else {
-			encStage.Done(t0, len(j.payload))
 			j.deliver(j.idx, res, nil)
 		}
 		if j.done != nil {

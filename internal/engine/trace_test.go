@@ -95,11 +95,11 @@ func TestEngineTracePropagation(t *testing.T) {
 		names := spanNames(s)
 		var want []string
 		if s.Kind == "encode" {
-			// The pool encodes to the codeword; waveform rendering (tx.*
+			// The pool encodes to the codeword; waveform rendering (wifi.tx.*
 			// spans) happens in the facade under its own "waveform" root.
-			want = []string{"core.layout", "core.scramble", "core.solve", "core.verify"}
+			want = []string{"core.encode.layout", "core.encode.scramble", "core.encode.solve", "core.encode.verify"}
 		} else {
-			want = []string{"rx.signal", "rx.equalize", "rx.viterbi", "rx.descramble", "core.detect", "core.strip"}
+			want = []string{"wifi.rx.signal", "wifi.rx.equalize", "wifi.rx.viterbi", "wifi.rx.descramble", "core.decode.detect", "core.decode.strip"}
 		}
 		for _, n := range want {
 			if !names[n] {
@@ -118,8 +118,8 @@ func TestEngineTracePropagation(t *testing.T) {
 			continue
 		}
 		for _, sp := range s.Spans {
-			if sp.Name == "rx.equalize" && sp.Count < 1 {
-				t.Fatalf("rx.equalize span has count %d", sp.Count)
+			if sp.Name == "wifi.rx.equalize" && sp.Count < 1 {
+				t.Fatalf("wifi.rx.equalize span has count %d", sp.Count)
 			}
 		}
 	}

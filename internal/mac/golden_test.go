@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sledzig/internal/obs"
 	"sledzig/internal/wifi"
 )
 
@@ -49,10 +50,10 @@ func goldenCases() []goldenCase {
 // runHashed runs cfg with a tracer that hashes every event.
 func runHashed(cfg Config) (res *Result, events int, hash uint64, err error) {
 	h := fnv.New64a()
-	cfg.Trace = func(ev TraceEvent) {
+	cfg.Trace = obs.SinkFunc(func(ev obs.Event) {
 		events++
-		fmt.Fprintf(h, "%x %s %d\n", math.Float64bits(ev.At), ev.Kind, ev.Node)
-	}
+		fmt.Fprintf(h, "%x %s %d\n", math.Float64bits(ev.Time), ev.Kind, ev.Node)
+	})
 	res, err = Run(cfg)
 	return res, events, h.Sum64(), err
 }

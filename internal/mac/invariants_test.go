@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"sledzig/internal/obs"
 )
 
 // nodePhase is where one ZigBee node stands in the life of its current
@@ -26,7 +28,7 @@ const (
 //     event (delivered, CCA drop, or — with ACKs — dropped);
 //   - the event counts agree with the Result counters, and the WiFi
 //     airtime fraction lies in [0, 1].
-func checkEventStream(t *testing.T, name string, cfg Config, events []TraceEvent, res *Result) {
+func checkEventStream(t *testing.T, name string, cfg Config, events []obs.Event, res *Result) {
 	t.Helper()
 	fail := func(i int, format string, args ...any) {
 		t.Helper()
@@ -37,14 +39,14 @@ func checkEventStream(t *testing.T, name string, cfg Config, events []TraceEvent
 		nodes = 1
 	}
 	phase := make([]nodePhase, nodes)
-	counts := map[TraceKind]int{}
+	counts := map[string]int{}
 	wifiOn := false
 	prev := 0.0
 	for i, ev := range events {
-		if ev.At < prev {
+		if ev.Time < prev {
 			fail(i, "time runs backwards from %g", prev)
 		}
-		prev = ev.At
+		prev = ev.Time
 		counts[ev.Kind]++
 		switch ev.Kind {
 		case TraceWiFiStart, TraceWiFiEnd:
@@ -99,7 +101,7 @@ func checkEventStream(t *testing.T, name string, cfg Config, events []TraceEvent
 		}
 	}
 	pairs := []struct {
-		kind TraceKind
+		kind string
 		want int
 	}{
 		{TraceZBStart, res.ZigBeeSent},
@@ -124,10 +126,10 @@ func checkEventStream(t *testing.T, name string, cfg Config, events []TraceEvent
 	}
 }
 
-func runTraced(t *testing.T, cfg Config) ([]TraceEvent, *Result) {
+func runTraced(t *testing.T, cfg Config) ([]obs.Event, *Result) {
 	t.Helper()
-	var events []TraceEvent
-	cfg.Trace = func(ev TraceEvent) { events = append(events, ev) }
+	var events []obs.Event
+	cfg.Trace = obs.SinkFunc(func(ev obs.Event) { events = append(events, ev) })
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

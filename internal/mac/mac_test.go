@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sledzig/internal/channel"
+	"sledzig/internal/obs"
 	"sledzig/internal/wifi"
 )
 
@@ -263,17 +264,20 @@ func TestAcksCostThroughputWhenClean(t *testing.T) {
 }
 
 func TestTraceEventsConsistentWithCounters(t *testing.T) {
-	var events []TraceEvent
+	var events []obs.Event
+	sum := map[string]int{}
 	cfg := Config{
 		Seed: 11, Duration: 5, DWZ: 5, DZ: 1,
 		Profile: sledzigProfile(), UseAcks: true,
-		Trace: func(ev TraceEvent) { events = append(events, ev) },
+		Trace: obs.SinkFunc(func(ev obs.Event) {
+			events = append(events, ev)
+			sum[ev.Kind]++
+		}),
 	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := Summarize(events)
 	if sum[TraceZBStart] != res.ZigBeeSent {
 		t.Fatalf("trace zb_start %d vs sent %d", sum[TraceZBStart], res.ZigBeeSent)
 	}
@@ -288,22 +292,34 @@ func TestTraceEventsConsistentWithCounters(t *testing.T) {
 	}
 	// Events arrive in time order.
 	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
+		if events[i].Time < events[i-1].Time {
 			t.Fatal("trace events out of order")
 		}
 	}
 }
 
+// TestCSVTracer traces a run straight into an obs CSV sink: one
+// "t,source,kind,node,detail" row per event, source "mac".
 func TestCSVTracer(t *testing.T) {
 	var buf bytes.Buffer
-	tracer, flush := CSVTracer(&buf)
-	tracer(TraceEvent{At: 1.5, Kind: TraceZBStart, Node: 2})
-	if err := flush(); err != nil {
+	sink := obs.NewCSVSink(&buf)
+	var n int
+	cfg := traceSimConfig(obs.SinkFunc(func(ev obs.Event) {
+		n++
+		sink.Emit(ev)
+	}))
+	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "zb_start") || !strings.Contains(out, "1.5") {
-		t.Fatalf("csv output %q", out)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if lines[0] != "t,source,kind,node,detail" || len(lines) != n+1 {
+		t.Fatalf("csv has %d lines for %d events, header %q", len(lines), n, lines[0])
+	}
+	if !strings.Contains(buf.String(), ",mac,zb_start,0,") {
+		t.Fatalf("no zb_start row for node 0 in %q", lines[:min(len(lines), 5)])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"sledzig/internal/channel"
 	"sledzig/internal/dsp"
+	"sledzig/internal/obs"
 	"sledzig/internal/wifi"
 	"sledzig/internal/zigbee"
 )
@@ -84,8 +85,10 @@ type Config struct {
 	// CCAMode selects the CC2420 clear-channel behaviour (see CCAMode).
 	CCAMode CCAMode
 
-	// Trace, when set, receives every simulator event (see Tracer).
-	Trace Tracer
+	// Trace, when set, receives every simulator event as an obs.Event
+	// (Source "mac", Kind one of the Trace* constants); obs.NewCSVSink,
+	// obs.NewJSONLSink and obs.SinkFunc all fit.
+	Trace obs.Sink
 }
 
 // CCAMode selects how the ZigBee transmitter's clear-channel assessment
@@ -327,7 +330,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("mac: WiFi profile must set PreambleDBm and DataDBm (got %+v)", cfg.Profile)
 	}
 	m := simMetrics()
-	tRun := m.run.Start()
+	pass := m.run.Start()
 	s := simPool.Get().(*Sim)
 	s.reset(cfg)
 	if cfg.DutyRatio > 0 {
@@ -353,9 +356,9 @@ func Run(cfg Config) (*Result, error) {
 		res.ZigBeeMaxLatency = s.latencyMax
 	}
 	res.ZigBeeThroughputBps = float64(8*cfg.ZigBeePayload*res.ZigBeeDelivered) / cfg.Duration
-	s.cfg.Trace = nil // a pooled simulator must not pin the caller's tracer
+	s.cfg.Trace = nil // a pooled simulator must not pin the caller's sink
 	simPool.Put(s)
-	m.run.Done(tRun, 0)
+	pass.End(0, nil)
 	m.lastThroughput.Set(res.ZigBeeThroughputBps)
 	m.lastAirtime.Set(res.WiFiAirtime / cfg.Duration)
 	return &res, nil

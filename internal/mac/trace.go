@@ -1,73 +1,23 @@
 package mac
 
-import (
-	"fmt"
-	"io"
+import "sledzig/internal/obs"
 
-	"sledzig/internal/obs"
-)
-
-// TraceKind labels a simulator event.
-type TraceKind string
-
-// Trace event kinds.
+// Simulator event kinds: the Kind of every obs.Event the simulator emits
+// (Source "mac", Node the ZigBee node or -1 for WiFi events, Time in
+// simulated seconds).
 const (
-	TraceWiFiStart    TraceKind = "wifi_start"
-	TraceWiFiEnd      TraceKind = "wifi_end"
-	TraceCCABusy      TraceKind = "cca_busy"
-	TraceCCADrop      TraceKind = "cca_drop"
-	TraceZBStart      TraceKind = "zb_start"
-	TraceZBDelivered  TraceKind = "zb_delivered"
-	TraceZBCorrupted  TraceKind = "zb_corrupted"
-	TraceZBCollided   TraceKind = "zb_collided"
-	TraceZBRetry      TraceKind = "zb_retry"
-	TraceZBDropped    TraceKind = "zb_dropped"
-	TraceZBAckFailure TraceKind = "zb_ack_failure"
+	TraceWiFiStart    = "wifi_start"
+	TraceWiFiEnd      = "wifi_end"
+	TraceCCABusy      = "cca_busy"
+	TraceCCADrop      = "cca_drop"
+	TraceZBStart      = "zb_start"
+	TraceZBDelivered  = "zb_delivered"
+	TraceZBCorrupted  = "zb_corrupted"
+	TraceZBCollided   = "zb_collided"
+	TraceZBRetry      = "zb_retry"
+	TraceZBDropped    = "zb_dropped"
+	TraceZBAckFailure = "zb_ack_failure"
 )
-
-// TraceEvent is one timestamped simulator occurrence.
-type TraceEvent struct {
-	At   float64 // simulated seconds
-	Kind TraceKind
-	Node int // ZigBee node, -1 for WiFi events
-}
-
-// Event converts to the pipeline-wide obs event type, which is what all
-// non-CSV sinks consume.
-func (ev TraceEvent) Event() obs.Event {
-	return obs.Event{Time: ev.At, Source: "mac", Kind: string(ev.Kind), Node: ev.Node}
-}
-
-// Tracer receives simulator events as they happen. Implementations must
-// be fast; the simulator calls them inline.
-type Tracer func(TraceEvent)
-
-// CSVTracer writes events to w as "t,source,kind,node,detail" rows (the
-// pipeline-wide obs CSV schema, source "mac"); call the returned
-// flush when the simulation completes. Any write error — including ones
-// hit mid-trace — surfaces from flush (the underlying obs.CSVSink keeps
-// the first error sticky and stops writing after it).
-func CSVTracer(w io.Writer) (Tracer, func() error) {
-	sink := obs.NewCSVSink(w)
-	tracer := func(ev TraceEvent) { sink.Emit(ev.Event()) }
-	return tracer, sink.Flush
-}
-
-// JSONLTracer writes events to w as one JSON object per line, in the
-// pipeline-wide obs.Event schema; call the returned flush to surface the
-// first write error.
-func JSONLTracer(w io.Writer) (Tracer, func() error) {
-	sink := obs.NewJSONLSink(w)
-	tracer := func(ev TraceEvent) { sink.Emit(ev.Event()) }
-	return tracer, sink.Flush
-}
-
-// BusTracer bridges simulator events onto an obs event bus, where they
-// mix with decode failures and impairment events from the rest of the
-// pipeline. A nil bus yields a no-op tracer.
-func BusTracer(bus *obs.Bus) Tracer {
-	return func(ev TraceEvent) { bus.Publish(ev.Event()) }
-}
 
 // macMetrics pre-resolves the simulator's metric handles — the run
 // stage, the last-run gauges and one counter per event kind — so neither
@@ -76,12 +26,14 @@ type macMetrics struct {
 	run            *obs.Stage
 	lastThroughput *obs.Gauge
 	lastAirtime    *obs.Gauge
-	counters       map[TraceKind]*obs.Counter
+	counters       map[string]*obs.Counter
 	bus            *obs.Bus
 }
 
 var macLazy obs.Lazy[*macMetrics]
 
+// macNil keeps the counter map nil while observability is off, so an
+// event costs no hash of its kind.
 var macNil = &macMetrics{}
 
 func simMetrics() *macMetrics {
@@ -89,7 +41,7 @@ func simMetrics() *macMetrics {
 		if r == nil {
 			return macNil
 		}
-		kinds := []TraceKind{
+		kinds := []string{
 			TraceWiFiStart, TraceWiFiEnd, TraceCCABusy, TraceCCADrop,
 			TraceZBStart, TraceZBDelivered, TraceZBCorrupted, TraceZBCollided,
 			TraceZBRetry, TraceZBDropped, TraceZBAckFailure,
@@ -99,40 +51,25 @@ func simMetrics() *macMetrics {
 			run:            sc.Stage("run"),
 			lastThroughput: sc.Gauge("last_zb_throughput_bps"),
 			lastAirtime:    sc.Gauge("last_wifi_airtime_fraction"),
-			counters:       make(map[TraceKind]*obs.Counter, len(kinds)),
+			counters:       make(map[string]*obs.Counter, len(kinds)),
 			bus:            r.Bus(),
 		}
 		for _, k := range kinds {
-			//sledvet:ignore metriclit event kinds are a closed lowercase set defined next to EventKind
-			m.counters[k] = r.Counter("mac.events." + string(k))
+			//sledvet:ignore metriclit event kinds are the closed lowercase set of Trace* constants above
+			m.counters[k] = r.Counter("mac.events." + k)
 		}
 		return m
 	})
 }
 
-// trace emits an event to the configured tracer and, when observability
-// is on, to the process-wide event bus and the per-kind counters.
-func (s *Sim) trace(at float64, kind TraceKind, node int) {
+// trace hands one event to the configured sink and, when observability
+// is on, to the per-kind counter and the process-wide event bus.
+func (s *Sim) trace(at float64, kind string, node int) {
+	ev := obs.Event{Time: at, Source: "mac", Kind: kind, Node: node}
 	if s.cfg.Trace != nil {
-		s.cfg.Trace(TraceEvent{At: at, Kind: kind, Node: node})
+		s.cfg.Trace.Emit(ev)
 	}
 	m := simMetrics()
 	m.counters[kind].Inc()
-	if m.bus.Active() {
-		m.bus.Publish(obs.Event{Time: at, Source: "mac", Kind: string(kind), Node: node})
-	}
-}
-
-// Summarize tallies a trace by kind (a convenience for tests and tools).
-func Summarize(events []TraceEvent) map[TraceKind]int {
-	out := make(map[TraceKind]int)
-	for _, ev := range events {
-		out[ev.Kind]++
-	}
-	return out
-}
-
-// String renders an event compactly.
-func (ev TraceEvent) String() string {
-	return fmt.Sprintf("%.6f %s node=%d", ev.At, ev.Kind, ev.Node)
+	m.bus.Publish(ev)
 }

@@ -9,10 +9,10 @@ import (
 	"sledzig/internal/obs"
 )
 
-func traceSimConfig(tr Tracer) Config {
+func traceSimConfig(sink obs.Sink) Config {
 	return Config{
 		DWZ: 10, DZ: 1, DutyRatio: 0.5, Profile: normalProfile(),
-		Duration: 0.5, Seed: 7, Trace: tr,
+		Duration: 0.5, Seed: 7, Trace: sink,
 	}
 }
 
@@ -29,29 +29,32 @@ func (w *errAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCSVTracerErrorPropagation is the regression test for the old
-// CSVTracer silently swallowing write errors: a writer failing mid-trace
-// must surface that error from flush.
+// TestCSVTracerErrorPropagation traces a run into an obs CSV sink whose
+// writer fails on its second write, while the run is still emitting: the
+// error must surface from Flush, and stick.
 func TestCSVTracerErrorPropagation(t *testing.T) {
 	wantErr := errors.New("device full")
-	tracer, flush := CSVTracer(&errAfterWriter{n: 0, err: wantErr})
-	tracer(TraceEvent{At: 0.1, Kind: TraceZBStart, Node: 0})
-	if err := flush(); !errors.Is(err, wantErr) {
+	sink := obs.NewCSVSink(&errAfterWriter{n: 1, err: wantErr})
+	if _, err := Run(traceSimConfig(sink)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); !errors.Is(err, wantErr) {
 		t.Fatalf("flush error %v, want %v", err, wantErr)
 	}
-	// A second flush still reports it (sticky).
-	if err := flush(); !errors.Is(err, wantErr) {
+	if err := sink.Flush(); !errors.Is(err, wantErr) {
 		t.Fatalf("flush error not sticky: %v", err)
 	}
 }
 
+// TestJSONLTracer traces a run into an obs JSONL sink: one obs.Event
+// object per line, source "mac".
 func TestJSONLTracer(t *testing.T) {
 	var b strings.Builder
-	tracer, flush := JSONLTracer(&b)
-	if _, err := Run(traceSimConfig(tracer)); err != nil {
+	sink := obs.NewJSONLSink(&b)
+	if _, err := Run(traceSimConfig(sink)); err != nil {
 		t.Fatal(err)
 	}
-	if err := flush(); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -69,7 +72,7 @@ func TestJSONLTracer(t *testing.T) {
 		}
 		seen[ev.Kind] = true
 	}
-	for _, kind := range []string{"wifi_start", "zb_start"} {
+	for _, kind := range []string{TraceWiFiStart, TraceZBStart} {
 		if !seen[kind] {
 			t.Errorf("no %q event in JSONL trace (kinds: %v)", kind, seen)
 		}
@@ -77,8 +80,8 @@ func TestJSONLTracer(t *testing.T) {
 }
 
 // TestBusTracerAndCounters runs the simulator with a registry installed
-// and checks that per-kind counters and the event bus agree with the
-// Tracer callback.
+// and checks that the per-run sink, the per-kind counters and the event
+// bus all see the same events.
 func TestBusTracerAndCounters(t *testing.T) {
 	reg := obs.New()
 	obs.SetDefault(reg)
@@ -87,8 +90,8 @@ func TestBusTracerAndCounters(t *testing.T) {
 	ring := obs.NewRingSink(1 << 16)
 	defer reg.Bus().Subscribe(ring)()
 
-	var direct []TraceEvent
-	res, err := Run(traceSimConfig(func(ev TraceEvent) { direct = append(direct, ev) }))
+	var direct []obs.Event
+	res, err := Run(traceSimConfig(obs.SinkFunc(func(ev obs.Event) { direct = append(direct, ev) })))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,22 +99,23 @@ func TestBusTracerAndCounters(t *testing.T) {
 		t.Fatal("simulation sent nothing")
 	}
 
-	counts := Summarize(direct)
+	counts := map[string]int{}
+	for _, ev := range direct {
+		counts[ev.Kind]++
+	}
 	snap := reg.Snapshot()
 	for kind, n := range counts {
-		if got := snap.Counters["mac.events."+string(kind)]; got != uint64(n) {
-			t.Errorf("counter mac.events.%s = %d, tracer saw %d", kind, got, n)
+		if got := snap.Counters["mac.events."+kind]; got != uint64(n) {
+			t.Errorf("counter mac.events.%s = %d, sink saw %d", kind, got, n)
 		}
 	}
-	busByKind := map[string]int{}
-	for _, ev := range ring.Events() {
-		if ev.Source == "mac" {
-			busByKind[ev.Kind]++
-		}
+	bus := ring.Events()
+	if len(bus) != len(direct) {
+		t.Fatalf("bus saw %d events, sink saw %d", len(bus), len(direct))
 	}
-	for kind, n := range counts {
-		if busByKind[string(kind)] != n {
-			t.Errorf("bus saw %d %s events, tracer saw %d", busByKind[string(kind)], kind, n)
+	for i, ev := range bus {
+		if ev != direct[i] {
+			t.Fatalf("event %d: bus %v, sink %v", i, ev, direct[i])
 		}
 	}
 	// Run stage timer and gauges recorded.
@@ -121,11 +125,4 @@ func TestBusTracerAndCounters(t *testing.T) {
 	if snap.Gauges["mac.sim.last_zb_throughput_bps"] == 0 {
 		t.Error("throughput gauge not set")
 	}
-}
-
-// TestBusTracerNilBus checks the explicit BusTracer constructor tolerates
-// a nil bus.
-func TestBusTracerNilBus(t *testing.T) {
-	tr := BusTracer(nil)
-	tr(TraceEvent{Kind: TraceZBStart}) // must not panic
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -54,15 +55,17 @@ func TestNilRegistrySafe(t *testing.T) {
 	sc.Counter("y").Inc()
 	sc.Gauge("z").Add(1)
 	st := sc.Stage("w")
-	start := st.Start()
-	if !start.IsZero() {
-		t.Fatal("nil stage Start should not read the clock")
+	if st.Name() != "x.w" {
+		t.Fatalf("nil-registry stage named %q, want x.w (trace spans need the name)", st.Name())
 	}
-	st.Done(start, 10)
-	st.Fail(start)
-	if st.Calls() != 0 || st.Seconds() != nil {
-		t.Fatal("nil stage should report nothing")
+	pass := st.Start()
+	if pass != (Pass{}) {
+		t.Fatal("nil-registry stage Start should not read the clock")
 	}
+	pass.End(10, nil)
+	pass.End(0, errors.New("boom"))
+	var nilStage *Stage
+	nilStage.Start().End(1, nil)
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
@@ -72,10 +75,13 @@ func TestNilRegistrySafe(t *testing.T) {
 func TestStageAccounting(t *testing.T) {
 	r := New()
 	st := r.Scope("core.encode").Stage("solve")
-	start := st.Start()
+	if st.Name() != "core.encode.solve" {
+		t.Fatalf("stage named %q", st.Name())
+	}
+	pass := st.Start()
 	time.Sleep(time.Millisecond)
-	st.Done(start, 128)
-	st.Fail(st.Start())
+	pass.End(128, nil)
+	st.Start().End(64, errors.New("solve failed")) // an error adds no bytes
 
 	if got := r.Counter("core.encode.solve.calls").Value(); got != 2 {
 		t.Fatalf("calls %d", got)
@@ -139,9 +145,9 @@ func TestTopStages(t *testing.T) {
 	r := New()
 	slow := r.Scope("a").Stage("slow")
 	fast := r.Scope("a").Stage("fast")
-	slow.Done(time.Now().Add(-100*time.Millisecond), 10)
-	fast.Done(time.Now().Add(-time.Millisecond), 20)
-	fast.Done(time.Now().Add(-time.Millisecond), 20)
+	Pass{st: slow, t0: time.Now().Add(-100 * time.Millisecond)}.End(10, nil)
+	Pass{st: fast, t0: time.Now().Add(-time.Millisecond)}.End(20, nil)
+	Pass{st: fast, t0: time.Now().Add(-time.Millisecond)}.End(20, nil)
 	r.Histogram("not.a.stage").Observe(1) // no .seconds suffix — excluded
 
 	top := r.Snapshot().TopStages(0)

@@ -3,8 +3,9 @@ package obs
 import "time"
 
 // Scope is a named slice of a registry ("core.encode", "wifi.rx") from
-// which pipeline stages hang. A nil *Scope (from a nil registry) hands
-// out nil stages.
+// which pipeline stages hang. A nil registry still hands out a scope: its
+// stages carry their names (so trace spans stay named) but nil metric
+// handles.
 type Scope struct {
 	r      *Registry
 	prefix string
@@ -12,25 +13,16 @@ type Scope struct {
 
 // Scope returns a sub-namespace of the registry.
 func (r *Registry) Scope(prefix string) *Scope {
-	if r == nil {
-		return nil
-	}
 	return &Scope{r: r, prefix: prefix}
 }
 
 // Counter returns a counter under the scope's prefix.
 func (s *Scope) Counter(name string) *Counter {
-	if s == nil {
-		return nil
-	}
 	return s.r.Counter(s.prefix + "." + name)
 }
 
 // Gauge returns a gauge under the scope's prefix.
 func (s *Scope) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
 	return s.r.Gauge(s.prefix + "." + name)
 }
 
@@ -41,14 +33,13 @@ func (s *Scope) Gauge(name string) *Gauge {
 //	<scope>.<name>.bytes    payload octets through the stage
 //	<scope>.<name>.errors   failed invocations
 //
+// The full name "<scope>.<name>" is also the stage's trace span name.
 // Resolve once (package-level via Lazy, or per struct); the per-call cost
 // is then a nil check, two clock reads and a few atomics.
 func (s *Scope) Stage(name string) *Stage {
-	if s == nil {
-		return nil
-	}
 	full := s.prefix + "." + name
 	return &Stage{
+		name:    full,
 		seconds: s.r.Histogram(full + ".seconds"),
 		calls:   s.r.Counter(full + ".calls"),
 		bytes:   s.r.Counter(full + ".bytes"),
@@ -56,59 +47,54 @@ func (s *Scope) Stage(name string) *Stage {
 	}
 }
 
-// Stage times one pipeline stage. A nil *Stage is a no-op and never
-// touches the clock, so disabled instrumentation costs a nil check.
+// Stage times one pipeline stage. A stage from a nil registry (or a nil
+// *Stage) records nothing and never touches the clock, so disabled
+// instrumentation costs a nil check.
 type Stage struct {
+	name    string
 	seconds *Histogram
 	calls   *Counter
 	bytes   *Counter
 	errors  *Counter
 }
 
-// Start begins timing; pass the result to Done or Fail. On a nil stage it
-// returns the zero time without reading the clock.
-func (st *Stage) Start() time.Time {
+// Name returns the stage's full dotted name ("" on nil).
+func (st *Stage) Name() string {
 	if st == nil {
-		return time.Time{}
+		return ""
 	}
-	return time.Now()
+	return st.name
 }
 
-// Done records a successful pass: duration since start plus n payload
-// bytes (pass 0 when byte throughput is meaningless for the stage).
-func (st *Stage) Done(start time.Time, n int) {
+// Pass is one timed run of a stage, opened by Stage.Start and closed by
+// End. The zero Pass records nothing.
+type Pass struct {
+	st *Stage
+	t0 time.Time
+}
+
+// Start opens a pass. Without metrics it returns the zero Pass without
+// reading the clock.
+func (st *Stage) Start() Pass {
+	if st == nil || st.seconds == nil {
+		return Pass{}
+	}
+	return Pass{st: st, t0: time.Now()}
+}
+
+// End closes the pass: its duration and one call always count; a nil err
+// adds n payload bytes (pass 0 when byte throughput is meaningless for the
+// stage), a non-nil err counts one error instead.
+func (p Pass) End(n int, err error) {
+	st := p.st
 	if st == nil {
 		return
 	}
-	st.seconds.ObserveDuration(time.Since(start))
+	st.seconds.ObserveDuration(time.Since(p.t0))
 	st.calls.Inc()
-	if n > 0 {
+	if err != nil {
+		st.errors.Inc()
+	} else if n > 0 {
 		st.bytes.Add(uint64(n))
 	}
-}
-
-// Fail records a failed pass; the duration still counts.
-func (st *Stage) Fail(start time.Time) {
-	if st == nil {
-		return
-	}
-	st.seconds.ObserveDuration(time.Since(start))
-	st.calls.Inc()
-	st.errors.Inc()
-}
-
-// Calls returns the stage's invocation count (0 on nil).
-func (st *Stage) Calls() uint64 {
-	if st == nil {
-		return 0
-	}
-	return st.calls.Value()
-}
-
-// Seconds returns the stage's duration histogram (nil on nil).
-func (st *Stage) Seconds() *Histogram {
-	if st == nil {
-		return nil
-	}
-	return st.seconds
 }

@@ -89,9 +89,9 @@ func TestWriteChromeTraceIsLoadableJSON(t *testing.T) {
 	f := tr.Start("decode")
 	f.Enqueued()
 	f.Dequeued(1)
-	m := f.Begin("rx.viterbi")
+	m := f.Begin(rxViterbi)
 	time.Sleep(time.Millisecond)
-	m.End()
+	m.End(0, nil)
 	f.Finish(nil)
 
 	var buf bytes.Buffer
@@ -121,7 +121,7 @@ func TestWriteChromeTraceIsLoadableJSON(t *testing.T) {
 		}
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"decode", "queue_wait", "rx.viterbi"} {
+	for _, want := range []string{"decode", "queue_wait", "wifi.rx.viterbi"} {
 		if !names[want] {
 			t.Errorf("chrome export missing %q event (have %v)", want, names)
 		}
@@ -175,7 +175,7 @@ func TestHandlerServesJSONAndChrome(t *testing.T) {
 func TestDumpToFileRoundTrips(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	f := tr.Start("decode")
-	f.Begin("rx.descramble").End()
+	f.Begin(stage("wifi.rx", "descramble")).End(0, nil)
 	f.Finish(errors.New("timeout"))
 	path := t.TempDir() + "/dump.json"
 	if err := tr.DumpToFile(path, "test_dump"); err != nil {
@@ -185,7 +185,7 @@ func TestDumpToFileRoundTrips(t *testing.T) {
 	if d.Reason != "test_dump" || d.Total != 1 || len(d.Frames) != 1 {
 		t.Fatalf("dump = %+v, want one recorded frame", d)
 	}
-	if len(d.Frames[0].Spans) != 1 || d.Frames[0].Spans[0].Name != "rx.descramble" {
+	if len(d.Frames[0].Spans) != 1 || d.Frames[0].Spans[0].Name != "wifi.rx.descramble" {
 		t.Fatalf("dump spans = %+v", d.Frames[0].Spans)
 	}
 }

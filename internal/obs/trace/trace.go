@@ -9,9 +9,10 @@
 // in Perfetto).
 //
 // Like the metrics registry, everything is nil-safe: with no Tracer
-// installed, Start returns a nil *Frame whose methods are no-ops that
-// never touch the clock, so the disabled hot path costs one nil check per
-// instrumentation point and zero allocations.
+// installed, Start returns a nil *Frame whose methods touch no span, and
+// Begin/End then only feed the stage's metrics (nothing, and no clock
+// read, when no registry is installed either), so the disabled hot path
+// costs a nil check per instrumentation point and zero allocations.
 package trace
 
 import (
@@ -226,27 +227,31 @@ func (f *Frame) Dequeued(worker int) {
 	f.mu.Unlock()
 }
 
-// Mark is an open span occurrence returned by Begin; close it with End.
-// The zero Mark (from a nil frame) is a no-op.
+// Mark is an open stage occurrence returned by Begin: the stage's metric
+// pass plus, on a traced frame, its span. Close it with End. The zero
+// Mark is a no-op.
 type Mark struct {
+	p   obs.Pass
 	f   *Frame
 	idx int32
 	t0  int64
 }
 
-// Begin opens (or re-opens, accumulating) the named span. Span names must
-// be compile-time constants in lowercase dotted form — the spanlit
-// analyzer enforces the same discipline as metric names. On a nil frame
-// Begin returns the zero Mark without reading the clock.
-func (f *Frame) Begin(name string) Mark {
+// Begin opens one pass of the stage and (re-)opens its span, named after
+// the stage, accumulating across occurrences. On a nil frame only the
+// stage pass opens; with metrics off as well, Begin returns the zero Mark
+// without reading the clock.
+func (f *Frame) Begin(st *obs.Stage) Mark {
+	p := st.Start()
 	if f == nil {
-		return Mark{}
+		return Mark{p: p}
 	}
+	name := st.Name()
 	n := f.now()
 	f.mu.Lock()
 	if f.done {
 		f.mu.Unlock()
-		return Mark{}
+		return Mark{p: p}
 	}
 	idx := -1
 	for i := 0; i < f.nspans; i++ {
@@ -258,28 +263,30 @@ func (f *Frame) Begin(name string) Mark {
 	if idx < 0 {
 		if f.nspans == maxFrameSpans {
 			f.mu.Unlock()
-			return Mark{}
+			return Mark{p: p}
 		}
 		idx = f.nspans
 		f.spans[idx] = Span{Name: name, StartNS: n}
 		f.nspans++
 	}
 	f.mu.Unlock()
-	return Mark{f: f, idx: int32(idx), t0: n}
+	return Mark{p: p, f: f, idx: int32(idx), t0: n}
 }
 
-// End closes the span occurrence, accumulating its duration. Safe after
-// the frame finished (the write is dropped).
-func (m Mark) End() {
+// End closes the stage pass (n payload bytes on success, one error when
+// err is non-nil; see obs.Pass.End) and the span occurrence, accumulating
+// its duration. Safe after the frame finished (the span write is dropped).
+func (m Mark) End(n int, err error) {
+	m.p.End(n, err)
 	if m.f == nil {
 		return
 	}
-	n := m.f.now()
+	now := m.f.now()
 	m.f.mu.Lock()
 	if !m.f.done && int(m.idx) < m.f.nspans {
 		sp := &m.f.spans[m.idx]
-		sp.DurNS += n - m.t0
-		sp.EndNS = n
+		sp.DurNS += now - m.t0
+		sp.EndNS = now
 		sp.Count++
 	}
 	m.f.mu.Unlock()

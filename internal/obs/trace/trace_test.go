@@ -6,6 +6,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sledzig/internal/obs"
+)
+
+// stage returns a metrics-off stage named prefix.name: the form the
+// pipeline packages build when no registry is installed.
+func stage(prefix, name string) *obs.Stage {
+	var r *obs.Registry
+	return r.Scope(prefix).Stage(name)
+}
+
+var (
+	rxSignal   = stage("wifi.rx", "signal")
+	rxEqualize = stage("wifi.rx", "equalize")
+	rxDemap    = stage("wifi.rx", "demap")
+	rxViterbi  = stage("wifi.rx", "viterbi")
 )
 
 func TestNilTracerAndFrameAreNoOps(t *testing.T) {
@@ -17,8 +33,8 @@ func TestNilTracerAndFrameAreNoOps(t *testing.T) {
 	// Every method on the nil frame must be callable.
 	f.Enqueued()
 	f.Dequeued(3)
-	m := f.Begin("rx.viterbi")
-	m.End()
+	m := f.Begin(rxViterbi)
+	m.End(0, nil)
 	f.Finish(errors.New("boom"))
 	if got := f.TraceID(); got != 0 {
 		t.Fatalf("nil frame TraceID = %d, want 0", got)
@@ -32,6 +48,39 @@ func TestNilTracerAndFrameAreNoOps(t *testing.T) {
 	}
 }
 
+// TestBeginFeedsStageAndSpan checks the one-probe contract: End closes
+// the stage's metric pass and the frame span, named after the stage,
+// together; on an untraced frame the metric pass still records.
+func TestBeginFeedsStageAndSpan(t *testing.T) {
+	reg := obs.New()
+	st := reg.Scope("wifi.rx").Stage("viterbi")
+	tr := New(Config{SampleEvery: 1})
+	f := tr.Start("decode")
+	f.Begin(st).End(100, nil)
+	f.Begin(st).End(7, errors.New("viterbi failed"))
+	f.Finish(nil)
+	var untraced *Frame
+	untraced.Begin(st).End(50, nil)
+
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"wifi.rx.viterbi.calls":  3,
+		"wifi.rx.viterbi.errors": 1,
+		"wifi.rx.viterbi.bytes":  150, // a failed pass adds no bytes
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if h := snap.Histograms["wifi.rx.viterbi.seconds"]; h.Count != 3 {
+		t.Errorf("seconds count %d, want 3", h.Count)
+	}
+	spans := tr.Retained()[0].Spans
+	if len(spans) != 1 || spans[0].Name != "wifi.rx.viterbi" || spans[0].Count != 2 {
+		t.Errorf("spans = %+v, want one wifi.rx.viterbi span of 2 occurrences", spans)
+	}
+}
+
 func TestFrameLifecycleAndHeadSampling(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	f := tr.Start("decode")
@@ -40,8 +89,8 @@ func TestFrameLifecycleAndHeadSampling(t *testing.T) {
 	}
 	f.Enqueued()
 	f.Dequeued(2)
-	m := f.Begin("rx.signal")
-	m.End()
+	m := f.Begin(rxSignal)
+	m.End(0, nil)
 	f.Finish(nil)
 
 	flight := tr.Flight()
@@ -68,8 +117,8 @@ func TestFrameLifecycleAndHeadSampling(t *testing.T) {
 	if s.QueueWaitNS < 0 || s.ServiceNS <= 0 || s.TotalNS < s.ServiceNS {
 		t.Errorf("timing inconsistent: queue=%d service=%d total=%d", s.QueueWaitNS, s.ServiceNS, s.TotalNS)
 	}
-	if len(s.Spans) != 1 || s.Spans[0].Name != "rx.signal" || s.Spans[0].Count != 1 {
-		t.Errorf("spans = %+v, want one rx.signal occurrence", s.Spans)
+	if len(s.Spans) != 1 || s.Spans[0].Name != "wifi.rx.signal" || s.Spans[0].Count != 1 {
+		t.Errorf("spans = %+v, want one wifi.rx.signal occurrence", s.Spans)
 	}
 	if len(s.TraceID) != 16 {
 		t.Errorf("TraceID = %q, want 16 hex chars", s.TraceID)
@@ -111,8 +160,8 @@ func TestSpanAccumulation(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	f := tr.Start("decode")
 	for i := 0; i < 3; i++ {
-		m := f.Begin("rx.equalize")
-		m.End()
+		m := f.Begin(rxEqualize)
+		m.End(0, nil)
 	}
 	f.Finish(nil)
 	s := tr.Retained()[0]
@@ -130,10 +179,10 @@ func TestSpanAccumulation(t *testing.T) {
 func TestLateWritesAfterFinishAreDropped(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	f := tr.Start("decode")
-	m := f.Begin("rx.viterbi")
+	m := f.Begin(rxViterbi)
 	f.Finish(nil)
-	m.End() // abandoned-goroutine write: dropped
-	f.Begin("rx.signal").End()
+	m.End(0, nil) // abandoned-goroutine write: dropped
+	f.Begin(rxSignal).End(0, nil)
 	f.Finish(errors.New("late")) // idempotent: first Finish won
 	if n := len(tr.Flight()); n != 1 {
 		t.Fatalf("flight holds %d, want 1 (Finish must be idempotent)", n)
@@ -151,8 +200,8 @@ func TestSpanCapDropsOverflow(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	f := tr.Start("decode")
 	for i := 0; i < maxFrameSpans+8; i++ {
-		m := f.Begin(fmt.Sprintf("stage.%02d", i)) //nolint — test-only dynamic name
-		m.End()
+		m := f.Begin(stage("stage", fmt.Sprintf("s%02d", i)))
+		m.End(0, nil)
 	}
 	f.Finish(nil)
 	if n := len(tr.Retained()[0].Spans); n != maxFrameSpans {
@@ -194,8 +243,8 @@ func TestConcurrentFramesAndReaders(t *testing.T) {
 				f := tr.Start("decode")
 				f.Enqueued()
 				f.Dequeued(g)
-				m := f.Begin("rx.demap")
-				m.End()
+				m := f.Begin(rxDemap)
+				m.End(0, nil)
 				var err error
 				if i%7 == 0 {
 					err = errors.New("synthetic")

@@ -3,8 +3,9 @@ package wifi
 import "sledzig/internal/obs"
 
 // Metric handles for the PHY chains, resolved lazily against the
-// process-wide obs registry. When no registry is installed every handle
-// is nil and the instrumented call sites reduce to nil checks.
+// process-wide obs registry. When no registry is installed the stages
+// keep their names (for trace spans) but every metric handle is nil, so
+// the instrumented call sites reduce to nil checks.
 type phyMetrics struct {
 	// Tx chain stages.
 	txScramble   *obs.Stage
@@ -16,6 +17,7 @@ type phyMetrics struct {
 	txSymbols    *obs.Counter
 
 	// Rx chain stages (the Tx mirror).
+	rxPreamble    *obs.Stage // STS/LTS scan of the resync rung
 	rxSync        *obs.Stage // channel estimation from the LTS
 	rxSignal      *obs.Stage // SIGNAL symbol decode
 	rxEqualize    *obs.Stage
@@ -41,13 +43,8 @@ type phyMetrics struct {
 
 var phyLazy obs.Lazy[*phyMetrics]
 
-var phyNil = &phyMetrics{}
-
 func phy() *phyMetrics {
 	return phyLazy.Get(func(r *obs.Registry) *phyMetrics {
-		if r == nil {
-			return phyNil
-		}
 		tx := r.Scope("wifi.tx")
 		rx := r.Scope("wifi.rx")
 		return &phyMetrics{
@@ -59,6 +56,7 @@ func phy() *phyMetrics {
 			txFrames:     tx.Counter("frames"),
 			txSymbols:    tx.Counter("symbols"),
 
+			rxPreamble:    rx.Stage("preamble_detect"),
 			rxSync:        rx.Stage("sync"),
 			rxSignal:      rx.Stage("signal"),
 			rxEqualize:    rx.Stage("equalize"),

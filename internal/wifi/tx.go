@@ -30,8 +30,9 @@ type Frame struct {
 	NumSymbols int
 
 	// Trace, when non-nil, receives one child span per synthesis stage
-	// (tx.encode → tx.interleave → tx.map → tx.ifft) when the frame is
-	// rendered. A nil Trace costs one nil check per stage.
+	// (wifi.tx.encode → wifi.tx.interleave → wifi.tx.map → wifi.tx.ifft)
+	// when the frame is rendered. A nil Trace costs one nil check per
+	// stage.
 	Trace *trace.Frame
 }
 
@@ -73,13 +74,12 @@ func (t Transmitter) Frame(psdu []byte) (*Frame, error) {
 	logical := make([]bits.Bit, total) // zeros: SERVICE, tail, pad prefilled
 	copy(logical[serviceBits:], bits.FromBytes(psdu))
 
-	m := phy()
-	t0 := m.txScramble.Start()
+	pass := phy().txScramble.Start()
 	scrambled, err := ScrambleWithSeed(logical, seed)
+	pass.End(len(psdu), err)
 	if err != nil {
 		return nil, err
 	}
-	m.txScramble.Done(t0, len(psdu))
 	// Zero the scrambled tail so the trellis terminates (17.3.5.3).
 	tailStart := serviceBits + 8*len(psdu)
 	for i := tailStart; i < tailStart+tailBits; i++ {
@@ -123,24 +123,24 @@ func (t Transmitter) FrameFromScrambled(scrambled []bits.Bit, signalledLength in
 // NumSymbols slices of 48 points each, in ascending subcarrier order.
 func (f *Frame) DataPoints() ([][]complex128, error) {
 	m := phy()
-	t0 := m.txEncode.Start()
+	mk := f.Trace.Begin(m.txEncode)
 	coded, err := EncodeAndPuncture(f.ScrambledBits, f.Mode.CodeRate)
+	mk.End(len(f.ScrambledBits)/8, err)
 	if err != nil {
 		return nil, err
 	}
-	m.txEncode.Done(t0, len(f.ScrambledBits)/8)
-	t0 = m.txInterleave.Start()
+	mk = f.Trace.Begin(m.txInterleave)
 	inter, err := f.Convention.InterleaveAllC(f.Mode.Modulation, coded)
+	mk.End(len(coded)/8, err)
 	if err != nil {
 		return nil, err
 	}
-	m.txInterleave.Done(t0, len(coded)/8)
-	t0 = m.txMap.Start()
+	mk = f.Trace.Begin(m.txMap)
 	pts, err := f.Convention.MapAllC(f.Mode.Modulation, inter)
+	mk.End(len(inter)/8, err)
 	if err != nil {
 		return nil, err
 	}
-	m.txMap.Done(t0, len(inter)/8)
 	out := make([][]complex128, f.NumSymbols)
 	for s := 0; s < f.NumSymbols; s++ {
 		out[s] = pts[s*NumDataSubcarriers : (s+1)*NumDataSubcarriers]
@@ -177,58 +177,45 @@ func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 		return dst, err
 	}
 	m := phy()
-	t0 := m.txEncode.Start()
-	mk := f.Trace.Begin("tx.encode")
+	mk := f.Trace.Begin(m.txEncode)
 	coded, err := EncodeAndPuncture(f.ScrambledBits, f.Mode.CodeRate)
-	mk.End()
+	mk.End(len(f.ScrambledBits)/8, err)
 	if err != nil {
 		return dst, err
 	}
-	m.txEncode.Done(t0, len(f.ScrambledBits)/8)
 
 	s := txScratchPool.Get().(*txScratch)
 	defer txScratchPool.Put(s)
-	t0 = m.txInterleave.Start()
-	mk = f.Trace.Begin("tx.interleave")
+	mk = f.Trace.Begin(m.txInterleave)
 	s.inter = bits.Grow(s.inter, len(coded))
-	if err := f.Convention.InterleaveAllCInto(f.Mode.Modulation, coded, s.inter); err != nil {
-		mk.End()
+	err = f.Convention.InterleaveAllCInto(f.Mode.Modulation, coded, s.inter)
+	mk.End(len(coded)/8, err)
+	if err != nil {
 		return dst, err
 	}
-	mk.End()
-	m.txInterleave.Done(t0, len(coded)/8)
 
-	t0 = m.txMap.Start()
-	mk = f.Trace.Begin("tx.map")
+	mk = f.Trace.Begin(m.txMap)
 	nPts := len(s.inter) / f.Mode.Modulation.BitsPerSubcarrier()
 	if cap(s.pts) < nPts {
 		s.pts = make([]complex128, nPts)
 	}
 	s.pts = s.pts[:nPts]
-	if err := f.Convention.MapAllCInto(f.Mode.Modulation, s.inter, s.pts); err != nil {
-		mk.End()
+	err = f.Convention.MapAllCInto(f.Mode.Modulation, s.inter, s.pts)
+	mk.End(len(s.inter)/8, err)
+	if err != nil {
 		return dst, err
 	}
-	mk.End()
-	m.txMap.Done(t0, len(s.inter)/8)
 
-	t0 = m.txIFFT.Start()
-	mk = f.Trace.Begin("tx.ifft")
+	mk = f.Trace.Begin(m.txIFFT)
 	dst = AppendPreamble(dst)
 	dst, err = AppendSymbol(dst, sigPts, 0)
+	for sym := 0; err == nil && sym < f.NumSymbols; sym++ {
+		dst, err = AppendSymbol(dst, s.pts[sym*NumDataSubcarriers:(sym+1)*NumDataSubcarriers], sym+1)
+	}
+	mk.End(0, err)
 	if err != nil {
-		mk.End()
 		return dst, err
 	}
-	for sym := 0; sym < f.NumSymbols; sym++ {
-		dst, err = AppendSymbol(dst, s.pts[sym*NumDataSubcarriers:(sym+1)*NumDataSubcarriers], sym+1)
-		if err != nil {
-			mk.End()
-			return dst, err
-		}
-	}
-	mk.End()
-	m.txIFFT.Done(t0, 0)
 	m.txFrames.Inc()
 	m.txSymbols.Add(uint64(1 + f.NumSymbols))
 	return dst, nil
@@ -243,15 +230,15 @@ func (f *Frame) DataWaveform() ([]complex128, error) {
 		return nil, err
 	}
 	m := phy()
-	t0 := m.txIFFT.Start()
+	mk := f.Trace.Begin(m.txIFFT)
 	out := make([]complex128, 0, f.NumSymbols*SymbolLength)
-	for s, pts := range dataPts {
-		out, err = AppendSymbol(out, pts, s+1)
-		if err != nil {
-			return nil, err
-		}
+	for s := 0; err == nil && s < len(dataPts); s++ {
+		out, err = AppendSymbol(out, dataPts[s], s+1)
 	}
-	m.txIFFT.Done(t0, 0)
+	mk.End(0, err)
+	if err != nil {
+		return nil, err
+	}
 	m.txSymbols.Add(uint64(f.NumSymbols))
 	return out, nil
 }

@@ -1,10 +1,12 @@
 package sledzig
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"sledzig/internal/bits"
+	"sledzig/internal/core"
 	"sledzig/internal/obs"
 	"sledzig/internal/wifi"
 )
@@ -19,11 +21,15 @@ func withMetrics(t *testing.T) *Metrics {
 }
 
 // TestRoundTripStageCoverage runs one encode -> waveform -> decode round
-// trip with observability on and asserts that every pipeline stage the
-// instrumentation promises — encoder, Tx PHY, Rx PHY, decoder — recorded
-// at least one call and one duration sample.
+// trip with metrics and tracing on and asserts that every pipeline stage
+// the instrumentation promises — encoder, Tx PHY, Rx PHY, decoder —
+// recorded at least one call and one duration sample, and that spans and
+// stages share one name.
 func TestRoundTripStageCoverage(t *testing.T) {
 	reg := withMetrics(t)
+	tr := NewTracer(TraceConfig{SampleEvery: 1})
+	SetDefaultTracer(tr)
+	t.Cleanup(func() { SetDefaultTracer(nil) })
 
 	enc, err := NewEncoder(Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH2})
 	if err != nil {
@@ -99,6 +105,32 @@ func TestRoundTripStageCoverage(t *testing.T) {
 			t.Errorf("failure counter %s = %d on a clean round trip", name, v)
 		}
 	}
+
+	// One name per stage: every span is a stage whose metrics saw at
+	// least as many passes, and every stage above is a span in a frame
+	// of its kind.
+	kindOf := map[string]string{"core.encode": "encode", "wifi.tx": "waveform", "wifi.rx": "decode", "core.decode": "decode"}
+	spans := map[string]bool{} // "<frame kind>/<span name>"
+	for _, f := range tr.Retained() {
+		for _, sp := range f.Spans {
+			if h := snap.Histograms[sp.Name+".seconds"]; h.Count == 0 {
+				t.Errorf("%s span %s: no %s.seconds samples", f.Kind, sp.Name, sp.Name)
+			}
+			if calls := snap.Counters[sp.Name+".calls"]; calls < uint64(sp.Count) {
+				t.Errorf("%s span %s: %d occurrences but %s.calls = %d", f.Kind, sp.Name, sp.Count, sp.Name, calls)
+			}
+			spans[f.Kind+"/"+sp.Name] = true
+		}
+	}
+	for _, st := range stages {
+		if st == "wifi.tx.scramble" {
+			continue // runs in Transmitter.Frame, which carries no trace
+		}
+		kind := kindOf[st[:strings.LastIndex(st, ".")]]
+		if !spans[kind+"/"+st] {
+			t.Errorf("stage %s: no span in a %q frame", st, kind)
+		}
+	}
 }
 
 // TestDecodeFailureTaxonomy forces each receive/decode failure class
@@ -135,11 +167,15 @@ func TestDecodeFailureTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// stage names the pipeline stage whose .errors counter must read 1
+	// (every other stage's at 0); "" when the failure precedes or falls
+	// between stages.
 	cases := []struct {
 		name    string
 		mangle  func() []complex128
 		counter string
 		event   string
+		stage   string
 	}{
 		{
 			name:    "short waveform",
@@ -156,6 +192,7 @@ func TestDecodeFailureTaxonomy(t *testing.T) {
 			},
 			counter: "wifi.rx.fail.channel_estimate",
 			event:   "decode_fail.channel_estimate",
+			stage:   "wifi.rx.sync",
 		},
 		{
 			name: "invalid SIGNAL field",
@@ -187,6 +224,7 @@ func TestDecodeFailureTaxonomy(t *testing.T) {
 			},
 			counter: "wifi.rx.fail.signal",
 			event:   "decode_fail.signal",
+			stage:   "wifi.rx.signal",
 		},
 		{
 			name: "truncated DATA field",
@@ -203,6 +241,7 @@ func TestDecodeFailureTaxonomy(t *testing.T) {
 			mangle:  func() []complex128 { return normalWave },
 			counter: "core.decode.fail.detect",
 			event:   "decode_fail.detect",
+			stage:   "core.decode.detect",
 		},
 	}
 
@@ -229,6 +268,17 @@ func TestDecodeFailureTaxonomy(t *testing.T) {
 					t.Errorf("unrelated failure counter %s = %d", name, v)
 				}
 			}
+			// Exactly the failing stage counted an error.
+			if tc.stage != "" {
+				if got := snap.Counters[tc.stage+".errors"]; got != 1 {
+					t.Errorf("stage %s.errors = %d, want 1", tc.stage, got)
+				}
+			}
+			for name, v := range snap.Counters {
+				if strings.HasSuffix(name, ".errors") && name != tc.stage+".errors" && v != 0 {
+					t.Errorf("unrelated stage counter %s = %d", name, v)
+				}
+			}
 			// The event bus saw the same class.
 			found := false
 			for _, ev := range ring.Events() {
@@ -240,6 +290,25 @@ func TestDecodeFailureTaxonomy(t *testing.T) {
 				t.Errorf("no %q event on the bus; got %+v", tc.event, ring.Events())
 			}
 		})
+	}
+}
+
+// TestStripFailureCounted drives core.Decoder.Decode with a DATA field
+// that is not a whole number of symbols: the strip stage closes through a
+// deferred call over named results, and must still count the error.
+func TestStripFailureCounted(t *testing.T) {
+	reg := withMetrics(t)
+	mode := wifi.Mode{Modulation: QAM64, CodeRate: Rate34}
+	rx := &wifi.RxResult{Mode: mode, DataBits: make([]bits.Bit, mode.DataBitsPerSymbol()+1)}
+	if _, err := (core.Decoder{}).Decode(rx, core.CH2); !errors.Is(err, core.ErrExtraBitLayout) {
+		t.Fatalf("Decode of %d bits: %v, want ErrExtraBitLayout", len(rx.DataBits), err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["core.decode.strip.errors"]; got != 1 {
+		t.Errorf("core.decode.strip.errors = %d, want 1", got)
+	}
+	if got := snap.Counters["core.decode.strip.calls"]; got != 1 {
+		t.Errorf("core.decode.strip.calls = %d, want 1", got)
 	}
 }
 
