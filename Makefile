@@ -97,7 +97,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeWaveform$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzSignalField$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzParseMACFrame$$' -fuzztime $(FUZZTIME) ./internal/wifi
+	go test -run '^$$' -fuzz '^FuzzParsePPDU$$' -fuzztime $(FUZZTIME) ./internal/zigbee
 	go test -run '^$$' -fuzz '^FuzzParseSignalField$$' -fuzztime $(FUZZTIME) ./internal/wifi
 	go test -run '^$$' -fuzz '^FuzzViterbiDecode$$' -fuzztime $(FUZZTIME) ./internal/wifi
 	go test -run '^$$' -fuzz '^FuzzDemap64RoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wifi

@@ -494,7 +494,10 @@ func BenchmarkDepunctureInto(b *testing.B) {
 // BenchmarkFFTPlanForward64 exercises the cached 64-point plan — the inner
 // loop of every OFDM symbol — which must not allocate.
 func BenchmarkFFTPlanForward64(b *testing.B) {
-	plan := dsp.MustPlan(64)
+	plan, err := dsp.PlanFor(64)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	x := make([]complex128, 64)
 	for i := range x {

@@ -96,17 +96,6 @@ func ToBytesInto(dst []byte, b []Bit) error {
 	return nil
 }
 
-// MustToBytes is ToBytes for inputs known to be valid; it panics on error.
-// Intended for tests and internal call sites that construct the slice
-// themselves.
-func MustToBytes(b []Bit) []byte {
-	out, err := ToBytes(b)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // FromUint extracts the n low-order bits of v, MSB first. This matches the
 // 802.11 SIGNAL-field and chip-sequence tabulations, which write bit strings
 // most-significant first.

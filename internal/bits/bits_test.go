@@ -137,15 +137,6 @@ func TestCloneNil(t *testing.T) {
 	}
 }
 
-func TestMustToBytesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustToBytes did not panic on bad input")
-		}
-	}()
-	MustToBytes([]Bit{1, 0, 1})
-}
-
 func TestStringRendering(t *testing.T) {
 	if s := String([]Bit{1, 0, 1, 1}); s != "1011" {
 		t.Fatalf("String = %q", s)

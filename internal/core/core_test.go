@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,20 +85,17 @@ func TestTableIISignificantPositions(t *testing.T) {
 	}
 }
 
-// TestTableIIAlgorithmOnePositions checks that the planner picks the
-// paper's Algorithm 1 extra-bit slots for Table II's symbol: twins solve
-// through inputs n-1 and n-5, singles through n.
+// TestTableIIAlgorithmOnePositions checks that the planner the encoder
+// runs picks the paper's Algorithm 1 extra-bit slots for Table II's
+// symbol: twins solve through inputs n-1 and n-5, singles through n.
 func TestTableIIAlgorithmOnePositions(t *testing.T) {
 	mode := wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}
-	cs, err := SymbolConstraints(wifi.ConventionPaper, mode, CH2.DataSubcarriers())
+	plan, err := NewPlan(wifi.ConventionPaper, mode, CH2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := GroupConstraints(cs, true)
+	layout, err := plan.FrameLayout(1)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateSteps(steps, true); err != nil {
 		t.Fatal(err)
 	}
 	// 1-based steps 15,21,39,45 are twins; extras at n-1 and n-5.
@@ -105,19 +103,36 @@ func TestTableIIAlgorithmOnePositions(t *testing.T) {
 		14: {13, 9}, 20: {19, 15}, 38: {37, 33}, 44: {43, 39},
 		62: {62}, 68: {68}, 85: {85}, 86: {86}, 91: {91}, 92: {92},
 	}
-	if len(steps) != len(wantExtras) {
-		t.Fatalf("%d constrained steps, want %d", len(steps), len(wantExtras))
+	if len(layout.Positions) != 14 || len(layout.Clusters) != 4 {
+		t.Fatalf("%d extra bits in %d clusters, want 14 in 4", len(layout.Positions), len(layout.Clusters))
 	}
-	for _, s := range steps {
-		want := wantExtras[s.Step]
-		if len(want) != len(s.ExtraOffsets) {
-			t.Fatalf("step %d: extras %v, want %v", s.Step, s.ExtraOffsets, want)
-		}
-		for i := range want {
-			if s.ExtraOffsets[i] != want[i] {
-				t.Fatalf("step %d: extras %v, want %v", s.Step, s.ExtraOffsets, want)
+	clusterOf := make(map[int]int)
+	for ci, c := range layout.Clusters {
+		var want []int
+		for _, eq := range c.Equations {
+			step := eq.Step()
+			if owner, ok := clusterOf[step]; ok {
+				if owner != ci {
+					t.Fatalf("step %d split across clusters %d and %d", step, owner, ci)
+				}
+				continue
 			}
+			extras, ok := wantExtras[step]
+			if !ok {
+				t.Fatalf("cluster %d: step %d is not a Table II step", ci, step)
+			}
+			clusterOf[step] = ci
+			want = append(want, extras...)
 		}
+		slices.Sort(want)
+		got := slices.Clone(c.Positions)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("cluster %d: extra bits %v, want Algorithm 1 slots %v", ci, got, want)
+		}
+	}
+	if len(clusterOf) != len(wantExtras) {
+		t.Fatalf("%d constrained steps, want %d", len(clusterOf), len(wantExtras))
 	}
 }
 

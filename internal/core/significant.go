@@ -69,188 +69,7 @@ func SymbolConstraints(conv wifi.Convention, mode wifi.Mode, dataSubcarriers []i
 	return out, nil
 }
 
-// StepKind classifies how a constrained encoder step is satisfied.
-type StepKind int
-
-// Single steps pin one of the step's two coded bits and solve for the
-// step's own input bit; Twin steps pin both coded bits and solve for the
-// input bits at offsets -1 and -5 (paper section IV-D).
-const (
-	Single StepKind = iota + 1
-	Twin
-)
-
-// ConstrainedStep groups the constraints landing on one encoder step.
-type ConstrainedStep struct {
-	Step int // 0-based encoder input index within the symbol
-	Kind StepKind
-	// Y0 and Y1 hold the pinned values of the g0/g1 outputs; for Single
-	// exactly one of HasY0/HasY1 is set.
-	Y0, Y1       bits.Bit
-	HasY0, HasY1 bool
-	// ExtraOffsets are the input-bit indices (within the symbol, may be
-	// negative for steps near the start, meaning they fall in the previous
-	// symbol's input range) that the solver controls for this step.
-	ExtraOffsets []int
-}
-
-// twinDelayPreference orders the shift-register delays a twin may solve
-// through. The paper's choice {1, 5} comes first so the standard case
-// reproduces Algorithm 1 exactly; the remaining delays are fallbacks for
-// the rare QAM-256 configurations where {n-1, n-5} collides with another
-// constraint's extra bit. Delay 4 is absent from both generators and can
-// never be solved through.
-var twinDelayPreference = []int{1, 5, 0, 2, 3, 6}
-
 // generatorCoeff returns the (g0, g1) tap coefficients at a delay.
 func generatorCoeff(delay int) (g0, g1 bits.Bit) {
 	return bits.Bit((wifi.G0Mask >> delay) & 1), bits.Bit((wifi.G1Mask >> delay) & 1)
-}
-
-// solvableTwinPair reports whether the 2x2 GF(2) system over delays
-// (da, db) is invertible.
-func solvableTwinPair(da, db int) bool {
-	a0, a1 := generatorCoeff(da)
-	b0, b1 := generatorCoeff(db)
-	return (a0&b1)^(b0&a1) == 1
-}
-
-// GroupConstraints converts a sorted constraint list into constrained
-// steps and assigns each its extra-bit positions: singles solve through
-// the step's own input bit; twins solve through two window bits, the
-// paper's {step-1, step-5} when free, otherwise the first collision-free
-// solvable pair. firstSymbol forbids positions before the frame start.
-func GroupConstraints(constraints []Constraint, firstSymbol bool) ([]ConstrainedStep, error) {
-	var out []ConstrainedStep
-	constrainedSteps := make(map[int]bool)
-	for _, c := range constraints {
-		constrainedSteps[c.Step()] = true
-	}
-	used := make(map[int]bool)
-
-	// hazardFree reports whether position p, determined at step owner, is
-	// safe: it must not feed the encoder window of any constrained step
-	// earlier than owner (those outputs would already have been fixed
-	// using a stale value).
-	hazardFree := func(p, owner int) bool {
-		if used[p] {
-			return false
-		}
-		if firstSymbol && p < 0 {
-			return false
-		}
-		for n := p; n < p+wifi.ConstraintLength; n++ {
-			if n < owner && constrainedSteps[n] {
-				return false
-			}
-		}
-		return true
-	}
-
-	for i := 0; i < len(constraints); {
-		c := constraints[i]
-		step := c.Step()
-		cs := ConstrainedStep{Step: step}
-		if c.MotherIndex%2 == 0 {
-			cs.Y0, cs.HasY0 = c.Value, true
-		} else {
-			cs.Y1, cs.HasY1 = c.Value, true
-		}
-		i++
-		if i < len(constraints) && constraints[i].Step() == step {
-			c2 := constraints[i]
-			if c2.MotherIndex%2 == 0 {
-				cs.Y0, cs.HasY0 = c2.Value, true
-			} else {
-				cs.Y1, cs.HasY1 = c2.Value, true
-			}
-			i++
-		}
-		if cs.HasY0 && cs.HasY1 {
-			cs.Kind = Twin
-			found := false
-			for ai := 0; ai < len(twinDelayPreference) && !found; ai++ {
-				for bi := ai + 1; bi < len(twinDelayPreference) && !found; bi++ {
-					da, db := twinDelayPreference[ai], twinDelayPreference[bi]
-					if !solvableTwinPair(da, db) {
-						continue
-					}
-					pa, pb := step-da, step-db
-					if pa != pb && hazardFree(pa, step) && hazardFree(pb, step) {
-						cs.ExtraOffsets = []int{pa, pb}
-						found = true
-					}
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("core: no solvable extra-bit pair for twin at step %d", step)
-			}
-		} else {
-			cs.Kind = Single
-			if !hazardFree(step, step) {
-				return nil, fmt.Errorf("core: single constraint at step %d cannot claim its own input bit", step)
-			}
-			cs.ExtraOffsets = []int{step}
-		}
-		for _, p := range cs.ExtraOffsets {
-			used[p] = true
-		}
-		out = append(out, cs)
-	}
-	return out, nil
-}
-
-// ValidateSteps independently re-checks the solvability invariants of a
-// planned step list (GroupConstraints enforces them during planning; this
-// is the belt-and-braces verifier used by tests and by Plan construction):
-//
-//   - extra-bit positions never collide,
-//   - every extra position lies inside its own step's encoder window,
-//   - twins solve through an invertible coefficient pair,
-//   - a position determined at step m never feeds the window of an
-//     earlier constrained step (one-pass forward solvability),
-//   - with firstSymbol set, no position precedes the frame start.
-func ValidateSteps(steps []ConstrainedStep, firstSymbol bool) error {
-	owner := make(map[int]int)
-	constrained := make(map[int]bool, len(steps))
-	for _, s := range steps {
-		constrained[s.Step] = true
-	}
-	for _, s := range steps {
-		for _, off := range s.ExtraOffsets {
-			if firstSymbol && off < 0 {
-				return fmt.Errorf("core: extra bit at input %d precedes the frame start", off)
-			}
-			if _, dup := owner[off]; dup {
-				return fmt.Errorf("core: extra-bit position %d assigned twice", off)
-			}
-			if off < s.Step-(wifi.ConstraintLength-1) || off > s.Step {
-				return fmt.Errorf("core: extra bit %d outside window of step %d", off, s.Step)
-			}
-			owner[off] = s.Step
-		}
-		switch s.Kind {
-		case Single:
-			if len(s.ExtraOffsets) != 1 {
-				return fmt.Errorf("core: single step %d has %d extra bits", s.Step, len(s.ExtraOffsets))
-			}
-		case Twin:
-			if len(s.ExtraOffsets) != 2 {
-				return fmt.Errorf("core: twin step %d has %d extra bits", s.Step, len(s.ExtraOffsets))
-			}
-			if !solvableTwinPair(s.Step-s.ExtraOffsets[0], s.Step-s.ExtraOffsets[1]) {
-				return fmt.Errorf("core: twin step %d uses a singular coefficient pair", s.Step)
-			}
-		default:
-			return fmt.Errorf("core: step %d has unknown kind %d", s.Step, s.Kind)
-		}
-	}
-	for _, s := range steps {
-		for off := s.Step - (wifi.ConstraintLength - 1); off <= s.Step; off++ {
-			if own, ok := owner[off]; ok && own > s.Step {
-				return fmt.Errorf("core: step %d reads input %d that step %d determines later", s.Step, off, own)
-			}
-		}
-	}
-	return nil
 }

@@ -160,32 +160,6 @@ func TestFrequencyShiftMovesTone(t *testing.T) {
 	}
 }
 
-func TestUpsampleDownsample(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	up, err := Upsample(x, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(up) != 16 {
-		t.Fatalf("upsampled length %d", len(up))
-	}
-	down, err := Downsample(up, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(down[i]-x[i]) > 1e-12 {
-			t.Fatalf("downsample[%d] = %v, want %v", i, down[i], x[i])
-		}
-	}
-	if _, err := Upsample(x, 0); err == nil {
-		t.Error("factor 0 accepted")
-	}
-	if _, err := Downsample(x, 2, 3); err == nil {
-		t.Error("offset >= factor accepted")
-	}
-}
-
 func TestMixIntoRespectsBounds(t *testing.T) {
 	dst := make([]complex128, 4)
 	src := []complex128{1, 1, 1, 1}

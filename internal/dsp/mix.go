@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // FrequencyShift returns a copy of x multiplied by exp(j*2*pi*offset*t),
 // moving its spectral content up by offset Hz at the given sample rate.
@@ -15,49 +12,6 @@ func FrequencyShift(x []complex128, sampleRate, offset float64) []complex128 {
 		out[i] = v * complex(math.Cos(phase), math.Sin(phase))
 	}
 	return out
-}
-
-// Upsample inserts factor-1 interpolated samples between the samples of x
-// using linear interpolation. Linear interpolation is adequate here because
-// the upsampled signals (2 Mchip/s ZigBee into a 20 MS/s bus) are heavily
-// oversampled relative to their bandwidth.
-func Upsample(x []complex128, factor int) ([]complex128, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("dsp: upsample factor %d < 1", factor)
-	}
-	if factor == 1 || len(x) == 0 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out, nil
-	}
-	out := make([]complex128, 0, len(x)*factor)
-	for i := 0; i < len(x); i++ {
-		cur := x[i]
-		next := cur
-		if i+1 < len(x) {
-			next = x[i+1]
-		}
-		for k := 0; k < factor; k++ {
-			t := complex(float64(k)/float64(factor), 0)
-			out = append(out, cur+(next-cur)*t)
-		}
-	}
-	return out, nil
-}
-
-// Downsample keeps every factor-th sample of x starting at offset.
-func Downsample(x []complex128, factor, offset int) ([]complex128, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("dsp: downsample factor %d < 1", factor)
-	}
-	if offset < 0 || (offset >= factor && factor > 1) {
-		return nil, fmt.Errorf("dsp: downsample offset %d out of range [0,%d)", offset, factor)
-	}
-	out := make([]complex128, 0, (len(x)+factor-1)/factor)
-	for i := offset; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out, nil
 }
 
 // MixInto adds src (scaled by gain, delayed by delay samples) into dst in

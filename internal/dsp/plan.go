@@ -46,15 +46,6 @@ func PlanFor(n int) (*Plan, error) {
 	return e.plan, e.err
 }
 
-// MustPlan is PlanFor for sizes known to be powers of two.
-func MustPlan(n int) *Plan {
-	p, err := PlanFor(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // PlanCacheLen reports how many FFT sizes the process-wide plan cache
 // holds — an observability and test hook, not a capacity control (the
 // sizes in use are few and bounded).

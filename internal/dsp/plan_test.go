@@ -37,11 +37,21 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return x
 }
 
+// mustPlan returns the shared plan for size n, failing the test on error.
+func mustPlan(t *testing.T, n int) *Plan {
+	t.Helper()
+	p, err := PlanFor(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestPlanMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 128, 256} {
 		x := randComplex(rng, n)
-		p := MustPlan(n)
+		p := mustPlan(t, n)
 		fwd := make([]complex128, n)
 		if err := p.Forward(fwd, x); err != nil {
 			t.Fatal(err)
@@ -94,7 +104,7 @@ func TestPlanRejectsBadSizes(t *testing.T) {
 			t.Fatalf("PlanFor(%d) accepted", n)
 		}
 	}
-	p := MustPlan(64)
+	p := mustPlan(t, 64)
 	if err := p.Forward(make([]complex128, 32), make([]complex128, 64)); err == nil {
 		t.Fatal("short destination accepted")
 	}
@@ -104,8 +114,8 @@ func TestPlanRejectsBadSizes(t *testing.T) {
 }
 
 func TestPlanCacheSharesInstances(t *testing.T) {
-	a := MustPlan(512)
-	b := MustPlan(512)
+	a := mustPlan(t, 512)
+	b := mustPlan(t, 512)
 	if a != b {
 		t.Fatal("PlanFor(512) returned distinct instances")
 	}
@@ -115,7 +125,7 @@ func TestPlanCacheSharesInstances(t *testing.T) {
 }
 
 func TestPlanTransformsDoNotAllocate(t *testing.T) {
-	p := MustPlan(64)
+	p := mustPlan(t, 64)
 	x := randComplex(rand.New(rand.NewSource(9)), 64)
 	dst := make([]complex128, 64)
 	if n := testing.AllocsPerRun(100, func() {

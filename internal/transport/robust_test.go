@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"context"
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -171,112 +169,5 @@ func TestFeedErrorsAreTyped(t *testing.T) {
 	}
 	if !errors.Is(lastErr, ErrChecksum) {
 		t.Fatalf("corrupted payload: %v", lastErr)
-	}
-}
-
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	var sleeps []time.Duration
-	p := RetryPolicy{
-		Attempts: 5,
-		Rng:      rand.New(rand.NewSource(7)),
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			sleeps = append(sleeps, d)
-			return nil
-		},
-	}
-	calls := 0
-	err := p.Do(context.Background(), func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	if len(sleeps) != 2 {
-		t.Fatalf("sleeps = %d, want 2", len(sleeps))
-	}
-	// Backoff grows (jitter is at most half the doubled delay, so the
-	// second wait always exceeds half the first base step).
-	if sleeps[1] <= sleeps[0]/2 {
-		t.Fatalf("backoff not growing: %v then %v", sleeps[0], sleeps[1])
-	}
-}
-
-func TestRetryExhaustionKeepsCause(t *testing.T) {
-	cause := errors.New("decode failed")
-	p := RetryPolicy{
-		Attempts: 3,
-		Sleep:    func(context.Context, time.Duration) error { return nil },
-	}
-	calls := 0
-	err := p.Do(context.Background(), func() error { calls++; return cause })
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	if !errors.Is(err, cause) {
-		t.Fatalf("exhaustion error lost its cause: %v", err)
-	}
-}
-
-func TestRetryNonRetryableStopsImmediately(t *testing.T) {
-	fatal := errors.New("bad layout")
-	p := RetryPolicy{
-		Attempts:  5,
-		Retryable: func(err error) bool { return !errors.Is(err, fatal) },
-		Sleep:     func(context.Context, time.Duration) error { return nil },
-	}
-	calls := 0
-	err := p.Do(context.Background(), func() error { calls++; return fatal })
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-	if !errors.Is(err, fatal) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestRetryHonoursCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := RetryPolicy{Attempts: 100}
-	calls := 0
-	err := p.Do(ctx, func() error {
-		calls++
-		if calls == 2 {
-			cancel()
-		}
-		return errors.New("keep trying")
-	})
-	if calls > 3 {
-		t.Fatalf("retried %d times after cancellation", calls)
-	}
-	if err == nil {
-		t.Fatal("cancelled retry returned nil")
-	}
-}
-
-func TestRetryJitterIsBounded(t *testing.T) {
-	p := RetryPolicy{
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  time.Second,
-		Jitter:    0.5,
-		Rng:       rand.New(rand.NewSource(9)),
-	}
-	for attempt := 0; attempt < 8; attempt++ {
-		want := 100 * time.Millisecond << uint(attempt)
-		if want > time.Second {
-			want = time.Second
-		}
-		for trial := 0; trial < 50; trial++ {
-			d := p.delay(attempt)
-			if d < want/2 || d > want {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, want/2, want)
-			}
-		}
 	}
 }

@@ -37,8 +37,6 @@ type transportMetrics struct {
 	failChecksum      *obs.Counter
 	evictedAge        *obs.Counter
 	evictedOverflow   *obs.Counter
-	retries           *obs.Counter
-	retryGiveups      *obs.Counter
 }
 
 var transportLazy obs.Lazy[*transportMetrics]
@@ -61,8 +59,6 @@ func metrics() *transportMetrics {
 			failChecksum:      s.Counter("fail.checksum"),
 			evictedAge:        s.Counter("evicted.age"),
 			evictedOverflow:   s.Counter("evicted.overflow"),
-			retries:           s.Counter("retry.attempts"),
-			retryGiveups:      s.Counter("retry.giveups"),
 		}
 	})
 }

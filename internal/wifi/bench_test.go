@@ -42,7 +42,7 @@ func BenchmarkViterbiSoft(b *testing.B) {
 	b.SetBytes(1000 / 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ViterbiDecodeSoft(llrs, false); err != nil {
+		if _, err := ViterbiDecodeSoftInto(nil, llrs, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,9 +68,10 @@ func BenchmarkSoftDemapQAM256(b *testing.B) {
 	for i := range pts {
 		pts[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
+	llrs := make([]float64, len(pts)*QAM256.BitsPerSubcarrier())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ConventionIEEE.SoftDemapAll(QAM256, pts); err != nil {
+		if err := ConventionIEEE.SoftDemapAllInto(llrs, QAM256, pts); err != nil {
 			b.Fatal(err)
 		}
 	}

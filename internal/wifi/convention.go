@@ -59,20 +59,8 @@ func (c Convention) DeinterleaveIndexC(m Modulation, j int) int {
 	return DeinterleaveIndex(m, j)
 }
 
-// InterleaveC permutes one OFDM symbol of coded bits under the convention.
-func (c Convention) InterleaveC(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in) != nCBPS {
-		return nil, fmt.Errorf("wifi: interleave input length %d != N_CBPS %d for %v", len(in), nCBPS, m)
-	}
-	out := make([]bits.Bit, nCBPS)
-	for k, b := range in {
-		out[c.InterleaveIndexC(m, k)] = b
-	}
-	return out, nil
-}
-
-// DeinterleaveC inverts InterleaveC.
+// DeinterleaveC inverts the convention's interleaver on one OFDM symbol
+// of coded bits.
 func (c Convention) DeinterleaveC(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
 	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
 	if len(in) != nCBPS {
@@ -285,21 +273,4 @@ func (c Convention) InterleaveAllCInto(m Modulation, in, dst []bits.Bit) error {
 		}
 	}
 	return nil
-}
-
-// DeinterleaveAllC inverts InterleaveAllC.
-func (c Convention) DeinterleaveAllC(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in)%nCBPS != 0 {
-		return nil, fmt.Errorf("wifi: coded stream length %d not a multiple of N_CBPS %d", len(in), nCBPS)
-	}
-	out := make([]bits.Bit, 0, len(in))
-	for off := 0; off < len(in); off += nCBPS {
-		sym, err := c.DeinterleaveC(m, in[off:off+nCBPS])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sym...)
-	}
-	return out, nil
 }

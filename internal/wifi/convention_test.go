@@ -56,6 +56,9 @@ func TestConventionConstellationsSharePoints(t *testing.T) {
 	}
 }
 
+// TestConventionInterleaveRoundTrip checks, over random symbols, that
+// the pooled transmit interleaver InterleaveAllCInto on one OFDM symbol
+// is undone by the DeinterleaveC oracle under both conventions.
 func TestConventionInterleaveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
@@ -64,8 +67,8 @@ func TestConventionInterleaveRoundTrip(t *testing.T) {
 			for _, m := range []Modulation{QAM16, QAM64, QAM256} {
 				n := NumDataSubcarriers * m.BitsPerSubcarrier()
 				data := bits.Random(lr, n)
-				inter, err := conv.InterleaveC(m, data)
-				if err != nil {
+				inter := make([]bits.Bit, n)
+				if err := conv.InterleaveAllCInto(m, data, inter); err != nil {
 					return false
 				}
 				back, err := conv.DeinterleaveC(m, inter)

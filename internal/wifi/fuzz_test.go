@@ -2,18 +2,6 @@ package wifi
 
 import "testing"
 
-func FuzzParseMACFrame(f *testing.F) {
-	good, _ := (&MACFrame{Sequence: 1, Payload: []byte("x")}).Marshal()
-	f.Add(good)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, err := ParseMACFrame(data)
-		if err == nil && len(frame.Payload) == 0 {
-			t.Fatal("accepted MPDU without payload")
-		}
-	})
-}
-
 func FuzzParseSignalField(f *testing.F) {
 	good, _ := SignalField(Mode{QAM16, Rate12}, 100)
 	f.Add([]byte(good))

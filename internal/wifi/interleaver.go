@@ -63,38 +63,3 @@ func Deinterleave(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
 	}
 	return out, nil
 }
-
-// InterleaveAll applies the per-symbol interleaver across a multi-symbol
-// coded stream whose length must be a multiple of N_CBPS.
-func InterleaveAll(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in)%nCBPS != 0 {
-		return nil, fmt.Errorf("wifi: coded stream length %d not a multiple of N_CBPS %d", len(in), nCBPS)
-	}
-	out := make([]bits.Bit, 0, len(in))
-	for off := 0; off < len(in); off += nCBPS {
-		sym, err := Interleave(m, in[off:off+nCBPS])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sym...)
-	}
-	return out, nil
-}
-
-// DeinterleaveAll inverts InterleaveAll.
-func DeinterleaveAll(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in)%nCBPS != 0 {
-		return nil, fmt.Errorf("wifi: coded stream length %d not a multiple of N_CBPS %d", len(in), nCBPS)
-	}
-	out := make([]bits.Bit, 0, len(in))
-	for off := 0; off < len(in); off += nCBPS {
-		sym, err := Deinterleave(m, in[off:off+nCBPS])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sym...)
-	}
-	return out, nil
-}

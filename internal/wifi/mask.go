@@ -96,9 +96,3 @@ func CheckSpectralMask(wave []complex128, sampleRate, toleranceDB float64) ([]Ma
 	}
 	return out, nil
 }
-
-// bandPowerForTest is a thin indirection kept next to the mask logic so
-// the package tests can measure shoulders without importing dsp twice.
-func bandPowerForTest(w []complex128, lo, hi float64) (float64, error) {
-	return dsp.BandPower(w, SampleRate, lo, hi)
-}

@@ -90,78 +90,3 @@ func TestMaskDetectsOutOfBandSpur(t *testing.T) {
 
 func cos(x float64) float64 { return math.Cos(x) }
 func sin(x float64) float64 { return math.Sin(x) }
-
-// TestEdgeWindowReducesLeakage: raised-cosine symbol transitions lower
-// the out-of-band shoulders without breaking decodability.
-func TestEdgeWindowReducesLeakage(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	psdu := bits.RandomBytes(rng, 1500)
-	frame, err := Transmitter{Mode: Mode{QAM64, Rate23}}.Frame(psdu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave, err := frame.DataWaveform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	windowed, err := ApplyEdgeWindow(wave, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare shoulder power at 9.0-9.8 MHz (inside the 20 MS/s capture).
-	shoulder := func(w []complex128) float64 {
-		p, err := dspBandPower(w, 9.0e6, 9.8e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	if !(shoulder(windowed) < shoulder(wave)) {
-		t.Fatalf("windowing did not reduce the shoulder (%.3g vs %.3g)",
-			shoulder(windowed), shoulder(wave))
-	}
-	if _, err := ApplyEdgeWindow(wave, 0); err == nil {
-		t.Fatal("zero ramp accepted")
-	}
-	if _, err := ApplyEdgeWindow(wave[:10], 4); err == nil {
-		t.Fatal("partial symbol accepted")
-	}
-}
-
-// TestEdgeWindowedFrameStillDecodes: the faded samples live in the cyclic
-// prefix and symbol tail, so the receive chain is untouched... except the
-// tail fade clips the FFT window's last samples; verify decodability at a
-// conservative ramp.
-func TestEdgeWindowedFrameStillDecodes(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	psdu := bits.RandomBytes(rng, 300)
-	frame, err := Transmitter{Mode: Mode{QAM16, Rate12}}.Frame(psdu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave, err := frame.Waveform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window only the DATA region (preamble must stay intact for channel
-	// estimation); keep the preamble + SIGNAL prefix as-is.
-	prefix := PreambleLength + SymbolLength
-	data, err := ApplyEdgeWindow(wave[prefix:], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := append(append([]complex128(nil), wave[:prefix]...), data...)
-	res, err := (Receiver{Soft: true}).Receive(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range psdu {
-		if res.PSDU[i] != psdu[i] {
-			t.Fatalf("PSDU mismatch at %d with edge windowing", i)
-		}
-	}
-}
-
-func dspBandPower(w []complex128, lo, hi float64) (float64, error) {
-	return bandPowerForTest(w, lo, hi)
-}

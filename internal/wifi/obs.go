@@ -32,11 +32,9 @@ type phyMetrics struct {
 	rxFailTrunc   *obs.Counter // PPDU truncated mid-DATA
 	rxFailDecode  *obs.Counter // Viterbi/descramble output unusable
 
-	// Degradation-ladder accounting: attempts and recoveries per rung.
-	rxFallbacks  *obs.Counter // soft→hard retries attempted
-	rxFallbackOK *obs.Counter // ... that recovered the frame
-	rxResyncs    *obs.Counter // preamble-scan retries attempted
-	rxResyncOK   *obs.Counter // ... that recovered the frame
+	// Degradation-ladder accounting: resync attempts and recoveries.
+	rxResyncs  *obs.Counter // preamble-scan retries attempted
+	rxResyncOK *obs.Counter // ... that recovered the frame
 
 	bus *obs.Bus
 }
@@ -71,10 +69,8 @@ func phy() *phyMetrics {
 			rxFailTrunc:   rx.Counter("fail.truncated"),
 			rxFailDecode:  rx.Counter("fail.decode"),
 
-			rxFallbacks:  rx.Counter("degrade.fallback"),
-			rxFallbackOK: rx.Counter("degrade.fallback_recovered"),
-			rxResyncs:    rx.Counter("degrade.resync"),
-			rxResyncOK:   rx.Counter("degrade.resync_recovered"),
+			rxResyncs:  rx.Counter("degrade.resync"),
+			rxResyncOK: rx.Counter("degrade.resync_recovered"),
 
 			bus: r.Bus(),
 		}

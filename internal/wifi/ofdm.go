@@ -2,7 +2,6 @@ package wifi
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"sledzig/internal/dsp"
@@ -162,35 +161,4 @@ func FrequencyDomainInto(dst, sym []complex128) error {
 		return fmt.Errorf("wifi: symbol length %d != %d", len(sym), SymbolLength)
 	}
 	return dsp.FFTInto(dst, sym[CPLength:])
-}
-
-// ApplyEdgeWindow smooths the transitions between consecutive OFDM
-// symbols with a raised-cosine ramp of rampLen samples (17.3.2.5's
-// windowing function). It reduces out-of-band emissions — and the
-// spectral leakage into the protected ZigBee channel — at no cost to the
-// receiver, which only reads the CP-protected FFT window. The waveform
-// must be whole 80-sample symbols.
-func ApplyEdgeWindow(wave []complex128, rampLen int) ([]complex128, error) {
-	if rampLen < 1 || rampLen > CPLength/2 {
-		return nil, fmt.Errorf("wifi: ramp length %d out of range [1, %d]", rampLen, CPLength/2)
-	}
-	if len(wave)%SymbolLength != 0 {
-		return nil, fmt.Errorf("wifi: waveform of %d samples is not whole symbols", len(wave))
-	}
-	out := make([]complex128, len(wave))
-	copy(out, wave)
-	ramp := make([]float64, rampLen)
-	for i := range ramp {
-		ramp[i] = 0.5 * (1 - math.Cos(math.Pi*(float64(i)+0.5)/float64(rampLen)))
-	}
-	for symStart := 0; symStart < len(out); symStart += SymbolLength {
-		for i := 0; i < rampLen; i++ {
-			// Fade in at the symbol head and out at its tail. The faded
-			// head samples sit inside the cyclic prefix, ahead of the
-			// receiver's FFT window.
-			out[symStart+i] *= complex(ramp[i], 0)
-			out[symStart+SymbolLength-1-i] *= complex(ramp[i], 0)
-		}
-	}
-	return out, nil
 }

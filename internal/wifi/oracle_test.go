@@ -137,7 +137,7 @@ func wideReceive(tb testing.TB, waveform []complex128, soft bool, acs acsPair) *
 
 	var scrambled []bits.Bit
 	if soft {
-		mother, err := DepunctureFloats(llrs, mode.CodeRate)
+		mother, err := DepunctureFloatsInto(nil, llrs, mode.CodeRate)
 		must(err)
 		scrambled, err = viterbiDecodeSoftInto(nil, mother, false, acs.soft)
 		must(err)

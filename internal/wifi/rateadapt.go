@@ -2,12 +2,9 @@ package wifi
 
 import "fmt"
 
-// Rate adaptation, the escape hatch the paper mentions in section V-D2:
-// "In extreme cases when ZigBee may interfere with the WiFi transmission,
-// the WiFi link can adapt to the settings with lower SNR threshold."
-// AdaptRate implements that policy over the paper's Table IV mode set.
-
-// minSNRByMode mirrors the Table IV minimum-SNR column (dB).
+// minSNRByMode mirrors the Table IV minimum-SNR column (dB). The
+// coexistence simulator reads it to decide whether a WiFi frame survives
+// the SINR it sees.
 var minSNRByMode = map[Mode]float64{
 	{QAM16, Rate12}:  11,
 	{QAM16, Rate34}:  15,
@@ -26,20 +23,4 @@ func MinSNRForMode(m Mode) (float64, error) {
 		return 0, fmt.Errorf("wifi: mode %v not in the Table IV set", m)
 	}
 	return v, nil
-}
-
-// AdaptRate picks the fastest paper mode whose SNR requirement (plus the
-// margin) fits the link budget. ok is false when even the most robust
-// mode does not fit.
-func AdaptRate(sinrDB, marginDB float64) (Mode, bool) {
-	best := Mode{}
-	bestRate := 0.0
-	for _, m := range PaperModes() {
-		need := minSNRByMode[m] + marginDB
-		if sinrDB >= need && m.DataRate() > bestRate {
-			best = m
-			bestRate = m.DataRate()
-		}
-	}
-	return best, bestRate > 0
 }

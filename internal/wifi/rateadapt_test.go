@@ -2,61 +2,11 @@ package wifi
 
 import "testing"
 
-func TestAdaptRatePicksFastestFeasible(t *testing.T) {
-	cases := []struct {
-		sinr   float64
-		margin float64
-		want   Mode
-		ok     bool
-	}{
-		{40, 3, Mode{QAM256, Rate56}, true},
-		{31, 0, Mode{QAM256, Rate56}, true},
-		{30, 0, Mode{QAM256, Rate34}, true},
-		{24, 3, Mode{QAM64, Rate34}, true},
-		{12, 0, Mode{QAM16, Rate12}, true},
-		{10, 0, Mode{}, false},
-	}
-	for _, tc := range cases {
-		got, ok := AdaptRate(tc.sinr, tc.margin)
-		if ok != tc.ok || got != tc.want {
-			t.Errorf("AdaptRate(%g, %g) = (%v, %v), want (%v, %v)",
-				tc.sinr, tc.margin, got, ok, tc.want, tc.ok)
-		}
-	}
-}
-
-func TestAdaptRateMonotone(t *testing.T) {
-	prev := 0.0
-	for sinr := 8.0; sinr <= 40; sinr++ {
-		m, ok := AdaptRate(sinr, 0)
-		if !ok {
-			continue
-		}
-		if r := m.DataRate(); r < prev {
-			t.Fatalf("rate decreased at %g dB", sinr)
-		} else {
-			prev = r
-		}
-	}
-}
-
 func TestMinSNRForMode(t *testing.T) {
 	if v, err := MinSNRForMode(Mode{QAM64, Rate56}); err != nil || v != 25 {
 		t.Fatalf("got %g, %v", v, err)
 	}
 	if _, err := MinSNRForMode(Mode{BPSK, Rate12}); err == nil {
 		t.Fatal("non-table mode accepted")
-	}
-}
-
-func TestAdaptRateNegativeMargin(t *testing.T) {
-	// A negative margin (aggressive policy) admits faster modes earlier.
-	aggressive, ok1 := AdaptRate(29, -2)
-	conservative, ok2 := AdaptRate(29, 2)
-	if !ok1 || !ok2 {
-		t.Fatal("both policies should find a mode at 29 dB")
-	}
-	if aggressive.DataRate() <= conservative.DataRate() {
-		t.Fatalf("aggressive %v not faster than conservative %v", aggressive, conservative)
 	}
 }

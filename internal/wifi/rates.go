@@ -148,8 +148,6 @@ const (
 	SampleRate = 20e6
 	// SubcarrierSpacing in Hz (20 MHz / 64).
 	SubcarrierSpacing = SampleRate / NumSubcarriers
-	// SymbolDuration is the OFDM symbol duration in seconds (4 us).
-	SymbolDuration = float64(SymbolLength) / SampleRate
 )
 
 // PilotSubcarriers lists the pilot subcarrier indices (signed, DC = 0).
@@ -238,11 +236,6 @@ func (m Mode) CodedBitsPerSymbol() int {
 // DataBitsPerSymbol returns N_DBPS: information bits per OFDM symbol.
 func (m Mode) DataBitsPerSymbol() int {
 	return m.CodedBitsPerSymbol() * m.CodeRate.Numerator() / m.CodeRate.Denominator()
-}
-
-// DataRate returns the PHY information rate in bits/s.
-func (m Mode) DataRate() float64 {
-	return float64(m.DataBitsPerSymbol()) / SymbolDuration
 }
 
 // PaperModes lists the (modulation, rate) combinations evaluated in the

@@ -2,7 +2,6 @@ package wifi
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,30 +44,6 @@ func TestResyncRecoversLeadingGarbage(t *testing.T) {
 	}
 	if len(res.PSDU) == 0 {
 		t.Fatal("Resync receiver returned empty PSDU")
-	}
-}
-
-// TestHardFallbackRecoversSoftFailure forces the soft Viterbi to fail and
-// verifies the fallback rung re-decodes the frame with hard decisions.
-func TestHardFallbackRecoversSoftFailure(t *testing.T) {
-	orig := softViterbiInto
-	softViterbiInto = func(dst []bits.Bit, llrs []float64, tailed bool) ([]bits.Bit, error) {
-		return nil, fmt.Errorf("forced soft-path failure")
-	}
-	defer func() { softViterbiInto = orig }()
-
-	wave := degradeTestWaveform(t, Mode{QAM64, Rate34})
-
-	_, err := (Receiver{Soft: true}).Receive(wave)
-	if !errors.Is(err, ErrDemodFailed) {
-		t.Fatalf("soft receiver without fallback: got %v, want ErrDemodFailed", err)
-	}
-	res, err := (Receiver{Soft: true, HardFallback: true}).Receive(wave)
-	if err != nil {
-		t.Fatalf("fallback receiver failed: %v", err)
-	}
-	if len(res.PSDU) == 0 {
-		t.Fatal("fallback receiver returned empty PSDU")
 	}
 }
 

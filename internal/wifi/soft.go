@@ -67,7 +67,9 @@ const maxBitsPerSubcarrier = 8
 
 // SoftDemapSymbolInto writes per-bit log-likelihood ratios (positive =
 // bit 0 more likely) for one received point into llr, which must hold
-// m.BitsPerSubcarrier() values. It allocates nothing.
+// m.BitsPerSubcarrier() values, under a max-log approximation. The noise
+// variance only scales the LLRs, which the Viterbi minimization is
+// invariant to, so it is fixed at 1. It allocates nothing.
 func (c Convention) SoftDemapSymbolInto(llr []float64, m Modulation, p complex128) error {
 	tbl, err := constellation(c, m)
 	if err != nil {
@@ -105,18 +107,6 @@ func (c Convention) SoftDemapSymbolInto(llr []float64, m Modulation, p complex12
 	return nil
 }
 
-// SoftDemapSymbol returns per-bit log-likelihood ratios (positive = bit 0
-// more likely) for one received point under a max-log approximation. The
-// noise variance only scales the LLRs, which the Viterbi minimization is
-// invariant to, so it is fixed at 1.
-func (c Convention) SoftDemapSymbol(m Modulation, p complex128) ([]float64, error) {
-	llr := make([]float64, m.BitsPerSubcarrier())
-	if err := c.SoftDemapSymbolInto(llr, m, p); err != nil {
-		return nil, err
-	}
-	return llr, nil
-}
-
 // SoftDemapAllInto demaps a point sequence into dst as a flat LLR stream;
 // dst must hold len(pts)*m.BitsPerSubcarrier() values. No allocation.
 func (c Convention) SoftDemapAllInto(dst []float64, m Modulation, pts []complex128) error {
@@ -130,15 +120,6 @@ func (c Convention) SoftDemapAllInto(dst []float64, m Modulation, pts []complex1
 		}
 	}
 	return nil
-}
-
-// SoftDemapAll demaps a point sequence to a flat LLR stream.
-func (c Convention) SoftDemapAll(m Modulation, pts []complex128) ([]float64, error) {
-	out := make([]float64, len(pts)*m.BitsPerSubcarrier())
-	if err := c.SoftDemapAllInto(out, m, pts); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DeinterleaveFloatsInto inverts the per-symbol interleaver on an LLR
@@ -155,15 +136,6 @@ func (c Convention) DeinterleaveFloatsInto(out, in []float64, m Modulation) erro
 		out[c.DeinterleaveIndexC(m, j)] = v
 	}
 	return nil
-}
-
-// DeinterleaveFloats inverts the per-symbol interleaver on an LLR block.
-func (c Convention) DeinterleaveFloats(m Modulation, in []float64) ([]float64, error) {
-	out := make([]float64, NumDataSubcarriers*m.BitsPerSubcarrier())
-	if err := c.DeinterleaveFloatsInto(out, in, m); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DepunctureFloatsInto expands a rate-r LLR stream to mother-code length
@@ -193,19 +165,4 @@ func DepunctureFloatsInto(dst []float64, rx []float64, r CodeRate) ([]float64, e
 		}
 	}
 	return dst, nil
-}
-
-// DepunctureFloats expands a received rate-r LLR stream back to
-// mother-code length, inserting zero LLRs (erasures) at punctured
-// positions. The output length is computed from the pattern up front, so
-// the slice is allocated exactly once.
-func DepunctureFloats(rx []float64, r CodeRate) ([]float64, error) {
-	return DepunctureFloatsInto(nil, rx, r)
-}
-
-// ViterbiDecodeSoft is the soft-metric counterpart of ViterbiDecode: llrs
-// holds one value per mother-coded bit (positive favours 0), zeros acting
-// as erasures.
-func ViterbiDecodeSoft(llrs []float64, terminated bool) ([]bits.Bit, error) {
-	return ViterbiDecodeSoftInto(nil, llrs, terminated)
 }

@@ -18,8 +18,8 @@ func TestSoftDemapSignsMatchHardDecisions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				soft, err := conv.SoftDemapSymbol(m, p)
-				if err != nil {
+				soft := make([]float64, m.BitsPerSubcarrier())
+				if err := conv.SoftDemapSymbolInto(soft, m, p); err != nil {
 					t.Fatal(err)
 				}
 				for b := range hard {
@@ -43,8 +43,8 @@ func TestSoftDemapCleanPointsAreConfident(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			llrs, err := ConventionIEEE.SoftDemapSymbol(m, p)
-			if err != nil {
+			llrs := make([]float64, n)
+			if err := ConventionIEEE.SoftDemapSymbolInto(llrs, m, p); err != nil {
 				t.Fatal(err)
 			}
 			for b, l := range llrs {
@@ -72,7 +72,7 @@ func TestViterbiSoftMatchesHardOnCleanData(t *testing.T) {
 			llrs[i] = -4
 		}
 	}
-	decoded, err := ViterbiDecodeSoft(llrs, true)
+	decoded, err := ViterbiDecodeSoftInto(nil, llrs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestViterbiSoftExploitsConfidence(t *testing.T) {
 	for _, pos := range []int{100, 102, 104, 106} {
 		llrs[pos] = -llrs[pos] * 0.1
 	}
-	decoded, err := ViterbiDecodeSoft(llrs, true)
+	decoded, err := ViterbiDecodeSoftInto(nil, llrs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSoftBeatsHardUnderNoise(t *testing.T) {
 
 func TestDepunctureFloats(t *testing.T) {
 	in := []float64{1, 2, 3, 4, 5, 6}
-	out, err := DepunctureFloats(in, Rate34)
+	out, err := DepunctureFloatsInto(nil, in, Rate34)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,9 +120,10 @@ func growBits(dst []bits.Bit, n int) []bits.Bit {
 	return make([]bits.Bit, n)
 }
 
-// ViterbiDecodeSoftInto is ViterbiDecodeSoft decoding into dst (reusing its
-// capacity) and returning the resized slice. llrs holds one value per
-// mother-coded bit (positive favours 0), zeros acting as erasures.
+// ViterbiDecodeSoftInto is the soft-metric counterpart of ViterbiDecodeInto:
+// it decodes into dst (reusing its capacity) and returns the resized slice.
+// llrs holds one value per mother-coded bit (positive favours 0), zeros
+// acting as erasures.
 //
 //sledzig:noalloc
 func ViterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool) ([]bits.Bit, error) {

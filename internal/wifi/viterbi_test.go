@@ -251,7 +251,7 @@ func TestViterbiSoftMatchesSeedDecoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ViterbiDecodeSoft(llrs, terminated)
+		got, err := ViterbiDecodeSoftInto(nil, llrs, terminated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestViterbiIntoReusesCapacityAndMatches(t *testing.T) {
 		}
 		llrs[i] = 1 - 2*float64(b)
 	}
-	wantSoft, err := ViterbiDecodeSoft(llrs, false)
+	wantSoft, err := ViterbiDecodeSoftInto(nil, llrs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestViterbiIntoReusesCapacityAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bits.Equal(gotSoft, wantSoft) {
-		t.Error("ViterbiDecodeSoftInto result differs from ViterbiDecodeSoft")
+		t.Error("ViterbiDecodeSoftInto into a reused destination differs from a fresh decode")
 	}
 }
 

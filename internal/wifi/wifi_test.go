@@ -209,20 +209,31 @@ func TestInterleaverBijection(t *testing.T) {
 	}
 }
 
+// TestInterleaveRoundTrip runs the interleaver pair the PHY uses: the
+// transmitter's whole-stream InterleaveAllC, then the receiver's
+// per-symbol DeinterleaveCInto, for both conventions and for one- and
+// three-symbol streams.
 func TestInterleaveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, m := range []Modulation{QAM16, QAM64, QAM256} {
-		data := bits.Random(rng, 3*NumDataSubcarriers*m.BitsPerSubcarrier())
-		inter, err := InterleaveAll(m, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := DeinterleaveAll(m, inter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bits.Equal(back, data) {
-			t.Fatalf("%v: interleave round trip failed", m)
+	for _, conv := range []Convention{ConventionIEEE, ConventionPaper} {
+		for _, m := range []Modulation{QAM16, QAM64, QAM256} {
+			nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
+			for _, nSym := range []int{1, 3} {
+				data := bits.Random(rng, nSym*nCBPS)
+				inter, err := conv.InterleaveAllC(m, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back := make([]bits.Bit, len(inter))
+				for off := 0; off < len(inter); off += nCBPS {
+					if err := conv.DeinterleaveCInto(back[off:off+nCBPS], inter[off:off+nCBPS], m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bits.Equal(back, data) {
+					t.Fatalf("%v %v, %d symbols: interleave round trip failed", conv, m, nSym)
+				}
+			}
 		}
 	}
 }

@@ -29,19 +29,7 @@ const (
 	Bandwidth = 2e6
 	// ChannelSpacing between adjacent 2.4 GHz channels in Hz.
 	ChannelSpacing = 5e6
-	// FirstChannel and LastChannel bound the 2.4 GHz channel page.
-	FirstChannel = 11
-	LastChannel  = 26
 )
-
-// ChannelFrequency returns the center frequency in Hz of 2.4 GHz channel
-// number ch (11..26): 2405 + 5 (ch - 11) MHz.
-func ChannelFrequency(ch int) (float64, error) {
-	if ch < FirstChannel || ch > LastChannel {
-		return 0, fmt.Errorf("zigbee: channel %d out of range [%d, %d]", ch, FirstChannel, LastChannel)
-	}
-	return 2405e6 + 5e6*float64(ch-FirstChannel), nil
-}
 
 // chipSeq0 is the 32-chip PN sequence of data symbol 0
 // (802.15.4-2015 Table 12-1), c0 first.

@@ -71,6 +71,9 @@ func ParsePPDU(octets []byte) ([]byte, error) {
 		return nil, fmt.Errorf("zigbee: SFD is %#x, want %#x", octets[PreambleOctets], SFD)
 	}
 	mpdu := int(octets[PreambleOctets+1] & 0x7F)
+	if mpdu < 1+FCSLength {
+		return nil, fmt.Errorf("zigbee: PHR declares %d octets, fewer than one payload octet plus the FCS", mpdu)
+	}
 	start := PreambleOctets + 2
 	if len(octets) < start+mpdu {
 		return nil, fmt.Errorf("zigbee: PHR declares %d octets but only %d remain", mpdu, len(octets)-start)
@@ -91,3 +94,14 @@ func FrameAirtime(payloadLen int) float64 {
 	octets := PreambleOctets + 2 + payloadLen + FCSLength
 	return float64(octets) * 2 * SymbolDuration
 }
+
+// MAC timing constants for the ACK exchange (2.4 GHz O-QPSK).
+const (
+	// TurnaroundTime is aTurnaroundTime: 12 symbols = 192 us.
+	TurnaroundTime = 12 * SymbolDuration
+	// AckWaitDuration bounds how long a transmitter waits for the ACK.
+	AckWaitDuration = 54 * SymbolDuration
+	// AckAirtime is the on-air duration of the 5-octet ACK PPDU
+	// (preamble + SFD + PHR + 3-octet MPDU + FCS).
+	AckAirtime = float64(PreambleOctets+2+3+FCSLength) * 2 * SymbolDuration
+)

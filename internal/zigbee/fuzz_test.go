@@ -18,19 +18,6 @@ func FuzzParsePPDU(f *testing.F) {
 	})
 }
 
-func FuzzParseFrame(f *testing.F) {
-	df, _ := (&DataFrame{PANID: 1, Dest: 2, Source: 3, Payload: []byte{1}}).Marshal()
-	f.Add(df)
-	f.Add(AckFrame(7))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, frame, _, err := ParseFrame(data)
-		if err == nil && kind == FrameData && frame == nil {
-			t.Fatal("data frame without body")
-		}
-	})
-}
-
 func FuzzDespread(f *testing.F) {
 	f.Add([]byte{1, 0, 1})
 	f.Fuzz(func(t *testing.T, chips []byte) {

@@ -51,23 +51,6 @@ type RxStats struct {
 	ChipErrors int
 }
 
-// LQI maps the reception quality to the 802.15.4 link quality indicator
-// (0..255): 32/32 chip agreement saturates at 255, agreement at the
-// decision boundary (~16/32, a coin flip) maps to 0.
-func (s *RxStats) LQI() uint8 {
-	if s == nil {
-		return 0
-	}
-	v := (s.MinChipAgreement - 16) * 255 / 16
-	if v < 0 {
-		v = 0
-	}
-	if v > 255 {
-		v = 255
-	}
-	return uint8(v)
-}
-
 // Receive recovers the payload from a waveform that begins at the first
 // preamble sample (synchronization is the simulator's job). payloadLen is
 // unknown to a real receiver until the PHR arrives; Receive discovers it
