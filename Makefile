@@ -103,6 +103,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDemap64RoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wifi
 	go test -run '^$$' -fuzz '^FuzzCodecRegistry$$' -fuzztime $(FUZZTIME) ./internal/codec
 	go test -run '^$$' -fuzz '^FuzzCFGBuild$$' -fuzztime $(FUZZTIME) ./internal/analysis/cfg
+	go test -run '^$$' -fuzz '^FuzzStripFramed$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Fault-injection soak of the decode pipeline (see docs/robustness.md).
 # Exits non-zero on any untyped error, escaped panic, or goroutine leak.

@@ -47,22 +47,12 @@ func (n NullSubcarriers) Waveform(payload []byte) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	nullIdx := map[int]bool{}
-	dataIndex := map[int]int{}
-	for i, k := range wifi.DataSubcarriers() {
-		dataIndex[k] = i
-	}
-	for _, k := range n.Channel.DataSubcarriers() {
-		nullIdx[dataIndex[k]] = true
-	}
 	out := make([]complex128, 0, len(ptsPerSymbol)*wifi.SymbolLength)
 	for s, pts := range ptsPerSymbol {
 		mod := make([]complex128, len(pts))
 		copy(mod, pts)
-		for i := range mod {
-			if nullIdx[i] {
-				mod[i] = 0
-			}
+		for _, i := range n.Channel.DataIndices() {
+			mod[i] = 0
 		}
 		sym, err := wifi.AssembleSymbol(mod, s+1)
 		if err != nil {

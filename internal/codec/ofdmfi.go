@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math/cmplx"
+	"slices"
 
 	"sledzig/internal/bits"
 	"sledzig/internal/core"
@@ -46,11 +47,10 @@ const (
 // the payload bytes, and a CRC-8, all LSB-first per byte.
 type ofdmFi struct {
 	params Params
-	window map[int]bool // signed subcarrier index -> in protected band
-	groups [][]int      // 12 groups of 4 data subcarriers, ascending
-	msg    []int        // group indices that carry message chips
-	refPil []int        // pilot subcarriers outside the protected band
-	loPil  []int        // FFT bins of protected-band pilots, attenuated per symbol
+	groups [][]int // 12 groups of 4 data subcarriers, ascending
+	msg    []int   // group indices that carry message chips
+	refPil []int   // pilot subcarriers outside the protected band
+	loPil  []int   // FFT bins of protected-band pilots, attenuated per symbol
 	tr     *trace.Frame
 }
 
@@ -58,28 +58,18 @@ func newOfdmFi(p Params) (*ofdmFi, error) {
 	if !p.Channel.Valid() {
 		return nil, fmt.Errorf("codec: ofdmfi needs a protected channel, got %d", int(p.Channel))
 	}
-	window := map[int]bool{}
-	for _, k := range p.Channel.SubcarrierWindow() {
-		window[k] = true
-	}
+	window := p.Channel.SubcarrierWindow()
 	data := wifi.DataSubcarriers()
-	c := &ofdmFi{params: p, window: window}
+	c := &ofdmFi{params: p}
 	for g := 0; g+ofdmFiGroupSize <= len(data); g += ofdmFiGroupSize {
 		group := data[g : g+ofdmFiGroupSize]
 		c.groups = append(c.groups, group)
-		protected := false
-		for _, k := range group {
-			if window[k] {
-				protected = true
-				break
-			}
-		}
-		if !protected {
+		if !slices.ContainsFunc(group, func(k int) bool { return slices.Contains(window, k) }) {
 			c.msg = append(c.msg, len(c.groups)-1)
 		}
 	}
 	for _, k := range wifi.PilotSubcarriers() {
-		if !window[k] {
+		if !slices.Contains(window, k) {
 			c.refPil = append(c.refPil, k)
 		}
 	}
@@ -181,6 +171,9 @@ func (c *ofdmFi) Encode(payload []byte) (_ *Encoded, err error) {
 	}, nil
 }
 
+// Decode sizes its buffers before the symbol loop, never inside it.
+//
+//sledzig:noalloc budget=6
 func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 	var payload []byte
 	mk := c.tr.Begin(stages().ofdmfiExtract)
@@ -191,7 +184,7 @@ func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 	}
 	nSym := body / wifi.SymbolLength
 	freq := make([]complex128, wifi.NumSubcarriers)
-	raw := make([]bits.Bit, 0, nSym*len(c.msg))
+	raw := make([]bits.Bit, nSym*len(c.msg))
 	// Accumulated per-channel window power, to verify the protected band
 	// really is the quiet one.
 	var bandPower [4]float64
@@ -212,17 +205,14 @@ func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 			return nil, fmt.Errorf("%w: ofdmfi capture has no pilot energy in symbol %d", ErrDecode, s)
 		}
 		threshold := hiRef * (1 + ofdmFiLoAmp*ofdmFiLoAmp) / 2
-		for _, g := range c.msg {
+		for j, g := range c.msg {
 			var p float64
 			for _, k := range c.groups[g] {
 				p += binPower(freq[fftBin(k)])
 			}
-			p /= ofdmFiGroupSize
-			var b bits.Bit
-			if p > threshold {
-				b = 1
+			if p/ofdmFiGroupSize > threshold {
+				raw[s*len(c.msg)+j] = 1
 			}
-			raw = append(raw, b)
 		}
 		for ch := core.CH1; ch <= core.CH4; ch++ {
 			win := ch.SubcarrierWindow()

@@ -117,6 +117,7 @@ func (c *ook) Encode(payload []byte) (*Encoded, error) {
 	}, nil
 }
 
+//sledzig:noalloc budget=16
 func (c *ook) Decode(waveform []complex128) (*Decoded, error) {
 	c.rxr.Trace = c.tr
 	if err := c.rxr.ReceiveInto(waveform, &c.rx); err != nil {

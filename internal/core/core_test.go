@@ -15,32 +15,64 @@ import (
 
 func TestChannelGeometry(t *testing.T) {
 	cases := []struct {
-		ch     ZigBeeChannel
-		window []int
-		nData  int
-		pilots []int
+		ch      ZigBeeChannel
+		window  []int
+		data    []int
+		indices []int // positions in the 48-wide wifi.DataSubcarriers()
+		pilots  []int
 	}{
-		{CH1, []int{-26, -25, -24, -23, -22, -21, -20, -19}, 7, []int{-21}},
-		{CH2, []int{-10, -9, -8, -7, -6, -5, -4, -3}, 7, []int{-7}},
-		{CH3, []int{6, 7, 8, 9, 10, 11, 12, 13}, 7, []int{7}},
-		{CH4, []int{22, 23, 24, 25, 26, 27, 28, 29}, 5, nil},
+		{CH1, []int{-26, -25, -24, -23, -22, -21, -20, -19}, []int{-26, -25, -24, -23, -22, -20, -19}, []int{0, 1, 2, 3, 4, 5, 6}, []int{-21}},
+		{CH2, []int{-10, -9, -8, -7, -6, -5, -4, -3}, []int{-10, -9, -8, -6, -5, -4, -3}, []int{15, 16, 17, 18, 19, 20, 21}, []int{-7}},
+		{CH3, []int{6, 7, 8, 9, 10, 11, 12, 13}, []int{6, 8, 9, 10, 11, 12, 13}, []int{29, 30, 31, 32, 33, 34, 35}, []int{7}},
+		{CH4, []int{22, 23, 24, 25, 26, 27, 28, 29}, []int{22, 23, 24, 25, 26}, []int{43, 44, 45, 46, 47}, []int{}},
 	}
+	all := wifi.DataSubcarriers()
 	for _, tc := range cases {
-		got := tc.ch.SubcarrierWindow()
-		if len(got) != 8 {
-			t.Fatalf("%v: window has %d subcarriers, want 8", tc.ch, len(got))
+		views := []struct {
+			name string
+			get  func() []int
+			want []int
+		}{
+			{name: "window", get: tc.ch.SubcarrierWindow, want: tc.window},
+			{name: "data", get: tc.ch.DataSubcarriers, want: tc.data},
+			{name: "indices", get: tc.ch.DataIndices, want: tc.indices},
+			{name: "pilots", get: tc.ch.PilotSubcarriers, want: tc.pilots},
 		}
-		for i := range got {
-			if got[i] != tc.window[i] {
-				t.Fatalf("%v: window %v, want %v", tc.ch, got, tc.window)
+		for _, v := range views {
+			got := v.get()
+			if !slices.Equal(got, v.want) {
+				t.Fatalf("%v %s = %v, want %v", tc.ch, v.name, got, v.want)
+			}
+			// The views are shared: their capacity is clipped, so an append
+			// copies rather than writing into the table, and the next call
+			// sees the same values.
+			if cap(got) != len(got) {
+				t.Fatalf("%v %s: capacity %d exceeds length %d", tc.ch, v.name, cap(got), len(got))
+			}
+			_ = append(got, 99)
+			if again := v.get(); !slices.Equal(again, v.want) {
+				t.Fatalf("%v %s after append = %v, want %v", tc.ch, v.name, again, v.want)
 			}
 		}
-		if n := len(tc.ch.DataSubcarriers()); n != tc.nData {
-			t.Errorf("%v: %d data subcarriers, want %d", tc.ch, n, tc.nData)
+		for i, idx := range tc.ch.DataIndices() {
+			if all[idx] != tc.data[i] {
+				t.Errorf("%v: data index %d names subcarrier %d, want %d", tc.ch, idx, all[idx], tc.data[i])
+			}
 		}
-		pilots := tc.ch.PilotSubcarriers()
-		if len(pilots) != len(tc.pilots) {
-			t.Errorf("%v: pilots %v, want %v", tc.ch, pilots, tc.pilots)
+	}
+	for _, ch := range []ZigBeeChannel{0, 5, -1} {
+		if ch.Valid() {
+			t.Fatalf("%v reports valid", ch)
+		}
+		for name, got := range map[string][]int{
+			"window":  ch.SubcarrierWindow(),
+			"data":    ch.DataSubcarriers(),
+			"indices": ch.DataIndices(),
+			"pilots":  ch.PilotSubcarriers(),
+		} {
+			if got != nil {
+				t.Errorf("%v %s = %v, want nil", ch, name, got)
+			}
 		}
 	}
 }
@@ -599,7 +631,7 @@ func TestLayoutEquivalenceFullMask(t *testing.T) {
 		}
 		var all []Constraint
 		for s := 0; s < nSym; s++ {
-			for _, c := range plan.SymbolConstraintList() {
+			for _, c := range plan.symbolConstraints {
 				all = append(all, Constraint{
 					MotherIndex: c.MotherIndex + s*2*mode.DataBitsPerSymbol(),
 					Value:       c.Value,

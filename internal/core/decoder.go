@@ -22,18 +22,6 @@ type Decoder struct {
 	Trace *trace.Frame
 }
 
-// Decode recovers the payload from a received frame, given the protected
-// channel (use DetectChannel first when it is unknown). Plans come from the
-// process-wide cache, so repeated frames of one mode share a single plan
-// and its memoized frame layouts.
-func (d Decoder) Decode(rx *wifi.RxResult, ch ZigBeeChannel) ([]byte, error) {
-	plan, err := CachedPlan(d.Convention, rx.Mode, ch)
-	if err != nil {
-		return nil, err
-	}
-	return d.decodeWithPlan(rx, plan)
-}
-
 // DecodeAuto detects the protected channel and decodes.
 func (d Decoder) DecodeAuto(rx *wifi.RxResult) ([]byte, ZigBeeChannel, error) {
 	m := metrics()
@@ -47,13 +35,18 @@ func (d Decoder) DecodeAuto(rx *wifi.RxResult) ([]byte, ZigBeeChannel, error) {
 	}
 	mk.End(0, nil)
 	payload, err := d.Decode(rx, ch)
-	if err != nil {
-		return nil, ch, err
-	}
-	return payload, ch, nil
+	return payload, ch, err
 }
 
-func (d Decoder) decodeWithPlan(rx *wifi.RxResult, plan *Plan) (payload []byte, err error) {
+// Decode recovers the payload from a received frame, given the protected
+// channel (use DetectChannel first when it is unknown). Plans come from the
+// process-wide cache, so repeated frames of one mode share a single plan
+// and its memoized frame layouts.
+func (d Decoder) Decode(rx *wifi.RxResult, ch ZigBeeChannel) (payload []byte, err error) {
+	plan, err := CachedPlan(d.Convention, rx.Mode, ch)
+	if err != nil {
+		return nil, err
+	}
 	m := metrics()
 	mk := d.Trace.Begin(m.decStrip)
 	defer func() { mk.End(len(payload), err) }()
@@ -63,58 +56,88 @@ func (d Decoder) decodeWithPlan(rx *wifi.RxResult, plan *Plan) (payload []byte, 
 		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 		return nil, err
 	}
-	nSym := len(rx.DataBits) / nDBPS
-	layout, err := plan.FrameLayout(nSym)
+	layout, err := plan.FrameLayout(len(rx.DataBits) / nDBPS)
 	if err != nil {
 		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 		return nil, err
 	}
-	extra := make([]bool, len(rx.DataBits))
-	for _, p := range layout.Positions {
-		if p >= len(extra) {
-			err := fmt.Errorf("core: layout position %d beyond frame: %w", p, ErrExtraBitLayout)
-			m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
-			return nil, err
-		}
-		extra[p] = true
-	}
-	logical := make([]bits.Bit, 0, len(rx.DataBits)-len(layout.Positions))
-	for i, b := range rx.DataBits {
-		if !extra[i] {
-			logical = append(logical, b)
-		}
-	}
-	if len(logical) < serviceBits+8*headerOctets {
-		err := fmt.Errorf("core: stripped stream too short (%d bits): %w", len(logical), ErrExtraBitLayout)
+	payload, class, err := stripFramed(rx.DataBits, layout.Positions)
+	switch class {
+	case stripOK:
+		m.decFrames.Inc()
+		m.decPayload.Add(uint64(len(payload)))
+	case stripLayout:
+		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
+	case stripLength:
 		m.fail(m.failLength, "core.decode", "decode_fail.length", err)
-		return nil, err
-	}
-	body := logical[serviceBits:]
-	headerBytes, err := bits.ToBytes(body[:8*headerOctets])
-	if err != nil {
+	case stripHeader:
 		m.fail(m.failHeader, "core.decode", "decode_fail.header", err)
-		return nil, err
 	}
-	length := int(headerBytes[0]) | int(headerBytes[1])<<8
+	return payload, err
+}
+
+// stripFailure is the decode_fail class of a stripFramed error.
+type stripFailure uint8
+
+const (
+	stripOK     stripFailure = iota
+	stripLayout              // an extra-bit position beyond the frame
+	stripLength              // too few bits for the header or the declared payload
+	stripHeader              // an empty declared payload, or a non-binary bit
+)
+
+// stripFramed inverts the transmitter's framing in one pass: it walks the
+// DATA bits, skips the extra bits at positions (ascending), drops SERVICE,
+// reads the 16-bit length header and packs the payload bits straight into
+// the returned slice, its only allocation. Every error wraps
+// ErrExtraBitLayout.
+//
+//sledzig:noalloc budget=1
+func stripFramed(dataBits []bits.Bit, positions []int) ([]byte, stripFailure, error) {
+	if n := len(positions); n > 0 && positions[n-1] >= len(dataBits) {
+		return nil, stripLayout, fmt.Errorf("core: layout position %d beyond frame: %w", positions[n-1], ErrExtraBitLayout)
+	}
+	remain := len(dataBits) - len(positions) - serviceBits - 8*headerOctets // bits after the header
+	if remain < 0 {
+		return nil, stripLength, fmt.Errorf("core: stripped stream too short (%d bits): %w", len(dataBits)-len(positions), ErrExtraBitLayout)
+	}
+	// next yields the following bit that is not an extra bit. The checks
+	// bound the calls by len(dataBits) - len(positions), which keeps every
+	// read in range whatever positions holds.
+	i, p := 0, 0
+	next := func() bits.Bit {
+		for p < len(positions) && positions[p] == i {
+			p, i = p+1, i+1
+		}
+		i++
+		return dataBits[i-1]
+	}
+	for range serviceBits {
+		next()
+	}
+	length := 0
+	for k := range 8 * headerOctets {
+		b := next()
+		if b > 1 {
+			return nil, stripHeader, fmt.Errorf("core: header bit %d is %d: %w", k, b, ErrExtraBitLayout)
+		}
+		length |= int(b) << k
+	}
 	if length == 0 {
-		err := fmt.Errorf("core: header declares empty payload: %w", ErrExtraBitLayout)
-		m.fail(m.failHeader, "core.decode", "decode_fail.header", err)
-		return nil, err
+		return nil, stripHeader, fmt.Errorf("core: header declares empty payload: %w", ErrExtraBitLayout)
 	}
-	need := 8 * (headerOctets + length)
-	if len(body) < need {
-		err := fmt.Errorf("core: header declares %d octets but only %d bits remain: %w", length, len(body)-8*headerOctets, ErrExtraBitLayout)
-		m.fail(m.failLength, "core.decode", "decode_fail.length", err)
-		return nil, err
+	if 8*length > remain {
+		return nil, stripLength, fmt.Errorf("core: header declares %d octets but only %d bits remain: %w", length, remain, ErrExtraBitLayout)
 	}
-	payload, err = bits.ToBytes(body[8*headerOctets : need])
-	if err != nil {
-		m.fail(m.failHeader, "core.decode", "decode_fail.header", err)
-		return nil, err
+	payload := make([]byte, length)
+	for k := range 8 * length {
+		b := next()
+		if b > 1 {
+			return nil, stripHeader, fmt.Errorf("core: payload bit %d is %d: %w", k, b, ErrExtraBitLayout)
+		}
+		payload[k/8] |= b << (k % 8)
 	}
-	m.decFrames.Inc()
-	m.decPayload.Add(uint64(len(payload)))
-	return payload, nil
+	return payload, stripOK, nil
 }
 
 // DetectChannel inspects received constellation points and reports which
@@ -122,27 +145,21 @@ func (d Decoder) decodeWithPlan(rx *wifi.RxResult, plan *Plan) (payload []byte, 
 // overlapped data subcarriers carry lowest-ring points in (nearly) every
 // symbol. The 0.9 acceptance threshold tolerates occasional hard-decision
 // errors on noisy points. The modulation comes from the PLCP header.
+//
+//sledzig:noalloc
 func (d Decoder) DetectChannel(m wifi.Modulation, dataPoints [][]complex128) (ZigBeeChannel, bool) {
-	if len(dataPoints) == 0 {
-		return 0, false
-	}
 	// Phase-only modulations have a single amplitude ring: every point is
 	// trivially "lowest ring", which would make detection fire on any BPSK
 	// or QPSK frame. Those modes cannot carry SledZig pinning at all.
 	if offsets, _ := d.Convention.SignificantOffsetsC(m); len(offsets) == 0 {
 		return 0, false
 	}
-	dataIndex := make(map[int]int, wifi.NumDataSubcarriers)
-	for i, k := range wifi.DataSubcarriers() {
-		dataIndex[k] = i
-	}
 	best, bestFrac := ZigBeeChannel(0), 0.0
-	for _, ch := range AllChannels() {
-		subs := ch.DataSubcarriers()
+	for ch := CH1; ch <= CH4; ch++ {
+		indices := ch.DataIndices()
 		low, totalPts := 0, 0
 		for _, pts := range dataPoints {
-			for _, k := range subs {
-				idx := dataIndex[k]
+			for _, idx := range indices {
 				if idx >= len(pts) {
 					continue
 				}

@@ -50,7 +50,7 @@ func computeGolden(t *testing.T) []goldenEntry {
 					Channel:    ch.String(),
 					ExtraBits:  layout.Positions,
 				}
-				for _, c := range plan.SymbolConstraintList() {
+				for _, c := range plan.symbolConstraints {
 					entry.Positions = append(entry.Positions, c.PaperPosition())
 				}
 				out = append(out, entry)

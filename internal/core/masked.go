@@ -165,31 +165,6 @@ func StripMaskedPayload(plan *Plan, mask []bool, dataBits []bits.Bit) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	extra := make([]bool, len(dataBits))
-	for _, p := range layout.Positions {
-		if p < len(extra) {
-			extra[p] = true
-		}
-	}
-	logical := make([]bits.Bit, 0, len(dataBits))
-	for i, b := range dataBits {
-		if !extra[i] {
-			logical = append(logical, b)
-		}
-	}
-	if len(logical) < serviceBits+8*headerOctets {
-		return nil, fmt.Errorf("core: stripped stream of %d bits too short: %w", len(logical), ErrExtraBitLayout)
-	}
-	body := logical[serviceBits:]
-	hdr, err := bits.ToBytes(body[:8*headerOctets])
-	if err != nil {
-		return nil, err
-	}
-	length := int(hdr[0]) | int(hdr[1])<<8
-	need := 8 * (headerOctets + length)
-	if length == 0 || len(body) < need {
-		return nil, fmt.Errorf("core: header declares %d octets but %d bits remain: %w",
-			length, len(body)-8*headerOctets, ErrExtraBitLayout)
-	}
-	return bits.ToBytes(body[8*headerOctets : need])
+	payload, _, err := stripFramed(dataBits, layout.Positions)
+	return payload, err
 }

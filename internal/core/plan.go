@@ -74,13 +74,6 @@ func NewPlanForSubcarriers(conv wifi.Convention, mode wifi.Mode, subcarriers []i
 	return p, nil
 }
 
-// SymbolConstraintList returns a copy of the per-symbol constraints.
-func (p *Plan) SymbolConstraintList() []Constraint {
-	out := make([]Constraint, len(p.symbolConstraints))
-	copy(out, p.symbolConstraints)
-	return out
-}
-
 // ExtraBitsPerSymbol returns how many extra bits each OFDM symbol costs:
 // one per significant bit (paper Table III).
 func (p *Plan) ExtraBitsPerSymbol() int {

@@ -37,11 +37,6 @@ func SymbolConstraints(conv wifi.Convention, mode wifi.Mode, dataSubcarriers []i
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("core: modulation %v has no pinnable amplitude bits", mode.Modulation)
 	}
-	// Position of each signed subcarrier in the 48-wide data array.
-	dataIndex := make(map[int]int, wifi.NumDataSubcarriers)
-	for i, k := range wifi.DataSubcarriers() {
-		dataIndex[k] = i
-	}
 	bpsc := mode.Modulation.BitsPerSubcarrier()
 	nCBPS := mode.CodedBitsPerSymbol()
 	mother, err := wifi.MotherIndices(nCBPS, mode.CodeRate)
@@ -50,8 +45,8 @@ func SymbolConstraints(conv wifi.Convention, mode wifi.Mode, dataSubcarriers []i
 	}
 	out := make([]Constraint, 0, len(dataSubcarriers)*len(offsets))
 	for _, k := range dataSubcarriers {
-		idx, ok := dataIndex[k]
-		if !ok {
+		idx := wifi.DataIndex(k) // position in the 48-wide data array
+		if idx < 0 {
 			return nil, fmt.Errorf("core: subcarrier %d is not a data subcarrier", k)
 		}
 		for i, off := range offsets {

@@ -7,9 +7,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sledzig/internal/wifi"
 )
@@ -73,46 +74,73 @@ func FromZigBeeChannelNumber(zigbeeCh, wifiCh int) (ZigBeeChannel, error) {
 		zigbeeCh, zbCenter, wifiCh, wifiCenter)
 }
 
+// channelGeometry is one channel's fixed subcarrier geometry: views of buf
+// (off the heap), clipped so a caller's append copies out of the table.
+type channelGeometry struct {
+	window, data, dataIndex, pilots []int
+	buf                             [4][8]int
+}
+
+// geometry holds each valid channel's geometry, built once at package
+// init; entry 0, all nil, stands in for every invalid channel.
+var geometry [CH4 + 1]channelGeometry
+
+func init() {
+	for c := CH1; c <= CH4; c++ {
+		center := c.OffsetHz() / wifi.SubcarrierSpacing // in subcarrier units
+		half := 1e6 / wifi.SubcarrierSpacing            // 3.2 subcarriers
+		g := &geometry[c]
+		g.window, g.data, g.dataIndex, g.pilots = g.buf[0][:0], g.buf[1][:0], g.buf[2][:0], g.buf[3][:0]
+		for k := int(math.Ceil(center-half)) - 1; k <= int(math.Floor(center+half))+1; k++ {
+			g.window = append(g.window, k)
+			if idx := wifi.DataIndex(k); idx >= 0 {
+				g.data, g.dataIndex = append(g.data, k), append(g.dataIndex, idx)
+			} else if slices.Contains(wifi.PilotSubcarriers(), k) {
+				g.pilots = append(g.pilots, k)
+			}
+		}
+		g.window, g.data, g.dataIndex, g.pilots = slices.Clip(g.window), slices.Clip(g.data), slices.Clip(g.dataIndex), slices.Clip(g.pilots)
+	}
+}
+
+// geom returns c's geometry, the all-nil entry for an invalid channel.
+//
+//sledzig:noalloc
+func (c ZigBeeChannel) geom() *channelGeometry {
+	if !c.Valid() {
+		c = 0
+	}
+	return &geometry[c]
+}
+
 // SubcarrierWindow returns the signed indices of the eight OFDM subcarriers
 // SledZig pins for channel c: the six fully inside the 2 MHz band plus the
 // two adjacent ones whose spectral leakage would otherwise raise the band
-// power (paper section IV-B).
-func (c ZigBeeChannel) SubcarrierWindow() []int {
-	center := c.OffsetHz() / wifi.SubcarrierSpacing // in subcarrier units
-	half := 1e6 / wifi.SubcarrierSpacing            // 3.2 subcarriers
-	lo := int(math.Ceil(center - half))
-	hi := int(math.Floor(center + half))
-	out := make([]int, 0, hi-lo+3)
-	for k := lo - 1; k <= hi+1; k++ {
-		out = append(out, k)
-	}
-	return out
-}
+// power (paper section IV-B). This and the other geometry accessors return
+// nil for an invalid channel, and otherwise a view shared by every caller
+// that must not be modified.
+//
+//sledzig:noalloc
+func (c ZigBeeChannel) SubcarrierWindow() []int { return c.geom().window }
 
 // DataSubcarriers returns the data subcarriers within the window (7 for
 // CH1-CH3, which contain one pilot; 5 for CH4, which contains three
-// nulls).
-func (c ZigBeeChannel) DataSubcarriers() []int {
-	out := make([]int, 0, 8)
-	for _, k := range c.SubcarrierWindow() {
-		if !wifi.IsPilot(k) && !wifi.IsNull(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
+// nulls), as a shared read-only view.
+//
+//sledzig:noalloc
+func (c ZigBeeChannel) DataSubcarriers() []int { return c.geom().data }
+
+// DataIndices returns the position of each of DataSubcarriers() in the
+// 48-wide wifi.DataSubcarriers() array, as a shared read-only view.
+//
+//sledzig:noalloc
+func (c ZigBeeChannel) DataIndices() []int { return c.geom().dataIndex }
 
 // PilotSubcarriers returns the pilots within the window (one for CH1-CH3,
-// none for CH4).
-func (c ZigBeeChannel) PilotSubcarriers() []int {
-	out := make([]int, 0, 1)
-	for _, k := range c.SubcarrierWindow() {
-		if wifi.IsPilot(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
+// none for CH4), as a shared read-only view.
+//
+//sledzig:noalloc
+func (c ZigBeeChannel) PilotSubcarriers() []int { return c.geom().pilots }
 
 // DataSubcarrierSubset returns the n data subcarriers closest to the
 // channel center, used by the paper's Fig. 11 ablation on how many
@@ -120,24 +148,17 @@ func (c ZigBeeChannel) PilotSubcarriers() []int {
 // selection extends into neighbouring data subcarriers, matching the
 // paper's 8-subcarrier sweep point on the pilot-bearing channels.
 func (c ZigBeeChannel) DataSubcarrierSubset(n int) ([]int, error) {
-	all := wifi.DataSubcarriers()
-	if n < 0 || n > len(all) {
-		return nil, fmt.Errorf("core: cannot select %d of %d data subcarriers", n, len(all))
+	sorted := slices.Clone(wifi.DataSubcarriers())
+	if n < 0 || n > len(sorted) {
+		return nil, fmt.Errorf("core: cannot select %d of %d data subcarriers", n, len(sorted))
 	}
+	// Nearest the center first; symmetric neighbours tie-break low first.
 	center := c.OffsetHz() / wifi.SubcarrierSpacing
-	sorted := append([]int(nil), all...)
-	sort.Slice(sorted, func(i, j int) bool {
-		di := math.Abs(float64(sorted[i]) - center)
-		dj := math.Abs(float64(sorted[j]) - center)
-		//sledvet:ignore floateq tie-break between symmetric subcarriers whose distances are bit-identical by construction
-		if di != dj {
-			return di < dj
-		}
-		return sorted[i] < sorted[j]
+	slices.SortFunc(sorted, func(a, b int) int {
+		return cmp.Or(cmp.Compare(math.Abs(float64(a)-center), math.Abs(float64(b)-center)), cmp.Compare(a, b))
 	})
-	subset := append([]int(nil), sorted[:n]...)
-	sort.Ints(subset)
-	return subset, nil
+	slices.Sort(sorted[:n])
+	return sorted[:n:n], nil
 }
 
 // BandHz returns the channel's band edges relative to the WiFi center

@@ -85,16 +85,12 @@ func (d Decoder) RecoverMessage(rx *wifi.RxResult) ([]bits.Bit, []bool, error) {
 	if nSym == 0 || nSym%SymbolsPerBit != 0 {
 		return nil, nil, fmt.Errorf("ctc: frame of %d symbols is not whole CTC bits", nSym)
 	}
-	dataIndex := map[int]int{}
-	for i, k := range wifi.DataSubcarriers() {
-		dataIndex[k] = i
-	}
 	kmod := wifi.NormFactor(rx.Mode.Modulation)
 	mask := make([]bool, nSym)
 	for s, pts := range rx.DataPoints {
 		low := true
-		for _, k := range d.Channel.DataSubcarriers() {
-			p := pts[dataIndex[k]]
+		for _, idx := range d.Channel.DataIndices() {
+			p := pts[idx]
 			if real(p) > 2*kmod || real(p) < -2*kmod || imag(p) > 2*kmod || imag(p) < -2*kmod {
 				low = false
 				break

@@ -216,30 +216,35 @@ func (c Convention) DemapAllC(m Modulation, pts []complex128) ([]bits.Bit, error
 
 // SignificantOffsetsC returns the bit offsets within one constellation
 // point's group that pin it to the lowest-power ring, with the required
-// values, under the convention.
+// values, under the convention; nil for an invalid modulation. The slices
+// are built once at package init and shared by every caller: they must
+// not be modified.
+//
+//sledzig:noalloc
 func (c Convention) SignificantOffsetsC(m Modulation) (offsets []int, values []bits.Bit) {
-	if c == ConventionIEEE {
-		return SignificantOffsets(m)
+	if !m.Valid() {
+		return nil, nil
 	}
+	if c != ConventionIEEE {
+		c = ConventionPaper // every other labeling is LTE's
+	}
+	t := &significantTable[c][m]
+	return t.offsets, t.values
+}
+
+// lteSignificant derives SignificantOffsetsC for the LTE labeling.
+func lteSignificant(m Modulation) (offsets []int, values []bits.Bit) {
 	n := axisBits(m)
 	if m == BPSK || n < 2 {
 		return nil, nil
 	}
-	// LTE labeling: amplitude bits live at offsets 2..2n-1; the required
-	// values for level 1 come from lteAmplitudeBits.
+	// LTE labeling: amplitude bits live at offsets 2..2n-1 (ascending, as
+	// the derived tables need); the required values for level 1 come from
+	// lteAmplitudeBits.
 	amp := lteAmplitudeBits(1, n-1)
 	for k := 1; k < n; k++ {
-		offsets = append(offsets, 2*k)
-		values = append(values, amp[k-1])
-		offsets = append(offsets, 2*k+1)
-		values = append(values, amp[k-1])
-	}
-	// Keep offsets sorted for deterministic derived tables.
-	for i := 1; i < len(offsets); i++ {
-		for j := i; j > 0 && offsets[j] < offsets[j-1]; j-- {
-			offsets[j], offsets[j-1] = offsets[j-1], offsets[j]
-			values[j], values[j-1] = values[j-1], values[j]
-		}
+		offsets = append(offsets, 2*k, 2*k+1)
+		values = append(values, amp[k-1], amp[k-1])
 	}
 	return offsets, values
 }

@@ -184,17 +184,42 @@ func PowerReductionDB(m Modulation) float64 {
 	return 10 * math.Log10(AveragePower(m)/LowestPower(m))
 }
 
-// SignificantOffsets returns, for one constellation point of m, the bit
-// offsets within the N_BPSC-bit group that must be pinned to force the
-// point onto the lowest-power ring (|I| = |Q| = 1), together with the
-// required values. The first bit of each axis (the sign bit) stays free,
-// which is what lets SledZig keep carrying payload on pinned subcarriers.
+// significantTable holds SignificantOffsetsC per convention and
+// modulation. Its slices are views of each entry's own arrays, so the
+// table stays off the heap, each clipped to its length so a caller's
+// append copies instead of writing into the table.
+var significantTable [ConventionPaper + 1][QAM256 + 1]struct {
+	offsets []int
+	values  []bits.Bit
+	offBuf  [8]int
+	valBuf  [8]bits.Bit
+}
+
+func init() {
+	build := [...]func(Modulation) ([]int, []bits.Bit){ConventionIEEE: ieeeSignificant, ConventionPaper: lteSignificant}
+	for m := BPSK; m <= QAM256; m++ {
+		for c := range build {
+			offsets, values := build[c](m)
+			t, n := &significantTable[c][m], len(offsets)
+			t.offsets, t.values = t.offBuf[:n:n], t.valBuf[:n:n]
+			copy(t.offsets, offsets)
+			copy(t.values, values)
+		}
+	}
+}
+
+// ieeeSignificant returns, for one constellation point of m under the
+// IEEE Gray labeling, the bit offsets within the N_BPSC-bit group that
+// must be pinned to force the point onto the lowest-power ring (|I| = |Q|
+// = 1), together with the required values. The first bit of each axis
+// (the sign bit) stays free, which is what lets SledZig keep carrying
+// payload on pinned subcarriers.
 //
-// For the Gray mapping, levels -1 and +1 share the axis suffix
-// "1 0 ... 0"; so for QAM-16 one bit per axis is pinned to 1, for QAM-64
-// two bits per axis are pinned to (1, 0), for QAM-256 three bits per axis
-// to (1, 0, 0) — matching the paper's Table I counts of 2/4/6.
-func SignificantOffsets(m Modulation) (offsets []int, values []bits.Bit) {
+// Levels -1 and +1 share the axis suffix "1 0 ... 0"; so for QAM-16 one
+// bit per axis is pinned to 1, for QAM-64 two bits per axis are pinned to
+// (1, 0), for QAM-256 three bits per axis to (1, 0, 0) — matching the
+// paper's Table I counts of 2/4/6.
+func ieeeSignificant(m Modulation) (offsets []int, values []bits.Bit) {
 	n := axisBits(m)
 	if m == BPSK || n < 2 {
 		return nil, nil // every point already has |I| = 1

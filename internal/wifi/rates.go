@@ -10,7 +10,10 @@
 // standard specifies it.
 package wifi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Modulation identifies the subcarrier modulation of the DATA field.
 type Modulation int
@@ -153,12 +156,9 @@ const (
 // PilotSubcarriers lists the pilot subcarrier indices (signed, DC = 0).
 var pilotSubcarriers = [NumPilotSubcarriers]int{-21, -7, 7, 21}
 
-// PilotSubcarriers returns the pilot subcarrier indices in ascending order.
-func PilotSubcarriers() []int {
-	out := make([]int, NumPilotSubcarriers)
-	copy(out, pilotSubcarriers[:])
-	return out
-}
+// PilotSubcarriers returns the pilot subcarrier indices in ascending
+// order, as a view shared by every caller that must not be modified.
+func PilotSubcarriers() []int { return pilotSubcarriers[:] }
 
 // dataSubcarriers is the precomputed ascending list of the 48 data
 // subcarrier indices: -26..-1 and 1..26 with 0, +/-7 and +/-21 excluded.
@@ -187,23 +187,13 @@ var dataBins = func() [NumDataSubcarriers]int {
 }()
 
 // DataSubcarriers returns the 48 data subcarrier indices in ascending
-// frequency order: -26..-1 and 1..26 with 0, +/-7 and +/-21 excluded.
-func DataSubcarriers() []int {
-	out := make([]int, NumDataSubcarriers)
-	copy(out, dataSubcarriers[:])
-	return out
-}
+// frequency order: -26..-1 and 1..26 with 0, +/-7 and +/-21 excluded, as a
+// view shared by every caller that must not be modified.
+func DataSubcarriers() []int { return dataSubcarriers[:] }
 
-// IsPilot reports whether signed subcarrier index k is a pilot.
-func IsPilot(k int) bool {
-	return k == -21 || k == -7 || k == 7 || k == 21
-}
-
-// IsNull reports whether signed subcarrier index k carries no energy
-// (DC or guard band) in the 20 MHz format.
-func IsNull(k int) bool {
-	return k == 0 || k < -26 || k > 26
-}
+// DataIndex returns the position of signed subcarrier k in
+// DataSubcarriers(), or -1 when k is a pilot or null subcarrier.
+func DataIndex(k int) int { return slices.Index(dataSubcarriers[:], k) }
 
 // Mode is a (modulation, coding rate) pair — the knobs the SledZig paper
 // sweeps. Zero value is invalid; construct with the fields set.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -318,7 +319,7 @@ func TestTheoreticalPowerReduction(t *testing.T) {
 func TestSignificantOffsetsForceLowestRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, m := range []Modulation{QAM16, QAM64, QAM256} {
-		offsets, values := SignificantOffsets(m)
+		offsets, values := ConventionIEEE.SignificantOffsetsC(m)
 		wantCount := map[Modulation]int{QAM16: 2, QAM64: 4, QAM256: 6}[m]
 		if len(offsets) != wantCount {
 			t.Fatalf("%v: %d significant bits, want %d (Table I)", m, len(offsets), wantCount)
@@ -370,9 +371,17 @@ func TestSubcarrierSets(t *testing.T) {
 	if len(ds) != 48 {
 		t.Fatalf("%d data subcarriers, want 48", len(ds))
 	}
-	for _, k := range ds {
-		if IsPilot(k) || IsNull(k) {
+	for i, k := range ds {
+		if slices.Contains(PilotSubcarriers(), k) || k == 0 || k < -26 || k > 26 {
 			t.Errorf("data subcarrier %d overlaps pilot/null", k)
+		}
+		if got := DataIndex(k); got != i {
+			t.Errorf("DataIndex(%d) = %d, want %d", k, got, i)
+		}
+	}
+	for _, k := range []int{-27, -21, -7, 0, 7, 21, 27} {
+		if got := DataIndex(k); got != -1 {
+			t.Errorf("DataIndex(%d) = %d, want -1 for a pilot or null", k, got)
 		}
 	}
 	if got := PilotSubcarriers(); len(got) != 4 {
