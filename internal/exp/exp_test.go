@@ -327,6 +327,40 @@ func TestMinSNRWithinHardDecisionMargin(t *testing.T) {
 	}
 }
 
+// TestMinSNRSweepPinned pins the Table IV min-SNR sweep that
+// EXPERIMENTS.md documents (`cmd/experiments -only minsnr`: paper
+// convention, seed 1, 20 frames per point), both columns of every row.
+// Each mode draws from its own rng, so the result does not depend on
+// GOMAXPROCS. A change here is a change to the receive chains' decisions.
+func TestMinSNRSweepPinned(t *testing.T) {
+	rows, err := MinSNRSweep(wifi.ConventionPaper, 1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		mode       wifi.Mode
+		hard, soft float64
+	}{
+		{wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, 15, 13},
+		{wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate34}, 17, 15},
+		{wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate23}, 22, 18},
+		{wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate34}, 22, 20},
+		{wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate56}, 25, 21},
+		{wifi.Mode{Modulation: wifi.QAM256, CodeRate: wifi.Rate34}, 29, 27},
+		{wifi.Mode{Modulation: wifi.QAM256, CodeRate: wifi.Rate56}, 29, 27},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Mode != w.mode || r.MeasuredDB != w.hard || r.SoftDB != w.soft {
+			t.Errorf("row %d: %v hard %v soft %v dB, want %v hard %v soft %v dB",
+				i, r.Mode, r.MeasuredDB, r.SoftDB, w.mode, w.hard, w.soft)
+		}
+	}
+}
+
 func TestFleetSweepScalesWithSledZig(t *testing.T) {
 	pts, err := FleetSweep(ThroughputOptions{Seed: 1, Duration: 4})
 	if err != nil {
