@@ -74,17 +74,9 @@ func TestErrBadSignalFieldReachable(t *testing.T) {
 		t.Fatalf("SignalField: %v", err)
 	}
 	field[17] ^= 1
-	coded, err := wifi.EncodeAndPuncture(field, wifi.Rate12)
+	pts, err := wifi.SignalPoints(field)
 	if err != nil {
-		t.Fatalf("EncodeAndPuncture: %v", err)
-	}
-	inter, err := wifi.Interleave(wifi.BPSK, coded)
-	if err != nil {
-		t.Fatalf("Interleave: %v", err)
-	}
-	pts, err := wifi.MapAll(wifi.BPSK, inter)
-	if err != nil {
-		t.Fatalf("MapAll: %v", err)
+		t.Fatalf("SignalPoints: %v", err)
 	}
 	sym, err := wifi.AssembleSymbol(pts, 0)
 	if err != nil {

@@ -29,6 +29,9 @@
 //   - function literals that capture variables (strict only)
 //   - boxing a non-pointer concrete value into an interface parameter
 //     (strict only)
+//   - calling an un-annotated function of the same package that itself
+//     makes, news, appends or builds a literal on a path to its own
+//     successful return (strict only, one call deep)
 //
 // Two idioms are exempt because they are how 0 allocs/op is achieved:
 // anything inside an if whose condition consults cap()/len() or compares
@@ -87,6 +90,16 @@ func parseDirective(doc *ast.CommentGroup) (*directive, string, token.Pos) {
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	c := &callees{pass: pass, decls: map[*types.Func]*ast.FuncDecl{}, allocs: map[*ast.FuncDecl]bool{}}
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
+					c.decls[obj] = fn
+				}
+			}
+		}
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -103,13 +116,64 @@ func run(pass *analysis.Pass) (any, error) {
 			if d == nil || fn.Body == nil {
 				continue
 			}
-			check(pass, fn, d)
+			check(pass, fn, d, pass.Reportf, c)
 		}
 	}
 	return nil, nil
 }
 
-func check(pass *analysis.Pass, fn *ast.FuncDecl, d *directive) {
+// callees resolves a strict function's calls to the un-annotated
+// functions of the same package and memoizes whether each allocates
+// explicitly (make, new, append, a literal) on a path to its own
+// successful return. The probe goes one call deep.
+type callees struct {
+	pass   *analysis.Pass
+	decls  map[*types.Func]*ast.FuncDecl
+	allocs map[*ast.FuncDecl]bool
+}
+
+// allocating names the callee of call when it is such a function, else "".
+func (c *callees) allocating(call *ast.CallExpr) string {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation
+		fun = ix.X
+	}
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	if id == nil {
+		return ""
+	}
+	obj, ok := c.pass.TypesInfo.Uses[id].(*types.Func)
+	if !ok {
+		return ""
+	}
+	decl := c.decls[obj.Origin()]
+	if decl == nil {
+		return ""
+	}
+	if d, _, _ := parseDirective(decl.Doc); d != nil {
+		return "" // annotated: its own contract is checked where it is declared
+	}
+	a, seen := c.allocs[decl]
+	if !seen {
+		check(c.pass, decl, &directive{budget: -1}, func(token.Pos, string, ...any) { a = true }, nil)
+		c.allocs[decl] = a
+	}
+	if !a {
+		return ""
+	}
+	return obj.Name()
+}
+
+// check reports fn's allocations against d through reportf. With c nil it
+// is the callee probe: explicit allocation sites only, no closures,
+// boxing or further calls.
+func check(pass *analysis.Pass, fn *ast.FuncDecl, d *directive, reportf func(token.Pos, string, ...any), c *callees) {
 	g := cfg.New(fn.Body)
 
 	// Classify exit blocks: success = all error results literal nil, or
@@ -173,12 +237,12 @@ func check(pass *analysis.Pass, fn *ast.FuncDecl, d *directive) {
 			return // amortized-grow idiom
 		}
 		if strict {
-			pass.Reportf(n.Pos(), "%s on a path to a successful return of %s function %s",
+			reportf(n.Pos(), "%s on a path to a successful return of %s function %s",
 				what, mode, fn.Name.Name)
 			return
 		}
 		if inLoop(n.Pos()) {
-			pass.Reportf(n.Pos(), "%s inside a loop of %s function %s: allocates per iteration, not once",
+			reportf(n.Pos(), "%s inside a loop of %s function %s: allocates per iteration, not once",
 				what, mode, fn.Name.Name)
 		}
 	}
@@ -194,14 +258,19 @@ func check(pass *analysis.Pass, fn *ast.FuncDecl, d *directive) {
 			ast.Inspect(node, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.FuncLit:
-					if strict {
+					if strict && c != nil {
 						if capt := captured(pass, s); capt != "" {
 							report(s, "function literal capturing "+capt)
 						}
 					}
 					return false // interior is not this function's contract
 				case *ast.CallExpr:
-					checkCall(pass, s, strict, inPool, report)
+					checkCall(pass, s, strict && c != nil, inPool, report)
+					if strict && c != nil {
+						if name := c.allocating(s); name != "" {
+							report(s, "call to allocating function "+name)
+						}
+					}
 				case *ast.CompositeLit:
 					if t := pass.TypeOf(s); t != nil {
 						switch t.Underlying().(type) {

@@ -141,3 +141,37 @@ func justifiedAlloc(n int) []float64 {
 	//sledvet:ignore hotalloc one-time warmup buffer, measured outside steady state
 	return make([]float64, n)
 }
+
+// Strict functions are checked one call deep into their own package: a
+// helper that allocates only behind a capacity guard, or on its error
+// path, is fine to call; one that allocates on its success path is not,
+// unless it carries a contract of its own.
+func growTo(s []float64, n int) []float64 {
+	if cap(s) < n {
+		s = make([]float64, n)
+	}
+	return s[:n]
+}
+
+func (s *scratch) fresh(n int) []float64 { return make([]float64, n) }
+
+func checkLen(n int) error {
+	if n < 0 {
+		return errOf(string([]byte("negative length")))
+	}
+	return nil
+}
+
+//sledzig:noalloc budget=1
+func budgetedHelper(n int) []float64 { return make([]float64, n) }
+
+//sledzig:noalloc
+func callsHelpers(s *scratch, n int) ([]float64, error) {
+	s.buf = growTo(s.buf, n)
+	if err := checkLen(n); err != nil {
+		return nil, err
+	}
+	_ = budgetedHelper(n)
+	_ = unannotated(n)     // want `call to allocating function unannotated`
+	return s.fresh(n), nil // want `call to allocating function fresh`
+}

@@ -38,11 +38,7 @@ func SymbolConstraints(conv wifi.Convention, mode wifi.Mode, dataSubcarriers []i
 		return nil, fmt.Errorf("core: modulation %v has no pinnable amplitude bits", mode.Modulation)
 	}
 	bpsc := mode.Modulation.BitsPerSubcarrier()
-	nCBPS := mode.CodedBitsPerSymbol()
-	mother, err := wifi.MotherIndices(nCBPS, mode.CodeRate)
-	if err != nil {
-		return nil, err
-	}
+	slots := conv.CodedSlots(mode)
 	out := make([]Constraint, 0, len(dataSubcarriers)*len(offsets))
 	for _, k := range dataSubcarriers {
 		idx := wifi.DataIndex(k) // position in the 48-wide data array
@@ -50,9 +46,8 @@ func SymbolConstraints(conv wifi.Convention, mode wifi.Mode, dataSubcarriers []i
 			return nil, fmt.Errorf("core: subcarrier %d is not a data subcarrier", k)
 		}
 		for i, off := range offsets {
-			j := idx*bpsc + off // post-interleaver position
-			cs := conv.DeinterleaveIndexC(mode.Modulation, j)
-			out = append(out, Constraint{MotherIndex: mother[cs], Value: values[i]})
+			// idx*bpsc + off is the bit's post-interleaver position.
+			out = append(out, Constraint{MotherIndex: int(slots[idx*bpsc+off]), Value: values[i]})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].MotherIndex < out[b].MotherIndex })

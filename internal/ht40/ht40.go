@@ -108,15 +108,8 @@ func DeinterleaveIndex(m wifi.Modulation, j int) int {
 	return k
 }
 
-// interleaveIndexC applies the pipeline convention (the Paper convention
-// swaps the permutation direction, as at 20 MHz).
-func interleaveIndexC(c wifi.Convention, m wifi.Modulation, k int) int {
-	if c == wifi.ConventionPaper {
-		return DeinterleaveIndex(m, k)
-	}
-	return InterleaveIndex(m, k)
-}
-
+// deinterleaveIndexC applies the pipeline convention (the Paper
+// convention swaps the permutation direction, as at 20 MHz).
 func deinterleaveIndexC(c wifi.Convention, m wifi.Modulation, j int) int {
 	if c == wifi.ConventionPaper {
 		return InterleaveIndex(m, j)

@@ -44,6 +44,50 @@ func TestInterleaverBijection(t *testing.T) {
 	}
 }
 
+// TestPlanSlotsMatchPerBitComposition checks the 40 MHz placement table
+// against the per-bit composition it replaced, the rate's kept mother
+// slots indexed by the HT deinterleaver, for both conventions and all 20
+// modes; and that it is injective, with the punctured slots of each
+// period the only ones it never names.
+func TestPlanSlotsMatchPerBitComposition(t *testing.T) {
+	patterns := map[wifi.CodeRate][]bool{
+		wifi.Rate12: {true, true},
+		wifi.Rate23: {true, true, true, false},
+		wifi.Rate34: {true, true, true, false, false, true},
+		wifi.Rate56: {true, true, true, false, false, true, true, false, false, true},
+	}
+	for _, conv := range []wifi.Convention{wifi.ConventionIEEE, wifi.ConventionPaper} {
+		for _, m := range []wifi.Modulation{wifi.BPSK, wifi.QPSK, wifi.QAM16, wifi.QAM64, wifi.QAM256} {
+			for r, pat := range patterns {
+				mode := wifi.Mode{Modulation: m, CodeRate: r}
+				slots := codedSlots(conv, mode)
+				var mother []int // kept mother slots, in transmit order
+				for i := 0; len(mother) < len(slots); i++ {
+					if pat[i%len(pat)] {
+						mother = append(mother, i)
+					}
+				}
+				block := 2 * DataBitsPerSymbol(mode)
+				used := make([]bool, block)
+				for j, slot := range slots {
+					if want := mother[deinterleaveIndexC(conv, m, j)]; int(slot) != want {
+						t.Fatalf("%v %v: slot[%d] = %d, want %d", conv, mode, j, slot, want)
+					}
+					if used[slot] {
+						t.Fatalf("%v %v: slot %d named twice", conv, mode, slot)
+					}
+					used[slot] = true
+				}
+				for i, u := range used {
+					if u != pat[i%len(pat)] {
+						t.Fatalf("%v %v: mother slot %d used=%v, pattern keeps=%v", conv, mode, i, u, pat[i%len(pat)])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestInterleaverSpreadsAdjacentBits(t *testing.T) {
 	// Adjacent coded bits must land on well-separated subcarriers (the
 	// property that scatters SledZig's significant bits).

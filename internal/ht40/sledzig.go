@@ -26,6 +26,9 @@ type Plan struct {
 	Mode       wifi.Mode
 	Channel    Channel
 
+	// slots is the mode's placement table on the 40 MHz numerology (see
+	// wifi.BuildCodedSlots).
+	slots       []uint16
 	constraints []core.Constraint
 }
 
@@ -46,10 +49,7 @@ func NewPlan(conv wifi.Convention, mode wifi.Mode, ch Channel) (*Plan, error) {
 		dataIndex[k] = i
 	}
 	bpsc := mode.Modulation.BitsPerSubcarrier()
-	mother, err := wifi.MotherIndices(CodedBitsPerSymbol(mode), mode.CodeRate)
-	if err != nil {
-		return nil, err
-	}
+	slots := codedSlots(conv, mode)
 	var cs []core.Constraint
 	for _, k := range ch.DataSubcarriersIn() {
 		idx, ok := dataIndex[k]
@@ -57,18 +57,24 @@ func NewPlan(conv wifi.Convention, mode wifi.Mode, ch Channel) (*Plan, error) {
 			return nil, fmt.Errorf("ht40: subcarrier %d is not a data subcarrier", k)
 		}
 		for i, off := range offsets {
-			j := idx*bpsc + off
-			pre := deinterleaveIndexC(conv, mode.Modulation, j)
-			cs = append(cs, core.Constraint{MotherIndex: mother[pre], Value: values[i]})
+			cs = append(cs, core.Constraint{MotherIndex: int(slots[idx*bpsc+off]), Value: values[i]})
 		}
 	}
 	sortConstraints(cs)
-	p := &Plan{Convention: conv, Mode: mode, Channel: ch, constraints: cs}
+	p := &Plan{Convention: conv, Mode: mode, Channel: ch, slots: slots, constraints: cs}
 	// Fail fast on unplannable combinations.
 	if _, err := core.LayoutForConstraints(cs, 2, 2*DataBitsPerSymbol(mode)); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// codedSlots builds the placement table of a valid mode on the 40 MHz
+// numerology (see wifi.BuildCodedSlots).
+func codedSlots(conv wifi.Convention, mode wifi.Mode) []uint16 {
+	slots := make([]uint16, CodedBitsPerSymbol(mode))
+	wifi.BuildCodedSlots(slots, mode.CodeRate, func(j int) int { return deinterleaveIndexC(conv, mode.Modulation, j) })
+	return slots
 }
 
 func sortConstraints(cs []core.Constraint) {
@@ -169,19 +175,16 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 
 // DataPoints returns per-symbol constellation points.
 func (f *Frame) DataPoints() ([][]complex128, error) {
-	coded, err := wifi.EncodeAndPuncture(f.ScrambledBits, f.Plan.Mode.CodeRate)
-	if err != nil {
-		return nil, err
-	}
-	nCBPS := CodedBitsPerSymbol(f.Plan.Mode)
-	if len(coded)%nCBPS != 0 {
-		return nil, fmt.Errorf("ht40: coded length %d not whole symbols", len(coded))
+	mother := wifi.ConvolutionalEncode(f.ScrambledBits)
+	block := 2 * DataBitsPerSymbol(f.Plan.Mode)
+	if len(mother)%block != 0 {
+		return nil, fmt.Errorf("ht40: coded length %d not whole symbols", len(mother))
 	}
 	out := make([][]complex128, 0, f.NumSymbols)
-	for off := 0; off < len(coded); off += nCBPS {
-		inter := make([]bits.Bit, nCBPS)
-		for k, b := range coded[off : off+nCBPS] {
-			inter[interleaveIndexC(f.Plan.Convention, f.Plan.Mode.Modulation, k)] = b
+	inter := make([]bits.Bit, len(f.Plan.slots))
+	for off := 0; off < len(mother); off += block {
+		for j, slot := range f.Plan.slots {
+			inter[j] = mother[off+int(slot)]
 		}
 		pts, err := f.Plan.Convention.MapAllC(f.Plan.Mode.Modulation, inter)
 		if err != nil {
@@ -210,9 +213,10 @@ func (f *Frame) Waveform() ([]complex128, error) {
 }
 
 // Decode inverts Encode from a symbol-aligned DATA waveform: demodulate,
-// deinterleave, Viterbi, descramble, strip the extra bits and the length
-// header. The mode, channel and convention must be known (a full HT
-// receiver would read them from the HT-SIG field).
+// scatter into the mother-code stream through the plan's placement table,
+// Viterbi, descramble, strip the extra bits and the length header. The
+// mode, channel and convention must be known (a full HT receiver would
+// read them from the HT-SIG field).
 func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128, seed uint8) ([]byte, error) {
 	if len(wave)%SymbolLength != 0 {
 		return nil, fmt.Errorf("ht40: waveform of %d samples is not whole symbols", len(wave))
@@ -221,8 +225,12 @@ func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128,
 	if nSym == 0 {
 		return nil, fmt.Errorf("ht40: empty waveform")
 	}
-	nCBPS := CodedBitsPerSymbol(mode)
-	rx := make([]bits.Bit, 0, nSym*nCBPS)
+	plan, err := NewPlan(conv, mode, ch)
+	if err != nil {
+		return nil, err
+	}
+	block := 2 * DataBitsPerSymbol(mode)
+	mother := make([]int8, nSym*block) // 0: erased until scattered
 	for s := 0; s < nSym; s++ {
 		freq, err := FrequencyDomain(wave[s*SymbolLength : (s+1)*SymbolLength])
 		if err != nil {
@@ -236,13 +244,11 @@ func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128,
 		if err != nil {
 			return nil, err
 		}
-		deinter := make([]bits.Bit, nCBPS)
-		for j, b := range demapped {
-			deinter[deinterleaveIndexC(conv, mode.Modulation, j)] = b
+		for j, slot := range plan.slots {
+			mother[s*block+int(slot)] = 1 - 2*int8(demapped[j])
 		}
-		rx = append(rx, deinter...)
 	}
-	scrambled, err := wifi.DepunctureAndDecode(rx, mode.CodeRate, false)
+	scrambled, err := wifi.ViterbiDecodeInto(nil, mother, false)
 	if err != nil {
 		return nil, err
 	}
@@ -253,11 +259,7 @@ func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128,
 	if err != nil {
 		return nil, err
 	}
-	plan, err := NewPlan(conv, mode, ch)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := core.LayoutForConstraints(plan.constraints, nSym, 2*DataBitsPerSymbol(mode))
+	layout, err := core.LayoutForConstraints(plan.constraints, nSym, block)
 	if err != nil {
 		return nil, err
 	}

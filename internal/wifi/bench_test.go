@@ -83,13 +83,13 @@ func BenchmarkSoftDemapQAM256(b *testing.B) {
 func BenchmarkViterbiACSReferenceHard(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	data := bits.Random(rng, 1000)
-	coded := ConvolutionalEncode(data)
+	mother := signedMother(ConvolutionalEncode(data), nil)
 	dst := make([]bits.Bit, 0, len(data))
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := viterbiDecodeInto(dst, coded, nil, false, refHardACS); err != nil {
+		if _, err := viterbiDecodeInto(dst, mother, false, refHardACS); err != nil {
 			b.Fatal(err)
 		}
 	}

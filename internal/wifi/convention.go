@@ -248,34 +248,3 @@ func lteSignificant(m Modulation) (offsets []int, values []bits.Bit) {
 	}
 	return offsets, values
 }
-
-// InterleaveAllC applies the per-symbol interleaver across a multi-symbol
-// stream under the convention.
-func (c Convention) InterleaveAllC(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
-	out := make([]bits.Bit, len(in))
-	if err := c.InterleaveAllCInto(m, in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InterleaveAllCInto is InterleaveAllC writing into dst (len == len(in)):
-// the allocation-free variant for pooled transmit paths. dst must not
-// alias in.
-func (c Convention) InterleaveAllCInto(m Modulation, in, dst []bits.Bit) error {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in)%nCBPS != 0 {
-		return fmt.Errorf("wifi: coded stream length %d not a multiple of N_CBPS %d", len(in), nCBPS)
-	}
-	if len(dst) != len(in) {
-		return fmt.Errorf("wifi: interleave destination length %d != input length %d", len(dst), len(in))
-	}
-	for off := 0; off < len(in); off += nCBPS {
-		sym := in[off : off+nCBPS]
-		out := dst[off : off+nCBPS]
-		for k, b := range sym {
-			out[c.InterleaveIndexC(m, k)] = b
-		}
-	}
-	return nil
-}

@@ -57,8 +57,9 @@ func TestConventionConstellationsSharePoints(t *testing.T) {
 }
 
 // TestConventionInterleaveRoundTrip checks, over random symbols, that
-// the pooled transmit interleaver InterleaveAllCInto on one OFDM symbol
-// is undone by the DeinterleaveC oracle under both conventions.
+// the transmit gather through a rate-1/2 placement table (whose mother
+// block is the symbol's coded bits, none punctured) is undone by the
+// DeinterleaveC oracle under both conventions.
 func TestConventionInterleaveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
@@ -68,8 +69,8 @@ func TestConventionInterleaveRoundTrip(t *testing.T) {
 				n := NumDataSubcarriers * m.BitsPerSubcarrier()
 				data := bits.Random(lr, n)
 				inter := make([]bits.Bit, n)
-				if err := conv.InterleaveAllCInto(m, data, inter); err != nil {
-					return false
+				for j, slot := range conv.CodedSlots(Mode{m, Rate12}) {
+					inter[j] = data[slot]
 				}
 				back, err := conv.DeinterleaveC(m, inter)
 				if err != nil {

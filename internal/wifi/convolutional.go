@@ -1,10 +1,6 @@
 package wifi
 
-import (
-	"fmt"
-
-	"sledzig/internal/bits"
-)
+import "sledzig/internal/bits"
 
 // Generator polynomials of the 802.11 rate-1/2 mother code (constraint
 // length 7): g0 = 133 octal, g1 = 171 octal. The masks are expressed with
@@ -30,198 +26,50 @@ func EncodeStep(window uint32) (y0, y1 bits.Bit) {
 // initialized to zero) and returns the 2*len(in) coded bits, ordered
 // y1, y2, ... with y_{2n-1} = g0 output and y_{2n} = g1 output of step n.
 func ConvolutionalEncode(in []bits.Bit) []bits.Bit {
-	out := make([]bits.Bit, 0, 2*len(in))
+	return convolutionalEncodeInto(nil, in)
+}
+
+// convolutionalEncodeInto is ConvolutionalEncode writing into dst's
+// capacity; it returns dst resized to 2*len(in).
+func convolutionalEncodeInto(dst, in []bits.Bit) []bits.Bit {
+	dst = grow(dst, 2*len(in))
 	var reg uint32
-	for _, x := range in {
+	for i, x := range in {
 		reg = ((reg << 1) | uint32(x&1)) & 0x7F
-		y0, y1 := EncodeStep(reg)
-		out = append(out, y0, y1)
+		dst[2*i], dst[2*i+1] = EncodeStep(reg)
 	}
-	return out
+	return dst
 }
 
-// punctureInfo is the cached per-rate puncturing state: the keep-mask over
-// one period plus the derived bookkeeping the depuncturers need to size
-// their outputs without walking the pattern bit by bit.
-type punctureInfo struct {
-	pattern []bool
-	keeps   int // kept bits per period
-	// keepPrefix[j] is how many pattern slots the first j kept bits span
-	// (keepPrefix[0] = 0): the closed form of "walk the pattern until j
-	// bits were kept".
-	keepPrefix []int
+// puncturePatterns holds each rate's keep-mask over one puncturing period
+// of mother-coded bits; rate 1/2 keeps everything.
+var puncturePatterns = [Rate56 + 1][]bool{
+	Rate12: {true, true},
+	Rate23: {true, true, true, false},
+	Rate34: {true, true, true, false, false, true},
+	Rate56: {true, true, true, false, false, true, true, false, false, true},
 }
 
-// punctureTable holds one immutable entry per CodeRate; entries are read
-// concurrently and must never be mutated.
-var punctureTable = buildPunctureTable()
-
-func buildPunctureTable() [Rate56 + 1]*punctureInfo {
-	var tab [Rate56 + 1]*punctureInfo
-	patterns := map[CodeRate][]bool{
-		Rate12: {true, true},
-		Rate23: {true, true, true, false},
-		Rate34: {true, true, true, false, false, true},
-		Rate56: {true, true, true, false, false, true, true, false, false, true},
-	}
-	for r, pat := range patterns {
-		info := &punctureInfo{pattern: pat}
-		info.keepPrefix = append(info.keepPrefix, 0)
-		for i, keep := range pat {
-			if keep {
-				info.keeps++
-				info.keepPrefix = append(info.keepPrefix, i+1)
-			}
-		}
-		tab[r] = info
-	}
-	return tab
-}
-
-// punctureRate returns the cached puncturing state for r. The result is
-// shared and immutable.
-func punctureRate(r CodeRate) (*punctureInfo, error) {
-	if r < Rate12 || r > Rate56 || punctureTable[r] == nil {
-		return nil, fmt.Errorf("wifi: unsupported code rate %v", r)
-	}
-	return punctureTable[r], nil
-}
-
-// puncturePattern returns the keep-mask over one puncturing period of
-// mother-coded bits for rate r. Rate 1/2 keeps everything. The returned
-// slice is a shared cached instance; callers must not modify it.
-func puncturePattern(r CodeRate) ([]bool, error) {
-	info, err := punctureRate(r)
-	if err != nil {
-		return nil, err
-	}
-	return info.pattern, nil
-}
-
-// motherLen returns how many mother-stream slots a received rate-r stream
-// of n bits spans: the index just past the n-th kept pattern position.
-func (p *punctureInfo) motherLen(n int) int {
-	if n == 0 {
-		return 0
-	}
-	full := (n - 1) / p.keeps
-	rem := (n-1)%p.keeps + 1
-	return full*len(p.pattern) + p.keepPrefix[rem]
-}
-
-// Puncture removes the coded bits a rate-r puncturer drops from the
-// rate-1/2 stream coded.
-func Puncture(coded []bits.Bit, r CodeRate) ([]bits.Bit, error) {
-	info, err := punctureRate(r)
-	if err != nil {
-		return nil, err
-	}
-	pat := info.pattern
-	out := make([]bits.Bit, 0, len(coded)*r.Numerator()/r.Denominator()+2)
-	for i, b := range coded {
-		if pat[i%len(pat)] {
-			out = append(out, b)
+// BuildCodedSlots fills dst, one OFDM symbol's N_CBPS entries, with the
+// placement table of a rate-r code: dst[j] is the index, within the
+// symbol's 2·N_DBPS-bit block of rate-1/2 mother code, of the j-th
+// interleaved coded bit (the order the mapper consumes them).
+// deinterleave maps that position to its index in the symbol's punctured
+// stream, and r must be a valid rate. The composition assumes what every
+// supported mode satisfies: N_CBPS is a whole number of puncturing
+// periods, so each symbol's mother block starts on a period boundary.
+func BuildCodedSlots(dst []uint16, r CodeRate, deinterleave func(j int) int) {
+	pat := puncturePatterns[r]
+	var kept [10]int // kept slots of one period (rate 5/6 keeps 6 of 10)
+	n := 0
+	for i, keep := range pat {
+		if keep {
+			kept[n] = i
+			n++
 		}
 	}
-	return out, nil
-}
-
-// MotherIndices returns, for a rate-r punctured stream of length n, the
-// index in the rate-1/2 mother stream of each transmitted bit. It is the
-// inverse bookkeeping of Puncture and is used by the SledZig significant-
-// bit derivation (a transmitted bit's encoder constraint applies at its
-// mother position).
-func MotherIndices(n int, r CodeRate) ([]int, error) {
-	pat, err := puncturePattern(r)
-	if err != nil {
-		return nil, err
+	for j := range dst {
+		k := deinterleave(j)
+		dst[j] = uint16(k/n*len(pat) + kept[k%n])
 	}
-	out := make([]int, 0, n)
-	for mother := 0; len(out) < n; mother++ {
-		if pat[mother%len(pat)] {
-			out = append(out, mother)
-		}
-	}
-	return out, nil
-}
-
-// Depuncture expands a received rate-r stream back to mother-code length,
-// marking punctured positions as erasures. Erasures carry no branch metric
-// in the Viterbi decoder. Partial trailing periods are allowed (the encoder
-// may stop mid-pattern when the input length is not a multiple of the
-// period), and a dangling half-step is padded with an erasure so the
-// decoder always consumes whole pairs. The output length is computed from
-// the pattern up front, so both slices are allocated exactly once.
-func Depuncture(rx []bits.Bit, r CodeRate) (data []bits.Bit, erased []bool, err error) {
-	info, err := punctureRate(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := info.motherLen(len(rx))
-	padded := n + n%2
-	data = make([]bits.Bit, padded)
-	erased = make([]bool, padded)
-	fillDepunctured(data, erased, rx, info)
-	return data, erased, nil
-}
-
-// DepunctureInto is Depuncture reusing the capacity of the provided
-// slices; it returns them resized to the mother-code length (padded to
-// whole decoder pairs).
-func DepunctureInto(data []bits.Bit, erased []bool, rx []bits.Bit, r CodeRate) ([]bits.Bit, []bool, error) {
-	info, err := punctureRate(r)
-	if err != nil {
-		return data, erased, err
-	}
-	n := info.motherLen(len(rx))
-	padded := n + n%2
-	data = growBits(data, padded)
-	if cap(erased) >= padded {
-		erased = erased[:padded]
-	} else {
-		erased = make([]bool, padded)
-	}
-	fillDepunctured(data, erased, rx, info)
-	return data, erased, nil
-}
-
-func fillDepunctured(data []bits.Bit, erased []bool, rx []bits.Bit, info *punctureInfo) {
-	pat := info.pattern
-	j := 0
-	for i := range data {
-		if j < len(rx) && pat[i%len(pat)] {
-			data[i] = rx[j]
-			erased[i] = false
-			j++
-		} else {
-			data[i] = 0
-			erased[i] = true
-		}
-	}
-}
-
-// ViterbiDecode performs hard-decision maximum-likelihood decoding of the
-// rate-1/2 mother code. coded holds the pairs (y_{2n-1}, y_{2n}) per input
-// bit; erased marks positions to ignore (from depuncturing) and may be nil.
-// The encoder is assumed to start in the zero state; when terminated is
-// true the decoder also assumes six zero tail bits returned it to the zero
-// state, as the 802.11 DATA field guarantees.
-func ViterbiDecode(coded []bits.Bit, erased []bool, terminated bool) ([]bits.Bit, error) {
-	return ViterbiDecodeInto(nil, coded, erased, terminated)
-}
-
-// EncodeAndPuncture is the full transmit-side coder: rate-1/2 encode then
-// puncture to rate r.
-func EncodeAndPuncture(in []bits.Bit, r CodeRate) ([]bits.Bit, error) {
-	return Puncture(ConvolutionalEncode(in), r)
-}
-
-// DepunctureAndDecode is the full receive-side decoder: depuncture to the
-// mother rate, then Viterbi decode.
-func DepunctureAndDecode(rx []bits.Bit, r CodeRate, terminated bool) ([]bits.Bit, error) {
-	mother, erased, err := Depuncture(rx, r)
-	if err != nil {
-		return nil, err
-	}
-	return ViterbiDecode(mother, erased, terminated)
 }

@@ -133,19 +133,3 @@ func (c Convention) DemapAllCInto(dst []bits.Bit, m Modulation, pts []complex128
 	}
 	return nil
 }
-
-// DeinterleaveCInto inverts the per-symbol interleaver into out (length
-// N_CBPS). in and out must not alias. No allocation.
-func (c Convention) DeinterleaveCInto(out, in []bits.Bit, m Modulation) error {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in) != nCBPS {
-		return fmt.Errorf("wifi: deinterleave input length %d != N_CBPS %d for %v", len(in), nCBPS, m)
-	}
-	if len(out) != nCBPS {
-		return fmt.Errorf("wifi: deinterleave output length %d != N_CBPS %d for %v", len(out), nCBPS, m)
-	}
-	for j, b := range in {
-		out[c.DeinterleaveIndexC(m, j)] = b
-	}
-	return nil
-}

@@ -60,8 +60,9 @@ func TestDemapAllCIntoMatchesDemapAllC(t *testing.T) {
 	}
 }
 
-// TestDeinterleaveCIntoMatches checks the Into deinterleaver against the
-// allocating one.
+// TestDeinterleaveCIntoMatches checks the receive scatter through a
+// rate-1/2 placement table against the DeinterleaveC oracle: with nothing
+// punctured, the mother block is the deinterleaved symbol.
 func TestDeinterleaveCIntoMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, c := range demapConventions {
@@ -72,12 +73,12 @@ func TestDeinterleaveCIntoMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := make([]bits.Bit, nCBPS)
-			if err := c.DeinterleaveCInto(out, in, m); err != nil {
-				t.Fatal(err)
-			}
-			if !bits.Equal(out, want) {
-				t.Fatalf("%v %v: deinterleave differs", c, m)
+			out := make([]int8, nCBPS)
+			scatterBits(out, in, c.CodedSlots(Mode{m, Rate12}))
+			for i, v := range signedMother(want, nil) {
+				if out[i] != v {
+					t.Fatalf("%v %v: mother slot %d = %d, want %d", c, m, i, out[i], v)
+				}
 			}
 		}
 	}
@@ -93,9 +94,9 @@ func TestHardDemapPathDoesNotAllocate(t *testing.T) {
 	}
 	for _, c := range demapConventions {
 		for _, m := range demapModulations {
-			nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-			demapped := make([]bits.Bit, nCBPS)
-			deinter := make([]bits.Bit, nCBPS)
+			mode := Mode{m, Rate34}
+			demapped := make([]bits.Bit, mode.CodedBitsPerSymbol())
+			mother := make([]int8, 2*mode.DataBitsPerSymbol())
 			if err := c.DemapAllCInto(demapped, m, pts); err != nil {
 				t.Fatal(err)
 			}
@@ -103,11 +104,9 @@ func TestHardDemapPathDoesNotAllocate(t *testing.T) {
 				if err := c.DemapAllCInto(demapped, m, pts); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.DeinterleaveCInto(deinter, demapped, m); err != nil {
-					t.Fatal(err)
-				}
+				scatterBits(mother, demapped, c.CodedSlots(mode))
 			}); avg != 0 {
-				t.Errorf("%v %v: demap+deinterleave allocates %.1f times per run, want 0", c, m, avg)
+				t.Errorf("%v %v: demap+scatter allocates %.1f times per run, want 0", c, m, avg)
 			}
 		}
 	}

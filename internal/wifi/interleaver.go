@@ -1,11 +1,5 @@
 package wifi
 
-import (
-	"fmt"
-
-	"sledzig/internal/bits"
-)
-
 // The 802.11 block interleaver operates on one OFDM symbol of N_CBPS coded
 // bits with two permutations (17.3.5.7). The first ensures adjacent coded
 // bits land on nonadjacent subcarriers; the second alternates adjacent bits
@@ -37,29 +31,42 @@ func DeinterleaveIndex(m Modulation, j int) int {
 	return k
 }
 
-// Interleave permutes one OFDM symbol's worth of coded bits. The input
-// length must equal N_CBPS for the modulation.
-func Interleave(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in) != nCBPS {
-		return nil, fmt.Errorf("wifi: interleave input length %d != N_CBPS %d for %v", len(in), nCBPS, m)
+// maxCodedBits bounds N_CBPS on the 20 MHz format (QAM-256: 48 x 8).
+const maxCodedBits = NumDataSubcarriers * maxBitsPerSubcarrier
+
+// slotTables holds the placement table of every convention and mode,
+// slotTables[c][m-1][r-1][:N_CBPS], in fixed-size arrays rather than on
+// the heap (see Convention.CodedSlots).
+var slotTables [ConventionPaper + 1][QAM256][Rate56][maxCodedBits]uint16
+
+func init() {
+	for c := ConventionIEEE; c <= ConventionPaper; c++ {
+		for m := BPSK; m <= QAM256; m++ {
+			for r := Rate12; r <= Rate56; r++ {
+				n := NumDataSubcarriers * m.BitsPerSubcarrier()
+				BuildCodedSlots(slotTables[c][m-1][r-1][:n], r, func(j int) int { return c.DeinterleaveIndexC(m, j) })
+			}
+		}
 	}
-	out := make([]bits.Bit, nCBPS)
-	for k, b := range in {
-		out[InterleaveIndex(m, k)] = b
-	}
-	return out, nil
 }
 
-// Deinterleave inverts Interleave.
-func Deinterleave(m Modulation, in []bits.Bit) ([]bits.Bit, error) {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in) != nCBPS {
-		return nil, fmt.Errorf("wifi: deinterleave input length %d != N_CBPS %d for %v", len(in), nCBPS, m)
+// CodedSlots returns the placement table of mode under the convention:
+// entry j is the index, within one OFDM symbol's 2·N_DBPS-bit block of
+// rate-1/2 mother code, of the j-th interleaved coded bit, in the order
+// the mapper consumes them. The transmitter gathers through it, both
+// receive chains scatter through it, and the SledZig planner reads its
+// constraint positions from it; the mother slots no entry names are the
+// punctured ones. The table is built once at package init and shared by
+// every caller: it must not be modified. nil for an invalid mode.
+//
+//sledzig:noalloc
+func (c Convention) CodedSlots(m Mode) []uint16 {
+	if !m.Modulation.Valid() || !m.CodeRate.Valid() {
+		return nil
 	}
-	out := make([]bits.Bit, nCBPS)
-	for j, b := range in {
-		out[DeinterleaveIndex(m, j)] = b
+	if c != ConventionPaper {
+		c = ConventionIEEE // InterleaveIndexC's reading of any other value
 	}
-	return out, nil
+	n := m.CodedBitsPerSymbol()
+	return slotTables[c][m.Modulation-1][m.CodeRate-1][:n:n]
 }

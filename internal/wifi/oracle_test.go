@@ -69,10 +69,10 @@ func (c *wideChannel) equalize(sym []complex128, symbolIndex int) ([]complex128,
 // wideReceive is a complex128 receiver (IEEE convention, default
 // scrambler seed) kept as the oracle the complex64 production pipeline is
 // compared against: the LTS channel estimate and per-symbol equalization
-// run at full width with a complex division per point, followed by the
-// same demap, deinterleave, depuncture, Viterbi (with the given kernels)
-// and descramble stages production uses. TestWideOracleMatchesGolden pins
-// its output.
+// run at full width with a complex division per point, followed by
+// demap, the per-bit deinterleave and depuncture passes the production
+// placement-table scatter replaced, Viterbi (with the given kernels) and
+// descramble. TestWideOracleMatchesGolden pins its output.
 func wideReceive(tb testing.TB, waveform []complex128, soft bool, acs acsPair) *RxResult {
 	tb.Helper()
 	must := func(err error) {
@@ -144,7 +144,7 @@ func wideReceive(tb testing.TB, waveform []complex128, soft bool, acs acsPair) *
 	} else {
 		mother, erased, err := Depuncture(coded, mode.CodeRate)
 		must(err)
-		scrambled, err = viterbiDecodeInto(nil, mother, erased, false, acs.hard)
+		scrambled, err = viterbiDecodeInto(nil, signedMother(mother, erased), false, acs.hard)
 		must(err)
 	}
 	res.DataBits = make([]bits.Bit, len(scrambled))

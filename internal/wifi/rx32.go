@@ -30,12 +30,11 @@ import (
 // detection, EVM measurement) are width-agnostic.
 
 // decodeSignalSymbolInto32 decodes the SIGNAL points in s.pts32 through
-// the pooled scratch: BPSK demap into s.symBits, deinterleave into
-// s.rxBits, then depuncture and terminated Viterbi in the scratch
-// mother-stream buffers. It runs before the DATA loop, which regrows the
-// same buffers for the signalled mode.
+// the pooled scratch: BPSK demap into s.symBits, then decodeSignal. It
+// runs before the DATA loop, which regrows the same buffers for the
+// signalled mode.
 func decodeSignalSymbolInto32(s *rxScratch) (Mode, int, error) {
-	s.symBits = growBits(s.symBits, NumDataSubcarriers)
+	s.symBits = grow(s.symBits, NumDataSubcarriers)
 	for i, p := range s.pts32 {
 		if real(p) >= 0 {
 			s.symBits[i] = 1
@@ -43,20 +42,7 @@ func decodeSignalSymbolInto32(s *rxScratch) (Mode, int, error) {
 			s.symBits[i] = 0
 		}
 	}
-	s.rxBits = growBits(s.rxBits, NumDataSubcarriers)
-	for j, b := range s.symBits {
-		s.rxBits[DeinterleaveIndex(signalMode.Modulation, j)] = b
-	}
-	var err error
-	s.mother, s.motherErased, err = DepunctureInto(s.mother, s.motherErased, s.rxBits, signalMode.CodeRate)
-	if err != nil {
-		return Mode{}, 0, err
-	}
-	s.scrambled, err = ViterbiDecodeInto(s.scrambled, s.mother, s.motherErased, true)
-	if err != nil {
-		return Mode{}, 0, err
-	}
-	return ParseSignalField(s.scrambled)
+	return s.decodeSignal()
 }
 
 // equalizeSymbolInto32 applies the LTS channel estimate held in s, as a

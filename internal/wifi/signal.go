@@ -144,30 +144,58 @@ func EncodeSignalSymbol(m Mode, length int) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	coded, err := EncodeAndPuncture(field, signalMode.CodeRate)
-	if err != nil {
+	return SignalPoints(field)
+}
+
+// SignalPoints maps a raw 24-bit SIGNAL field to the 48 BPSK points of its
+// OFDM symbol. It does not check the field's content (RATE, parity,
+// LENGTH), so it also builds the malformed SIGNAL symbols of tests.
+func SignalPoints(field []bits.Bit) ([]complex128, error) {
+	pts := make([]complex128, NumDataSubcarriers)
+	if err := signalPointsInto(pts, field); err != nil {
 		return nil, err
 	}
-	inter, err := Interleave(signalMode.Modulation, coded)
-	if err != nil {
-		return nil, err
+	return pts, nil
+}
+
+// signalPointsInto is SignalPoints writing into dst (48 points): encode
+// the field into its 48-bit mother block, gather it through the IEEE
+// BPSK r=1/2 placement table, map.
+func signalPointsInto(dst []complex128, field []bits.Bit) error {
+	if len(field) != 24 {
+		return fmt.Errorf("wifi: SIGNAL field must be 24 bits, got %d", len(field))
 	}
-	return MapAll(signalMode.Modulation, inter)
+	var mother, inter [NumDataSubcarriers]bits.Bit
+	convolutionalEncodeInto(mother[:], field)
+	for j, slot := range ConventionIEEE.CodedSlots(signalMode) {
+		inter[j] = mother[slot]
+	}
+	return ConventionIEEE.MapAllCInto(signalMode.Modulation, inter[:], dst)
 }
 
 // DecodeSignalSymbol inverts EncodeSignalSymbol from received points.
 func DecodeSignalSymbol(pts []complex128) (Mode, int, error) {
+	if len(pts) != NumDataSubcarriers {
+		return Mode{}, 0, fmt.Errorf("wifi: SIGNAL symbol has %d points, want %d", len(pts), NumDataSubcarriers)
+	}
 	rx, err := DemapAll(signalMode.Modulation, pts)
 	if err != nil {
 		return Mode{}, 0, err
 	}
-	deinter, err := Deinterleave(signalMode.Modulation, rx)
+	return (&rxScratch{symBits: rx}).decodeSignal()
+}
+
+// decodeSignal decodes the SIGNAL field from s.symBits, the symbol's 48
+// demapped BPSK bits in mapper order: scatter them into s.mother through
+// the IEEE BPSK r=1/2 placement table (rate 1/2 punctures none), run the
+// terminated Viterbi into s.scrambled, and parse.
+func (s *rxScratch) decodeSignal() (Mode, int, error) {
+	s.mother = grow(s.mother, NumDataSubcarriers)
+	scatterBits(s.mother, s.symBits, ConventionIEEE.CodedSlots(signalMode))
+	var err error
+	s.scrambled, err = ViterbiDecodeInto(s.scrambled, s.mother, true)
 	if err != nil {
 		return Mode{}, 0, err
 	}
-	field, err := DepunctureAndDecode(deinter, signalMode.CodeRate, true)
-	if err != nil {
-		return Mode{}, 0, err
-	}
-	return ParseSignalField(field)
+	return ParseSignalField(s.scrambled)
 }

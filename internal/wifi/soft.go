@@ -121,48 +121,3 @@ func (c Convention) SoftDemapAllInto(dst []float64, m Modulation, pts []complex1
 	}
 	return nil
 }
-
-// DeinterleaveFloatsInto inverts the per-symbol interleaver on an LLR
-// block, writing into out (length N_CBPS). in and out must not alias.
-func (c Convention) DeinterleaveFloatsInto(out, in []float64, m Modulation) error {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	if len(in) != nCBPS {
-		return fmt.Errorf("wifi: deinterleave input length %d != N_CBPS %d for %v", len(in), nCBPS, m)
-	}
-	if len(out) != nCBPS {
-		return fmt.Errorf("wifi: deinterleave output length %d != N_CBPS %d for %v", len(out), nCBPS, m)
-	}
-	for j, v := range in {
-		out[c.DeinterleaveIndexC(m, j)] = v
-	}
-	return nil
-}
-
-// DepunctureFloatsInto expands a rate-r LLR stream to mother-code length
-// into dst (reusing its capacity), inserting zero LLRs (erasures) at
-// punctured positions and padding a dangling half-step. It returns the
-// resized slice.
-func DepunctureFloatsInto(dst []float64, rx []float64, r CodeRate) ([]float64, error) {
-	info, err := punctureRate(r)
-	if err != nil {
-		return dst, err
-	}
-	n := info.motherLen(len(rx))
-	padded := n + n%2
-	if cap(dst) >= padded {
-		dst = dst[:padded]
-	} else {
-		dst = make([]float64, padded)
-	}
-	pat := info.pattern
-	j := 0
-	for i := range dst {
-		if j < len(rx) && pat[i%len(pat)] {
-			dst[i] = rx[j]
-			j++
-		} else {
-			dst[i] = 0
-		}
-	}
-	return dst, nil
-}

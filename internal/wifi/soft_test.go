@@ -190,19 +190,17 @@ func TestSoftBeatsHardUnderNoise(t *testing.T) {
 	}
 }
 
+// TestDepunctureFloats checks the soft scatter erases what the table
+// punctures: eight LLRs through a rate-3/4 table over the identity
+// interleaver land in mother slots 0-2, 5-8 and 11 of a 12-slot block,
+// whose other slots (stale values here) come back as zero erasures.
 func TestDepunctureFloats(t *testing.T) {
-	in := []float64{1, 2, 3, 4, 5, 6}
-	out, err := DepunctureFloatsInto(nil, in, Rate34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The stream ends at the last kept position; trailing punctured slots
-	// of an unfinished period are not emitted (real streams always end on
-	// a keep boundary).
-	want := []float64{1, 2, 3, 0, 0, 4, 5, 6}
-	if len(out) != len(want) {
-		t.Fatalf("length %d, want %d", len(out), len(want))
-	}
+	in := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	slots := make([]uint16, len(in))
+	BuildCodedSlots(slots, Rate34, func(j int) int { return j })
+	out := []float64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
+	scatterLLRs(out, in, slots)
+	want := []float64{1, 2, 3, 0, 0, 4, 5, 6, 7, 0, 0, 8}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("out[%d] = %g, want %g", i, out[i], want[i])

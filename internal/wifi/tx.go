@@ -122,28 +122,15 @@ func (t Transmitter) FrameFromScrambled(scrambled []bits.Bit, signalledLength in
 // DataPoints returns the constellation points of every DATA symbol:
 // NumSymbols slices of 48 points each, in ascending subcarrier order.
 func (f *Frame) DataPoints() ([][]complex128, error) {
-	m := phy()
-	mk := f.Trace.Begin(m.txEncode)
-	coded, err := EncodeAndPuncture(f.ScrambledBits, f.Mode.CodeRate)
-	mk.End(len(f.ScrambledBits)/8, err)
-	if err != nil {
-		return nil, err
-	}
-	mk = f.Trace.Begin(m.txInterleave)
-	inter, err := f.Convention.InterleaveAllC(f.Mode.Modulation, coded)
-	mk.End(len(coded)/8, err)
-	if err != nil {
-		return nil, err
-	}
-	mk = f.Trace.Begin(m.txMap)
-	pts, err := f.Convention.MapAllC(f.Mode.Modulation, inter)
-	mk.End(len(inter)/8, err)
-	if err != nil {
+	s := txScratchPool.Get().(*txScratch)
+	defer txScratchPool.Put(s)
+	pts := make([]complex128, f.NumSymbols*NumDataSubcarriers)
+	if err := f.renderData(s, pts); err != nil {
 		return nil, err
 	}
 	out := make([][]complex128, f.NumSymbols)
-	for s := 0; s < f.NumSymbols; s++ {
-		out[s] = pts[s*NumDataSubcarriers : (s+1)*NumDataSubcarriers]
+	for sym := range out {
+		out[sym] = pts[sym*NumDataSubcarriers : (sym+1)*NumDataSubcarriers]
 	}
 	return out, nil
 }
@@ -156,14 +143,50 @@ func (f *Frame) Waveform() ([]complex128, error) {
 }
 
 // txScratch holds the per-frame intermediate buffers of waveform
-// synthesis — the interleaved coded stream and the constellation points —
-// pooled so steady-state rendering reuses them across frames.
+// synthesis — the mother-code stream, the interleaved coded bits, and the
+// SIGNAL and DATA constellation points — pooled so steady-state rendering
+// reuses them across frames.
 type txScratch struct {
-	inter []bits.Bit
-	pts   []complex128
+	mother, inter []bits.Bit
+	sig           [NumDataSubcarriers]complex128
+	pts           []complex128
 }
 
 var txScratchPool = sync.Pool{New: func() any { return new(txScratch) }}
+
+// renderData runs the DATA field's transmit chain into pts (NumSymbols x
+// 48 points): convolutional-encode the scrambled bits into s.mother
+// (wifi.tx.encode), gather each symbol's interleaved coded bits from its
+// mother block through the placement table (wifi.tx.interleave), and map
+// them (wifi.tx.map).
+//
+//sledzig:noalloc
+func (f *Frame) renderData(s *txScratch, pts []complex128) error {
+	slots := f.Convention.CodedSlots(f.Mode)
+	block := 2 * f.Mode.DataBitsPerSymbol()
+	if slots == nil || 2*len(f.ScrambledBits) != f.NumSymbols*block {
+		return fmt.Errorf("wifi: %d scrambled bits are not %d DATA symbols of %v", len(f.ScrambledBits), f.NumSymbols, f.Mode)
+	}
+	m := phy()
+	mk := f.Trace.Begin(m.txEncode)
+	s.mother = convolutionalEncodeInto(s.mother, f.ScrambledBits)
+	mk.End(len(f.ScrambledBits)/8, nil)
+
+	mk = f.Trace.Begin(m.txInterleave)
+	s.inter = grow(s.inter, f.NumSymbols*len(slots))
+	for sym := 0; sym < f.NumSymbols; sym++ {
+		mother, inter := s.mother[sym*block:(sym+1)*block], s.inter[sym*len(slots):]
+		for j, slot := range slots {
+			inter[j] = mother[slot]
+		}
+	}
+	mk.End(len(s.inter)/8, nil)
+
+	mk = f.Trace.Begin(m.txMap)
+	err := f.Convention.MapAllCInto(f.Mode.Modulation, s.inter, pts)
+	mk.End(len(s.inter)/8, err)
+	return err
+}
 
 // AppendWaveform is Waveform in append form: it renders the complete PPDU
 // into dst and returns the extended slice, producing samples identical to
@@ -172,43 +195,24 @@ var txScratchPool = sync.Pool{New: func() any { return new(txScratch) }}
 // of allocations regardless of frame size. On error dst may have been
 // partially extended; discard it.
 func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
-	sigPts, err := EncodeSignalSymbol(f.Mode, f.PSDULength)
+	field, err := SignalField(f.Mode, f.PSDULength)
 	if err != nil {
 		return dst, err
 	}
-	m := phy()
-	mk := f.Trace.Begin(m.txEncode)
-	coded, err := EncodeAndPuncture(f.ScrambledBits, f.Mode.CodeRate)
-	mk.End(len(f.ScrambledBits)/8, err)
-	if err != nil {
-		return dst, err
-	}
-
 	s := txScratchPool.Get().(*txScratch)
 	defer txScratchPool.Put(s)
-	mk = f.Trace.Begin(m.txInterleave)
-	s.inter = bits.Grow(s.inter, len(coded))
-	err = f.Convention.InterleaveAllCInto(f.Mode.Modulation, coded, s.inter)
-	mk.End(len(coded)/8, err)
-	if err != nil {
+	if err := signalPointsInto(s.sig[:], field); err != nil {
+		return dst, err
+	}
+	s.pts = grow(s.pts, f.NumSymbols*NumDataSubcarriers)
+	if err := f.renderData(s, s.pts); err != nil {
 		return dst, err
 	}
 
-	mk = f.Trace.Begin(m.txMap)
-	nPts := len(s.inter) / f.Mode.Modulation.BitsPerSubcarrier()
-	if cap(s.pts) < nPts {
-		s.pts = make([]complex128, nPts)
-	}
-	s.pts = s.pts[:nPts]
-	err = f.Convention.MapAllCInto(f.Mode.Modulation, s.inter, s.pts)
-	mk.End(len(s.inter)/8, err)
-	if err != nil {
-		return dst, err
-	}
-
-	mk = f.Trace.Begin(m.txIFFT)
+	m := phy()
+	mk := f.Trace.Begin(m.txIFFT)
 	dst = AppendPreamble(dst)
-	dst, err = AppendSymbol(dst, sigPts, 0)
+	dst, err = AppendSymbol(dst, s.sig[:], 0)
 	for sym := 0; err == nil && sym < f.NumSymbols; sym++ {
 		dst, err = AppendSymbol(dst, s.pts[sym*NumDataSubcarriers:(sym+1)*NumDataSubcarriers], sym+1)
 	}

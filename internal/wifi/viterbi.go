@@ -32,7 +32,7 @@ const viterbiStates = 64 // 2^(K-1)
 // s.decisions and returning the final path metrics for the best-state
 // scan.
 type (
-	hardACS func(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *[viterbiStates]int32
+	hardACS func(s *viterbiScratch, mother []int8, steps int) *[viterbiStates]int32
 	softACS func(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]float64
 )
 
@@ -43,7 +43,8 @@ type trellis struct {
 	out0 [viterbiStates]uint8
 	out1 [viterbiStates]uint8
 	// hardBM0/hardBM1 are the word-parallel branch-metric tables: for
-	// received-pair/erasure combo k (r0 | r1<<1 | e0<<2 | e1<<3) and
+	// received-pair combo k (r0 | r1<<1 | e0<<2 | e1<<3, r the decided bit
+	// and e set unless the value is an erasure; see hardCombo) and
 	// destination word w, byte lane i of hardBM0[k][w] holds the Hamming
 	// branch metric of the transition into state 8w+i from its low
 	// predecessor ((8w+i)>>1), and hardBM1 from its high predecessor
@@ -105,19 +106,16 @@ type viterbiScratch struct {
 
 var viterbiPool = sync.Pool{New: func() any { return new(viterbiScratch) }}
 
-func (s *viterbiScratch) grow(steps int) {
-	if cap(s.decisions) < steps {
-		s.decisions = make([]uint64, steps)
+// grow returns s resized to n elements, reusing its capacity. It grows
+// by append's amortized policy rather than to exactly n, so a pooled
+// buffer the runtime recreates after a garbage collection reaches the
+// largest frame's size in a few allocations, not one per larger frame.
+// Callers overwrite all n elements.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
-	s.decisions = s.decisions[:steps]
-}
-
-// growBits returns dst resized to n elements, reusing its capacity.
-func growBits(dst []bits.Bit, n int) []bits.Bit {
-	if cap(dst) >= n {
-		return dst[:n]
-	}
-	return make([]bits.Bit, n)
+	return s[:n]
 }
 
 // ViterbiDecodeSoftInto is the soft-metric counterpart of ViterbiDecodeInto:
@@ -144,37 +142,41 @@ func viterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool, acs 
 	}
 	s := viterbiPool.Get().(*viterbiScratch)
 	defer viterbiPool.Put(s)
-	s.grow(steps)
+	s.decisions = grow(s.decisions, steps)
 	return survivorPath(dst, s.decisions, acs(s, llrs, steps), terminated), nil
 }
 
-// ViterbiDecodeInto is ViterbiDecode decoding into dst (reusing its
-// capacity) and returning the resized slice.
+// ViterbiDecodeInto performs hard-decision maximum-likelihood decoding
+// of the rate-1/2 mother code into dst (reusing its capacity) and returns
+// the resized slice. mother holds the pairs (y_{2n-1}, y_{2n}) per input
+// bit as signed values in the soft chain's sign convention: positive is
+// bit 0, negative is bit 1, and 0 is an erasure (a punctured slot, which
+// carries no branch metric); magnitudes are ignored. The encoder is
+// assumed to start in the zero state; when terminated is true the decoder
+// also assumes six zero tail bits returned it to the zero state, as the
+// SIGNAL field guarantees.
 //
 //sledzig:noalloc
-func ViterbiDecodeInto(dst []bits.Bit, coded []bits.Bit, erased []bool, terminated bool) ([]bits.Bit, error) {
-	return viterbiDecodeInto(dst, coded, erased, terminated, wordHardACS)
+func ViterbiDecodeInto(dst []bits.Bit, mother []int8, terminated bool) ([]bits.Bit, error) {
+	return viterbiDecodeInto(dst, mother, terminated, wordHardACS)
 }
 
 // viterbiDecodeInto is ViterbiDecodeInto with the forward-pass kernel as
 // an argument.
 //
 //sledzig:noalloc
-func viterbiDecodeInto(dst []bits.Bit, coded []bits.Bit, erased []bool, terminated bool, acs hardACS) ([]bits.Bit, error) {
-	if len(coded)%2 != 0 {
-		return dst, fmt.Errorf("wifi: coded length %d is odd", len(coded))
+func viterbiDecodeInto(dst []bits.Bit, mother []int8, terminated bool, acs hardACS) ([]bits.Bit, error) {
+	if len(mother)%2 != 0 {
+		return dst, fmt.Errorf("wifi: coded length %d is odd", len(mother))
 	}
-	if erased != nil && len(erased) != len(coded) {
-		return dst, fmt.Errorf("wifi: erasure mask length %d != coded length %d", len(erased), len(coded))
-	}
-	steps := len(coded) / 2
+	steps := len(mother) / 2
 	if steps == 0 {
 		return dst[:0], nil
 	}
 	s := viterbiPool.Get().(*viterbiScratch)
 	defer viterbiPool.Put(s)
-	s.grow(steps)
-	return survivorPath(dst, s.decisions, acs(s, coded, erased, steps), terminated), nil
+	s.decisions = grow(s.decisions, steps)
+	return survivorPath(dst, s.decisions, acs(s, mother, steps), terminated), nil
 }
 
 // survivorPath picks the end state — state 0 for a terminated stream,
@@ -189,7 +191,7 @@ func survivorPath[M int32 | float64](dst []bits.Bit, decisions []uint64, metric 
 			}
 		}
 	}
-	dst = growBits(dst, len(decisions))
+	dst = grow(dst, len(decisions))
 	traceback(dst, decisions, best)
 	return dst
 }

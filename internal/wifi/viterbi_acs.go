@@ -1,10 +1,6 @@
 package wifi
 
-import (
-	"math"
-
-	"sledzig/internal/bits"
-)
+import "math"
 
 // Add-compare-select kernels. The forward pass is the decoder's whole
 // cost, and both kernels here are branch-free. The hard pass packs the 64
@@ -103,12 +99,19 @@ func swarGatherDec(dec uint64) uint64 {
 	return dec * swarGatherMul >> 56
 }
 
+// hardCombo is one signed mother value's share of the branch-metric
+// table index: the decided bit (the sign; negative is 1) at bit 0, and at
+// bit 2 whether the value counts (non-zero; 0 is an erasure).
+func hardCombo(v int8) int {
+	return int(uint8(v)>>7) | int(uint8(v|-v)>>7)<<2
+}
+
 // wordHardACS is the branch-free hard-decision forward pass: eight byte
 // lanes per word, eight words for the 64 states, compare/select/clamp done
 // with mask arithmetic. Fills s.decisions and returns the final metrics
 // widened to int32 (byte lanes are reference metrics minus a common
 // constant, so the best-state scan is unchanged).
-func wordHardACS(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *[viterbiStates]int32 {
+func wordHardACS(s *viterbiScratch, mother []int8, steps int) *[viterbiStates]int32 {
 	tr := viterbiTrellis()
 	cur, nxt := &s.w0, &s.w1
 	cur[0] = swarInfLanes &^ 0xFF // state 0 starts at 0, the rest unreached
@@ -116,15 +119,7 @@ func wordHardACS(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) 
 		cur[w] = swarInfLanes
 	}
 	for t := 0; t < steps; t++ {
-		combo := int(coded[2*t]&1) | int(coded[2*t+1]&1)<<1 | 3<<2
-		if erased != nil {
-			if erased[2*t] {
-				combo &^= 1 << 2
-			}
-			if erased[2*t+1] {
-				combo &^= 1 << 3
-			}
-		}
+		combo := hardCombo(mother[2*t]) | hardCombo(mother[2*t+1])<<1
 		bm0, bm1 := &tr.hardBM0[combo], &tr.hardBM1[combo]
 		var word uint64
 		for w := 0; w < viterbiStates/8; w++ {

@@ -169,12 +169,13 @@ func TestViterbiKernelIdentityStreams(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				mother := signedMother(coded, erased)
 				terminated := trial%2 == 0
-				want, err := viterbiDecodeInto(nil, coded, erased, terminated, refHardACS)
+				want, err := viterbiDecodeInto(nil, mother, terminated, refHardACS)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ViterbiDecodeInto(nil, coded, erased, terminated)
+				got, err := ViterbiDecodeInto(nil, mother, terminated)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,7 +257,7 @@ const viterbiInfI32 = int32(1) << 30
 
 // refHardACS is the scalar paired-butterfly hard pass — the oracle the
 // word kernel is tested byte-identical against.
-func refHardACS(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *[viterbiStates]int32 {
+func refHardACS(s *viterbiScratch, mother []int8, steps int) *[viterbiStates]int32 {
 	tr := viterbiTrellis()
 	metric, next := &s.h0, &s.h1
 	for i := range metric {
@@ -266,17 +267,22 @@ func refHardACS(s *viterbiScratch, coded []bits.Bit, erased []bool, steps int) *
 
 	var bmv [4]int32
 	for t := 0; t < steps; t++ {
-		// Hamming branch metrics against the received pair, with erased
-		// positions contributing nothing; four values indexed by y0<<1|y1.
-		r0, r1 := int32(coded[2*t]&1), int32(coded[2*t+1]&1)
-		e0, e1 := int32(1), int32(1)
-		if erased != nil {
-			if erased[2*t] {
-				e0 = 0
-			}
-			if erased[2*t+1] {
-				e1 = 0
-			}
+		// Hamming branch metrics against the received pair's signs (a
+		// negative value is bit 1), with erased (zero) positions
+		// contributing nothing; four values indexed by y0<<1|y1.
+		v0, v1 := mother[2*t], mother[2*t+1]
+		var r0, r1, e0, e1 int32
+		if v0 < 0 {
+			r0 = 1
+		}
+		if v1 < 0 {
+			r1 = 1
+		}
+		if v0 != 0 {
+			e0 = 1
+		}
+		if v1 != 0 {
+			e1 = 1
 		}
 		bmv[0] = e0*r0 + e1*r1         // outputs (0,0)
 		bmv[1] = e0*r0 + e1*(1-r1)     // outputs (0,1)

@@ -219,7 +219,7 @@ func TestViterbiHardMatchesSeedDecoder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ViterbiDecode(mother, erased, terminated)
+				got, err := ViterbiDecodeInto(nil, signedMother(mother, erased), terminated)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -261,8 +261,9 @@ func TestViterbiSoftMatchesSeedDecoder(t *testing.T) {
 	}
 }
 
-// TestViterbiIntoReusesCapacityAndMatches checks the Into variants return
-// identical bits while reusing the destination's backing array.
+// TestViterbiIntoReusesCapacityAndMatches checks the Into decoders return
+// the same bits into a reused destination as into a fresh one, reusing
+// its backing array.
 func TestViterbiIntoReusesCapacityAndMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	in := bits.Random(rng, 250)
@@ -274,12 +275,13 @@ func TestViterbiIntoReusesCapacityAndMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ViterbiDecode(mother, erased, false)
+	signed := signedMother(mother, erased)
+	want, err := ViterbiDecodeInto(nil, signed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]bits.Bit, 0, 4096)
-	got, err := ViterbiDecodeInto(dst, mother, erased, false)
+	got, err := ViterbiDecodeInto(dst, signed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,15 +289,12 @@ func TestViterbiIntoReusesCapacityAndMatches(t *testing.T) {
 		t.Error("ViterbiDecodeInto did not reuse the destination's backing array")
 	}
 	if !bits.Equal(got, want) {
-		t.Error("ViterbiDecodeInto result differs from ViterbiDecode")
+		t.Error("ViterbiDecodeInto into a reused destination differs from a fresh decode")
 	}
 
-	llrs := make([]float64, len(mother))
-	for i, b := range mother {
-		if erased[i] {
-			continue
-		}
-		llrs[i] = 1 - 2*float64(b)
+	llrs := make([]float64, len(signed))
+	for i, v := range signed {
+		llrs[i] = float64(v)
 	}
 	wantSoft, err := ViterbiDecodeSoftInto(nil, llrs, false)
 	if err != nil {
@@ -315,21 +314,21 @@ func TestViterbiIntoReusesCapacityAndMatches(t *testing.T) {
 func TestViterbiIntoDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	in := bits.Random(rng, 500)
-	coded := ConvolutionalEncode(in)
+	coded := signedMother(ConvolutionalEncode(in), nil)
 	llrs := make([]float64, len(coded))
-	for i, b := range coded {
-		llrs[i] = 1 - 2*float64(b)
+	for i, v := range coded {
+		llrs[i] = float64(v)
 	}
 	dst := make([]bits.Bit, 0, len(in))
 	// Warm the scratch pool.
-	if _, err := ViterbiDecodeInto(dst, coded, nil, false); err != nil {
+	if _, err := ViterbiDecodeInto(dst, coded, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ViterbiDecodeSoftInto(dst, llrs, false); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		if _, err := ViterbiDecodeInto(dst, coded, nil, false); err != nil {
+		if _, err := ViterbiDecodeInto(dst, coded, false); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -344,8 +343,10 @@ func TestViterbiIntoDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzDepunctureRoundTrip checks Depuncture exactly inverts Puncture at
-// every rate, including streams that end mid-pattern.
+// FuzzDepunctureRoundTrip checks the receive scatter exactly inverts
+// the transmit gather at every rate, for random modes and symbol counts:
+// each kept mother slot comes back as its transmitted bit, each punctured
+// one as an erasure, and a clean stream decodes to the encoder input.
 func FuzzDepunctureRoundTrip(f *testing.F) {
 	f.Add(int64(1), 10, 0)
 	f.Add(int64(2), 123, 1)
@@ -356,84 +357,76 @@ func FuzzDepunctureRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		r := identityRates[((rateIdx%len(identityRates))+len(identityRates))%len(identityRates)]
+		mode := Mode{Modulation(1 + n%5), r}
+		nSym := 1 + n%4
+		conv := Convention(n / 5 % 2)
 		rng := rand.New(rand.NewSource(seed))
-		coded := ConvolutionalEncode(bits.Random(rng, n))
-		punctured, err := Puncture(coded, r)
-		if err != nil {
+		fr := &Frame{Mode: mode, Convention: conv, NumSymbols: nSym,
+			ScrambledBits: bits.Random(rng, nSym*mode.DataBitsPerSymbol())}
+		var s txScratch
+		if err := fr.renderData(&s, make([]complex128, nSym*NumDataSubcarriers)); err != nil {
 			t.Fatal(err)
 		}
-		mother, erased, err := Depuncture(punctured, r)
-		if err != nil {
-			t.Fatal(err)
+		slots := conv.CodedSlots(mode)
+		block := 2 * mode.DataBitsPerSymbol()
+		mother := make([]int8, nSym*block)
+		for sym := 0; sym < nSym; sym++ {
+			scatterBits(mother[sym*block:(sym+1)*block], s.inter[sym*len(slots):(sym+1)*len(slots)], slots)
 		}
-		if len(mother)%2 != 0 {
-			t.Fatalf("mother length %d is odd", len(mother))
-		}
-		if len(mother) < len(coded) {
-			t.Fatalf("mother length %d < coded length %d", len(mother), len(coded))
-		}
-		// Every non-erased slot must hold the transmitted bit, and the
-		// erasure mask must mark exactly the punctured (and pad) slots.
 		pat, err := puncturePattern(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j := 0
-		for i := range mother {
-			kept := i < len(coded) && pat[i%len(pat)] && j < len(punctured)
-			if kept {
-				if erased[i] {
-					t.Fatalf("slot %d kept but marked erased", i)
+		for i, v := range mother {
+			switch {
+			case !pat[i%len(pat)]:
+				if v != 0 {
+					t.Fatalf("%v %v: punctured slot %d = %d, want an erasure", conv, mode, i, v)
 				}
-				if mother[i] != punctured[j] {
-					t.Fatalf("slot %d: got %d want %d", i, mother[i], punctured[j])
-				}
-				j++
-			} else if !erased[i] {
-				t.Fatalf("slot %d punctured but not marked erased", i)
+			case v != 1-2*int8(s.mother[i]):
+				t.Fatalf("%v %v: slot %d = %d, transmitted bit %d", conv, mode, i, v, s.mother[i])
 			}
 		}
-		if j != len(punctured) {
-			t.Fatalf("consumed %d of %d punctured bits", j, len(punctured))
-		}
-		// The decoder must recover the exact input on a clean channel.
-		decoded, err := ViterbiDecode(mother, erased, false)
+		decoded, err := ViterbiDecodeInto(nil, mother, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(decoded) < n {
-			t.Fatalf("decoded %d bits, want at least %d", len(decoded), n)
+		if !bits.Equal(decoded, fr.ScrambledBits) {
+			t.Fatalf("%v %v: clean stream did not decode to the encoder input", conv, mode)
 		}
 	})
 }
 
-// TestDepunctureIntoMatches checks the pooled variant against Depuncture.
+// TestDepunctureIntoMatches checks the hard scatter builds the signed
+// mother stream the deinterleave → depuncture passes built, for every
+// mode and convention over multi-symbol streams.
 func TestDepunctureIntoMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var data []bits.Bit
-	var erased []bool
-	for _, r := range identityRates {
-		for trial := 0; trial < 20; trial++ {
-			rx := bits.Random(rng, 1+rng.Intn(700))
-			wantData, wantErased, err := Depuncture(rx, r)
-			if err != nil {
+	forEachConventionMode(func(c Convention, mode Mode) {
+		slots := c.CodedSlots(mode)
+		nCBPS, block := len(slots), 2*mode.DataBitsPerSymbol()
+		nSym := 1 + rng.Intn(4)
+		rx := bits.Random(rng, nSym*nCBPS)
+		got := make([]int8, nSym*block)
+		deinter := make([]bits.Bit, len(rx))
+		for sym := 0; sym < nSym; sym++ {
+			scatterBits(got[sym*block:(sym+1)*block], rx[sym*nCBPS:(sym+1)*nCBPS], slots)
+			if err := c.DeinterleaveCInto(deinter[sym*nCBPS:(sym+1)*nCBPS], rx[sym*nCBPS:(sym+1)*nCBPS], mode.Modulation); err != nil {
 				t.Fatal(err)
-			}
-			data, erased, err = DepunctureInto(data, erased, rx, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bits.Equal(data, wantData) {
-				t.Fatalf("rate %v: DepunctureInto data differs", r)
-			}
-			if len(erased) != len(wantErased) {
-				t.Fatalf("rate %v: erased length %d != %d", r, len(erased), len(wantErased))
-			}
-			for i := range erased {
-				if erased[i] != wantErased[i] {
-					t.Fatalf("rate %v: erased[%d] differs", r, i)
-				}
 			}
 		}
-	}
+		data, erased, err := Depuncture(deinter, mode.CodeRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := signedMother(data, erased)
+		if len(got) != len(want) {
+			t.Fatalf("%v %v: mother length %d, depuncture %d", c, mode, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v %v: mother slot %d = %d, want %d", c, mode, i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -105,7 +105,11 @@ func TestViterbiRoundTripNoErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := DepunctureAndDecode(coded, r, true)
+		mother, erased, err := Depuncture(coded, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := ViterbiDecodeInto(nil, signedMother(mother, erased), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +128,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 	for _, pos := range []int{10, 60, 111, 200, 333} {
 		coded[pos] ^= 1
 	}
-	decoded, err := ViterbiDecode(coded, nil, true)
+	decoded, err := ViterbiDecodeInto(nil, signedMother(coded, nil), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,7 @@ func TestViterbiPropertyRandomNoise(t *testing.T) {
 		for _, p := range positions {
 			coded[p] ^= 1
 		}
-		decoded, err := ViterbiDecode(coded, nil, true)
+		decoded, err := ViterbiDecodeInto(nil, signedMother(coded, nil), true)
 		if err != nil {
 			return false
 		}
@@ -156,6 +160,9 @@ func TestViterbiPropertyRandomNoise(t *testing.T) {
 	}
 }
 
+// TestPunctureDepunctureShape checks every placement table carries its
+// rate's share of the mother code (in input bits become out coded bits)
+// and names only slots inside its symbol's 2·N_DBPS-bit block.
 func TestPunctureDepunctureShape(t *testing.T) {
 	for _, tc := range []struct {
 		r       CodeRate
@@ -166,26 +173,33 @@ func TestPunctureDepunctureShape(t *testing.T) {
 		{Rate34, 48, 64},
 		{Rate56, 50, 60},
 	} {
-		data := make([]bits.Bit, tc.in)
-		coded, err := EncodeAndPuncture(data, tc.r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(coded) != tc.out {
-			t.Errorf("rate %v: %d input bits -> %d coded bits, want %d", tc.r, tc.in, len(coded), tc.out)
+		for _, c := range []Convention{ConventionIEEE, ConventionPaper} {
+			for m := BPSK; m <= QAM256; m++ {
+				mode := Mode{m, tc.r}
+				slots := c.CodedSlots(mode)
+				if len(slots)*tc.in != mode.DataBitsPerSymbol()*tc.out {
+					t.Errorf("%v %v: %d coded bits per %d input bits, want %d per %d",
+						c, mode, len(slots), mode.DataBitsPerSymbol(), tc.out, tc.in)
+				}
+				for j, slot := range slots {
+					if int(slot) >= 2*mode.DataBitsPerSymbol() {
+						t.Fatalf("%v %v: slot[%d] = %d outside the mother block", c, mode, j, slot)
+					}
+				}
+			}
 		}
 	}
 }
 
+// TestMotherIndices checks the table builder's puncture half: with the
+// identity interleaver, rate 3/4 keeps mother slots 0, 1, 2, 5, 6, 7.
 func TestMotherIndices(t *testing.T) {
-	idx, err := MotherIndices(6, Rate34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2, 5, 6, 7}
+	idx := make([]uint16, 6)
+	BuildCodedSlots(idx, Rate34, func(j int) int { return j })
+	want := []uint16{0, 1, 2, 5, 6, 7}
 	for i := range want {
 		if idx[i] != want[i] {
-			t.Fatalf("MotherIndices(3/4) = %v, want %v", idx, want)
+			t.Fatalf("BuildCodedSlots(3/4, identity) = %v, want %v", idx, want)
 		}
 	}
 }
@@ -210,33 +224,39 @@ func TestInterleaverBijection(t *testing.T) {
 	}
 }
 
-// TestInterleaveRoundTrip runs the interleaver pair the PHY uses: the
-// transmitter's whole-stream InterleaveAllC, then the receiver's
-// per-symbol DeinterleaveCInto, for both conventions and for one- and
-// three-symbol streams.
+// TestInterleaveRoundTrip runs the placement pair the PHY uses: the
+// transmitter's gather from the mother stream (renderData), then the
+// receiver's per-symbol scatter back into it (scatterBits), for both
+// conventions, every mode and one- and three-symbol streams. Kept slots
+// come back as the transmitted bits, punctured ones as erasures.
 func TestInterleaveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, conv := range []Convention{ConventionIEEE, ConventionPaper} {
-		for _, m := range []Modulation{QAM16, QAM64, QAM256} {
-			nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-			for _, nSym := range []int{1, 3} {
-				data := bits.Random(rng, nSym*nCBPS)
-				inter, err := conv.InterleaveAllC(m, data)
-				if err != nil {
-					t.Fatal(err)
+	var s txScratch
+	forEachConventionMode(func(conv Convention, mode Mode) {
+		slots := conv.CodedSlots(mode)
+		block := 2 * mode.DataBitsPerSymbol()
+		pat, _ := puncturePattern(mode.CodeRate)
+		for _, nSym := range []int{1, 3} {
+			f := &Frame{Mode: mode, Convention: conv, NumSymbols: nSym,
+				ScrambledBits: bits.Random(rng, nSym*mode.DataBitsPerSymbol())}
+			if err := f.renderData(&s, make([]complex128, nSym*NumDataSubcarriers)); err != nil {
+				t.Fatal(err)
+			}
+			back := make([]int8, nSym*block)
+			for sym := 0; sym < nSym; sym++ {
+				scatterBits(back[sym*block:(sym+1)*block], s.inter[sym*len(slots):(sym+1)*len(slots)], slots)
+			}
+			want := signedMother(s.mother, nil)
+			for i := range want {
+				if !pat[i%len(pat)] {
+					want[i] = 0
 				}
-				back := make([]bits.Bit, len(inter))
-				for off := 0; off < len(inter); off += nCBPS {
-					if err := conv.DeinterleaveCInto(back[off:off+nCBPS], inter[off:off+nCBPS], m); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !bits.Equal(back, data) {
-					t.Fatalf("%v %v, %d symbols: interleave round trip failed", conv, m, nSym)
+				if back[i] != want[i] {
+					t.Fatalf("%v %v, %d symbols: mother slot %d = %d after the round trip, want %d", conv, mode, nSym, i, back[i], want[i])
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestQAMGrayMapping16(t *testing.T) {

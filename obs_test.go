@@ -202,15 +202,7 @@ func TestDecodeFailureTaxonomy(t *testing.T) {
 				// failure is unambiguously the SIGNAL content.
 				field := make([]bits.Bit, 24)
 				field[2], field[3] = 1, 1 // rate code 0b0011, length 0, parity 0
-				coded, err := wifi.EncodeAndPuncture(field, wifi.Rate12)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inter, err := wifi.Interleave(wifi.BPSK, coded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pts, err := wifi.MapAll(wifi.BPSK, inter)
+				pts, err := wifi.SignalPoints(field)
 				if err != nil {
 					t.Fatal(err)
 				}
