@@ -179,6 +179,39 @@ func TestFrameProtectedSymbols(t *testing.T) {
 	}
 }
 
+// TestFrameTransmitBitsByCodec pins which frames carry transmit bits: only
+// the default SledZig codec's, one bit per DATA-field encoder input, as a
+// fresh copy on every call. Every other backend returns nil, ook-ctc
+// included, although its frames are standard PPDUs too.
+func TestFrameTransmitBitsByCodec(t *testing.T) {
+	payload := []byte("transmit bits probe")
+	for _, name := range Codecs() {
+		enc, err := NewEncoder(Config{Channel: CH2, Codec: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := enc.Encode(payload)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		tb := f.TransmitBits()
+		if name != CodecSledZig {
+			if tb != nil {
+				t.Errorf("%s: TransmitBits() = %d bits, want nil", name, len(tb))
+			}
+			continue
+		}
+		// The zero Config resolves to QAM-16 rate 1/2.
+		if want := f.NumSymbols() * (wifi.Mode{Modulation: QAM16, CodeRate: Rate12}).DataBitsPerSymbol(); len(tb) != want {
+			t.Fatalf("%s: %d transmit bits, want %d", name, len(tb), want)
+		}
+		tb[0] ^= 1
+		if again := f.TransmitBits(); again[0] == tb[0] {
+			t.Fatalf("%s: TransmitBits() returned storage shared between calls", name)
+		}
+	}
+}
+
 // TestDecodeAsStandardFrame checks the option path: the same capture
 // decodes as a raw PSDU with codec stages skipped.
 func TestDecodeAsStandardFrame(t *testing.T) {

@@ -74,7 +74,7 @@ func TestErrBadSignalFieldReachable(t *testing.T) {
 		t.Fatalf("SignalField: %v", err)
 	}
 	field[17] ^= 1
-	pts, err := wifi.SignalPoints(field)
+	pts, err := wifi.SignalPoints(field[:])
 	if err != nil {
 		t.Fatalf("SignalPoints: %v", err)
 	}

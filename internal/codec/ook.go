@@ -42,6 +42,8 @@ type ook struct {
 	rx     wifi.RxResult
 	plan   *core.Plan
 	tr     *trace.Frame
+	// maxPayload is MaxPayload, fixed at construction.
+	maxPayload int
 }
 
 func newOOK(p Params) (*ook, error) {
@@ -64,12 +66,18 @@ func newOOK(p Params) (*ook, error) {
 	if seed == 0 {
 		seed = wifi.DefaultScramblerSeed
 	}
+	enc := ctc.Encoder{Convention: p.Convention, Mode: mode, Channel: p.Channel, Seed: p.Seed}
+	maxPayload, err := enc.MaxPayload(ookMessageBits)
+	if err != nil {
+		return nil, err
+	}
 	return &ook{
-		params: p,
-		plan:   plan,
-		enc:    ctc.Encoder{Convention: p.Convention, Mode: mode, Channel: p.Channel, Seed: p.Seed},
-		dec:    ctc.Decoder{Convention: p.Convention, Channel: p.Channel},
-		rxr:    wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient},
+		params:     p,
+		plan:       plan,
+		enc:        enc,
+		dec:        ctc.Decoder{Convention: p.Convention, Channel: p.Channel},
+		rxr:        wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient},
+		maxPayload: maxPayload,
 	}, nil
 }
 
@@ -85,17 +93,18 @@ func ookMessage(payload []byte) []bits.Bit {
 	return msg
 }
 
-// Encode backs the Contract's MaxEncodeAllocs=48: masked layouts are
-// memoized per (plan, mask), so nothing here may allocate per symbol.
+// Encode backs the Contract's MaxEncodeAllocs=15: masked layouts are
+// memoized per (plan, mask) and the capacity is fixed at construction, so
+// nothing here may allocate per symbol.
 //
-//sledzig:noalloc budget=48
+//sledzig:noalloc budget=15
 func (c *ook) Encode(payload []byte) (*Encoded, error) {
 	// MaxPayload is the worst-case (all-low) capacity; the actual capacity
 	// varies with the CRC's bit pattern. Enforce the conservative bound so
 	// MaxPayload is a hard contract rather than a payload-dependent one.
-	if max := c.MaxPayload(); len(payload) > max {
+	if len(payload) > c.maxPayload {
 		return nil, fmt.Errorf("codec: payload of %d octets beyond the %d-octet ook-ctc bound: %w",
-			len(payload), max, core.ErrPayloadSize)
+			len(payload), c.maxPayload, core.ErrPayloadSize)
 	}
 	mk := c.tr.Begin(stages().ookEmbed)
 	frame, err := c.enc.Encode(payload, ookMessage(payload))
@@ -140,17 +149,12 @@ func (c *ook) Contract() Contract {
 	// band-drop floor — but only the masked symbols are protected. The
 	// alloc bound holds because masked layouts are memoized per (plan,
 	// mask): steady-state encodes assemble and scramble, but never re-plan
-	// clusters (measured ~33 allocs/op, dominated by frame assembly).
-	return Contract{MinDropDB: 3.0, WholeFrame: false, MaxEncodeAllocs: 48}
+	// clusters (measured 10 allocs/op: the message and its mask, the frame
+	// and its encoder input, the waveform and the results).
+	return Contract{MinDropDB: 3.0, WholeFrame: false, MaxEncodeAllocs: 15}
 }
 
-func (c *ook) MaxPayload() int {
-	n, err := c.enc.MaxPayload(ookMessageBits)
-	if err != nil {
-		return 0
-	}
-	return n
-}
+func (c *ook) MaxPayload() int { return c.maxPayload }
 
 func (c *ook) OverheadFraction() float64 {
 	// Worst case (every OOK bit low): the full SledZig per-symbol spend.

@@ -1,0 +1,274 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"sledzig/internal/bits"
+	"sledzig/internal/wifi"
+)
+
+// oracleAssembleMaskedFrame is AssembleMaskedFrame as it stood before
+// masked frames ran the encoder's assembler: its own logical, extra-mask
+// and physical streams, an allocating scramble and SolveExtraBits. The
+// frame wrap wifi.Transmitter.FrameFromScrambled did is inlined at the
+// end.
+func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*wifi.Frame, *FrameLayout, error) {
+	layout, err := MaskedLayout(plan, mask)
+	if err != nil {
+		return nil, nil, err
+	}
+	nSym := len(mask)
+	nDBPS := plan.Mode.DataBitsPerSymbol()
+	total := nSym * nDBPS
+
+	capacity := total - len(layout.Positions) - serviceBits - tailBits
+	if need := 8 * (headerOctets + len(payload)); need > capacity || len(payload) == 0 {
+		return nil, nil, fmt.Errorf("core: payload of %d octets outside the %d-bit capacity of a %d-symbol masked frame: %w",
+			len(payload), capacity, nSym, ErrPayloadSize)
+	}
+
+	// Logical stream: SERVICE zeros, length header, payload, zero pad.
+	logical := make([]bits.Bit, total-len(layout.Positions))
+	n := serviceBits
+	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
+	n += bits.CopyBytes(logical[n:], header[:])
+	bits.CopyBytes(logical[n:], payload)
+
+	// Physical unscrambled stream: logical bits at non-extra positions.
+	extra := make([]bool, total)
+	for _, p := range layout.Positions {
+		if p < 0 || p >= total {
+			return nil, nil, fmt.Errorf("core: extra position %d outside frame of %d bits: %w", p, total, ErrExtraBitLayout)
+		}
+		extra[p] = true
+	}
+	u := make([]bits.Bit, total)
+	li := 0
+	for i := range u {
+		if !extra[i] {
+			u[i] = logical[li]
+			li++
+		}
+	}
+	if seed == 0 {
+		seed = wifi.DefaultScramblerSeed
+	}
+	x, err := wifi.ScrambleWithSeed(u, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Zero the placeholders (scrambling flipped some to the scrambler
+	// sequence; the solver assumes unknowns start at zero), then solve.
+	for _, p := range layout.Positions {
+		x[p] = 0
+	}
+	if err := SolveExtraBits(x, layout.Clusters); err != nil {
+		return nil, nil, err
+	}
+	signalledLength := (total - serviceBits - tailBits) / 8
+	if err := plan.Mode.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if len(x) == 0 || len(x)%nDBPS != 0 {
+		return nil, nil, fmt.Errorf("wifi: scrambled stream length %d not a positive multiple of N_DBPS %d", len(x), nDBPS)
+	}
+	if signalledLength < 1 || signalledLength > wifi.MaxPSDULength {
+		return nil, nil, fmt.Errorf("wifi: signalled length %d out of range [1, %d]", signalledLength, wifi.MaxPSDULength)
+	}
+	return &wifi.Frame{
+		Mode:          plan.Mode,
+		Convention:    plan.Convention,
+		PSDULength:    signalledLength,
+		Terminated:    false,
+		ScrambledBits: bits.Clone(x),
+		NumSymbols:    len(x) / nDBPS,
+	}, layout, nil
+}
+
+// oracleTransmitBits is the transmit-bit stream EncodeTo computed eagerly
+// before TransmitBits became a method: the solved encoder input
+// descrambled with the frame's seed into the result's own buffer.
+func oracleTransmitBits(x []bits.Bit, seed uint8) ([]bits.Bit, error) {
+	var transmitBits []bits.Bit
+	transmitBits = bits.Grow(transmitBits, len(x))
+	if err := wifi.ScrambleWithSeedInto(transmitBits, x, seed); err != nil {
+		return nil, err
+	}
+	return transmitBits, nil
+}
+
+// sameFrame reports the first field in which got differs from want.
+func sameFrame(got, want *wifi.Frame) error {
+	switch {
+	case got.Mode != want.Mode || got.Convention != want.Convention:
+		return fmt.Errorf("mode/convention %v/%v, want %v/%v", got.Mode, got.Convention, want.Mode, want.Convention)
+	case got.PSDULength != want.PSDULength:
+		return fmt.Errorf("PSDULength %d, want %d", got.PSDULength, want.PSDULength)
+	case got.NumSymbols != want.NumSymbols:
+		return fmt.Errorf("NumSymbols %d, want %d", got.NumSymbols, want.NumSymbols)
+	case got.Terminated != want.Terminated:
+		return fmt.Errorf("Terminated %v, want %v", got.Terminated, want.Terminated)
+	case !bits.Equal(got.ScrambledBits, want.ScrambledBits):
+		return fmt.Errorf("ScrambledBits differ (%d vs %d bits)", len(got.ScrambledBits), len(want.ScrambledBits))
+	}
+	return nil
+}
+
+// TestAssemblerMatchesOracles holds the shared assembler to the code it
+// replaced, for both conventions, every pinnable mode and all four
+// channels, with random masks, payloads and seeds: masked frames against
+// the old masked assembler, over-capacity payloads to the same typed
+// error, and SledZig frames against the old assembler's all-true-mask
+// frame of the same length, with TransmitBits() against the old eager
+// stream.
+func TestAssemblerMatchesOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	pinnable := 0
+	for _, conv := range []wifi.Convention{wifi.ConventionIEEE, wifi.ConventionPaper} {
+		for mod := wifi.BPSK; mod <= wifi.QAM256; mod++ {
+			for rate := wifi.Rate12; rate <= wifi.Rate56; rate++ {
+				mode := wifi.Mode{Modulation: mod, CodeRate: rate}
+				for _, ch := range AllChannels() {
+					// BPSK and QPSK points all have one power: nothing to pin.
+					plan, err := NewPlan(conv, mode, ch)
+					if mod < wifi.QAM16 {
+						if err == nil {
+							t.Fatalf("%v %v %v: NewPlan accepted an unpinnable mode", conv, mode, ch)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%v %v %v: %v", conv, mode, ch, err)
+					}
+					pinnable++
+					name := fmt.Sprintf("%v %v %v", conv, mode, ch)
+					for trial := 0; trial < 2; trial++ {
+						checkMaskedAgainstOracle(t, name, rng, plan)
+					}
+					checkEncodeAgainstOracle(t, name, rng, plan)
+				}
+			}
+		}
+	}
+	if pinnable != 2*3*4*4 {
+		t.Fatalf("checked %d (convention, mode, channel) plans, want %d", pinnable, 2*3*4*4)
+	}
+}
+
+func checkMaskedAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *Plan) {
+	t.Helper()
+	nDBPS := plan.Mode.DataBitsPerSymbol()
+	var mask []bool
+	maxPayload := 0
+	for maxPayload < 1 {
+		mask = make([]bool, 2+rng.Intn(39))
+		for i := range mask {
+			mask[i] = rng.Intn(2) == 0
+		}
+		layout, err := MaskedLayout(plan, mask)
+		if err != nil {
+			t.Fatalf("%s: MaskedLayout: %v", name, err)
+		}
+		maxPayload = (len(mask)*nDBPS-len(layout.Positions)-serviceBits-tailBits)/8 - headerOctets
+	}
+	seed := uint8(rng.Intn(128))
+	payload := bits.RandomBytes(rng, 1+rng.Intn(maxPayload))
+
+	got, gotLayout, err := AssembleMaskedFrame(plan, mask, payload, seed)
+	if err != nil {
+		t.Fatalf("%s: AssembleMaskedFrame: %v", name, err)
+	}
+	want, wantLayout, err := oracleAssembleMaskedFrame(plan, mask, payload, seed)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	if err := sameFrame(got, want); err != nil {
+		t.Fatalf("%s: masked frame (%d symbols, seed %d): %v", name, len(mask), seed, err)
+	}
+	if gotLayout != wantLayout {
+		t.Fatalf("%s: masked frame solved a different layout than the oracle", name)
+	}
+
+	tooBig := make([]byte, maxPayload+1)
+	_, _, gerr := AssembleMaskedFrame(plan, mask, tooBig, seed)
+	_, _, werr := oracleAssembleMaskedFrame(plan, mask, tooBig, seed)
+	if !errors.Is(gerr, ErrPayloadSize) || !errors.Is(werr, ErrPayloadSize) || gerr.Error() != werr.Error() {
+		t.Fatalf("%s: over-capacity payload: got %v, oracle %v", name, gerr, werr)
+	}
+}
+
+func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *Plan) {
+	t.Helper()
+	seed := uint8(rng.Intn(128))
+	payload := bits.RandomBytes(rng, 1+rng.Intn(300))
+	enc := &Encoder{Plan: plan, Seed: seed}
+	res, err := enc.Encode(payload)
+	if err != nil {
+		t.Fatalf("%s: Encode: %v", name, err)
+	}
+	mask := make([]bool, enc.NumSymbols(len(payload)))
+	for i := range mask {
+		mask[i] = true
+	}
+	want, wantLayout, err := oracleAssembleMaskedFrame(plan, mask, payload, seed)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	if err := sameFrame(res.Frame, want); err != nil {
+		t.Fatalf("%s: SledZig frame (seed %d): %v", name, seed, err)
+	}
+	if res.Layout != wantLayout || res.PayloadLength != len(payload) {
+		t.Fatalf("%s: result layout or payload length differs from the oracle's", name)
+	}
+	resolved := seed
+	if resolved == 0 {
+		resolved = wifi.DefaultScramblerSeed
+	}
+	if res.Seed != resolved {
+		t.Fatalf("%s: result seed %#x, want %#x", name, res.Seed, resolved)
+	}
+	wantTB, err := oracleTransmitBits(want.ScrambledBits, resolved)
+	if err != nil {
+		t.Fatalf("%s: oracle transmit bits: %v", name, err)
+	}
+	if !bits.Equal(res.TransmitBits(), wantTB) {
+		t.Fatalf("%s: TransmitBits() differs from the eager stream", name)
+	}
+}
+
+// TestLayoutCacheHitsDoNotAllocate pins the memo hits ook-ctc makes on
+// every frame at zero allocations: FrameLayout at 320 symbols (an ook-ctc
+// frame) and MaskedLayout with its packed mask key.
+func TestLayoutCacheHitsDoNotAllocate(t *testing.T) {
+	plan, err := NewPlan(wifi.ConventionIEEE, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, CH2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := make([]bool, 320)
+	for i := range mask {
+		mask[i] = i/32%2 == 0
+	}
+	if _, err := plan.FrameLayout(320); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MaskedLayout(plan, mask); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := plan.FrameLayout(320); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("FrameLayout(320) hit allocates %.1f times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := MaskedLayout(plan, mask); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("MaskedLayout hit allocates %.1f times, want 0", avg)
+	}
+}

@@ -341,7 +341,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestTransmitBitsStandardEquivalence confirms the paper's deployment
-// story: feeding EncodeResult.TransmitBits into a completely standard
+// story: feeding EncodeResult.TransmitBits() into a completely standard
 // transmitter (scramble -> code -> interleave -> map) produces the same
 // constellation points as the SledZig frame.
 func TestTransmitBitsStandardEquivalence(t *testing.T) {
@@ -358,7 +358,7 @@ func TestTransmitBitsStandardEquivalence(t *testing.T) {
 	}
 	// Standard chain: scramble the transmit bits and compare the encoder
 	// input with the frame's.
-	rescrambled, err := wifi.ScrambleWithSeed(res.TransmitBits, wifi.DefaultScramblerSeed)
+	rescrambled, err := wifi.ScrambleWithSeed(res.TransmitBits(), wifi.DefaultScramblerSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestEncoderPropertyRandomPayloads(t *testing.T) {
 		// Bit-domain round trip (no waveform, fast).
 		rx := &wifi.RxResult{
 			Mode:     plan.Mode,
-			DataBits: res.TransmitBits,
+			DataBits: res.TransmitBits(),
 		}
 		got, err := dec.Decode(rx, CH2)
 		if err != nil || len(got) != len(payload) {

@@ -38,15 +38,29 @@ type Encoder struct {
 type EncodeResult struct {
 	// Frame is ready for OFDM modulation (wifi.Frame.Waveform).
 	Frame *wifi.Frame
-	// TransmitBits is the unscrambled DATA-field bit stream — what one
-	// would feed a completely standard 802.11 transmitter (which then
-	// scrambles, codes, interleaves and maps it) to obtain the same
-	// waveform. This is the paper's "transmit bits".
-	TransmitBits []bits.Bit
+	// Seed is the scrambler seed the frame was scrambled with, with 0
+	// already resolved to wifi.DefaultScramblerSeed.
+	Seed uint8
 	// Layout records the extra-bit positions of this frame.
 	Layout *FrameLayout
 	// PayloadLength is the original payload size in octets.
 	PayloadLength int
+}
+
+// TransmitBits returns the unscrambled DATA-field bit stream — what one
+// would feed a completely standard 802.11 transmitter (which then
+// scrambles, codes, interleaves and maps it) to obtain the same
+// waveform. This is the paper's "transmit bits". Each call descrambles
+// Frame.ScrambledBits into a fresh slice; it returns nil for a result no
+// encode has filled.
+func (r *EncodeResult) TransmitBits() []bits.Bit {
+	if r.Frame == nil {
+		return nil
+	}
+	// Only an unfilled result has seed 0, which the scrambler rejects
+	// with a nil stream.
+	tb, _ := wifi.ScrambleWithSeed(r.Frame.ScrambledBits, r.Seed)
+	return tb
 }
 
 // MaxPayload returns the largest payload (octets) a frame of nSymbols can
@@ -64,35 +78,39 @@ func (e *Encoder) NumSymbols(length int) int {
 	return (needed + eff - 1) / eff
 }
 
-// Encode builds the SledZig frame for payload. Every result buffer is
-// freshly allocated; batch and streaming callers that can recycle results
+// Encode builds the SledZig frame for payload into a fresh result: one
+// allocation holds the result and its frame, one the frame's
+// ScrambledBits. Batch and streaming callers that can recycle results
 // should use EncodeTo.
 func (e *Encoder) Encode(payload []byte) (*EncodeResult, error) {
-	res := new(EncodeResult)
-	if err := e.EncodeTo(payload, res); err != nil {
+	box := new(struct {
+		res   EncodeResult
+		frame wifi.Frame
+	})
+	box.res.Frame = &box.frame
+	if err := e.EncodeTo(payload, &box.res); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &box.res, nil
 }
 
 // encodeScratch holds the per-frame intermediate bit buffers that never
-// escape Encode, pooled so steady-state encoding allocates nothing for
+// escape an encode, pooled so steady-state encoding allocates nothing for
 // them.
 type encodeScratch struct {
 	logical []bits.Bit
 	u       []bits.Bit
-	extra   []bool
 }
 
 var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 // EncodeTo builds the SledZig frame for payload into res, reusing res's
-// existing buffers (TransmitBits and Frame.ScrambledBits) when their
-// capacity suffices. On success res is fully overwritten; on error its
-// contents are unspecified. The caller owns res until the next EncodeTo
-// with the same res — results handed to other goroutines must not be
-// reused. res.Layout aliases the plan's shared, read-only layout. The
-// bit-stream outputs are identical to Encode's for the same payload.
+// Frame and its ScrambledBits when their capacity suffices. On success res
+// is fully overwritten; on error its contents are unspecified. The caller
+// owns res until the next EncodeTo with the same res — results handed to
+// other goroutines must not be reused. res.Layout aliases the plan's
+// shared, read-only layout. The bit-stream outputs are identical to
+// Encode's for the same payload.
 //
 //sledzig:noalloc
 func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
@@ -108,18 +126,45 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.validate", err)
 		return err
 	}
-	nSym := e.NumSymbols(len(payload))
 	mk := e.Trace.Begin(m.encLayout)
-	layout, err := e.Plan.FrameLayout(nSym)
+	layout, err := e.Plan.FrameLayout(e.NumSymbols(len(payload)))
 	mk.End(0, err)
 	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.layout", err)
 		return err
 	}
-	nDBPS := e.Plan.Mode.DataBitsPerSymbol()
-	total := nSym * nDBPS
-	if len(layout.Positions) >= total {
+	if err := assemble(e.Plan, layout, payload, e.Seed, e.Trace, res); err != nil {
+		return err
+	}
+	m.encFrames.Inc()
+	m.encPayload.Add(uint64(len(payload)))
+	return nil
+}
+
+// assemble builds the frame of layout.NumSymbols OFDM symbols carrying
+// payload into res, reusing res.Frame and its ScrambledBits when present:
+// the one assembly pipeline behind SledZig frames (EncodeTo) and masked
+// frames (AssembleMaskedFrame). seed 0 selects wifi.DefaultScramblerSeed;
+// tr receives the scramble, solve and verify spans and becomes the
+// frame's trace.
+//
+//sledzig:noalloc
+func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *trace.Frame, res *EncodeResult) error {
+	m := metrics()
+	nSym := layout.NumSymbols
+	total := nSym * plan.Mode.DataBitsPerSymbol()
+	pos := layout.Positions
+	if len(pos) >= total {
 		return fmt.Errorf("core: layout consumes the whole frame")
+	}
+	// Positions ascend strictly (newFrameLayout checks), so bounding the
+	// ends bounds them all.
+	if len(pos) > 0 && (pos[0] < 0 || pos[len(pos)-1] >= total) {
+		return fmt.Errorf("core: extra positions [%d, %d] outside frame of %d bits: %w", pos[0], pos[len(pos)-1], total, ErrExtraBitLayout)
+	}
+	capacity := total - len(pos)
+	if need := serviceBits + 8*(headerOctets+len(payload)) + tailBits; need > capacity {
+		return fmt.Errorf("core: internal error: logical stream %d exceeds capacity %d", need, capacity)
 	}
 
 	scratch := encodeScratchPool.Get().(*encodeScratch)
@@ -127,11 +172,6 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 
 	// Logical stream: SERVICE zeros, length header, payload, tail zeros,
 	// zero padding up to the non-extra capacity.
-	capacity := total - len(layout.Positions)
-	need := serviceBits + 8*(headerOctets+len(payload)) + tailBits
-	if need > capacity {
-		return fmt.Errorf("core: internal error: logical stream %d exceeds capacity %d", need, capacity)
-	}
 	scratch.logical = bits.Grow(scratch.logical, capacity)
 	logical := scratch.logical
 	clear(logical)
@@ -140,35 +180,24 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 	n += bits.CopyBytes(logical[n:], header[:])
 	bits.CopyBytes(logical[n:], payload)
 
-	// Physical unscrambled stream: logical bits at non-extra positions.
-	if cap(scratch.extra) < total {
-		scratch.extra = make([]bool, total)
-	}
-	scratch.extra = scratch.extra[:total]
-	extra := scratch.extra
-	clear(extra)
-	for _, p := range layout.Positions {
-		if p < 0 || p >= total {
-			return fmt.Errorf("core: extra position %d outside frame of %d bits", p, total)
-		}
-		extra[p] = true
-	}
+	// Physical unscrambled stream: logical bits at the non-extra
+	// positions, zero placeholders at the extra ones.
 	scratch.u = bits.Grow(scratch.u, total)
 	u := scratch.u
-	li := 0
+	pi, li := 0, 0
 	for i := range u {
-		if extra[i] {
+		if pi < len(pos) && pos[pi] == i {
 			u[i] = 0
-		} else {
-			u[i] = logical[li]
-			li++
+			pi++
+			continue
 		}
+		u[i] = logical[li]
+		li++
 	}
 
 	// Scramble, then solve the extra bits in the scrambled (encoder-input)
 	// domain. x becomes the frame's encoder-input stream, so it lives in
 	// the (reusable) result buffer rather than the scratch pool.
-	seed := e.Seed
 	if seed == 0 {
 		seed = wifi.DefaultScramblerSeed
 	}
@@ -177,35 +206,29 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		x = res.Frame.ScrambledBits
 	}
 	x = bits.Grow(x, total)
-	mk = e.Trace.Begin(m.encScramble)
-	err = wifi.ScrambleWithSeedInto(x, u, seed)
+	mk := tr.Begin(m.encScramble)
+	err := wifi.ScrambleWithSeedInto(x, u, seed)
 	mk.End(len(payload), err)
 	if err != nil {
 		return err
 	}
 	// Zero the placeholders: scrambling flipped some of them to the
 	// scrambler sequence; the solver assumes unknowns start at zero.
-	for _, p := range layout.Positions {
+	for _, p := range pos {
 		x[p] = 0
 	}
-	mk = e.Trace.Begin(m.encSolve)
+	mk = tr.Begin(m.encSolve)
 	err = solveClusters(x, layout.Clusters)
 	mk.End(0, err)
 	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.solve", err)
 		return err
 	}
-	mk = e.Trace.Begin(m.encVerify)
+	mk = tr.Begin(m.encVerify)
 	err = verifyConstraints(x, layout.Clusters)
 	mk.End(0, err)
 	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.verify", err)
-		return err
-	}
-
-	// The standard-compatible "transmit bits" are the descrambled stream.
-	res.TransmitBits = bits.Grow(res.TransmitBits, total)
-	if err := wifi.ScrambleWithSeedInto(res.TransmitBits, x, seed); err != nil {
 		return err
 	}
 
@@ -215,25 +238,24 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.validate", err)
 		return err
 	}
-	if err := e.Plan.Mode.Validate(); err != nil {
+	if err := plan.Mode.Validate(); err != nil {
 		return err
 	}
 	if res.Frame == nil {
 		res.Frame = new(wifi.Frame)
 	}
 	*res.Frame = wifi.Frame{
-		Mode:          e.Plan.Mode,
-		Convention:    e.Plan.Convention,
+		Mode:          plan.Mode,
+		Convention:    plan.Convention,
 		PSDULength:    signalled,
 		Terminated:    false,
 		ScrambledBits: x,
 		NumSymbols:    nSym,
-		Trace:         e.Trace,
+		Trace:         tr,
 	}
+	res.Seed = seed
 	res.Layout = layout
 	res.PayloadLength = len(payload)
-	m.encFrames.Inc()
-	m.encPayload.Add(uint64(len(payload)))
 	return nil
 }
 

@@ -41,33 +41,40 @@ func MaskedLayout(plan *Plan, mask []bool) (*FrameLayout, error) {
 		// the cheaper int) holds the shared instance.
 		return plan.FrameLayout(len(mask))
 	}
-	key := maskKey(mask)
-	if v, ok := plan.maskedLayouts.Load(key); ok {
+	// Masks up to 480 symbols pack into the stack buffer; the hit lookup
+	// converts the key without copying it.
+	var buf [64]byte
+	key := appendMaskKey(buf[:0], mask)
+	plan.mu.RLock()
+	layout, ok := plan.maskedLayouts[string(key)]
+	plan.mu.RUnlock()
+	if ok {
 		metrics().layoutHit.Inc()
-		return v.(*FrameLayout), nil
+		return layout, nil
 	}
 	metrics().layoutMiss.Inc()
 	layout, err := computeMaskedLayout(plan, mask)
 	if err != nil {
 		return nil, err
 	}
-	v, _ := plan.maskedLayouts.LoadOrStore(key, layout)
-	return v.(*FrameLayout), nil
+	return storeLayout(&plan.mu, &plan.maskedLayouts, string(key), layout), nil
 }
 
-// maskKey packs a symbol mask into a compact map key.
-func maskKey(mask []bool) string {
-	b := make([]byte, 4+(len(mask)+7)/8)
-	b[0] = byte(len(mask))
-	b[1] = byte(len(mask) >> 8)
-	b[2] = byte(len(mask) >> 16)
-	b[3] = byte(len(mask) >> 24)
-	for i, pinned := range mask {
-		if pinned {
-			b[4+i/8] |= 1 << (i % 8)
+// appendMaskKey packs a symbol mask onto dst as a compact map key: the
+// mask length (4 bytes, little-endian), then one bit per symbol.
+func appendMaskKey(dst []byte, mask []bool) []byte {
+	n := len(mask)
+	dst = append(dst, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+	for i := 0; i < n; i += 8 {
+		var b byte
+		for j, pinned := range mask[i:min(i+8, n)] {
+			if pinned {
+				b |= 1 << j
+			}
 		}
+		dst = append(dst, b)
 	}
-	return string(b)
+	return dst
 }
 
 // computeMaskedLayout derives a masked layout from scratch.
@@ -101,59 +108,16 @@ func AssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*
 		return nil, nil, err
 	}
 	nSym := len(mask)
-	nDBPS := plan.Mode.DataBitsPerSymbol()
-	total := nSym * nDBPS
-
-	capacity := total - len(layout.Positions) - serviceBits - tailBits
+	capacity := nSym*plan.Mode.DataBitsPerSymbol() - len(layout.Positions) - serviceBits - tailBits
 	if need := 8 * (headerOctets + len(payload)); need > capacity || len(payload) == 0 {
 		return nil, nil, fmt.Errorf("core: payload of %d octets outside the %d-bit capacity of a %d-symbol masked frame: %w",
 			len(payload), capacity, nSym, ErrPayloadSize)
 	}
-
-	// Logical stream: SERVICE zeros, length header, payload, zero pad.
-	logical := make([]bits.Bit, total-len(layout.Positions))
-	n := serviceBits
-	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
-	n += bits.CopyBytes(logical[n:], header[:])
-	bits.CopyBytes(logical[n:], payload)
-
-	// Physical unscrambled stream: logical bits at non-extra positions.
-	extra := make([]bool, total)
-	for _, p := range layout.Positions {
-		if p < 0 || p >= total {
-			return nil, nil, fmt.Errorf("core: extra position %d outside frame of %d bits: %w", p, total, ErrExtraBitLayout)
-		}
-		extra[p] = true
-	}
-	u := make([]bits.Bit, total)
-	li := 0
-	for i := range u {
-		if !extra[i] {
-			u[i] = logical[li]
-			li++
-		}
-	}
-	if seed == 0 {
-		seed = wifi.DefaultScramblerSeed
-	}
-	x, err := wifi.ScrambleWithSeed(u, seed)
-	if err != nil {
+	res := EncodeResult{Frame: new(wifi.Frame)}
+	if err := assemble(plan, layout, payload, seed, nil, &res); err != nil {
 		return nil, nil, err
 	}
-	// Zero the placeholders (scrambling flipped some to the scrambler
-	// sequence; the solver assumes unknowns start at zero), then solve.
-	for _, p := range layout.Positions {
-		x[p] = 0
-	}
-	if err := SolveExtraBits(x, layout.Clusters); err != nil {
-		return nil, nil, err
-	}
-	tx := wifi.Transmitter{Mode: plan.Mode, Seed: seed, Convention: plan.Convention}
-	frame, err := tx.FrameFromScrambled(x, (total-serviceBits-tailBits)/8)
-	if err != nil {
-		return nil, nil, err
-	}
-	return frame, layout, nil
+	return res.Frame, layout, nil
 }
 
 // StripMaskedPayload inverts AssembleMaskedFrame at the receiver: given

@@ -29,15 +29,13 @@ type Plan struct {
 	// mother index.
 	symbolConstraints []Constraint
 
-	// layouts memoizes FrameLayout by symbol count. Layouts are immutable
-	// once built, so cached instances are shared freely across goroutines;
-	// frames of recurring sizes (the common case for batch traffic) pay
-	// the cluster planning cost once.
-	layouts sync.Map // int -> *FrameLayout
-	// maskedLayouts memoizes MaskedLayout by packed mask. Masks come from
-	// small message alphabets (the CTC codecs derive them from short OOK
-	// words), so the map stays bounded by the alphabet, not the traffic.
-	maskedLayouts sync.Map // string -> *FrameLayout
+	// mu guards the layout memos: FrameLayout's by symbol count (frames of
+	// recurring sizes pay the cluster planning cost once) and MaskedLayout's
+	// by packed mask (bounded by the CTC codecs' message alphabets, not the
+	// traffic). Layouts are immutable once built and shared freely.
+	mu            sync.RWMutex
+	layouts       map[int]*FrameLayout
+	maskedLayouts map[string]*FrameLayout
 }
 
 // NewPlan builds the plan for a protected ZigBee channel using its full
@@ -106,20 +104,36 @@ type Cluster struct {
 // for a frame of nSymbols OFDM symbols. Layouts are memoized per plan and
 // shared: the returned value is read-only and must not be modified.
 func (p *Plan) FrameLayout(nSymbols int) (*FrameLayout, error) {
-	if v, ok := p.layouts.Load(nSymbols); ok {
+	p.mu.RLock()
+	layout, ok := p.layouts[nSymbols]
+	p.mu.RUnlock()
+	if ok {
 		metrics().layoutHit.Inc()
-		return v.(*FrameLayout), nil
+		return layout, nil
 	}
 	metrics().layoutMiss.Inc()
 	layout, err := p.computeFrameLayout(nSymbols)
 	if err != nil {
 		return nil, err
 	}
-	// Concurrent first computations are identical (the planner is
-	// deterministic); keep whichever landed first so every caller shares
-	// one instance.
-	v, _ := p.layouts.LoadOrStore(nSymbols, layout)
-	return v.(*FrameLayout), nil
+	return storeLayout(&p.mu, &p.layouts, nSymbols, layout), nil
+}
+
+// storeLayout memoizes layout under key in *m, created on first use, and
+// returns the instance every caller shares. Concurrent first computations
+// are identical (the planner is deterministic), so whichever landed first
+// wins.
+func storeLayout[K comparable](mu *sync.RWMutex, m *map[K]*FrameLayout, key K, layout *FrameLayout) *FrameLayout {
+	mu.Lock()
+	defer mu.Unlock()
+	if first, ok := (*m)[key]; ok {
+		return first
+	}
+	if *m == nil {
+		*m = make(map[K]*FrameLayout)
+	}
+	(*m)[key] = layout
+	return layout
 }
 
 // computeFrameLayout derives a layout from scratch.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"sledzig/internal/bits"
 	"sledzig/internal/wifi"
 )
 
@@ -112,8 +113,10 @@ func TestFrameLayoutConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CachedPlan: %v", err)
 	}
+	mask := []bool{true, false, true, true, false, true}
 	var wg sync.WaitGroup
 	layouts := make([]*FrameLayout, 16)
+	masked := make([]*FrameLayout, len(layouts))
 	for i := range layouts {
 		wg.Add(1)
 		go func(i int) {
@@ -124,11 +127,14 @@ func TestFrameLayoutConcurrent(t *testing.T) {
 				return
 			}
 			layouts[i] = l
+			if masked[i], err = MaskedLayout(plan, mask); err != nil {
+				t.Errorf("MaskedLayout: %v", err)
+			}
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < len(layouts); i++ {
-		if layouts[i] != layouts[0] {
+		if layouts[i] != layouts[0] || masked[i] != masked[0] {
 			t.Fatalf("goroutine %d got a different layout instance", i)
 		}
 	}
@@ -157,13 +163,8 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 			t.Fatalf("EncodeTo round %d: %v", round, err)
 		}
 	}
-	if len(res.TransmitBits) != len(want.TransmitBits) {
-		t.Fatalf("TransmitBits length %d != %d", len(res.TransmitBits), len(want.TransmitBits))
-	}
-	for i := range want.TransmitBits {
-		if res.TransmitBits[i] != want.TransmitBits[i] {
-			t.Fatalf("TransmitBits diverge at %d", i)
-		}
+	if got, want := res.TransmitBits(), want.TransmitBits(); !bits.Equal(got, want) {
+		t.Fatalf("TransmitBits diverge (%d vs %d bits)", len(got), len(want))
 	}
 	for i := range want.Frame.ScrambledBits {
 		if res.Frame.ScrambledBits[i] != want.Frame.ScrambledBits[i] {

@@ -399,12 +399,14 @@ func (w *workerState) encodeFrame(j *job) (*Product, error) {
 	if w.enc == nil {
 		return w.encodeGeneric(j)
 	}
-	res := new(core.EncodeResult)
+	var res *core.EncodeResult
 	enc := w.enc
 	enc.Trace = j.tr
 	err := w.guarded(j.ctx, func() error {
 		w.e.strike(j, false)
-		return enc.EncodeTo(j.payload, res)
+		var eerr error
+		res, eerr = enc.Encode(j.payload)
+		return eerr
 	})
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sledzig/internal/bits"
 	"sledzig/internal/core"
 	"sledzig/internal/wifi"
 )
@@ -78,10 +79,8 @@ func TestEncodeBatchMatchesSequentialEncode(t *testing.T) {
 				t.Fatalf("payload %d: waveform diverges at sample %d", i, s)
 			}
 		}
-		for b := range want.TransmitBits {
-			if got[i].Core.TransmitBits[b] != want.TransmitBits[b] {
-				t.Fatalf("payload %d: transmit bits diverge at %d", i, b)
-			}
+		if !bits.Equal(got[i].Core.TransmitBits(), want.TransmitBits()) {
+			t.Fatalf("payload %d: transmit bits diverge", i)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"sledzig/internal/bits"
 	"sledzig/internal/channel"
@@ -91,9 +92,21 @@ func payloadWave(conv wifi.Convention, v Variant, ch core.ZigBeeChannel, rng *ra
 	return res.Frame.DataWaveform()
 }
 
+// preambleShares holds preambleShareDB's result per (modulation, code
+// rate, channel), its only inputs, as float64 bits filled lazily on first
+// use; 0 marks an entry not yet measured (a measured share is negative).
+var preambleShares [wifi.QAM256 + 1][wifi.Rate56 + 1][core.CH4 + 1]atomic.Uint64
+
 // preambleShareDB measures the in-band share of the preamble + SIGNAL
 // segment (which SledZig cannot suppress).
 func preambleShareDB(mode wifi.Mode, ch core.ZigBeeChannel) (float64, error) {
+	var slot *atomic.Uint64
+	if mode.Modulation.Valid() && mode.CodeRate.Valid() && ch.Valid() {
+		slot = &preambleShares[mode.Modulation][mode.CodeRate][ch]
+		if v := slot.Load(); v != 0 {
+			return math.Float64frombits(v), nil
+		}
+	}
 	wave := wifi.Preamble()
 	sigPts, err := wifi.EncodeSignalSymbol(mode, 100)
 	if err != nil {
@@ -104,7 +117,11 @@ func preambleShareDB(mode wifi.Mode, ch core.ZigBeeChannel) (float64, error) {
 		return 0, err
 	}
 	wave = append(wave, sig...)
-	return bandShareDB(wave, ch)
+	share, err := bandShareDB(wave, ch)
+	if err == nil && slot != nil {
+		slot.Store(math.Float64bits(share))
+	}
+	return share, err
 }
 
 // DeriveProfile measures the in-band WiFi profile of a variant on a

@@ -8,7 +8,7 @@ import (
 
 func FuzzParseSignalField(f *testing.F) {
 	good, _ := SignalField(Mode{QAM16, Rate12}, 100)
-	f.Add([]byte(good))
+	f.Add([]byte(good[:]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) != 24 {
 			return

@@ -92,23 +92,24 @@ const MaxPSDULength = maxPSDULength
 
 // SignalField encodes the 24 SIGNAL bits for a mode and PSDU length in
 // bytes.
-func SignalField(m Mode, length int) ([]bits.Bit, error) {
+func SignalField(m Mode, length int) ([24]bits.Bit, error) {
+	var f [24]bits.Bit
 	if length < 1 || length > maxPSDULength {
-		return nil, fmt.Errorf("wifi: PSDU length %d out of range [1, %d]", length, maxPSDULength)
+		return f, fmt.Errorf("wifi: PSDU length %d out of range [1, %d]", length, maxPSDULength)
 	}
 	code, err := rateCode(m)
 	if err != nil {
-		return nil, err
+		return f, err
 	}
-	out := make([]bits.Bit, 0, 24)
-	out = append(out, bits.FromUint(uint64(code), 4)...) // RATE, MSB first (R1..R4)
-	out = append(out, 0)                                 // reserved
-	for i := 0; i < 12; i++ {                            // LENGTH, LSB first
-		out = append(out, bits.Bit((length>>i)&1))
+	// f[4] (reserved) and the tail f[18:24] stay zero.
+	for i := 0; i < 4; i++ { // RATE, MSB first (R1..R4)
+		f[i] = bits.Bit(code>>(3-i)) & 1
 	}
-	out = append(out, bits.Parity(out)) // even parity over bits 0..16
-	out = append(out, 0, 0, 0, 0, 0, 0) // tail
-	return out, nil
+	for i := 0; i < 12; i++ { // LENGTH, LSB first
+		f[5+i] = bits.Bit(length>>i) & 1
+	}
+	f[17] = bits.Parity(f[:17]) // even parity over bits 0..16
+	return f, nil
 }
 
 // ParseSignalField decodes a 24-bit SIGNAL field, validating parity.
@@ -144,7 +145,7 @@ func EncodeSignalSymbol(m Mode, length int) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SignalPoints(field)
+	return SignalPoints(field[:])
 }
 
 // SignalPoints maps a raw 24-bit SIGNAL field to the 48 BPSK points of its

@@ -95,30 +95,6 @@ func (t Transmitter) Frame(psdu []byte) (*Frame, error) {
 	}, nil
 }
 
-// FrameFromScrambled wraps an externally produced scrambled encoder-input
-// stream (the SledZig path: the core package controls these bits directly).
-// signalledLength is the octet LENGTH to advertise in the PLCP header.
-func (t Transmitter) FrameFromScrambled(scrambled []bits.Bit, signalledLength int) (*Frame, error) {
-	if err := t.Mode.Validate(); err != nil {
-		return nil, err
-	}
-	nDBPS := t.Mode.DataBitsPerSymbol()
-	if len(scrambled) == 0 || len(scrambled)%nDBPS != 0 {
-		return nil, fmt.Errorf("wifi: scrambled stream length %d not a positive multiple of N_DBPS %d", len(scrambled), nDBPS)
-	}
-	if signalledLength < 1 || signalledLength > maxPSDULength {
-		return nil, fmt.Errorf("wifi: signalled length %d out of range [1, %d]", signalledLength, maxPSDULength)
-	}
-	return &Frame{
-		Mode:          t.Mode,
-		Convention:    t.Convention,
-		PSDULength:    signalledLength,
-		Terminated:    false,
-		ScrambledBits: bits.Clone(scrambled),
-		NumSymbols:    len(scrambled) / nDBPS,
-	}, nil
-}
-
 // DataPoints returns the constellation points of every DATA symbol:
 // NumSymbols slices of 48 points each, in ascending subcarrier order.
 func (f *Frame) DataPoints() ([][]complex128, error) {
@@ -201,7 +177,7 @@ func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 	}
 	s := txScratchPool.Get().(*txScratch)
 	defer txScratchPool.Put(s)
-	if err := signalPointsInto(s.sig[:], field); err != nil {
+	if err := signalPointsInto(s.sig[:], field[:]); err != nil {
 		return dst, err
 	}
 	s.pts = grow(s.pts, f.NumSymbols*NumDataSubcarriers)

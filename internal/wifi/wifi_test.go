@@ -1,6 +1,7 @@
 package wifi
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -416,7 +417,7 @@ func TestSignalFieldRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotMode, gotLen, err := ParseSignalField(b)
+			gotMode, gotLen, err := ParseSignalField(b[:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,8 +451,76 @@ func TestSignalParityDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	b[7] ^= 1
-	if _, _, err := ParseSignalField(b); err == nil {
+	if _, _, err := ParseSignalField(b[:]); err == nil {
 		t.Fatal("corrupted SIGNAL field passed parity")
+	}
+}
+
+// oracleSignalField is SignalField as it stood before it returned the
+// field by value: an appended slice with RATE from bits.FromUint.
+func oracleSignalField(m Mode, length int) ([]bits.Bit, error) {
+	if length < 1 || length > maxPSDULength {
+		return nil, fmt.Errorf("wifi: PSDU length %d out of range [1, %d]", length, maxPSDULength)
+	}
+	code, err := rateCode(m)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bits.Bit, 0, 24)
+	out = append(out, bits.FromUint(uint64(code), 4)...) // RATE, MSB first (R1..R4)
+	out = append(out, 0)                                 // reserved
+	for i := 0; i < 12; i++ {                            // LENGTH, LSB first
+		out = append(out, bits.Bit((length>>i)&1))
+	}
+	out = append(out, bits.Parity(out)) // even parity over bits 0..16
+	out = append(out, 0, 0, 0, 0, 0, 0) // tail
+	return out, nil
+}
+
+// TestSignalFieldMatchesBuilder checks the by-value SIGNAL field against
+// the slice builder it replaced for all 20 modes and every length from 0
+// to one past the maximum: the same bits where the builder succeeds, an
+// error wherever it fails (lengths 0 and 4096, modes without a RATE code).
+func TestSignalFieldMatchesBuilder(t *testing.T) {
+	modes := allModes()
+	if len(modes) != 20 {
+		t.Fatalf("%d modes, want 20", len(modes))
+	}
+	for _, m := range modes {
+		for length := 0; length <= maxPSDULength+1; length++ {
+			got, gerr := SignalField(m, length)
+			want, werr := oracleSignalField(m, length)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%v length %d: error %v, builder's %v", m, length, gerr, werr)
+			}
+			if werr == nil && !bits.Equal(got[:], want) {
+				t.Fatalf("%v length %d: field %s, builder's %s", m, length, bits.String(got[:]), bits.String(want))
+			}
+		}
+	}
+}
+
+// TestAppendWaveformDoesNotAllocate pins rendering into a buffer of
+// sufficient capacity at zero allocations: the SIGNAL field is a value
+// and every intermediate buffer is pooled.
+func TestAppendWaveformDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled path: sync.Pool drops Puts under -race")
+	}
+	frame, err := Transmitter{Mode: Mode{QAM64, Rate34}}.Frame(bits.RandomBytes(rand.New(rand.NewSource(7)), 1500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]complex128, 0, PreambleLength+(1+frame.NumSymbols)*SymbolLength)
+	if buf, err = frame.AppendWaveform(buf); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if buf, err = frame.AppendWaveform(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("AppendWaveform allocates %.1f times per frame, want 0", avg)
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"sync"
 
-	"sledzig/internal/bits"
 	"sledzig/internal/codec"
 	"sledzig/internal/core"
 	"sledzig/internal/obs/trace"
@@ -289,14 +288,23 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	tf := trace.Start("encode")
 	enc := *e.enc
 	enc.Trace = tf
-	res, err := enc.Encode(payload)
+	// One allocation holds the Frame, its result and its wifi.Frame; the
+	// encode adds only the frame's ScrambledBits.
+	box := new(struct {
+		f     Frame
+		res   core.EncodeResult
+		frame wifi.Frame
+	})
+	box.res.Frame = &box.frame
+	err := enc.EncodeTo(payload, &box.res)
 	tf.Finish(err)
 	if err != nil {
 		return nil, wrapEncodeErr(err)
 	}
 	// Detach the closed trace: waveform synthesis gets its own root.
-	res.Frame.Trace = nil
-	return &Frame{res: res}, nil
+	box.frame.Trace = nil
+	box.f.res = &box.res
+	return &box.f, nil
 }
 
 // Codec names the backend that produced the frame.
@@ -339,14 +347,15 @@ func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 }
 
 // TransmitBits returns the unscrambled DATA-field bits — what a completely
-// standard 802.11 transmitter would be fed to emit this exact frame. Each
-// byte holds one bit (0/1). Codec backends whose waveform is not a
-// standard PPDU (CodecOfdmFi) return nil.
+// standard 802.11 transmitter would be fed to emit this exact frame — as a
+// fresh slice. Each byte holds one bit (0/1). Only frames of the default
+// SledZig codec carry them; every other backend returns nil, including
+// CodecOOK, whose frames are standard PPDUs too.
 func (f *Frame) TransmitBits() []byte {
 	if f.res == nil {
 		return nil
 	}
-	return bits.Clone(f.res.TransmitBits)
+	return f.res.TransmitBits()
 }
 
 // NumSymbols returns the frame length in DATA OFDM symbols.

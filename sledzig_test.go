@@ -141,6 +141,30 @@ func TestSimulateCoexistenceSledZigBeatsNormal(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocations pins the SledZig facade encode at two allocations
+// per frame: one box holding the Frame, its core result and its
+// wifi.Frame, and the frame's ScrambledBits.
+func TestEncodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled path: sync.Pool drops Puts under -race")
+	}
+	enc, err := NewEncoder(Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 1500)
+	if _, err := enc.Encode(payload); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := enc.Encode(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 2 {
+		t.Errorf("Encode allocates %.1f times per frame, want at most 2", avg)
+	}
+}
+
 func TestTransmitBitsAreBinary(t *testing.T) {
 	enc, err := NewEncoder(Config{Modulation: QAM16, CodeRate: Rate12, Channel: CH2})
 	if err != nil {
