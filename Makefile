@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race bench bench-json bench-compare bench-baseline bench-smoke experiments selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
+.PHONY: test examples-smoke race bench bench-json bench-compare bench-baseline bench-smoke experiments selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
 
 # Benchmarks gated by the checked-in allocation baseline (hot encode and
 # decode paths with metrics off and on, every codec backend through the
@@ -22,6 +22,14 @@ bench-smoke:
 # the explicit target is the fast loop while developing a backend.
 conformance:
 	go test -run 'TestCodecConformance$$|TestCodecInstancesIndependent$$' -v ./internal/codec/
+
+# Run every example end to end, so one that compiles but fails at run
+# time fails here.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		go run ./$$d > /dev/null || exit 1; \
+	done
 
 race:
 	go test -race ./...

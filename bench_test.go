@@ -15,7 +15,6 @@ import (
 	"sledzig/internal/baseline"
 	"sledzig/internal/bits"
 	"sledzig/internal/core"
-	"sledzig/internal/ctc"
 	"sledzig/internal/dsp"
 	"sledzig/internal/exp"
 	"sledzig/internal/ht40"
@@ -682,20 +681,6 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	}
 	b.ReportMetric(cmp.SledZigDropDB, "dB-sledzig")
 	b.ReportMetric(cmp.NullDropDB, "dB-null")
-}
-
-// BenchmarkCTCEncode measures the cross-technology energy-modulation
-// encoder (the SLEM/OfdmFi-style extension).
-func BenchmarkCTCEncode(b *testing.B) {
-	enc := ctc.Encoder{Channel: core.CH2}
-	message := []bits.Bit{1, 0, 1, 1, 0, 1, 0, 0}
-	payload := bits.RandomBytes(rand.New(rand.NewSource(1)), 80)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(payload, message); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchmarkCodecEncode drives a registry backend through the public

@@ -1,9 +1,9 @@
 // CTC-beacon: cross-technology signalling, the related-work idea
-// (SLEM/OfdmFi) rebuilt on SledZig's pinning machinery. A WiFi AP embeds
-// a small control message ("switch to channel CH4") into an ordinary data
-// frame by toggling its energy inside the ZigBee band; a ZigBee node
-// reads it with nothing but RSSI samples, while a WiFi client still
-// receives the frame's normal payload.
+// (SLEM/OfdmFi) rebuilt on SledZig's pinning machinery. The "ook-ctc"
+// codec embeds a 10-bit digest (a 0/1 preamble and the payload's CRC-8)
+// into an ordinary data frame by toggling its energy inside the ZigBee
+// band; a ZigBee node reads it with nothing but RSSI samples, while a
+// WiFi client still receives the frame's normal payload.
 package main
 
 import (
@@ -11,47 +11,38 @@ import (
 	"log"
 
 	"sledzig/internal/bits"
+	"sledzig/internal/codec"
 	"sledzig/internal/core"
-	"sledzig/internal/ctc"
 	"sledzig/internal/wifi"
 )
 
 func main() {
-	message := []bits.Bit{1, 0, 1, 1, 0, 1, 0, 0} // 8-bit opcode
 	payload := []byte("ordinary WiFi traffic rides along unchanged")
 
-	enc := ctc.Encoder{Channel: core.CH2}
-	frame, err := enc.Encode(payload, message)
+	c, err := codec.New("ook-ctc", codec.Params{Channel: core.CH2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("embedded %d CTC bits into a %d-symbol WiFi frame (%.0f us airtime)\n",
-		len(message), frame.WiFi.NumSymbols, frame.WiFi.Duration()*1e6)
+	frame, err := c.Encode(payload)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("embedded a 10-bit digest into a %d-symbol WiFi frame (%.0f us airtime)\n",
+		frame.NumSymbols, frame.AirtimeSeconds*1e6)
 
-	// ZigBee node: RSSI sampling only.
-	wave, err := frame.WiFi.DataWaveform()
+	// ZigBee node: RSSI sampling of the DATA field only.
+	data := frame.Waveform[wifi.PreambleLength+wifi.SymbolLength:]
+	digest, err := codec.ReadOOKRSSI(data, core.CH2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	zbMsg, err := ctc.RSSIDecoder{Channel: core.CH2}.DecodeRSSI(wave, len(message))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ZigBee node (RSSI only) read:  %s\n", bits.String(zbMsg))
+	fmt.Printf("ZigBee node (RSSI only) read:  %s\n", bits.String(digest))
 
-	// WiFi client: full receive recovers both.
-	full, err := frame.WiFi.Waveform()
+	// WiFi client: a full receive recovers the payload, and succeeds only
+	// if the energy pattern spells the payload's digest.
+	got, err := c.Decode(frame.Waveform)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rx, err := wifi.Receiver{}.Receive(full)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gotPayload, wifiMsg, err := ctc.Decoder{Channel: core.CH2}.Decode(rx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("WiFi client read message:      %s\n", bits.String(wifiMsg))
-	fmt.Printf("WiFi client read payload:      %q\n", gotPayload)
+	fmt.Printf("WiFi client read payload:      %q\n", got.Payload)
 }

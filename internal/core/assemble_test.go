@@ -12,9 +12,9 @@ import (
 
 // oracleAssembleMaskedFrame is AssembleMaskedFrame as it stood before
 // masked frames ran the encoder's assembler: its own logical, extra-mask
-// and physical streams, an allocating scramble and SolveExtraBits. The
-// frame wrap wifi.Transmitter.FrameFromScrambled did is inlined at the
-// end.
+// and physical streams, an allocating scramble, then the solve and its
+// verification. The frame wrap wifi.Transmitter.FrameFromScrambled did is
+// inlined at the end.
 func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*wifi.Frame, *FrameLayout, error) {
 	layout, err := MaskedLayout(plan, mask)
 	if err != nil {
@@ -65,7 +65,10 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 	for _, p := range layout.Positions {
 		x[p] = 0
 	}
-	if err := SolveExtraBits(x, layout.Clusters); err != nil {
+	if err := solveClusters(x, layout.Clusters); err != nil {
+		return nil, nil, err
+	}
+	if err := verifyConstraints(x, layout.Clusters); err != nil {
 		return nil, nil, err
 	}
 	signalledLength := (total - serviceBits - tailBits) / 8

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -151,88 +152,18 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 //sledzig:noalloc
 func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *trace.Frame, res *EncodeResult) error {
 	m := metrics()
-	nSym := layout.NumSymbols
-	total := nSym * plan.Mode.DataBitsPerSymbol()
-	pos := layout.Positions
-	if len(pos) >= total {
-		return fmt.Errorf("core: layout consumes the whole frame")
-	}
-	// Positions ascend strictly (newFrameLayout checks), so bounding the
-	// ends bounds them all.
-	if len(pos) > 0 && (pos[0] < 0 || pos[len(pos)-1] >= total) {
-		return fmt.Errorf("core: extra positions [%d, %d] outside frame of %d bits: %w", pos[0], pos[len(pos)-1], total, ErrExtraBitLayout)
-	}
-	capacity := total - len(pos)
-	if need := serviceBits + 8*(headerOctets+len(payload)) + tailBits; need > capacity {
-		return fmt.Errorf("core: internal error: logical stream %d exceeds capacity %d", need, capacity)
-	}
-
-	scratch := encodeScratchPool.Get().(*encodeScratch)
-	defer encodeScratchPool.Put(scratch)
-
-	// Logical stream: SERVICE zeros, length header, payload, tail zeros,
-	// zero padding up to the non-extra capacity.
-	scratch.logical = bits.Grow(scratch.logical, capacity)
-	logical := scratch.logical
-	clear(logical)
-	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
-	n := serviceBits
-	n += bits.CopyBytes(logical[n:], header[:])
-	bits.CopyBytes(logical[n:], payload)
-
-	// Physical unscrambled stream: logical bits at the non-extra
-	// positions, zero placeholders at the extra ones.
-	scratch.u = bits.Grow(scratch.u, total)
-	u := scratch.u
-	pi, li := 0, 0
-	for i := range u {
-		if pi < len(pos) && pos[pi] == i {
-			u[i] = 0
-			pi++
-			continue
-		}
-		u[i] = logical[li]
-		li++
-	}
-
-	// Scramble, then solve the extra bits in the scrambled (encoder-input)
-	// domain. x becomes the frame's encoder-input stream, so it lives in
-	// the (reusable) result buffer rather than the scratch pool.
-	if seed == 0 {
-		seed = wifi.DefaultScramblerSeed
-	}
+	seed = cmp.Or(seed, wifi.DefaultScramblerSeed)
+	// x becomes the frame's encoder-input stream, so it lives in the
+	// (reusable) result buffer.
 	var x []bits.Bit
 	if res.Frame != nil {
 		x = res.Frame.ScrambledBits
 	}
-	x = bits.Grow(x, total)
-	mk := tr.Begin(m.encScramble)
-	err := wifi.ScrambleWithSeedInto(x, u, seed)
-	mk.End(len(payload), err)
+	x, err := assembleBits(x, layout, plan.Mode.DataBitsPerSymbol(), payload, seed, tr)
 	if err != nil {
 		return err
 	}
-	// Zero the placeholders: scrambling flipped some of them to the
-	// scrambler sequence; the solver assumes unknowns start at zero.
-	for _, p := range pos {
-		x[p] = 0
-	}
-	mk = tr.Begin(m.encSolve)
-	err = solveClusters(x, layout.Clusters)
-	mk.End(0, err)
-	if err != nil {
-		m.fail(m.failEncoder, "core.encode", "encode_fail.solve", err)
-		return err
-	}
-	mk = tr.Begin(m.encVerify)
-	err = verifyConstraints(x, layout.Clusters)
-	mk.End(0, err)
-	if err != nil {
-		m.fail(m.failEncoder, "core.encode", "encode_fail.verify", err)
-		return err
-	}
-
-	signalled := (total - serviceBits - tailBits) / 8
+	signalled := (len(x) - serviceBits - tailBits) / 8
 	if signalled < 1 || signalled > wifi.MaxPSDULength {
 		err := fmt.Errorf("core: signalled length %d out of range [1, %d]: %w", signalled, wifi.MaxPSDULength, ErrPayloadSize)
 		m.fail(m.failEncoder, "core.encode", "encode_fail.validate", err)
@@ -250,13 +181,105 @@ func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *t
 		PSDULength:    signalled,
 		Terminated:    false,
 		ScrambledBits: x,
-		NumSymbols:    nSym,
+		NumSymbols:    layout.NumSymbols,
 		Trace:         tr,
 	}
 	res.Seed = seed
 	res.Layout = layout
 	res.PayloadLength = len(payload)
 	return nil
+}
+
+// AssembleBits runs the assembly's bit pipeline for a frame format other
+// than the 20 MHz one (the 40 MHz extension): it returns the scrambled
+// encoder-input stream of layout.NumSymbols symbols of nDBPS bits that
+// carries payload under the SledZig length-header framing, with layout's
+// extra bits solved and verified. seed 0 selects
+// wifi.DefaultScramblerSeed.
+func AssembleBits(layout *FrameLayout, nDBPS int, payload []byte, seed uint8) ([]bits.Bit, error) {
+	return assembleBits(nil, layout, nDBPS, payload, seed, nil)
+}
+
+// assembleBits is the bit half of the frame assembly. It builds the
+// logical stream (SERVICE zeros, length header, payload, zero padding up
+// to the non-extra capacity), spreads it over the physical stream with
+// zero placeholders at layout's extra positions, scrambles that into x
+// (grown to layout.NumSymbols*nDBPS bits and returned), zeroes the
+// placeholders again and solves and verifies the extra bits. seed 0
+// selects wifi.DefaultScramblerSeed; tr receives the scramble, solve and
+// verify spans.
+//
+//sledzig:noalloc
+func assembleBits(x []bits.Bit, layout *FrameLayout, nDBPS int, payload []byte, seed uint8, tr *trace.Frame) ([]bits.Bit, error) {
+	m := metrics()
+	total := layout.NumSymbols * nDBPS
+	pos := layout.Positions
+	if len(pos) >= total {
+		return nil, fmt.Errorf("core: layout consumes the whole frame")
+	}
+	// Positions ascend strictly (newFrameLayout checks), so bounding the
+	// ends bounds them all.
+	if len(pos) > 0 && (pos[0] < 0 || pos[len(pos)-1] >= total) {
+		return nil, fmt.Errorf("core: extra positions [%d, %d] outside frame of %d bits: %w", pos[0], pos[len(pos)-1], total, ErrExtraBitLayout)
+	}
+	capacity := total - len(pos)
+	if need := serviceBits + 8*(headerOctets+len(payload)) + tailBits; need > capacity {
+		return nil, fmt.Errorf("core: internal error: logical stream %d exceeds capacity %d", need, capacity)
+	}
+
+	scratch := encodeScratchPool.Get().(*encodeScratch)
+	defer encodeScratchPool.Put(scratch)
+
+	scratch.logical = bits.Grow(scratch.logical, capacity)
+	logical := scratch.logical
+	clear(logical)
+	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
+	n := serviceBits
+	n += bits.CopyBytes(logical[n:], header[:])
+	bits.CopyBytes(logical[n:], payload)
+
+	scratch.u = bits.Grow(scratch.u, total)
+	u := scratch.u
+	pi, li := 0, 0
+	for i := range u {
+		if pi < len(pos) && pos[pi] == i {
+			u[i] = 0
+			pi++
+			continue
+		}
+		u[i] = logical[li]
+		li++
+	}
+
+	// Scramble, then solve the extra bits in the scrambled (encoder-input)
+	// domain.
+	x = bits.Grow(x, total)
+	mk := tr.Begin(m.encScramble)
+	err := wifi.ScrambleWithSeedInto(x, u, cmp.Or(seed, wifi.DefaultScramblerSeed))
+	mk.End(len(payload), err)
+	if err != nil {
+		return nil, err
+	}
+	// Scrambling flipped some placeholders to the scrambler sequence; the
+	// solver assumes unknowns start at zero.
+	for _, p := range pos {
+		x[p] = 0
+	}
+	mk = tr.Begin(m.encSolve)
+	err = solveClusters(x, layout.Clusters)
+	mk.End(0, err)
+	if err != nil {
+		m.fail(m.failEncoder, "core.encode", "encode_fail.solve", err)
+		return nil, err
+	}
+	mk = tr.Begin(m.encVerify)
+	err = verifyConstraints(x, layout.Clusters)
+	mk.End(0, err)
+	if err != nil {
+		m.fail(m.failEncoder, "core.encode", "encode_fail.verify", err)
+		return nil, err
+	}
+	return x, nil
 }
 
 // solveScratch backs the augmented matrices of solveClusters; a frame
@@ -367,14 +390,4 @@ func verifyConstraints(x []bits.Bit, clusters []Cluster) error {
 		}
 	}
 	return nil
-}
-
-// SolveExtraBits determines the extra bits of a scrambled encoder-input
-// stream in place so every cluster constraint holds, then re-verifies —
-// the generic entry point for alternative frame formats.
-func SolveExtraBits(x []bits.Bit, clusters []Cluster) error {
-	if err := solveClusters(x, clusters); err != nil {
-		return err
-	}
-	return verifyConstraints(x, clusters)
 }

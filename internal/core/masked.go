@@ -12,8 +12,8 @@ import (
 // OFDM symbols. The per-symbol mask generalizes the all-symbols SledZig
 // frame (Encoder pins every symbol) to the energy-modulation codecs,
 // whose frames alternate pinned ("low") and unpinned ("high") symbols.
-// internal/ctc and the codec backends build on these helpers instead of
-// duplicating the layout/scramble/solve pipeline.
+// The codec backends build on these helpers instead of duplicating the
+// layout/scramble/solve pipeline.
 
 // MaskedLayout builds the extra-bit layout for a frame of len(mask) OFDM
 // symbols where only the symbols marked true carry the plan's per-symbol
@@ -129,6 +129,14 @@ func StripMaskedPayload(plan *Plan, mask []bool, dataBits []bits.Bit) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
+	return StripPayload(dataBits, layout)
+}
+
+// StripPayload inverts the assembly at the receiver for any frame format:
+// it removes layout's extra bits from the descrambled DATA bits and
+// parses the length-header framing back to the payload. Every error wraps
+// ErrExtraBitLayout.
+func StripPayload(dataBits []bits.Bit, layout *FrameLayout) ([]byte, error) {
 	payload, _, err := stripFramed(dataBits, layout.Positions)
 	return payload, err
 }

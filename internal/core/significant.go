@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sledzig/internal/bits"
 	"sledzig/internal/wifi"
@@ -33,15 +33,23 @@ func SymbolConstraints(conv wifi.Convention, mode wifi.Mode, dataSubcarriers []i
 	if err := mode.Validate(); err != nil {
 		return nil, err
 	}
-	offsets, values := conv.SignificantOffsetsC(mode.Modulation)
+	return PinConstraints(conv, mode.Modulation, conv.CodedSlots(mode), dataSubcarriers, wifi.DataIndex)
+}
+
+// PinConstraints derives one OFDM symbol's pinning constraints on any
+// frame format, sorted by mother index: slots is the format's placement
+// table for the mode (see wifi.BuildCodedSlots), and index maps a signed
+// subcarrier to its position in the format's data array, or -1 when it is
+// not a data subcarrier.
+func PinConstraints(conv wifi.Convention, mod wifi.Modulation, slots []uint16, dataSubcarriers []int, index func(int) int) ([]Constraint, error) {
+	offsets, values := conv.SignificantOffsetsC(mod)
 	if len(offsets) == 0 {
-		return nil, fmt.Errorf("core: modulation %v has no pinnable amplitude bits", mode.Modulation)
+		return nil, fmt.Errorf("core: modulation %v has no pinnable amplitude bits", mod)
 	}
-	bpsc := mode.Modulation.BitsPerSubcarrier()
-	slots := conv.CodedSlots(mode)
+	bpsc := mod.BitsPerSubcarrier()
 	out := make([]Constraint, 0, len(dataSubcarriers)*len(offsets))
 	for _, k := range dataSubcarriers {
-		idx := wifi.DataIndex(k) // position in the 48-wide data array
+		idx := index(k)
 		if idx < 0 {
 			return nil, fmt.Errorf("core: subcarrier %d is not a data subcarrier", k)
 		}
@@ -50,7 +58,7 @@ func SymbolConstraints(conv wifi.Convention, mode wifi.Mode, dataSubcarriers []i
 			out = append(out, Constraint{MotherIndex: int(slots[idx*bpsc+off]), Value: values[i]})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].MotherIndex < out[b].MotherIndex })
+	slices.SortFunc(out, byMotherIndex)
 	for i := 1; i < len(out); i++ {
 		if out[i].MotherIndex == out[i-1].MotherIndex {
 			return nil, fmt.Errorf("core: duplicate constraint at mother index %d", out[i].MotherIndex)

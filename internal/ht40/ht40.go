@@ -14,6 +14,7 @@ package ht40
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sledzig/internal/dsp"
 	"sledzig/internal/wifi"
@@ -55,6 +56,13 @@ func IsNull(k int) bool {
 	return k < -58 || k > 58
 }
 
+// dataSubcarriers is DataSubcarriers, built once.
+var dataSubcarriers = DataSubcarriers()
+
+// dataIndex returns signed subcarrier k's position among the data
+// subcarriers, or -1 when k carries no data.
+func dataIndex(k int) int { return slices.Index(dataSubcarriers, k) }
+
 // DataSubcarriers returns the 108 data subcarriers in ascending order.
 func DataSubcarriers() []int {
 	out := make([]int, 0, NumDataSubcarriers)
@@ -85,27 +93,12 @@ const interleaverColumns = 18
 
 // InterleaveIndex maps coded-bit index k to its post-interleaving position.
 func InterleaveIndex(m wifi.Modulation, k int) int {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	nROW := nCBPS / interleaverColumns
-	s := m.BitsPerSubcarrier() / 2
-	if s < 1 {
-		s = 1
-	}
-	i := nROW*(k%interleaverColumns) + k/interleaverColumns
-	j := s*(i/s) + (i+nCBPS-(interleaverColumns*i)/nCBPS)%s
-	return j
+	return wifi.InterleaveIndexCols(NumDataSubcarriers*m.BitsPerSubcarrier(), interleaverColumns, m, k)
 }
 
 // DeinterleaveIndex inverts InterleaveIndex.
 func DeinterleaveIndex(m wifi.Modulation, j int) int {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	s := m.BitsPerSubcarrier() / 2
-	if s < 1 {
-		s = 1
-	}
-	i := s*(j/s) + (j+(interleaverColumns*j)/nCBPS)%s
-	k := interleaverColumns*i - (nCBPS-1)*((interleaverColumns*i)/nCBPS)
-	return k
+	return wifi.DeinterleaveIndexCols(NumDataSubcarriers*m.BitsPerSubcarrier(), interleaverColumns, m, j)
 }
 
 // deinterleaveIndexC applies the pipeline convention (the Paper

@@ -1,6 +1,7 @@
 package ht40
 
 import (
+	"cmp"
 	"fmt"
 
 	"sledzig/internal/bits"
@@ -8,10 +9,11 @@ import (
 	"sledzig/internal/wifi"
 )
 
-// SledZig on 40 MHz: the same pipeline as the 20 MHz core — derive the
-// significant bits of the overlapped subcarriers through the (HT)
-// deinterleaver, plan extra-bit positions with the shared cluster solver,
-// and let the standard coder produce lowest-ring points.
+// SledZig on 40 MHz: the 20 MHz pipeline on the HT numerology. The plan
+// pins the overlapped subcarriers through the 40 MHz placement table
+// (core.PinConstraints), and core assembles and strips the frames
+// (core.AssembleBits, core.StripPayload); only the numerology, the
+// renderer and the demodulator are specific to 40 MHz.
 
 const (
 	serviceBits  = 16
@@ -40,30 +42,14 @@ func NewPlan(conv wifi.Convention, mode wifi.Mode, ch Channel) (*Plan, error) {
 	if err := mode.Validate(); err != nil {
 		return nil, err
 	}
-	offsets, values := conv.SignificantOffsetsC(mode.Modulation)
-	if len(offsets) == 0 {
-		return nil, fmt.Errorf("ht40: modulation %v has no pinnable bits", mode.Modulation)
-	}
-	dataIndex := make(map[int]int, NumDataSubcarriers)
-	for i, k := range DataSubcarriers() {
-		dataIndex[k] = i
-	}
-	bpsc := mode.Modulation.BitsPerSubcarrier()
 	slots := codedSlots(conv, mode)
-	var cs []core.Constraint
-	for _, k := range ch.DataSubcarriersIn() {
-		idx, ok := dataIndex[k]
-		if !ok {
-			return nil, fmt.Errorf("ht40: subcarrier %d is not a data subcarrier", k)
-		}
-		for i, off := range offsets {
-			cs = append(cs, core.Constraint{MotherIndex: int(slots[idx*bpsc+off]), Value: values[i]})
-		}
+	cs, err := core.PinConstraints(conv, mode.Modulation, slots, ch.DataSubcarriersIn(), dataIndex)
+	if err != nil {
+		return nil, err
 	}
-	sortConstraints(cs)
 	p := &Plan{Convention: conv, Mode: mode, Channel: ch, slots: slots, constraints: cs}
 	// Fail fast on unplannable combinations.
-	if _, err := core.LayoutForConstraints(cs, 2, 2*DataBitsPerSymbol(mode)); err != nil {
+	if _, err := p.layout(2); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -77,12 +63,9 @@ func codedSlots(conv wifi.Convention, mode wifi.Mode) []uint16 {
 	return slots
 }
 
-func sortConstraints(cs []core.Constraint) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].MotherIndex < cs[j-1].MotherIndex; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
+// layout is the extra-bit layout of a frame of nSym symbols.
+func (p *Plan) layout(nSym int) (*core.FrameLayout, error) {
+	return core.LayoutForConstraints(p.constraints, nSym, 2*DataBitsPerSymbol(p.Mode))
 }
 
 // ExtraBitsPerSymbol is the per-symbol overhead.
@@ -122,55 +105,15 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	if len(payload) == 0 || len(payload) > 0xFFFF {
 		return nil, fmt.Errorf("ht40: payload length %d out of range", len(payload))
 	}
-	nSym := e.NumSymbols(len(payload))
-	nDBPS := DataBitsPerSymbol(e.Plan.Mode)
-	layout, err := core.LayoutForConstraints(e.Plan.constraints, nSym, 2*nDBPS)
+	layout, err := e.Plan.layout(e.NumSymbols(len(payload)))
 	if err != nil {
 		return nil, err
 	}
-	total := nSym * nDBPS
-
-	logical := make([]bits.Bit, 0, total-len(layout.Positions))
-	logical = append(logical, make([]bits.Bit, serviceBits)...)
-	logical = append(logical, bits.FromBytes([]byte{byte(len(payload)), byte(len(payload) >> 8)})...)
-	logical = append(logical, bits.FromBytes(payload)...)
-	logical = append(logical, make([]bits.Bit, tailBits)...)
-	capacity := total - len(layout.Positions)
-	if len(logical) > capacity {
-		return nil, fmt.Errorf("ht40: logical stream %d exceeds capacity %d", len(logical), capacity)
-	}
-	logical = append(logical, make([]bits.Bit, capacity-len(logical))...)
-
-	extra := make([]bool, total)
-	for _, p := range layout.Positions {
-		if p < 0 || p >= total {
-			return nil, fmt.Errorf("ht40: extra position %d outside frame", p)
-		}
-		extra[p] = true
-	}
-	u := make([]bits.Bit, total)
-	li := 0
-	for i := range u {
-		if !extra[i] {
-			u[i] = logical[li]
-			li++
-		}
-	}
-	seed := e.Seed
-	if seed == 0 {
-		seed = wifi.DefaultScramblerSeed
-	}
-	x, err := wifi.ScrambleWithSeed(u, seed)
+	x, err := core.AssembleBits(layout, DataBitsPerSymbol(e.Plan.Mode), payload, e.Seed)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range layout.Positions {
-		x[p] = 0
-	}
-	if err := core.SolveExtraBits(x, layout.Clusters); err != nil {
-		return nil, err
-	}
-	return &Frame{Plan: e.Plan, NumSymbols: nSym, ScrambledBits: x}, nil
+	return &Frame{Plan: e.Plan, NumSymbols: layout.NumSymbols, ScrambledBits: x}, nil
 }
 
 // DataPoints returns per-symbol constellation points.
@@ -214,7 +157,8 @@ func (f *Frame) Waveform() ([]complex128, error) {
 
 // Decode inverts Encode from a symbol-aligned DATA waveform: demodulate,
 // scatter into the mother-code stream through the plan's placement table,
-// Viterbi, descramble, strip the extra bits and the length header. The
+// Viterbi, descramble, strip the extra bits and the length header. Strip
+// failures wrap core.ErrExtraBitLayout. The
 // mode, channel and convention must be known (a full HT receiver would
 // read them from the HT-SIG field).
 func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128, seed uint8) ([]byte, error) {
@@ -252,43 +196,19 @@ func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128,
 	if err != nil {
 		return nil, err
 	}
-	if seed == 0 {
-		seed = wifi.DefaultScramblerSeed
-	}
-	dataBits, err := wifi.ScrambleWithSeed(scrambled, seed)
+	dataBits, err := wifi.ScrambleWithSeed(scrambled, cmp.Or(seed, wifi.DefaultScramblerSeed))
 	if err != nil {
 		return nil, err
 	}
-	layout, err := core.LayoutForConstraints(plan.constraints, nSym, block)
+	layout, err := plan.layout(nSym)
 	if err != nil {
 		return nil, err
 	}
-	extra := make([]bool, len(dataBits))
-	for _, p := range layout.Positions {
-		if p < len(extra) {
-			extra[p] = true
-		}
-	}
-	logical := make([]bits.Bit, 0, len(dataBits))
-	for i, b := range dataBits {
-		if !extra[i] {
-			logical = append(logical, b)
-		}
-	}
-	if len(logical) < serviceBits+8*headerOctets {
-		return nil, fmt.Errorf("ht40: stripped stream too short")
-	}
-	body := logical[serviceBits:]
-	hdr, err := bits.ToBytes(body[:8*headerOctets])
+	payload, err := core.StripPayload(dataBits, layout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ht40: %w", err)
 	}
-	length := int(hdr[0]) | int(hdr[1])<<8
-	need := 8 * (headerOctets + length)
-	if length == 0 || len(body) < need {
-		return nil, fmt.Errorf("ht40: header declares %d octets, stream too short", length)
-	}
-	return bits.ToBytes(body[8*headerOctets : need])
+	return payload, nil
 }
 
 // OverheadRow is the 40 MHz analogue of the paper's Tables III/IV rows.

@@ -19,12 +19,14 @@ func Write(w io.Writer, samples []complex128) error {
 	bw := bufio.NewWriter(w)
 	var buf [8]byte
 	for i, s := range samples {
-		re, im := real(s), imag(s)
-		if math.IsNaN(re) || math.IsNaN(im) || math.IsInf(re, 0) || math.IsInf(im, 0) {
-			return fmt.Errorf("iq: sample %d is not finite (%g%+gi)", i, re, im)
+		// Check the float32 values written: a finite sample beyond float32
+		// range rounds to an infinity.
+		re, im := float32(real(s)), float32(imag(s))
+		if r, j := float64(re), float64(im); math.IsNaN(r) || math.IsNaN(j) || math.IsInf(r, 0) || math.IsInf(j, 0) {
+			return fmt.Errorf("iq: sample %d is not finite (%g%+gi)", i, real(s), imag(s))
 		}
-		binary.LittleEndian.PutUint32(buf[0:], math.Float32bits(float32(re)))
-		binary.LittleEndian.PutUint32(buf[4:], math.Float32bits(float32(im)))
+		binary.LittleEndian.PutUint32(buf[0:], math.Float32bits(re))
+		binary.LittleEndian.PutUint32(buf[4:], math.Float32bits(im))
 		if _, err := bw.Write(buf[:]); err != nil {
 			return err
 		}
@@ -38,12 +40,12 @@ func Read(r io.Reader) ([]complex128, error) {
 	var out []complex128
 	var buf [8]byte
 	for {
-		_, err := io.ReadFull(br, buf[:])
+		n, err := io.ReadFull(br, buf[:])
 		if err == io.EOF {
 			return out, nil
 		}
 		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("iq: truncated stream (%d bytes of a sample)", len(buf))
+			return nil, fmt.Errorf("iq: truncated stream (%d bytes of a sample)", n)
 		}
 		if err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +41,43 @@ func TestWriteRejectsNonFinite(t *testing.T) {
 	}
 	if err := Write(&buf, []complex128{complex(0, math.Inf(1))}); err == nil {
 		t.Fatal("Inf sample accepted")
+	}
+}
+
+func TestWriteRejectsFloat32Overflow(t *testing.T) {
+	for _, s := range []complex128{complex(1e39, 0), complex(0, -1e39)} {
+		var buf bytes.Buffer
+		err := Write(&buf, []complex128{0, s})
+		if err == nil || !strings.Contains(err.Error(), "sample 1 is not finite") {
+			t.Errorf("sample %v beyond float32 range: error %v", s, err)
+		}
+	}
+	// The largest float32 is still finite and reads back as written.
+	var buf bytes.Buffer
+	if err := Write(&buf, []complex128{complex(math.MaxFloat32, -math.MaxFloat32)}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != complex(math.MaxFloat32, -math.MaxFloat32) {
+		t.Fatalf("read back %v", got)
+	}
+}
+
+func TestReadTruncationReportsBytes(t *testing.T) {
+	for _, tc := range []struct {
+		stream int
+		want   string
+	}{
+		{3, "(3 bytes of a sample)"},
+		{8 + 5, "(5 bytes of a sample)"},
+	} {
+		_, err := Read(bytes.NewReader(make([]byte, tc.stream)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d-byte stream: error %v, want %q", tc.stream, err, tc.want)
+		}
 	}
 }
 

@@ -8,27 +8,30 @@ package wifi
 // InterleaveIndex maps a coded-bit index k (0-based, within one OFDM
 // symbol) to its post-interleaving position for the given modulation.
 func InterleaveIndex(m Modulation, k int) int {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	s := m.BitsPerSubcarrier() / 2
-	if s < 1 {
-		s = 1
-	}
-	i := (nCBPS/16)*(k%16) + k/16
-	j := s*(i/s) + (i+nCBPS-(16*i)/nCBPS)%s
-	return j
+	return InterleaveIndexCols(NumDataSubcarriers*m.BitsPerSubcarrier(), 16, m, k)
 }
 
 // DeinterleaveIndex maps a post-interleaving position j back to the coded-
 // bit index that produced it — the inverse of InterleaveIndex.
 func DeinterleaveIndex(m Modulation, j int) int {
-	nCBPS := NumDataSubcarriers * m.BitsPerSubcarrier()
-	s := m.BitsPerSubcarrier() / 2
-	if s < 1 {
-		s = 1
-	}
-	i := s*(j/s) + (j+(16*j)/nCBPS)%s
-	k := 16*i - (nCBPS-1)*((16*i)/nCBPS)
-	return k
+	return DeinterleaveIndexCols(NumDataSubcarriers*m.BitsPerSubcarrier(), 16, m, j)
+}
+
+// InterleaveIndexCols is the interleaver of a symbol of nCBPS coded bits
+// written into nCol columns: 16 on the 20 MHz format, 18 on the 40 MHz
+// HT format (whose third, frequency-rotation permutation applies only to
+// additional spatial streams).
+func InterleaveIndexCols(nCBPS, nCol int, m Modulation, k int) int {
+	s := max(m.BitsPerSubcarrier()/2, 1)
+	i := (nCBPS/nCol)*(k%nCol) + k/nCol
+	return s*(i/s) + (i+nCBPS-(nCol*i)/nCBPS)%s
+}
+
+// DeinterleaveIndexCols inverts InterleaveIndexCols.
+func DeinterleaveIndexCols(nCBPS, nCol int, m Modulation, j int) int {
+	s := max(m.BitsPerSubcarrier()/2, 1)
+	i := s*(j/s) + (j+(nCol*j)/nCBPS)%s
+	return nCol*i - (nCBPS-1)*((nCol*i)/nCBPS)
 }
 
 // maxCodedBits bounds N_CBPS on the 20 MHz format (QAM-256: 48 x 8).
