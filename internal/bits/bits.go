@@ -5,11 +5,14 @@
 // Throughout the repository a "bit" is a byte holding 0 or 1. This is the
 // natural representation for coding-theory pipelines (scramblers,
 // convolutional coders, interleavers) where bits are permuted and combined
-// individually; packing is only used at the byte-oriented boundaries.
+// individually. Packing, in ToBytes order, is used at the byte-oriented
+// boundaries and for streams a value keeps rather than works on: a
+// wifi.Frame holds its encoder input eight bits to an octet.
 package bits
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"math/rand"
 )
 
@@ -142,14 +145,7 @@ func Parity(b []Bit) Bit {
 // and a register state: the parity of (mask AND state). Both are packed with
 // bit i of the mask multiplying bit i of the state.
 func DotGF2(mask, state uint32) Bit {
-	v := mask & state
-	// Fold parity.
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return Bit(v & 1)
+	return Bit(mbits.OnesCount32(mask&state) & 1)
 }
 
 // HammingDistance returns the number of positions where a and b differ.

@@ -95,6 +95,29 @@ func TestDotGF2(t *testing.T) {
 	if DotGF2(0x01, 0x01) != 1 || DotGF2(0x01, 0x02) != 0 {
 		t.Fatal("single-tap DotGF2 wrong")
 	}
+	// Against a shift-and-fold parity: every 7-bit window under both
+	// generators, then random words.
+	fold := func(mask, state uint32) Bit {
+		v := mask & state
+		for s := 16; s > 0; s /= 2 {
+			v ^= v >> s
+		}
+		return Bit(v & 1)
+	}
+	for w := uint32(0); w < 128; w++ {
+		for _, m := range []uint32{0x6D, 0x4F} {
+			if got, want := DotGF2(m, w), fold(m, w); got != want {
+				t.Fatalf("DotGF2(%#x, %#x) = %d, want %d", m, w, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		m, w := rng.Uint32(), rng.Uint32()
+		if got, want := DotGF2(m, w), fold(m, w); got != want {
+			t.Fatalf("DotGF2(%#x, %#x) = %d, want %d", m, w, got, want)
+		}
+	}
 }
 
 func TestHammingDistanceAndEqual(t *testing.T) {

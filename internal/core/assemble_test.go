@@ -14,11 +14,12 @@ import (
 // masked frames ran the encoder's assembler: its own logical, extra-mask
 // and physical streams, an allocating scramble, then the solve and its
 // verification. The frame wrap wifi.Transmitter.FrameFromScrambled did is
-// inlined at the end.
-func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*wifi.Frame, *FrameLayout, error) {
+// inlined at the end; the frame's encoder input is returned beside it,
+// at one bit per element, as the old frame held it.
+func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*wifi.Frame, []bits.Bit, *FrameLayout, error) {
 	layout, err := MaskedLayout(plan, mask)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	nSym := len(mask)
 	nDBPS := plan.Mode.DataBitsPerSymbol()
@@ -26,7 +27,7 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 
 	capacity := total - len(layout.Positions) - serviceBits - tailBits
 	if need := 8 * (headerOctets + len(payload)); need > capacity || len(payload) == 0 {
-		return nil, nil, fmt.Errorf("core: payload of %d octets outside the %d-bit capacity of a %d-symbol masked frame: %w",
+		return nil, nil, nil, fmt.Errorf("core: payload of %d octets outside the %d-bit capacity of a %d-symbol masked frame: %w",
 			len(payload), capacity, nSym, ErrPayloadSize)
 	}
 
@@ -41,7 +42,7 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 	extra := make([]bool, total)
 	for _, p := range layout.Positions {
 		if p < 0 || p >= total {
-			return nil, nil, fmt.Errorf("core: extra position %d outside frame of %d bits: %w", p, total, ErrExtraBitLayout)
+			return nil, nil, nil, fmt.Errorf("core: extra position %d outside frame of %d bits: %w", p, total, ErrExtraBitLayout)
 		}
 		extra[p] = true
 	}
@@ -58,7 +59,7 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 	}
 	x, err := wifi.ScrambleWithSeed(u, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Zero the placeholders (scrambling flipped some to the scrambler
 	// sequence; the solver assumes unknowns start at zero), then solve.
@@ -66,29 +67,28 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 		x[p] = 0
 	}
 	if err := solveClusters(x, layout.Clusters); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := verifyConstraints(x, layout.Clusters); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	signalledLength := (total - serviceBits - tailBits) / 8
 	if err := plan.Mode.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if len(x) == 0 || len(x)%nDBPS != 0 {
-		return nil, nil, fmt.Errorf("wifi: scrambled stream length %d not a positive multiple of N_DBPS %d", len(x), nDBPS)
+		return nil, nil, nil, fmt.Errorf("wifi: scrambled stream length %d not a positive multiple of N_DBPS %d", len(x), nDBPS)
 	}
 	if signalledLength < 1 || signalledLength > wifi.MaxPSDULength {
-		return nil, nil, fmt.Errorf("wifi: signalled length %d out of range [1, %d]", signalledLength, wifi.MaxPSDULength)
+		return nil, nil, nil, fmt.Errorf("wifi: signalled length %d out of range [1, %d]", signalledLength, wifi.MaxPSDULength)
 	}
 	return &wifi.Frame{
-		Mode:          plan.Mode,
-		Convention:    plan.Convention,
-		PSDULength:    signalledLength,
-		Terminated:    false,
-		ScrambledBits: bits.Clone(x),
-		NumSymbols:    len(x) / nDBPS,
-	}, layout, nil
+		Mode:       plan.Mode,
+		Convention: plan.Convention,
+		PSDULength: signalledLength,
+		Terminated: false,
+		NumSymbols: len(x) / nDBPS,
+	}, x, layout, nil
 }
 
 // oracleTransmitBits is the transmit-bit stream EncodeTo computed eagerly
@@ -103,8 +103,9 @@ func oracleTransmitBits(x []bits.Bit, seed uint8) ([]bits.Bit, error) {
 	return transmitBits, nil
 }
 
-// sameFrame reports the first field in which got differs from want.
-func sameFrame(got, want *wifi.Frame) error {
+// sameFrame reports the first field in which got differs from want, whose
+// encoder input is wantBits.
+func sameFrame(got, want *wifi.Frame, wantBits []bits.Bit) error {
 	switch {
 	case got.Mode != want.Mode || got.Convention != want.Convention:
 		return fmt.Errorf("mode/convention %v/%v, want %v/%v", got.Mode, got.Convention, want.Mode, want.Convention)
@@ -114,8 +115,8 @@ func sameFrame(got, want *wifi.Frame) error {
 		return fmt.Errorf("NumSymbols %d, want %d", got.NumSymbols, want.NumSymbols)
 	case got.Terminated != want.Terminated:
 		return fmt.Errorf("Terminated %v, want %v", got.Terminated, want.Terminated)
-	case !bits.Equal(got.ScrambledBits, want.ScrambledBits):
-		return fmt.Errorf("ScrambledBits differ (%d vs %d bits)", len(got.ScrambledBits), len(want.ScrambledBits))
+	case !bits.Equal(got.ScrambledBits(), wantBits):
+		return fmt.Errorf("ScrambledBits differ (%d vs %d bits)", len(got.ScrambledBits()), len(wantBits))
 	}
 	return nil
 }
@@ -184,11 +185,11 @@ func checkMaskedAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	if err != nil {
 		t.Fatalf("%s: AssembleMaskedFrame: %v", name, err)
 	}
-	want, wantLayout, err := oracleAssembleMaskedFrame(plan, mask, payload, seed)
+	want, wantBits, wantLayout, err := oracleAssembleMaskedFrame(plan, mask, payload, seed)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
-	if err := sameFrame(got, want); err != nil {
+	if err := sameFrame(got, want, wantBits); err != nil {
 		t.Fatalf("%s: masked frame (%d symbols, seed %d): %v", name, len(mask), seed, err)
 	}
 	if gotLayout != wantLayout {
@@ -197,7 +198,7 @@ func checkMaskedAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 
 	tooBig := make([]byte, maxPayload+1)
 	_, _, gerr := AssembleMaskedFrame(plan, mask, tooBig, seed)
-	_, _, werr := oracleAssembleMaskedFrame(plan, mask, tooBig, seed)
+	_, _, _, werr := oracleAssembleMaskedFrame(plan, mask, tooBig, seed)
 	if !errors.Is(gerr, ErrPayloadSize) || !errors.Is(werr, ErrPayloadSize) || gerr.Error() != werr.Error() {
 		t.Fatalf("%s: over-capacity payload: got %v, oracle %v", name, gerr, werr)
 	}
@@ -216,11 +217,11 @@ func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	for i := range mask {
 		mask[i] = true
 	}
-	want, wantLayout, err := oracleAssembleMaskedFrame(plan, mask, payload, seed)
+	want, wantBits, wantLayout, err := oracleAssembleMaskedFrame(plan, mask, payload, seed)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
-	if err := sameFrame(res.Frame, want); err != nil {
+	if err := sameFrame(res.Frame, want, wantBits); err != nil {
 		t.Fatalf("%s: SledZig frame (seed %d): %v", name, seed, err)
 	}
 	if res.Layout != wantLayout || res.PayloadLength != len(payload) {
@@ -233,7 +234,7 @@ func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	if res.Seed != resolved {
 		t.Fatalf("%s: result seed %#x, want %#x", name, res.Seed, resolved)
 	}
-	wantTB, err := oracleTransmitBits(want.ScrambledBits, resolved)
+	wantTB, err := oracleTransmitBits(wantBits, resolved)
 	if err != nil {
 		t.Fatalf("%s: oracle transmit bits: %v", name, err)
 	}

@@ -362,7 +362,7 @@ func TestTransmitBitsStandardEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bits.Equal(rescrambled, res.Frame.ScrambledBits) {
+	if !bits.Equal(rescrambled, res.Frame.ScrambledBits()) {
 		t.Fatal("standard scrambling of TransmitBits does not reproduce the frame's encoder input")
 	}
 }

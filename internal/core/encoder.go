@@ -51,16 +51,18 @@ type EncodeResult struct {
 // TransmitBits returns the unscrambled DATA-field bit stream — what one
 // would feed a completely standard 802.11 transmitter (which then
 // scrambles, codes, interleaves and maps it) to obtain the same
-// waveform. This is the paper's "transmit bits". Each call descrambles
-// Frame.ScrambledBits into a fresh slice; it returns nil for a result no
-// encode has filled.
+// waveform. This is the paper's "transmit bits". Each call unpacks the
+// frame's encoder input into a fresh slice and descrambles it there; it
+// returns nil for a result no encode has filled.
 func (r *EncodeResult) TransmitBits() []bits.Bit {
 	if r.Frame == nil {
 		return nil
 	}
-	// Only an unfilled result has seed 0, which the scrambler rejects
-	// with a nil stream.
-	tb, _ := wifi.ScrambleWithSeed(r.Frame.ScrambledBits, r.Seed)
+	tb := r.Frame.ScrambledBits()
+	// Only an unfilled result has seed 0, which the scrambler rejects.
+	if wifi.ScrambleWithSeedInto(tb, tb, r.Seed) != nil {
+		return nil
+	}
 	return tb
 }
 
@@ -80,8 +82,8 @@ func (e *Encoder) NumSymbols(length int) int {
 }
 
 // Encode builds the SledZig frame for payload into a fresh result: one
-// allocation holds the result and its frame, one the frame's
-// ScrambledBits. Batch and streaming callers that can recycle results
+// allocation holds the result and its frame, one the frame's packed
+// encoder input. Batch and streaming callers that can recycle results
 // should use EncodeTo.
 func (e *Encoder) Encode(payload []byte) (*EncodeResult, error) {
 	box := new(struct {
@@ -95,23 +97,24 @@ func (e *Encoder) Encode(payload []byte) (*EncodeResult, error) {
 	return &box.res, nil
 }
 
-// encodeScratch holds the per-frame intermediate bit buffers that never
-// escape an encode, pooled so steady-state encoding allocates nothing for
-// them.
+// encodeScratch holds an assembly's working bit streams, one bit per
+// element, pooled so steady-state encoding allocates nothing for them:
+// the logical stream, and the physical stream that is scrambled in place
+// into the encoder input the solver completes.
 type encodeScratch struct {
 	logical []bits.Bit
-	u       []bits.Bit
+	x       []bits.Bit
 }
 
 var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 // EncodeTo builds the SledZig frame for payload into res, reusing res's
-// Frame and its ScrambledBits when their capacity suffices. On success res
-// is fully overwritten; on error its contents are unspecified. The caller
-// owns res until the next EncodeTo with the same res — results handed to
-// other goroutines must not be reused. res.Layout aliases the plan's
-// shared, read-only layout. The bit-stream outputs are identical to
-// Encode's for the same payload.
+// Frame and its packed encoder input when their capacity suffices. On
+// success res is fully overwritten; on error its contents are
+// unspecified. The caller owns res until the next EncodeTo with the same
+// res — results handed to other goroutines must not be reused.
+// res.Layout aliases the plan's shared, read-only layout. The bit-stream
+// outputs are identical to Encode's for the same payload.
 //
 //sledzig:noalloc
 func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
@@ -143,23 +146,20 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 }
 
 // assemble builds the frame of layout.NumSymbols OFDM symbols carrying
-// payload into res, reusing res.Frame and its ScrambledBits when present:
-// the one assembly pipeline behind SledZig frames (EncodeTo) and masked
-// frames (AssembleMaskedFrame). seed 0 selects wifi.DefaultScramblerSeed;
-// tr receives the scramble, solve and verify spans and becomes the
-// frame's trace.
+// payload into res, reusing res.Frame and its packed encoder input when
+// present: the one assembly pipeline behind SledZig frames (EncodeTo) and
+// masked frames (AssembleMaskedFrame). It solves in a pooled stream at one
+// bit per element and packs the result into the frame once. seed 0
+// selects wifi.DefaultScramblerSeed; tr receives the scramble, solve and
+// verify spans and becomes the frame's trace.
 //
 //sledzig:noalloc
 func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *trace.Frame, res *EncodeResult) error {
 	m := metrics()
 	seed = cmp.Or(seed, wifi.DefaultScramblerSeed)
-	// x becomes the frame's encoder-input stream, so it lives in the
-	// (reusable) result buffer.
-	var x []bits.Bit
-	if res.Frame != nil {
-		x = res.Frame.ScrambledBits
-	}
-	x, err := assembleBits(x, layout, plan.Mode.DataBitsPerSymbol(), payload, seed, tr)
+	s := encodeScratchPool.Get().(*encodeScratch)
+	defer encodeScratchPool.Put(s)
+	x, err := assembleBits(s, layout, plan.Mode.DataBitsPerSymbol(), payload, seed, tr)
 	if err != nil {
 		return err
 	}
@@ -175,14 +175,11 @@ func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *t
 	if res.Frame == nil {
 		res.Frame = new(wifi.Frame)
 	}
-	*res.Frame = wifi.Frame{
-		Mode:          plan.Mode,
-		Convention:    plan.Convention,
-		PSDULength:    signalled,
-		Terminated:    false,
-		ScrambledBits: x,
-		NumSymbols:    layout.NumSymbols,
-		Trace:         tr,
+	f := res.Frame
+	f.Mode, f.Convention, f.NumSymbols = plan.Mode, plan.Convention, layout.NumSymbols
+	f.PSDULength, f.Terminated, f.Trace = signalled, false, tr
+	if err := f.SetScrambledBits(x); err != nil {
+		return err
 	}
 	res.Seed = seed
 	res.Layout = layout
@@ -194,23 +191,30 @@ func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *t
 // than the 20 MHz one (the 40 MHz extension): it returns the scrambled
 // encoder-input stream of layout.NumSymbols symbols of nDBPS bits that
 // carries payload under the SledZig length-header framing, with layout's
-// extra bits solved and verified. seed 0 selects
-// wifi.DefaultScramblerSeed.
+// extra bits solved and verified, as a fresh slice at one bit per
+// element. seed 0 selects wifi.DefaultScramblerSeed.
 func AssembleBits(layout *FrameLayout, nDBPS int, payload []byte, seed uint8) ([]bits.Bit, error) {
-	return assembleBits(nil, layout, nDBPS, payload, seed, nil)
+	s := encodeScratchPool.Get().(*encodeScratch)
+	defer encodeScratchPool.Put(s)
+	x, err := assembleBits(s, layout, nDBPS, payload, seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	return bits.Clone(x), nil
 }
 
-// assembleBits is the bit half of the frame assembly. It builds the
-// logical stream (SERVICE zeros, length header, payload, zero padding up
-// to the non-extra capacity), spreads it over the physical stream with
-// zero placeholders at layout's extra positions, scrambles that into x
-// (grown to layout.NumSymbols*nDBPS bits and returned), zeroes the
-// placeholders again and solves and verifies the extra bits. seed 0
-// selects wifi.DefaultScramblerSeed; tr receives the scramble, solve and
-// verify spans.
+// assembleBits is the bit half of the frame assembly, working in s. It
+// builds the logical stream (SERVICE zeros, length header, payload, zero
+// padding up to the non-extra capacity), spreads it over the physical
+// stream with zero placeholders at layout's extra positions, scrambles
+// that in place (grown to layout.NumSymbols*nDBPS bits), zeroes the
+// placeholders again and solves and verifies the extra bits. It returns
+// the encoder input, which aliases s.x. seed 0 selects
+// wifi.DefaultScramblerSeed; tr receives the scramble, solve and verify
+// spans.
 //
 //sledzig:noalloc
-func assembleBits(x []bits.Bit, layout *FrameLayout, nDBPS int, payload []byte, seed uint8, tr *trace.Frame) ([]bits.Bit, error) {
+func assembleBits(s *encodeScratch, layout *FrameLayout, nDBPS int, payload []byte, seed uint8, tr *trace.Frame) ([]bits.Bit, error) {
 	m := metrics()
 	total := layout.NumSymbols * nDBPS
 	pos := layout.Positions
@@ -227,35 +231,31 @@ func assembleBits(x []bits.Bit, layout *FrameLayout, nDBPS int, payload []byte, 
 		return nil, fmt.Errorf("core: internal error: logical stream %d exceeds capacity %d", need, capacity)
 	}
 
-	scratch := encodeScratchPool.Get().(*encodeScratch)
-	defer encodeScratchPool.Put(scratch)
-
-	scratch.logical = bits.Grow(scratch.logical, capacity)
-	logical := scratch.logical
+	s.logical = bits.Grow(s.logical, capacity)
+	logical := s.logical
 	clear(logical)
 	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
 	n := serviceBits
 	n += bits.CopyBytes(logical[n:], header[:])
 	bits.CopyBytes(logical[n:], payload)
 
-	scratch.u = bits.Grow(scratch.u, total)
-	u := scratch.u
+	s.x = bits.Grow(s.x, total)
+	x := s.x
 	pi, li := 0, 0
-	for i := range u {
+	for i := range x {
 		if pi < len(pos) && pos[pi] == i {
-			u[i] = 0
+			x[i] = 0
 			pi++
 			continue
 		}
-		u[i] = logical[li]
+		x[i] = logical[li]
 		li++
 	}
 
 	// Scramble, then solve the extra bits in the scrambled (encoder-input)
 	// domain.
-	x = bits.Grow(x, total)
 	mk := tr.Begin(m.encScramble)
-	err := wifi.ScrambleWithSeedInto(x, u, cmp.Or(seed, wifi.DefaultScramblerSeed))
+	err := wifi.ScrambleWithSeedInto(x, x, cmp.Or(seed, wifi.DefaultScramblerSeed))
 	mk.End(len(payload), err)
 	if err != nil {
 		return nil, err

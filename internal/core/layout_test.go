@@ -70,6 +70,143 @@ func TestLayoutsMatchGolden(t *testing.T) {
 	}
 }
 
+// TestFrameLayoutTilesBySymbol pins the property a per-symbol layout
+// would rest on, for both conventions and the 12 pinnable modes, on
+// every contiguous run of data subcarriers within each channel's window
+// (the whole window is CH1-CH4's own plan) and on Fig. 11's larger
+// subsets of up to 8 subcarriers, which reach past the window: no
+// cluster of a 3-symbol layout has equations in two symbols, and
+// FrameLayout(n) is symbol 0's clusters followed by n-1 copies of symbol
+// 1's, each shifted N_DBPS steps per symbol. n is sampled up to the
+// symbol count of the largest PSDU. A cluster may place extra bits in
+// the symbol before its equations, which symbol 0 cannot: the planner
+// never places one before the frame start. So symbol 0 may differ from
+// the steady state; DESIGN.md §5.5 records in which plans it does.
+func TestFrameLayoutTilesBySymbol(t *testing.T) {
+	plans, ownHead := 0, 0
+	for _, conv := range []wifi.Convention{wifi.ConventionIEEE, wifi.ConventionPaper} {
+		for mod := wifi.QAM16; mod <= wifi.QAM256; mod++ {
+			for rate := wifi.Rate12; rate <= wifi.Rate56; rate++ {
+				mode := wifi.Mode{Modulation: mod, CodeRate: rate}
+				ns := []int{1, 2, 3, 17, 60, wifi.NumDataSymbols(mode, wifi.MaxPSDULength)}
+				for _, ch := range AllChannels() {
+					var sets [][]int
+					window := ch.DataSubcarriers()
+					for lo := range window {
+						for hi := lo + 1; hi <= len(window); hi++ {
+							sets = append(sets, window[lo:hi])
+						}
+					}
+					for k := len(window) + 1; k <= 8; k++ {
+						subs, err := ch.DataSubcarrierSubset(k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sets = append(sets, subs)
+					}
+					for _, subs := range sets {
+						plan, err := NewPlanForSubcarriers(conv, mode, subs)
+						if err != nil {
+							t.Fatalf("%v %v %v %v: %v", conv, mode, ch, subs, err)
+						}
+						headDiffers, err := checkTiling(plan, ns)
+						if err != nil {
+							t.Fatalf("%v %v %v %v: %v", conv, mode, ch, subs, err)
+						}
+						plans++
+						if headDiffers {
+							ownHead++
+						}
+					}
+				}
+			}
+		}
+	}
+	if plans != 2520 || ownHead != 10 {
+		t.Fatalf("%d plans tile, %d with a symbol 0 of their own; DESIGN.md §5.5 records 2520 and 10", plans, ownHead)
+	}
+}
+
+// checkTiling splits plan's 3-symbol layout into symbol 0's and symbol
+// 1's clusters and checks FrameLayout(n) against the tiling for each n.
+// It also reports whether symbol 0 is not symbol 1 shifted back.
+func checkTiling(plan *Plan, ns []int) (headDiffers bool, err error) {
+	nDBPS := plan.Mode.DataBitsPerSymbol()
+	three, err := plan.FrameLayout(3)
+	if err != nil {
+		return false, err
+	}
+	var head, steady []Cluster
+	for _, cl := range three.Clusters {
+		switch clusterSymbol(cl, nDBPS) {
+		case -1:
+			return false, fmt.Errorf("cluster at steps %d..%d spans a symbol boundary",
+				cl.Equations[0].Step(), cl.Equations[len(cl.Equations)-1].Step())
+		case 0:
+			head = append(head, cl)
+		case 1:
+			steady = append(steady, cl)
+		}
+	}
+	for _, n := range ns {
+		l, err := plan.FrameLayout(n)
+		if err != nil {
+			return false, err
+		}
+		if want := len(head) + (n-1)*len(steady); len(l.Clusters) != want {
+			return false, fmt.Errorf("%d-symbol layout has %d clusters, want %d", n, len(l.Clusters), want)
+		}
+		k := 0
+		for sym := 0; sym < n; sym++ {
+			tile, shift := head, 0
+			if sym > 0 {
+				tile, shift = steady, (sym-1)*nDBPS
+			}
+			for _, want := range tile {
+				if !sameShifted(l.Clusters[k], want, shift) {
+					return false, fmt.Errorf("%d-symbol layout: cluster %d (symbol %d) is not the tile shifted %d steps", n, k, sym, shift)
+				}
+				k++
+			}
+		}
+	}
+	headDiffers = len(head) != len(steady)
+	for i := 0; !headDiffers && i < len(head); i++ {
+		headDiffers = !sameShifted(steady[i], head[i], nDBPS)
+	}
+	return headDiffers, nil
+}
+
+// clusterSymbol returns the symbol all of cl's equations fall in, or -1
+// when they straddle a boundary.
+func clusterSymbol(cl Cluster, nDBPS int) int {
+	sym := cl.Equations[0].Step() / nDBPS
+	for _, eq := range cl.Equations {
+		if eq.Step()/nDBPS != sym {
+			return -1
+		}
+	}
+	return sym
+}
+
+// sameShifted reports whether got is want moved shift encoder steps later.
+func sameShifted(got, want Cluster, shift int) bool {
+	if len(got.Equations) != len(want.Equations) || len(got.Positions) != len(want.Positions) {
+		return false
+	}
+	for i, eq := range want.Equations {
+		if got.Equations[i] != (Constraint{MotherIndex: eq.MotherIndex + 2*shift, Value: eq.Value}) {
+			return false
+		}
+	}
+	for i, p := range want.Positions {
+		if got.Positions[i] != p+shift {
+			return false
+		}
+	}
+	return true
+}
+
 // TestLayoutAllocationsFlat pins the planner's allocation count: building
 // a 60-symbol layout (240 clusters) costs no more allocations than a
 // 2-symbol one, where it used to cost several per cluster.

@@ -166,10 +166,8 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 	if got, want := res.TransmitBits(), want.TransmitBits(); !bits.Equal(got, want) {
 		t.Fatalf("TransmitBits diverge (%d vs %d bits)", len(got), len(want))
 	}
-	for i := range want.Frame.ScrambledBits {
-		if res.Frame.ScrambledBits[i] != want.Frame.ScrambledBits[i] {
-			t.Fatalf("ScrambledBits diverge at %d", i)
-		}
+	if got, want := res.Frame.ScrambledBits(), want.Frame.ScrambledBits(); !bits.Equal(got, want) {
+		t.Fatalf("ScrambledBits diverge (%d vs %d bits)", len(got), len(want))
 	}
 	if res.Frame.PSDULength != want.Frame.PSDULength || res.Frame.NumSymbols != want.Frame.NumSymbols {
 		t.Fatalf("frame header mismatch: %+v vs %+v", res.Frame, want.Frame)

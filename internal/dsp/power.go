@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Power returns the mean squared magnitude of x (linear units). An empty
@@ -62,19 +63,30 @@ func Periodogram(x []complex128, n int) ([]float64, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dsp: periodogram size %d is not a power of two", n)
 	}
+	psd := make([]float64, n)
+	if err := periodogramInto(psd, make([]complex128, n), x); err != nil {
+		return nil, err
+	}
+	return psd, nil
+}
+
+// periodogramInto is Periodogram writing into psd, whose length is the
+// (power-of-two) FFT size, with spec, of the same length, as the FFT
+// output buffer.
+func periodogramInto(psd []float64, spec []complex128, x []complex128) error {
+	n := len(psd)
 	if len(x) < n {
-		return nil, fmt.Errorf("dsp: signal length %d shorter than FFT size %d", len(x), n)
+		return fmt.Errorf("dsp: signal length %d shorter than FFT size %d", len(x), n)
 	}
 	plan, err := PlanFor(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	psd := make([]float64, n)
-	spec := make([]complex128, n)
+	clear(psd)
 	segments := 0
 	for start := 0; start+n <= len(x); start += n {
 		if err := plan.Forward(spec, x[start:start+n]); err != nil {
-			return nil, err
+			return err
 		}
 		for i, v := range spec {
 			psd[i] += real(v)*real(v) + imag(v)*imag(v)
@@ -85,8 +97,20 @@ func Periodogram(x []complex128, n int) ([]float64, error) {
 	for i := range psd {
 		psd[i] *= scale
 	}
-	return psd, nil
+	return nil
 }
+
+// bandPowerBins is BandPower's largest FFT size.
+const bandPowerBins = 1024
+
+// bandPowerScratch holds BandPower's periodogram buffers, pooled so band
+// measurements allocate nothing for them.
+type bandPowerScratch struct {
+	psd  [bandPowerBins]float64
+	spec [bandPowerBins]complex128
+}
+
+var bandPowerPool = sync.Pool{New: func() any { return new(bandPowerScratch) }}
 
 // BandPower measures the mean power of x falling inside the frequency band
 // [lo, hi] (Hz, relative to baseband center; negative frequencies allowed),
@@ -96,12 +120,14 @@ func BandPower(x []complex128, sampleRate, lo, hi float64) (float64, error) {
 	if hi <= lo {
 		return 0, fmt.Errorf("dsp: invalid band [%g, %g]", lo, hi)
 	}
-	n := 1024
+	n := bandPowerBins
 	for len(x) < n && n > 8 {
 		n /= 2
 	}
-	psd, err := Periodogram(x, n)
-	if err != nil {
+	s := bandPowerPool.Get().(*bandPowerScratch)
+	defer bandPowerPool.Put(s)
+	psd := s.psd[:n]
+	if err := periodogramInto(psd, s.spec[:n], x); err != nil {
 		return 0, err
 	}
 	binWidth := sampleRate / float64(n)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
-	"sledzig/internal/bits"
 	"sledzig/internal/channel"
 	"sledzig/internal/codec"
 	"sledzig/internal/core"
@@ -54,16 +54,39 @@ func bandShareDB(wave []complex128, ch core.ZigBeeChannel) (float64, error) {
 	return dsp.DB(band / total), nil
 }
 
+// profilePayload is the size in octets of the frame DeriveProfile
+// measures.
+const profilePayload = 600
+
+// profileScratch is one DeriveProfile call's working set, pooled so a
+// sweep reuses the random source, payload, encode result and waveform of
+// an earlier call instead of reallocating them.
+type profileScratch struct {
+	rng     *rand.Rand
+	payload [profilePayload]byte
+	res     core.EncodeResult
+	wave    []complex128
+}
+
+var profileScratchPool = sync.Pool{New: func() any {
+	return &profileScratch{rng: rand.New(rand.NewSource(1))}
+}}
+
 // payloadWave renders the DATA-field waveform of a variant for profile
-// measurement.
-func payloadWave(conv wifi.Convention, v Variant, ch core.ZigBeeChannel, rng *rand.Rand) ([]complex128, error) {
-	payload := bits.RandomBytes(rng, 600)
+// measurement, drawing its payload from s.rng. The waveform is s.wave or
+// a view of the codec's frame.
+func (s *profileScratch) payloadWave(conv wifi.Convention, v Variant, ch core.ZigBeeChannel) ([]complex128, error) {
+	payload := s.payload[:]
+	for i := range payload {
+		payload[i] = byte(s.rng.Intn(256))
+	}
 	if !v.SledZig {
 		frame, err := wifi.Transmitter{Mode: v.Mode, Convention: conv}.Frame(payload)
 		if err != nil {
 			return nil, err
 		}
-		return frame.DataWaveform()
+		s.wave, err = frame.AppendDataWaveform(s.wave[:0])
+		return s.wave, err
 	}
 	if v.Codec != "" && v.Codec != "sledzig" {
 		cdc, err := codec.New(v.Codec, codec.Params{Convention: conv, Mode: v.Mode, Channel: ch})
@@ -85,11 +108,14 @@ func payloadWave(conv wifi.Convention, v Variant, ch core.ZigBeeChannel, rng *ra
 	if err != nil {
 		return nil, err
 	}
-	res, err := (&core.Encoder{Plan: plan}).Encode(payload)
+	err = (&core.Encoder{Plan: plan}).EncodeTo(payload, &s.res)
+	// The layout belongs to this call's plan: do not pin it in the pool.
+	s.res.Layout = nil
 	if err != nil {
 		return nil, err
 	}
-	return res.Frame.DataWaveform()
+	s.wave, err = s.res.Frame.AppendDataWaveform(s.wave[:0])
+	return s.wave, err
 }
 
 // preambleShares holds preambleShareDB's result per (modulation, code
@@ -129,8 +155,12 @@ func preambleShareDB(mode wifi.Mode, ch core.ZigBeeChannel) (float64, error) {
 // power calibration. The pilot component is computed analytically (one
 // unit-power subcarrier out of the 52 active ones).
 func DeriveProfile(conv wifi.Convention, v Variant, ch core.ZigBeeChannel, seed int64) (mac.WiFiProfile, error) {
-	rng := rand.New(rand.NewSource(seed))
-	wave, err := payloadWave(conv, v, ch, rng)
+	s := profileScratchPool.Get().(*profileScratch)
+	defer profileScratchPool.Put(s)
+	// Reseeding puts the recycled source in the state of a fresh
+	// rand.NewSource(seed).
+	s.rng.Seed(seed)
+	wave, err := s.payloadWave(conv, v, ch)
 	if err != nil {
 		return mac.WiFiProfile{}, err
 	}

@@ -41,6 +41,19 @@ func convolutionalEncodeInto(dst, in []bits.Bit) []bits.Bit {
 	return dst
 }
 
+// convolutionalEncodePackedInto is convolutionalEncodeInto over the
+// first n bits of in, packed eight to an octet with the first bit in the
+// LSB (Frame's encoder-input layout).
+func convolutionalEncodePackedInto(dst []bits.Bit, in []byte, n int) []bits.Bit {
+	dst = grow(dst, 2*n)
+	var reg uint32
+	for i := 0; i < n; i++ {
+		reg = (reg<<1 | uint32(in[i/8]>>(i%8))&1) & 0x7F
+		dst[2*i], dst[2*i+1] = EncodeStep(reg)
+	}
+	return dst
+}
+
 // puncturePatterns holds each rate's keep-mask over one puncturing period
 // of mother-coded bits; rate 1/2 keeps everything.
 var puncturePatterns = [Rate56 + 1][]bool{

@@ -40,7 +40,7 @@ func TestGoldenFrame(t *testing.T) {
 			Convention: conv.String(),
 			Mode:       frame.Mode.String(),
 			PSDUHash:   "seed99/120B",
-			Scrambled:  bits.String(frame.ScrambledBits[:256]),
+			Scrambled:  bits.String(frame.ScrambledBits()[:256]),
 		}
 		for _, p := range pts[0][:12] {
 			g.FirstSym = append(g.FirstSym, fmt.Sprintf("%+.4f%+.4fi", real(p), imag(p)))

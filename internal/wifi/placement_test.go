@@ -232,13 +232,12 @@ func TestGatherMatchesPunctureInterleave(t *testing.T) {
 	var s txScratch
 	forEachConventionMode(func(c Convention, mode Mode) {
 		nSym := 1 + rng.Intn(3)
-		f := &Frame{Mode: mode, Convention: c, NumSymbols: nSym,
-			ScrambledBits: bits.Random(rng, nSym*mode.DataBitsPerSymbol())}
+		f, x := randomFrame(t, rng, c, mode, nSym)
 		pts := make([]complex128, nSym*NumDataSubcarriers)
 		if err := f.renderData(&s, pts); err != nil {
 			t.Fatal(err)
 		}
-		coded, err := EncodeAndPuncture(f.ScrambledBits, mode.CodeRate)
+		coded, err := EncodeAndPuncture(x, mode.CodeRate)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,6 @@ type Frame struct {
 	PSDULength int  // LENGTH value signalled in the PLCP header (octets)
 	Terminated bool // scrambled tail zeroed (standard) or left intact (SledZig)
 
-	// ScrambledBits is the encoder input: N_sym * N_DBPS bits.
-	ScrambledBits []bits.Bit
 	// NumSymbols is the number of DATA OFDM symbols.
 	NumSymbols int
 
@@ -34,6 +32,13 @@ type Frame struct {
 	// when the frame is rendered. A nil Trace costs one nil check per
 	// stage.
 	Trace *trace.Frame
+
+	// scrambled is the encoder input, N_sym·N_DBPS bits packed eight to
+	// an octet in bits.ToBytes order (bit i is bit i%8 of octet i/8).
+	// N_DBPS need not be a multiple of 8 (BPSK r3/4 has 36), so the last
+	// octet's unused high bits are zero. SetScrambledBits and
+	// ScrambledBits are the only ways in and out.
+	scrambled []byte
 }
 
 // Transmitter assembles standard 802.11 frames. The zero value is not
@@ -56,7 +61,9 @@ func NumDataSymbols(m Mode, length int) int {
 }
 
 // Frame scrambles SERVICE + PSDU + tail + pad and zeroes the scrambled
-// tail, producing the standard encoder input.
+// tail, producing the standard encoder input. It scrambles a packed octet
+// at a time: the LFSR is walked eight steps with an output bit mask, and
+// its octet is XORed onto the data octet (zero for SERVICE, tail and pad).
 func (t Transmitter) Frame(psdu []byte) (*Frame, error) {
 	if err := t.Mode.Validate(); err != nil {
 		return nil, err
@@ -71,28 +78,83 @@ func (t Transmitter) Frame(psdu []byte) (*Frame, error) {
 	nSym := NumDataSymbols(t.Mode, len(psdu))
 	total := nSym * t.Mode.DataBitsPerSymbol()
 
-	logical := make([]bits.Bit, total) // zeros: SERVICE, tail, pad prefilled
-	copy(logical[serviceBits:], bits.FromBytes(psdu))
-
 	pass := phy().txScramble.Start()
-	scrambled, err := ScrambleWithSeed(logical, seed)
-	pass.End(len(psdu), err)
+	s, err := NewScrambler(seed)
 	if err != nil {
+		pass.End(len(psdu), err)
 		return nil, err
 	}
-	// Zero the scrambled tail so the trellis terminates (17.3.5.3).
-	tailStart := serviceBits + 8*len(psdu)
-	for i := tailStart; i < tailStart+tailBits; i++ {
-		scrambled[i] = 0
+	x := make([]byte, (total+7)/8)
+	for i := range x {
+		var data byte
+		if k := i - serviceBits/8; k >= 0 && k < len(psdu) {
+			data = psdu[k]
+		}
+		var seq byte
+		for mask := byte(1); mask != 0; mask <<= 1 {
+			if s.NextBit() == 1 {
+				seq |= mask
+			}
+		}
+		x[i] = data ^ seq
 	}
+	// Zero the scrambled tail so the trellis terminates (17.3.5.3): the
+	// low tailBits bits of the octet after the PSDU.
+	x[serviceBits/8+len(psdu)] &^= 1<<tailBits - 1
+	// Past N_sym·N_DBPS the last octet holds zeros, not scrambler output.
+	if r := total % 8; r != 0 {
+		x[len(x)-1] &= 1<<r - 1
+	}
+	pass.End(len(psdu), nil)
 	return &Frame{
-		Mode:          t.Mode,
-		Convention:    t.Convention,
-		PSDULength:    len(psdu),
-		Terminated:    true,
-		ScrambledBits: scrambled,
-		NumSymbols:    nSym,
+		Mode:       t.Mode,
+		Convention: t.Convention,
+		PSDULength: len(psdu),
+		Terminated: true,
+		NumSymbols: nSym,
+		scrambled:  x,
 	}, nil
+}
+
+// dataBits returns N_sym·N_DBPS, the encoder-input length of f, or -1
+// when f's mode is invalid.
+func (f *Frame) dataBits() int {
+	if f.Mode.Validate() != nil {
+		return -1
+	}
+	return f.NumSymbols * f.Mode.DataBitsPerSymbol()
+}
+
+// SetScrambledBits stores x, the encoder input at one bit per element, as
+// f's packed stream, reusing f's buffer when its capacity suffices. x must
+// hold N_sym·N_DBPS bits of f's NumSymbols and Mode, so set those first;
+// only each element's low bit is kept.
+//
+//sledzig:noalloc
+func (f *Frame) SetScrambledBits(x []bits.Bit) error {
+	if n := f.dataBits(); len(x) != n {
+		return fmt.Errorf("wifi: %d scrambled bits are not %d DATA symbols of %v", len(x), f.NumSymbols, f.Mode)
+	}
+	f.scrambled = grow(f.scrambled, (len(x)+7)/8)
+	for i := range f.scrambled {
+		var octet byte
+		for k, b := range x[8*i : min(8*i+8, len(x))] {
+			octet |= (b & 1) << k
+		}
+		f.scrambled[i] = octet
+	}
+	return nil
+}
+
+// ScrambledBits returns the encoder input, N_sym·N_DBPS bits at one bit
+// per element, as a fresh slice. It returns nil for a frame whose stream
+// was never set.
+func (f *Frame) ScrambledBits() []bits.Bit {
+	n := f.dataBits()
+	if n < 0 || len(f.scrambled) != (n+7)/8 {
+		return nil
+	}
+	return bits.FromBytes(f.scrambled)[:n]
 }
 
 // DataPoints returns the constellation points of every DATA symbol:
@@ -131,22 +193,23 @@ type txScratch struct {
 var txScratchPool = sync.Pool{New: func() any { return new(txScratch) }}
 
 // renderData runs the DATA field's transmit chain into pts (NumSymbols x
-// 48 points): convolutional-encode the scrambled bits into s.mother
-// (wifi.tx.encode), gather each symbol's interleaved coded bits from its
-// mother block through the placement table (wifi.tx.interleave), and map
-// them (wifi.tx.map).
+// 48 points): convolutional-encode the packed scrambled bits into
+// s.mother (wifi.tx.encode), gather each symbol's interleaved coded bits
+// from its mother block through the placement table
+// (wifi.tx.interleave), and map them (wifi.tx.map).
 //
 //sledzig:noalloc
 func (f *Frame) renderData(s *txScratch, pts []complex128) error {
 	slots := f.Convention.CodedSlots(f.Mode)
-	block := 2 * f.Mode.DataBitsPerSymbol()
-	if slots == nil || 2*len(f.ScrambledBits) != f.NumSymbols*block {
-		return fmt.Errorf("wifi: %d scrambled bits are not %d DATA symbols of %v", len(f.ScrambledBits), f.NumSymbols, f.Mode)
+	n := f.dataBits()
+	if slots == nil || len(f.scrambled) != (n+7)/8 {
+		return fmt.Errorf("wifi: %d scrambled octets are not %d DATA symbols of %v", len(f.scrambled), f.NumSymbols, f.Mode)
 	}
+	block := 2 * f.Mode.DataBitsPerSymbol()
 	m := phy()
 	mk := f.Trace.Begin(m.txEncode)
-	s.mother = convolutionalEncodeInto(s.mother, f.ScrambledBits)
-	mk.End(len(f.ScrambledBits)/8, nil)
+	s.mother = convolutionalEncodePackedInto(s.mother, f.scrambled, n)
+	mk.End(n/8, nil)
 
 	mk = f.Trace.Begin(m.txInterleave)
 	s.inter = grow(s.inter, f.NumSymbols*len(slots))
@@ -180,15 +243,46 @@ func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 	if err := signalPointsInto(s.sig[:], field[:]); err != nil {
 		return dst, err
 	}
+	return f.appendSymbols(s, dst, true)
+}
+
+// DataWaveform renders only the DATA portion (no preamble, no SIGNAL) —
+// what the paper's RSSI experiments measure, since a ZigBee RSSI sample
+// integrates over many payload symbols.
+func (f *Frame) DataWaveform() ([]complex128, error) {
+	out, err := f.AppendDataWaveform(make([]complex128, 0, f.NumSymbols*SymbolLength))
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendDataWaveform is DataWaveform in append form: it renders the DATA
+// symbols into dst through the pooled buffers AppendWaveform uses, and
+// returns the extended slice. On error dst may have been partially
+// extended; discard it.
+func (f *Frame) AppendDataWaveform(dst []complex128) ([]complex128, error) {
+	s := txScratchPool.Get().(*txScratch)
+	defer txScratchPool.Put(s)
+	return f.appendSymbols(s, dst, false)
+}
+
+// appendSymbols renders f's DATA field through s and appends its OFDM
+// symbols to dst (wifi.tx.ifft). A ppdu render first appends the
+// preamble and the SIGNAL symbol of s.sig, which the caller has filled,
+// and counts a transmitted frame.
+func (f *Frame) appendSymbols(s *txScratch, dst []complex128, ppdu bool) ([]complex128, error) {
 	s.pts = grow(s.pts, f.NumSymbols*NumDataSubcarriers)
 	if err := f.renderData(s, s.pts); err != nil {
 		return dst, err
 	}
-
 	m := phy()
 	mk := f.Trace.Begin(m.txIFFT)
-	dst = AppendPreamble(dst)
-	dst, err = AppendSymbol(dst, s.sig[:], 0)
+	var err error
+	if ppdu {
+		dst = AppendPreamble(dst)
+		dst, err = AppendSymbol(dst, s.sig[:], 0)
+	}
 	for sym := 0; err == nil && sym < f.NumSymbols; sym++ {
 		dst, err = AppendSymbol(dst, s.pts[sym*NumDataSubcarriers:(sym+1)*NumDataSubcarriers], sym+1)
 	}
@@ -196,31 +290,13 @@ func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 	if err != nil {
 		return dst, err
 	}
-	m.txFrames.Inc()
-	m.txSymbols.Add(uint64(1 + f.NumSymbols))
+	symbols := f.NumSymbols
+	if ppdu {
+		m.txFrames.Inc()
+		symbols++
+	}
+	m.txSymbols.Add(uint64(symbols))
 	return dst, nil
-}
-
-// DataWaveform renders only the DATA portion (no preamble, no SIGNAL) —
-// what the paper's RSSI experiments measure, since a ZigBee RSSI sample
-// integrates over many payload symbols.
-func (f *Frame) DataWaveform() ([]complex128, error) {
-	dataPts, err := f.DataPoints()
-	if err != nil {
-		return nil, err
-	}
-	m := phy()
-	mk := f.Trace.Begin(m.txIFFT)
-	out := make([]complex128, 0, f.NumSymbols*SymbolLength)
-	for s := 0; err == nil && s < len(dataPts); s++ {
-		out, err = AppendSymbol(out, dataPts[s], s+1)
-	}
-	mk.End(0, err)
-	if err != nil {
-		return nil, err
-	}
-	m.txSymbols.Add(uint64(f.NumSymbols))
-	return out, nil
 }
 
 // Duration returns the full PPDU airtime in seconds.

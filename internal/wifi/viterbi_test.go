@@ -364,8 +364,7 @@ func FuzzDepunctureRoundTrip(f *testing.F) {
 		nSym := 1 + n%4
 		conv := Convention(n / 5 % 2)
 		rng := rand.New(rand.NewSource(seed))
-		fr := &Frame{Mode: mode, Convention: conv, NumSymbols: nSym,
-			ScrambledBits: bits.Random(rng, nSym*mode.DataBitsPerSymbol())}
+		fr, x := randomFrame(t, rng, conv, mode, nSym)
 		var s txScratch
 		if err := fr.renderData(&s, make([]complex128, nSym*NumDataSubcarriers)); err != nil {
 			t.Fatal(err)
@@ -394,7 +393,7 @@ func FuzzDepunctureRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bits.Equal(decoded, fr.ScrambledBits) {
+		if !bits.Equal(decoded, x) {
 			t.Fatalf("%v %v: clean stream did not decode to the encoder input", conv, mode)
 		}
 	})

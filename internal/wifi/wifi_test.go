@@ -1,6 +1,7 @@
 package wifi
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -225,6 +226,18 @@ func TestInterleaverBijection(t *testing.T) {
 	}
 }
 
+// randomFrame returns an nSym-symbol frame whose encoder input is random,
+// with that input at one bit per element.
+func randomFrame(t testing.TB, rng *rand.Rand, conv Convention, mode Mode, nSym int) (*Frame, []bits.Bit) {
+	t.Helper()
+	x := bits.Random(rng, nSym*mode.DataBitsPerSymbol())
+	f := &Frame{Mode: mode, Convention: conv, NumSymbols: nSym}
+	if err := f.SetScrambledBits(x); err != nil {
+		t.Fatal(err)
+	}
+	return f, x
+}
+
 // TestInterleaveRoundTrip runs the placement pair the PHY uses: the
 // transmitter's gather from the mother stream (renderData), then the
 // receiver's per-symbol scatter back into it (scatterBits), for both
@@ -238,8 +251,7 @@ func TestInterleaveRoundTrip(t *testing.T) {
 		block := 2 * mode.DataBitsPerSymbol()
 		pat, _ := puncturePattern(mode.CodeRate)
 		for _, nSym := range []int{1, 3} {
-			f := &Frame{Mode: mode, Convention: conv, NumSymbols: nSym,
-				ScrambledBits: bits.Random(rng, nSym*mode.DataBitsPerSymbol())}
+			f, _ := randomFrame(t, rng, conv, mode, nSym)
 			if err := f.renderData(&s, make([]complex128, nSym*NumDataSubcarriers)); err != nil {
 				t.Fatal(err)
 			}
@@ -522,6 +534,75 @@ func TestAppendWaveformDoesNotAllocate(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("AppendWaveform allocates %.1f times per frame, want 0", avg)
 	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if buf, err = frame.AppendDataWaveform(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("AppendDataWaveform allocates %.1f times per frame, want 0", avg)
+	}
+}
+
+// oracleScrambled is the encoder input Transmitter.Frame built before
+// frames kept it packed: SERVICE, PSDU, tail and pad at one bit per
+// element, scrambled by an allocating scrambler, then the tail zeroed.
+func oracleScrambled(mode Mode, psdu []byte, seed uint8) ([]bits.Bit, error) {
+	logical := make([]bits.Bit, NumDataSymbols(mode, len(psdu))*mode.DataBitsPerSymbol())
+	copy(logical[serviceBits:], bits.FromBytes(psdu))
+	x, err := ScrambleWithSeed(logical, seed)
+	if err != nil {
+		return nil, err
+	}
+	tail := serviceBits + 8*len(psdu)
+	clear(x[tail : tail+tailBits])
+	return x, nil
+}
+
+// TestFrameMatchesBitPipeline holds Transmitter.Frame's octet-wise
+// scramble to the bit pipeline it replaced, for both conventions and all
+// 20 modes (BPSK r3/4's 36-bit symbols leave the last octet partial) over
+// random lengths and seeds. Packing that stream back in must give the
+// same octets, and the DATA-only render must be the tail of the PPDU.
+func TestFrameMatchesBitPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	forEachConventionMode(func(c Convention, mode Mode) {
+		for trial := 0; trial < 4; trial++ {
+			psdu := bits.RandomBytes(rng, 1+rng.Intn(200))
+			seed := uint8(1 + rng.Intn(127))
+			f, err := Transmitter{Mode: mode, Seed: seed, Convention: c}.Frame(psdu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleScrambled(mode, psdu, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bits.Equal(f.ScrambledBits(), want) {
+				t.Fatalf("%v %v, %d octets, seed %#x: scrambled stream differs from the bit pipeline's", c, mode, len(psdu), seed)
+			}
+			g := &Frame{Mode: mode, NumSymbols: f.NumSymbols}
+			if err := g.SetScrambledBits(want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g.scrambled, f.scrambled) {
+				t.Fatalf("%v %v, %d octets: repacked stream differs", c, mode, len(psdu))
+			}
+			if _, err := SignalField(mode, len(psdu)); trial > 0 || err != nil {
+				continue // modes without a RATE code have no PPDU
+			}
+			wave, err := f.Waveform()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := f.DataWaveform()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail := wave[len(wave)-len(data):]; len(data) != f.NumSymbols*SymbolLength || !slices.Equal(tail, data) {
+				t.Fatalf("%v %v: DATA-only render is not the PPDU's tail", c, mode)
+			}
+		}
+	})
 }
 
 func TestPreambleStructure(t *testing.T) {

@@ -289,7 +289,8 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	enc := *e.enc
 	enc.Trace = tf
 	// One allocation holds the Frame, its result and its wifi.Frame; the
-	// encode adds only the frame's ScrambledBits.
+	// encode adds only the frame's encoder input, packed eight bits to an
+	// octet (⌈N_sym·N_DBPS/8⌉ octets).
 	box := new(struct {
 		f     Frame
 		res   core.EncodeResult

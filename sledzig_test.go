@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -143,7 +144,9 @@ func TestSimulateCoexistenceSledZigBeatsNormal(t *testing.T) {
 
 // TestEncodeAllocations pins the SledZig facade encode at two allocations
 // per frame: one box holding the Frame, its core result and its
-// wifi.Frame, and the frame's ScrambledBits.
+// wifi.Frame, and the frame's packed encoder input. It also pins what a
+// 1500 B QAM-16 r1/2 frame keeps: its 140 symbols of 96 bits pack into
+// 1,680 octets, where one bit per byte cost ~13.7 kB.
 func TestEncodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled path: sync.Pool drops Puts under -race")
@@ -162,6 +165,26 @@ func TestEncodeAllocations(t *testing.T) {
 		}
 	}); avg > 2 {
 		t.Errorf("Encode allocates %.1f times per frame, want at most 2", avg)
+	}
+
+	enc, err = NewEncoder(Config{Modulation: QAM16, CodeRate: Rate12, Channel: CH4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enc.Encode(payload); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := enc.Encode(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls; perCall > 2.5*1024 {
+		t.Errorf("Encode of a 1500 B QAM-16 r1/2 frame allocates %.0f B per call, want at most 2.5 KiB", perCall)
 	}
 }
 
