@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test examples-smoke race bench bench-json bench-compare bench-baseline bench-smoke experiments experiments-check selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
+.PHONY: test examples-smoke race bench bench-json bench-compare bench-baseline bench-smoke experiments experiments-check experiments-update selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
 
 # Benchmarks gated by the checked-in allocation baseline (hot encode and
 # decode paths with metrics off and on, every codec backend through the
@@ -61,12 +61,18 @@ experiments:
 # The recorded run as a golden: a full experiments run must print
 # docs/experiments_output.txt exactly, apart from the engine's wall-clock
 # throughput lines (those with "frames/s"), whose figures and worker
-# count follow the host. To re-record, write the run to that file and
-# say why in CHANGES.md.
+# count follow the host. To re-record, run experiments-update.
 experiments-check:
 	go run ./cmd/experiments > experiments.current.txt
 	grep -v 'frames/s' docs/experiments_output.txt > experiments.want.txt
 	grep -v 'frames/s' experiments.current.txt | diff -u experiments.want.txt -
+
+# Re-record docs/experiments_output.txt from a full experiments run, only
+# after a change that is meant to move the recorded output. Every
+# re-record needs a CHANGES.md line saying why the output moved.
+experiments-update:
+	go run ./cmd/experiments > experiments.current.txt
+	mv experiments.current.txt docs/experiments_output.txt
 
 selfcheck:
 	go run ./cmd/selfcheck

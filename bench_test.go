@@ -321,7 +321,18 @@ func BenchmarkFullRoundTrip(b *testing.B) {
 // QAM-64 r=3/4 frame. The steady state must stay within single-digit
 // allocs/op (the SIGNAL-field decode keeps a few small slices).
 func BenchmarkReceiverDecode1500B(b *testing.B) {
-	enc, err := NewEncoder(Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH2})
+	benchmarkReceiverDecode(b, QAM64, false)
+}
+
+// BenchmarkReceiverDecodeSoft1500B is BenchmarkReceiverDecode1500B on the
+// soft chain over a QAM-256 r=3/4 frame, the mode where the max-log
+// demapper's search is widest.
+func BenchmarkReceiverDecodeSoft1500B(b *testing.B) {
+	benchmarkReceiverDecode(b, QAM256, true)
+}
+
+func benchmarkReceiverDecode(b *testing.B, m Modulation, soft bool) {
+	enc, err := NewEncoder(Config{Modulation: m, CodeRate: Rate34, Channel: CH2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,7 +344,7 @@ func BenchmarkReceiverDecode1500B(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rx := wifi.Receiver{Convention: wifi.ConventionIEEE, Seed: wifi.DefaultScramblerSeed}
+	rx := wifi.Receiver{Convention: wifi.ConventionIEEE, Seed: wifi.DefaultScramblerSeed, Soft: soft}
 	var res wifi.RxResult
 	b.SetBytes(1500)
 	b.ReportAllocs()

@@ -29,9 +29,10 @@
 //   - function literals that capture variables (strict only)
 //   - boxing a non-pointer concrete value into an interface parameter
 //     (strict only)
-//   - calling an un-annotated function of the same package that itself
-//     makes, news, appends or builds a literal on a path to its own
-//     successful return (strict only, one call deep)
+//   - calling an un-annotated function of the same package that makes,
+//     news, appends or builds a literal on a path to its own successful
+//     return, itself or through the un-annotated same-package functions
+//     it calls there, at any depth (strict only)
 //
 // Two idioms are exempt because they are how 0 allocs/op is achieved:
 // anything inside an if whose condition consults cap()/len() or compares
@@ -90,7 +91,12 @@ func parseDirective(doc *ast.CommentGroup) (*directive, string, token.Pos) {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	c := &callees{pass: pass, decls: map[*types.Func]*ast.FuncDecl{}, allocs: map[*ast.FuncDecl]bool{}}
+	c := &callees{
+		pass:   pass,
+		decls:  map[*types.Func]*ast.FuncDecl{},
+		probes: map[*ast.FuncDecl]*probe{},
+		allocs: map[*ast.FuncDecl]*ast.FuncDecl{},
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
@@ -116,24 +122,35 @@ func run(pass *analysis.Pass) (any, error) {
 			if d == nil || fn.Body == nil {
 				continue
 			}
-			check(pass, fn, d, pass.Reportf, c)
+			check(pass, fn, d, pass.Reportf, c, nil)
 		}
 	}
 	return nil, nil
 }
 
 // callees resolves a strict function's calls to the un-annotated
-// functions of the same package and memoizes whether each allocates
+// functions of the same package and decides whether each allocates
 // explicitly (make, new, append, a literal) on a path to its own
-// successful return. The probe goes one call deep.
+// successful return, or calls such a function there, at any depth.
 type callees struct {
 	pass   *analysis.Pass
 	decls  map[*types.Func]*ast.FuncDecl
-	allocs map[*ast.FuncDecl]bool
+	probes map[*ast.FuncDecl]*probe
+	allocs map[*ast.FuncDecl]*ast.FuncDecl // callee -> the function that allocates, nil if none
 }
 
-// allocating names the callee of call when it is such a function, else "".
-func (c *callees) allocating(call *ast.CallExpr) string {
+// probe is one un-annotated function's own contribution: whether it
+// allocates explicitly on a hot path, and the un-annotated same-package
+// functions it calls there.
+type probe struct {
+	direct bool
+	calls  []*ast.FuncDecl
+}
+
+// callee returns the declaration call invokes when it is an un-annotated
+// function of this package, else nil. Annotated functions are checked
+// against their own contract where they are declared.
+func (c *callees) callee(call *ast.CallExpr) *ast.FuncDecl {
 	fun := ast.Unparen(call.Fun)
 	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation
 		fun = ix.X
@@ -146,34 +163,72 @@ func (c *callees) allocating(call *ast.CallExpr) string {
 		id = f.Sel
 	}
 	if id == nil {
-		return ""
+		return nil
 	}
 	obj, ok := c.pass.TypesInfo.Uses[id].(*types.Func)
 	if !ok {
-		return ""
+		return nil
 	}
 	decl := c.decls[obj.Origin()]
 	if decl == nil {
-		return ""
+		return nil
 	}
 	if d, _, _ := parseDirective(decl.Doc); d != nil {
-		return "" // annotated: its own contract is checked where it is declared
+		return nil
 	}
-	a, seen := c.allocs[decl]
-	if !seen {
-		check(c.pass, decl, &directive{budget: -1}, func(token.Pos, string, ...any) { a = true }, nil)
-		c.allocs[decl] = a
-	}
-	if !a {
-		return ""
-	}
-	return obj.Name()
+	return decl
 }
 
-// check reports fn's allocations against d through reportf. With c nil it
-// is the callee probe: explicit allocation sites only, no closures,
-// boxing or further calls.
-func check(pass *analysis.Pass, fn *ast.FuncDecl, d *directive, reportf func(token.Pos, string, ...any), c *callees) {
+// allocating names the callee of call when it allocates, itself or
+// through its own callees, else "".
+func (c *callees) allocating(call *ast.CallExpr) string {
+	decl := c.callee(call)
+	if decl == nil {
+		return ""
+	}
+	where, seen := c.allocs[decl]
+	if !seen {
+		where = c.walk(decl, map[*ast.FuncDecl]bool{})
+		c.allocs[decl] = where
+	}
+	switch where {
+	case nil:
+		return ""
+	case decl:
+		return decl.Name.Name
+	}
+	return decl.Name.Name + " (allocates in " + where.Name.Name + ")"
+}
+
+// walk searches the hot calls from decl depth first for a function that
+// allocates explicitly and returns it, or nil. The visited set is the
+// cycle guard: recursive and mutually recursive functions end the walk.
+func (c *callees) walk(decl *ast.FuncDecl, visited map[*ast.FuncDecl]bool) *ast.FuncDecl {
+	if visited[decl] {
+		return nil
+	}
+	visited[decl] = true
+	p := c.probes[decl]
+	if p == nil {
+		p = &probe{}
+		check(c.pass, decl, &directive{budget: -1}, func(token.Pos, string, ...any) { p.direct = true }, c, p)
+		c.probes[decl] = p
+	}
+	if p.direct {
+		return decl
+	}
+	for _, next := range p.calls {
+		if where := c.walk(next, visited); where != nil {
+			return where
+		}
+	}
+	return nil
+}
+
+// check reports fn's allocations against d through reportf. With p set
+// it is the callee probe: it reports explicit allocation sites only, no
+// closures or boxing, and records in p the calls the walk follows.
+func check(pass *analysis.Pass, fn *ast.FuncDecl, d *directive, reportf func(token.Pos, string, ...any), c *callees, p *probe) {
 	g := cfg.New(fn.Body)
 
 	// Classify exit blocks: success = all error results literal nil, or
@@ -258,18 +313,23 @@ func check(pass *analysis.Pass, fn *ast.FuncDecl, d *directive, reportf func(tok
 			ast.Inspect(node, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.FuncLit:
-					if strict && c != nil {
+					if strict && p == nil {
 						if capt := captured(pass, s); capt != "" {
 							report(s, "function literal capturing "+capt)
 						}
 					}
 					return false // interior is not this function's contract
 				case *ast.CallExpr:
-					checkCall(pass, s, strict && c != nil, inPool, report)
-					if strict && c != nil {
-						if name := c.allocating(s); name != "" {
-							report(s, "call to allocating function "+name)
+					checkCall(pass, s, strict && p == nil, inPool, report)
+					if !strict {
+						break
+					}
+					if p != nil {
+						if callee := c.callee(s); callee != nil && !guarded(s.Pos()) {
+							p.calls = append(p.calls, callee)
 						}
+					} else if name := c.allocating(s); name != "" {
+						report(s, "call to allocating function "+name)
 					}
 				case *ast.CompositeLit:
 					if t := pass.TypeOf(s); t != nil {

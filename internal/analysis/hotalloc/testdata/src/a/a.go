@@ -142,10 +142,11 @@ func justifiedAlloc(n int) []float64 {
 	return make([]float64, n)
 }
 
-// Strict functions are checked one call deep into their own package: a
-// helper that allocates only behind a capacity guard, or on its error
-// path, is fine to call; one that allocates on its success path is not,
-// unless it carries a contract of its own.
+// Strict functions are checked through every un-annotated function of
+// their own package they call: a helper that allocates only behind a
+// capacity guard, or on its error path, is fine to call; one that
+// allocates on its success path is not, unless it carries a contract of
+// its own.
 func growTo(s []float64, n int) []float64 {
 	if cap(s) < n {
 		s = make([]float64, n)
@@ -174,4 +175,67 @@ func callsHelpers(s *scratch, n int) ([]float64, error) {
 	_ = budgetedHelper(n)
 	_ = unannotated(n)     // want `call to allocating function unannotated`
 	return s.fresh(n), nil // want `call to allocating function fresh`
+}
+
+// The probe follows calls to any depth: a clean helper that reaches an
+// allocation two calls down allocates, while one whose deeper call sits
+// behind a capacity guard does not.
+func outer(s *scratch, n int) []float64 { return middle(s, n) }
+
+func middle(s *scratch, n int) []float64 {
+	if cap(s.buf) < n {
+		s.buf = growTo(s.buf, n)
+	}
+	return s.fresh(n)
+}
+
+func guardedOuter(s *scratch, n int) []float64 {
+	if cap(s.buf) < n {
+		return middle(s, n)
+	}
+	return s.buf[:n]
+}
+
+//sledzig:noalloc
+func callsDeep(s *scratch, n int) float64 {
+	a := outer(s, n) // want `call to allocating function outer \(allocates in fresh\)`
+	b := guardedOuter(s, n)
+	return a[0] + b[0]
+}
+
+// Recursion ends the walk: mutually recursive helpers terminate, clean
+// when neither allocates and flagged when one does.
+func even(n int) bool {
+	if n == 0 {
+		return true
+	}
+	return odd(n - 1)
+}
+
+func odd(n int) bool {
+	if n == 0 {
+		return false
+	}
+	return even(n - 1)
+}
+
+func ping(s *scratch, n int) int {
+	if n == 0 {
+		return len(s.buf)
+	}
+	return pong(s, n-1)
+}
+
+func pong(s *scratch, n int) int {
+	s.buf = append(s.buf, 0)
+	return ping(s, n)
+}
+
+//sledzig:noalloc
+func callsRecursive(s *scratch, n int) int {
+	k := 0
+	if even(n) {
+		k++
+	}
+	return k + ping(s, n) // want `call to allocating function ping \(allocates in pong\)`
 }

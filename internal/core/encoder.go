@@ -131,6 +131,7 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		return err
 	}
 	mk := e.Trace.Begin(m.encLayout)
+	//sledvet:ignore hotalloc a memo miss computes a frame length's layout once per plan; every later frame of that length reads the memo
 	layout, err := e.Plan.FrameLayout(e.NumSymbols(len(payload)))
 	mk.End(0, err)
 	if err != nil {

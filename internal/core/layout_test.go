@@ -23,14 +23,16 @@ func hashLayout(w io.Writer, l *FrameLayout) {
 	fmt.Fprintf(w, "%v\n", l.Positions)
 }
 
-// TestLayoutsMatchGolden pins complete multi-symbol layouts — clusters that
-// straddle symbol boundaries included — for every paper mode and channel
-// under both conventions, through all three layout entry points (the
-// memoized frame layout, a masked layout and the generic
-// LayoutForConstraints). The single-symbol extra-bit positions are also in
-// testdata/vectors.json; this hash covers what those vectors cannot: the
-// cluster grouping, equation order and solver choices that receivers
-// depend on. Refresh the value only for an intended change to the planner.
+// TestLayoutsMatchGolden pins complete multi-symbol layouts — including
+// clusters whose solver positions fall in the previous symbol, though
+// their equations never do (TestFrameLayoutTilesBySymbol) — for every
+// paper mode and channel under both conventions, through all three
+// layout entry points (the memoized frame layout, a masked layout and the
+// generic LayoutForConstraints). The single-symbol extra-bit positions
+// are also in testdata/vectors.json; this hash covers what those vectors
+// cannot: the cluster grouping, equation order and solver choices that
+// receivers depend on. Refresh the value only for an intended change to
+// the planner.
 func TestLayoutsMatchGolden(t *testing.T) {
 	const want = uint64(0xdff54028d84e4f28)
 	h := fnv.New64a()

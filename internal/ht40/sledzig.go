@@ -129,8 +129,8 @@ func (f *Frame) DataPoints() ([][]complex128, error) {
 		for j, slot := range f.Plan.slots {
 			inter[j] = mother[off+int(slot)]
 		}
-		pts, err := f.Plan.Convention.MapAllC(f.Plan.Mode.Modulation, inter)
-		if err != nil {
+		pts := make([]complex128, NumDataSubcarriers)
+		if err := f.Plan.Convention.MapAllCInto(f.Plan.Mode.Modulation, inter, pts); err != nil {
 			return nil, err
 		}
 		out = append(out, pts)
@@ -175,6 +175,7 @@ func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128,
 	}
 	block := 2 * DataBitsPerSymbol(mode)
 	mother := make([]int8, nSym*block) // 0: erased until scattered
+	demapped := make([]bits.Bit, len(plan.slots))
 	for s := 0; s < nSym; s++ {
 		freq, err := FrequencyDomain(wave[s*SymbolLength : (s+1)*SymbolLength])
 		if err != nil {
@@ -184,8 +185,7 @@ func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128,
 		if err != nil {
 			return nil, err
 		}
-		demapped, err := conv.DemapAllC(mode.Modulation, pts)
-		if err != nil {
+		if err := conv.DemapAllCInto(demapped, mode.Modulation, pts); err != nil {
 			return nil, err
 		}
 		for j, slot := range plan.slots {

@@ -751,6 +751,7 @@ func (s *Sim) receiveZigBeeBurst(start float64, numChips int, linkDist, wifiDist
 	chipDur := 1.0 / zigbee.ChipRate
 	numSymbols := numChips / zigbee.ChipsPerSymbol
 	end := start + float64(numChips)*chipDur
+	//sledvet:ignore hotalloc the timeline appends onto s.segs, which keeps its capacity across bursts, so it grows only until it holds the longest timeline of the run
 	segs := s.interferenceTimeline(start, end, pl, dsp.FromDB(sigDBm))
 
 	segIdx := 0

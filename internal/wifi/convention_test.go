@@ -14,15 +14,8 @@ func TestConventionQAMRoundTripAllPoints(t *testing.T) {
 			n := m.BitsPerSubcarrier()
 			for v := 0; v < 1<<n; v++ {
 				in := bits.FromUint(uint64(v), n)
-				p, err := conv.MapSymbolC(m, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, err := conv.DemapSymbolC(m, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bits.Equal(in, out) {
+				p := mapPoint(t, conv, m, in)
+				if out := demapPoint(t, conv, m, p); !bits.Equal(in, out) {
 					t.Fatalf("%v %v: %s -> %v -> %s", conv, m, bits.String(in), p, bits.String(out))
 				}
 			}
@@ -37,16 +30,8 @@ func TestConventionConstellationsSharePoints(t *testing.T) {
 		n := m.BitsPerSubcarrier()
 		count := map[complex128]int{}
 		for v := 0; v < 1<<n; v++ {
-			pI, err := ConventionIEEE.MapSymbolC(m, bits.FromUint(uint64(v), n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pP, err := ConventionPaper.MapSymbolC(m, bits.FromUint(uint64(v), n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			count[pI]++
-			count[pP]--
+			count[mapPoint(t, ConventionIEEE, m, bits.FromUint(uint64(v), n))]++
+			count[mapPoint(t, ConventionPaper, m, bits.FromUint(uint64(v), n))]--
 		}
 		for pt, c := range count {
 			if c != 0 {
@@ -98,10 +83,7 @@ func TestConventionSignificantOffsetsPinBothLabelings(t *testing.T) {
 				for i, off := range offsets {
 					b[off] = values[i]
 				}
-				p, err := conv.MapSymbolC(m, b)
-				if err != nil {
-					t.Fatal(err)
-				}
+				p := mapPoint(t, conv, m, b)
 				k := NormFactor(m)
 				power := (real(p)*real(p) + imag(p)*imag(p)) / (k * k)
 				if power < 1.99 || power > 2.01 {

@@ -2,133 +2,98 @@ package wifi
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"sledzig/internal/bits"
 )
 
-// Allocation-free hard demapping. Both conventions quantize each axis to
-// the nearest odd level independently and emit a deterministic bit pattern
-// per level, so the whole demap reduces to two table lookups per point.
-// The per-axis level->bits tables are built once per (convention,
-// modulation) from the same primitives the allocating demappers use, which
-// keeps the two paths identical by construction.
+// Demapping reads the constellation table one axis at a time. A hard
+// decision quantizes each coordinate to its nearest level and copies that
+// level's label bits into place. A max-log LLR searches the levels of the
+// one axis its bit depends on. None of it allocates.
 
-// hardDemapTable caches, per (convention, modulation), the per-axis bit
-// patterns of every quantization level plus the convention's placement of
-// axis bits within the subcarrier group.
-type hardDemapTable struct {
-	n     int     // bits per axis
-	norm  float64 // constellation normalization factor
-	paper bool    // interleaved I/Q placement (ConventionPaper)
-	// axis[l] holds the n axis bits of level index l (level = 2l - (2^n-1)).
-	axis [][]bits.Bit
-}
-
-var hardDemapCache sync.Map // map[struct{Convention; Modulation}]*hardDemapTable
-
-func hardDemap(c Convention, m Modulation) (*hardDemapTable, error) {
-	type key struct {
-		c Convention
-		m Modulation
-	}
-	if v, ok := hardDemapCache.Load(key{c, m}); ok {
-		return v.(*hardDemapTable), nil
-	}
-	if !m.Valid() {
+// demapTable returns the constellation for demapping npts points of m
+// into dst values, or the error naming the mismatch.
+func (c Convention) demapTable(m Modulation, npts, dst int, what string) (*constellation, error) {
+	t := c.table(m)
+	if t == nil {
 		return nil, fmt.Errorf("wifi: invalid modulation %d", int(m))
 	}
-	n := axisBits(m)
-	t := &hardDemapTable{
-		n:     n,
-		norm:  NormFactor(m),
-		paper: c == ConventionPaper && m != BPSK,
-		axis:  make([][]bits.Bit, 1<<n),
+	if bpsc := m.BitsPerSubcarrier(); dst != npts*bpsc {
+		return nil, fmt.Errorf("wifi: %s destination length %d != %d points x %d bits", what, dst, npts, bpsc)
 	}
-	for idx := range t.axis {
-		level := 2*idx - ((1 << n) - 1)
-		if t.paper {
-			// Sign bit then LTE amplitude bits.
-			ab := make([]bits.Bit, 0, n)
-			l := level
-			if l < 0 {
-				ab = append(ab, 1)
-				l = -l
-			} else {
-				ab = append(ab, 0)
-			}
-			t.axis[idx] = append(ab, lteAmplitudeBits(l, n-1)...)
-		} else {
-			t.axis[idx] = axisBitsFor(level, n)
-		}
-	}
-	hardDemapCache.Store(key{c, m}, t)
 	return t, nil
 }
 
-// levelIndex quantizes one axis value to its level index in [0, 2^n).
-func (t *hardDemapTable) levelIndex(v float64) int {
-	maxLevel := (1 << t.n) - 1
-	l := int(math.Round((v/t.norm-1)/2))*2 + 1
-	if l > maxLevel {
-		l = maxLevel
+// hard writes the labels of the levels nearest re and im into dst, the
+// group of one point.
+func (t *constellation) hard(dst []bits.Bit, re, im float64) {
+	lab := [2]uint8{t.axes[0].label[t.axes[0].quantize(re)], t.axes[1].label[t.axes[1].quantize(im)]}
+	for b, p := range t.place[:len(dst)] {
+		dst[b] = lab[p.axis] >> p.shift & 1
 	}
-	if l < -maxLevel {
-		l = -maxLevel
-	}
-	return (l + maxLevel) / 2
-}
-
-// DemapSymbolCInto hard-demaps one received point into dst, which must
-// hold m.BitsPerSubcarrier() bits. It produces exactly the bits of
-// DemapSymbolC without allocating.
-func (c Convention) DemapSymbolCInto(dst []bits.Bit, m Modulation, p complex128) error {
-	if m == BPSK {
-		if len(dst) != 1 {
-			return fmt.Errorf("wifi: %v expects 1 bit per point, got %d", m, len(dst))
-		}
-		if real(p) >= 0 {
-			dst[0] = 1
-		} else {
-			dst[0] = 0
-		}
-		return nil
-	}
-	t, err := hardDemap(c, m)
-	if err != nil {
-		return err
-	}
-	if len(dst) != 2*t.n {
-		return fmt.Errorf("wifi: %v expects %d bits per point, got %d", m, 2*t.n, len(dst))
-	}
-	iAxis := t.axis[t.levelIndex(real(p))]
-	qAxis := t.axis[t.levelIndex(imag(p))]
-	if t.paper {
-		for k := 0; k < t.n; k++ {
-			dst[2*k] = iAxis[k]
-			dst[2*k+1] = qAxis[k]
-		}
-		return nil
-	}
-	copy(dst[:t.n], iAxis)
-	copy(dst[t.n:], qAxis)
-	return nil
 }
 
 // DemapAllCInto hard-demaps a point sequence into dst as a flat bit
-// stream; dst must hold len(pts)*m.BitsPerSubcarrier() bits. No allocation.
+// stream; dst must hold len(pts)*m.BitsPerSubcarrier() bits.
+//
+//sledzig:noalloc
 func (c Convention) DemapAllCInto(dst []bits.Bit, m Modulation, pts []complex128) error {
-	bpsc := m.BitsPerSubcarrier()
-	if bpsc == 0 {
-		return fmt.Errorf("wifi: invalid modulation %d", int(m))
+	t, err := c.demapTable(m, len(pts), len(dst), "demap")
+	if err != nil {
+		return err
 	}
-	if len(dst) != len(pts)*bpsc {
-		return fmt.Errorf("wifi: demap destination length %d != %d points x %d bits", len(dst), len(pts), bpsc)
-	}
+	n := m.BitsPerSubcarrier()
 	for i, p := range pts {
-		if err := c.DemapSymbolCInto(dst[i*bpsc:(i+1)*bpsc], m, p); err != nil {
-			return err
+		t.hard(dst[i*n:(i+1)*n], real(p), imag(p))
+	}
+	return nil
+}
+
+// DemapAll64Into is DemapAllCInto on narrow points. Widening a float32 is
+// exact, so it decides exactly as DemapAllCInto does on the widened
+// points.
+//
+//sledzig:noalloc
+func (c Convention) DemapAll64Into(dst []bits.Bit, m Modulation, pts []complex64) error {
+	t, err := c.demapTable(m, len(pts), len(dst), "demap")
+	if err != nil {
+		return err
+	}
+	n := m.BitsPerSubcarrier()
+	for i, p := range pts {
+		t.hard(dst[i*n:(i+1)*n], float64(real(p)), float64(imag(p)))
+	}
+	return nil
+}
+
+// SoftDemapAll64Into writes max-log log-likelihood ratios for a narrow
+// point sequence into dst, m.BitsPerSubcarrier() per point (positive: bit
+// 0 more likely); dst must hold len(pts)*m.BitsPerSubcarrier() values.
+// The noise variance only scales the LLRs, which the Viterbi minimization
+// is invariant to, so it is fixed at 1.
+//
+// A bit's LLR is the least squared distance to a point with the bit set
+// minus the least to one with it clear. Each bit depends on one axis, so
+// each minimum is the least distance along that axis among levels with
+// the bit's value, plus the other axis's least distance. The search runs
+// in float32 and the two sums widen to float64. Float32 rounding is
+// monotone, so this equals a search over every point in float32, at 2·2^n
+// squared distances per point instead of 2^(2n).
+//
+//sledzig:noalloc
+func (c Convention) SoftDemapAll64Into(dst []float64, m Modulation, pts []complex64) error {
+	t, err := c.demapTable(m, len(pts), len(dst), "LLR")
+	if err != nil {
+		return err
+	}
+	n := m.BitsPerSubcarrier()
+	for i, p := range pts {
+		var lo [2][2][maxBitsPerSubcarrier / 2]float32
+		all := [2]float32{t.axes[0].nearest(real(p), &lo[0]), t.axes[1].nearest(imag(p), &lo[1])}
+		llr := dst[i*n : (i+1)*n]
+		for b, pl := range t.place[:n] {
+			a, other := &lo[pl.axis], all[1-pl.axis]
+			llr[b] = float64(a[1][pl.shift]+other) - float64(a[0][pl.shift]+other)
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package wifi
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sledzig/internal/bits"
@@ -11,8 +13,8 @@ var demapConventions = []Convention{ConventionIEEE, ConventionPaper}
 var demapModulations = []Modulation{BPSK, QPSK, QAM16, QAM64, QAM256}
 
 // TestDemapSymbolCIntoMatchesDemapSymbolC checks the table-driven hard
-// demapper against the original on noisy points, for every convention and
-// modulation.
+// demapper one point at a time against the per-point arithmetic it
+// replaced, on noisy points, for every convention and modulation.
 func TestDemapSymbolCIntoMatchesDemapSymbolC(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, c := range demapConventions {
@@ -25,7 +27,7 @@ func TestDemapSymbolCIntoMatchesDemapSymbolC(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.DemapSymbolCInto(dst, m, p); err != nil {
+				if err := c.DemapAllCInto(dst, m, []complex128{p}); err != nil {
 					t.Fatal(err)
 				}
 				if !bits.Equal(dst, want) {
@@ -42,12 +44,14 @@ func TestDemapAllCIntoMatchesDemapAllC(t *testing.T) {
 	for _, c := range demapConventions {
 		for _, m := range demapModulations {
 			pts := make([]complex128, NumDataSubcarriers)
+			var want []bits.Bit
 			for i := range pts {
 				pts[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			want, err := c.DemapAllC(m, pts)
-			if err != nil {
-				t.Fatal(err)
+				b, err := c.DemapSymbolC(m, pts[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, b...)
 			}
 			dst := make([]bits.Bit, len(pts)*m.BitsPerSubcarrier())
 			if err := c.DemapAllCInto(dst, m, pts); err != nil {
@@ -55,6 +59,120 @@ func TestDemapAllCIntoMatchesDemapAllC(t *testing.T) {
 			}
 			if !bits.Equal(dst, want) {
 				t.Fatalf("%v %v: sequence demap differs", c, m)
+			}
+		}
+	}
+}
+
+// oraclePoints returns the points the constellation table is checked on
+// for m: every ideal point; each axis's levels and decision boundaries,
+// their neighbours at both widths, 0, -0, tiny and far values, each
+// paired with itself and with a random coordinate on the other axis; and
+// random points around the constellation.
+func oraclePoints(rng *rand.Rand, m Modulation) []complex128 {
+	k := NormFactor(m)
+	top := 1<<axisBits(m) - 1
+	inf := math.Inf(1)
+	coords := []float64{0, math.Copysign(0, -1), 1e-17, -1e-17, 1e-40, -1e-40, 5, -5, 8, -8}
+	for l := -top - 1; l <= top+1; l++ { // odd l: levels; even l: boundaries, or past the edge
+		v := float64(l) * k
+		v32 := float32(v)
+		coords = append(coords, v, math.Nextafter(v, -inf), math.Nextafter(v, inf),
+			float64(v32), float64(math.Nextafter32(v32, float32(-inf))), float64(math.Nextafter32(v32, float32(inf))))
+	}
+	var pts []complex128
+	for _, v := range coords {
+		r := coords[rng.Intn(len(coords))]
+		pts = append(pts, complex(v, v), complex(v, r), complex(r, v))
+	}
+	pts = append(pts, pointTables[ConventionIEEE][m].points...)
+	for range 2000 {
+		pts = append(pts, complex(rng.NormFloat64()*0.8, rng.NormFloat64()*0.8))
+	}
+	return pts
+}
+
+// TestConstellationTableMatchesOracles checks every reader of the
+// constellation table against the per-point arithmetic and point searches
+// it replaced, under both conventions and every modulation: each label
+// maps to the oracle's point; hard decisions at both widths and the
+// nearest ideal point match the oracle's; LLRs equal the float32 search
+// over every point, non-finite where it is; and the significant bits are
+// the old builders', slice for slice.
+func TestConstellationTableMatchesOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	nonFinite := []complex64{complex(nan, 0), complex(0.3, nan), complex(inf, 0), complex(-1, -inf), complex(nan, inf), complex(3e30, 0)}
+	significant := [...]func(Modulation) ([]int, []bits.Bit){ConventionIEEE: ieeeSignificant, ConventionPaper: lteSignificant}
+	for _, c := range demapConventions {
+		for _, m := range demapModulations {
+			n := m.BitsPerSubcarrier()
+			labels := make([]bits.Bit, 0, n<<n)
+			for v := 0; v < 1<<n; v++ {
+				labels = append(labels, bits.FromUint(uint64(v), n)...)
+			}
+			mapped := make([]complex128, 1<<n)
+			if err := c.MapAllCInto(m, labels, mapped); err != nil {
+				t.Fatal(err)
+			}
+			for v, p := range mapped {
+				if want, _ := c.MapSymbolC(m, labels[v*n:(v+1)*n]); p != want {
+					t.Fatalf("%v %v: label %0*b maps to %v, oracle %v", c, m, n, v, p, want)
+				}
+			}
+
+			pts := oraclePoints(rng, m)
+			pts32 := make([]complex64, len(pts))
+			for i, p := range pts {
+				pts32[i] = complex64(p)
+			}
+			wide := make([]bits.Bit, len(pts)*n)
+			narrow := make([]bits.Bit, len(pts)*n)
+			if err := c.DemapAllCInto(wide, m, pts); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DemapAll64Into(narrow, m, pts32); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pts {
+				want, _ := c.DemapSymbolC(m, p)
+				if got := wide[i*n : (i+1)*n]; !bits.Equal(got, want) {
+					t.Fatalf("%v %v point %v: hard %v, oracle %v", c, m, p, got, want)
+				}
+				want, _ = c.DemapSymbolC(m, complex128(pts32[i]))
+				if got := narrow[i*n : (i+1)*n]; !bits.Equal(got, want) {
+					t.Fatalf("%v %v narrow point %v: hard %v, oracle %v", c, m, pts32[i], got, want)
+				}
+				ideal, _ := c.MapSymbolC(m, want)
+				if got := NearestIdealPoint(m, complex128(pts32[i])); got != ideal {
+					t.Fatalf("%v %v point %v: nearest %v, oracle %v", c, m, pts32[i], got, ideal)
+				}
+			}
+
+			pts32 = append(pts32, nonFinite...)
+			got := make([]float64, len(pts32)*n)
+			want := make([]float64, len(pts32)*n)
+			if err := c.SoftDemapAll64Into(got, m, pts32); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.softDemapSearch64Into(want, m, pts32); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+					t.Fatalf("%v %v point %v bit %d: LLR %g, oracle %g", c, m, pts32[i/n], i%n, got[i], want[i])
+				}
+			}
+			for i := len(got) - len(nonFinite)*n; i < len(got); i++ {
+				if !math.IsNaN(got[i]) && !math.IsInf(got[i], 0) {
+					t.Fatalf("%v %v point %v bit %d: finite LLR %g", c, m, pts32[i/n], i%n, got[i])
+				}
+			}
+
+			offsets, values := c.SignificantOffsetsC(m)
+			wantOff, wantVal := significant[c](m)
+			if !slices.Equal(offsets, wantOff) || !slices.Equal(values, wantVal) {
+				t.Fatalf("%v %v: significant bits %v = %v, oracle %v = %v", c, m, offsets, values, wantOff, wantVal)
 			}
 		}
 	}

@@ -2,31 +2,21 @@ package wifi
 
 import "math"
 
-// NearestIdealPoint returns the constellation point of m nearest to p.
-// Both conventions share the same square lattice (they differ only in bit
-// labels), so a hard demap followed by a remap reduces to quantizing each
-// axis to the nearest odd level — no table walk, no allocation.
+// NearestIdealPoint returns the constellation point of m nearest to p, or
+// 0 for an invalid modulation. Both conventions share one lattice (they
+// differ only in labels), so this is each axis quantized to its nearest
+// level.
 func NearestIdealPoint(m Modulation, p complex128) complex128 {
-	k := NormFactor(m)
-	if m == BPSK {
-		if real(p) >= 0 {
-			return complex(k, 0)
-		}
-		return complex(-k, 0)
+	if t := ConventionIEEE.table(m); t != nil {
+		return t.ideal(p)
 	}
-	n := axisBits(m)
-	maxLevel := (1 << n) - 1
-	quant := func(v float64) float64 {
-		l := int(math.Round((v/k-1)/2))*2 + 1
-		if l > maxLevel {
-			l = maxLevel
-		}
-		if l < -maxLevel {
-			l = -maxLevel
-		}
-		return float64(l)
-	}
-	return complex(quant(real(p))*k, quant(imag(p))*k)
+	return 0
+}
+
+// ideal returns the point of t nearest p.
+func (t *constellation) ideal(p complex128) complex128 {
+	i, q := &t.axes[0], &t.axes[1]
+	return complex(i.level[i.quantize(real(p))], q.level[q.quantize(imag(p))])
 }
 
 // SymbolEVM computes the per-symbol RMS error-vector magnitude of equalized
@@ -35,13 +25,14 @@ func NearestIdealPoint(m Modulation, p complex128) complex128 {
 // relative EVM. The result slice is the only allocation.
 func SymbolEVM(m Modulation, dataPoints [][]complex128) []float64 {
 	out := make([]float64, len(dataPoints))
-	if !m.Valid() {
+	t := ConventionIEEE.table(m)
+	if t == nil {
 		return out
 	}
 	for s, pts := range dataPoints {
 		var sum float64
 		for _, p := range pts {
-			d := p - NearestIdealPoint(m, p)
+			d := p - t.ideal(p)
 			sum += real(d)*real(d) + imag(d)*imag(d)
 		}
 		if len(pts) > 0 {

@@ -248,8 +248,8 @@ func TestGatherMatchesPunctureInterleave(t *testing.T) {
 		if !bits.Equal(s.inter, want) {
 			t.Fatalf("%v %v, %d symbols: gathered bits differ from puncture + interleave", c, mode, nSym)
 		}
-		wantPts, err := c.MapAllC(mode.Modulation, want)
-		if err != nil {
+		wantPts := make([]complex128, len(pts))
+		if err := c.MapAllCInto(mode.Modulation, want, wantPts); err != nil {
 			t.Fatal(err)
 		}
 		for i := range pts {

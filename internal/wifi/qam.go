@@ -1,17 +1,27 @@
 package wifi
 
 import (
-	"fmt"
 	"math"
 
 	"sledzig/internal/bits"
 )
 
-// 802.11 QAM constellations are square Gray mappings: each axis of a
-// 2^(2m)-QAM carries m bits, with the bit pattern for ascending amplitude
-// level i (levels -(2^m-1), ..., -1, 1, ..., 2^m-1) equal to the binary-
-// reflected Gray code of i read MSB first. BPSK maps its single bit to the
-// I axis only.
+// 802.11 QAM constellations are square: each axis of a 2^(2n)-QAM point
+// takes one of 2^n levels, the odd multiples -(2^n-1), ..., -1, 1, ...,
+// 2^n-1 of NormFactor, and carries n of the point's bits. BPSK maps its
+// single bit to the I axis only. The two conventions share these points
+// and differ only in their labels:
+//
+//   - ConventionIEEE labels the level of ascending index i with the
+//     binary-reflected Gray code of i, read MSB first, and sends the I
+//     axis's bits before the Q axis's.
+//   - ConventionPaper's LTE-style label is the complement of that Gray
+//     code (a sign bit, 1 for negative, then the amplitude bits), and I
+//     and Q bits alternate, sign bits first. BPSK is labeled as in IEEE.
+//
+// Every bit of a point thus depends on one axis only. Mapping, hard
+// decisions and max-log LLRs all work one axis at a time from the one
+// table below.
 
 // grayCode returns the binary-reflected Gray code of i.
 func grayCode(i int) int { return i ^ (i >> 1) }
@@ -54,118 +64,167 @@ func NormFactor(m Modulation) float64 {
 	}
 }
 
-// axisLevel maps n Gray-coded bits (MSB first) to the unnormalized
-// amplitude level.
-func axisLevel(b []bits.Bit) int {
-	g := int(bits.ToUint(b))
-	// Invert Gray code to recover the level index.
-	i := g
-	for shift := 1; shift < len(b); shift <<= 1 {
-		i ^= i >> shift
-	}
-	return 2*i - ((1 << len(b)) - 1)
+// maxBitsPerSubcarrier bounds N_BPSC (QAM-256 labels 8 bits per
+// subcarrier), and maxAxisLevels the levels of one axis.
+const (
+	maxBitsPerSubcarrier = 8
+	maxAxisLevels        = 1 << (maxBitsPerSubcarrier / 2)
+)
+
+// axis is one axis of a constellation: 1<<n levels, ascending by index.
+type axis struct {
+	n       int                    // label bits; BPSK's Q axis has none and the one level 0
+	norm    float64                // NormFactor of the modulation
+	sign    bool                   // BPSK's I axis: decide by sign alone
+	level   [maxAxisLevels]float64 // normalized level of each index
+	level32 [maxAxisLevels]float32 // level rounded for the narrow soft demapper
+	label   [maxAxisLevels]uint8   // label of each index, first-sent bit most significant
+	value   [maxAxisLevels]float64 // normalized level of each label, for the mapper
 }
 
-// axisBitsFor returns the Gray-coded bits (MSB first) for an unnormalized
-// level on an axis with n bits.
-func axisBitsFor(level, n int) []bits.Bit {
-	i := (level + (1 << n) - 1) / 2
-	return bits.FromUint(uint64(grayCode(i)), n)
+// quantize returns the index of the level nearest v. It is the package's
+// one decision rule: hard demapping, NearestIdealPoint and SymbolEVM all
+// read it. It rounds (v/norm-1)/2 half away from zero to pick an odd
+// multiple of norm, then clamps it to the axis. BPSK keeps 802.11's sign
+// rule instead, which sends 0 and -0 to +1 where rounding would send
+// them to -1.
+func (a *axis) quantize(v float64) int {
+	if a.sign {
+		if v >= 0 {
+			return 1
+		}
+		return 0
+	}
+	top := 1<<a.n - 1
+	l := int(math.Round((v/a.norm-1)/2))*2 + 1
+	return (max(-top, min(l, top)) + top) / 2
 }
 
-// MapSymbol maps one subcarrier's worth of bits (N_BPSC of them) to a
-// normalized constellation point.
-func MapSymbol(m Modulation, b []bits.Bit) (complex128, error) {
-	if len(b) != m.BitsPerSubcarrier() {
-		return 0, fmt.Errorf("wifi: %v expects %d bits per point, got %d", m, m.BitsPerSubcarrier(), len(b))
+// nearest returns the least squared distance from v to any level, and
+// fills lo[b][s] with the least over the levels whose label bit s is b.
+// It compares with <, so a NaN distance never wins and a NaN v leaves
+// every minimum at +Inf.
+func (a *axis) nearest(v float32, lo *[2][maxBitsPerSubcarrier / 2]float32) float32 {
+	inf := float32(math.Inf(1))
+	all := inf
+	for s := 0; s < a.n; s++ {
+		lo[0][s], lo[1][s] = inf, inf
 	}
-	k := NormFactor(m)
-	if m == BPSK {
-		return complex(float64(axisLevel(b))*k, 0), nil
+	for i, lv := range a.level32[:1<<a.n] {
+		d := v - lv
+		sq := d * d
+		if sq < all {
+			all = sq
+		}
+		for s, lab := 0, a.label[i]; s < a.n; s, lab = s+1, lab>>1 {
+			if sq < lo[lab&1][s] {
+				lo[lab&1][s] = sq
+			}
+		}
 	}
-	n := axisBits(m)
-	i := axisLevel(b[:n])
-	q := axisLevel(b[n:])
-	return complex(float64(i)*k, float64(q)*k), nil
+	return all
 }
 
-// DemapSymbol performs a hard decision on a received point, returning the
-// nearest constellation point's bits.
-func DemapSymbol(m Modulation, p complex128) ([]bits.Bit, error) {
+// place locates one bit of a subcarrier's group: its axis (0 for I, 1 for
+// Q) and the bit's shift within that axis's label.
+type place struct{ axis, shift uint8 }
+
+// constellation is one (convention, modulation) entry of constellations.
+type constellation struct {
+	axes  [2]axis                     // I, Q
+	place [maxBitsPerSubcarrier]place // of each of the N_BPSC bits, in order
+
+	// SignificantOffsetsC's result. The slices are views of the arrays
+	// below, clipped to their length so a caller's append copies instead
+	// of writing into the table.
+	offsets []int
+	values  []bits.Bit
+	offBuf  [maxBitsPerSubcarrier]int
+	valBuf  [maxBitsPerSubcarrier]bits.Bit
+}
+
+// constellations holds every modulation's constellation under both
+// conventions, constellations[c][m]. It is built once at package init in
+// fixed-size arrays, so it stays off the heap and needs no lock.
+var constellations [ConventionPaper + 1][QAM256 + 1]constellation
+
+func init() {
+	for c := ConventionIEEE; c <= ConventionPaper; c++ {
+		for m := BPSK; m <= QAM256; m++ {
+			constellations[c][m].build(m, c == ConventionPaper && m != BPSK)
+		}
+	}
+}
+
+// build fills t with m's constellation, under the paper's LTE-style
+// labels when lte is set and IEEE's otherwise.
+func (t *constellation) build(m Modulation, lte bool) {
+	n, bpsc := axisBits(m), m.BitsPerSubcarrier()
+	for a := range t.axes {
+		x := &t.axes[a]
+		x.n, x.norm, x.sign = n, NormFactor(m), m == BPSK && a == 0
+		if m == BPSK && a == 1 {
+			x.n = 0
+		}
+		top := 1<<x.n - 1
+		for i := 0; i <= top; i++ {
+			lab := uint8(grayCode(i))
+			if lte {
+				lab ^= uint8(top)
+			}
+			x.level[i] = float64(2*i-top) * x.norm
+			x.level32[i] = float32(x.level[i])
+			x.label[i], x.value[lab] = lab, x.level[i]
+		}
+	}
+	// IEEE sends the I axis's n bits, then Q's; the paper's labels
+	// alternate I and Q bits, signs first. The significant bits pin a
+	// point to the lowest-power ring, |I| = |Q| = 1, while its sign bits
+	// stay free to carry payload: they are the label bits equal at levels
+	// -1 and +1, in ascending offset order.
+	k := 0
+	for b := range bpsc {
+		a, s := b/n, n-1-b%n
+		if lte {
+			a, s = b%2, n-1-b/2
+		}
+		t.place[b] = place{uint8(a), uint8(s)}
+		x := &t.axes[a]
+		mid := (1<<x.n - 1) / 2 // index of level -1; mid+1 is +1
+		if neg, pos := x.label[mid], x.label[mid+1]; (neg^pos)>>s&1 == 0 {
+			t.offBuf[k], t.valBuf[k] = b, neg>>s&1
+			k++
+		}
+	}
+	t.offsets, t.values = t.offBuf[:k:k], t.valBuf[:k:k]
+}
+
+// table returns the constellation of m under c's labeling, or nil for an
+// invalid modulation. Every value but ConventionIEEE reads as the paper's.
+func (c Convention) table(m Modulation) *constellation {
 	if !m.Valid() {
-		return nil, fmt.Errorf("wifi: invalid modulation %d", int(m))
+		return nil
 	}
-	k := NormFactor(m)
-	if m == BPSK {
-		if real(p) >= 0 {
-			return []bits.Bit{1}, nil
-		}
-		return []bits.Bit{0}, nil
+	if c != ConventionIEEE {
+		c = ConventionPaper
 	}
-	n := axisBits(m)
-	maxLevel := (1 << n) - 1
-	quant := func(v float64) int {
-		// Round to the nearest odd level in [-maxLevel, maxLevel].
-		l := int(math.Round((v/k-1)/2))*2 + 1
-		if l > maxLevel {
-			l = maxLevel
-		}
-		if l < -maxLevel {
-			l = -maxLevel
-		}
-		return l
-	}
-	out := make([]bits.Bit, 0, 2*n)
-	out = append(out, axisBitsFor(quant(real(p)), n)...)
-	out = append(out, axisBitsFor(quant(imag(p)), n)...)
-	return out, nil
-}
-
-// MapAll maps a whole interleaved bit stream (length a multiple of N_BPSC)
-// to constellation points.
-func MapAll(m Modulation, in []bits.Bit) ([]complex128, error) {
-	bpsc := m.BitsPerSubcarrier()
-	if len(in)%bpsc != 0 {
-		return nil, fmt.Errorf("wifi: bit stream length %d not a multiple of N_BPSC %d", len(in), bpsc)
-	}
-	out := make([]complex128, 0, len(in)/bpsc)
-	for off := 0; off < len(in); off += bpsc {
-		p, err := MapSymbol(m, in[off:off+bpsc])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// DemapAll hard-demaps a sequence of received points.
-func DemapAll(m Modulation, pts []complex128) ([]bits.Bit, error) {
-	out := make([]bits.Bit, 0, len(pts)*m.BitsPerSubcarrier())
-	for _, p := range pts {
-		b, err := DemapSymbol(m, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-	}
-	return out, nil
+	return &constellations[c][m]
 }
 
 // AveragePower returns the mean unnormalized constellation power
 // (10 for QAM-16, 42 for QAM-64, 170 for QAM-256).
 func AveragePower(m Modulation) float64 {
 	n := axisBits(m)
-	var axis float64
+	var pow float64
 	for i := 0; i < 1<<n; i++ {
 		l := float64(2*i - ((1 << n) - 1))
-		axis += l * l
+		pow += l * l
 	}
-	axis /= float64(int(1) << n)
+	pow /= float64(int(1) << n)
 	if m == BPSK {
-		return axis
+		return pow
 	}
-	return 2 * axis
+	return 2 * pow
 }
 
 // LowestPower returns the unnormalized power of the four lowest points
@@ -182,62 +241,4 @@ func LowestPower(m Modulation) float64 {
 // 7.0 dB (QAM-16), 13.2 dB (QAM-64), 19.3 dB (QAM-256).
 func PowerReductionDB(m Modulation) float64 {
 	return 10 * math.Log10(AveragePower(m)/LowestPower(m))
-}
-
-// significantTable holds SignificantOffsetsC per convention and
-// modulation. Its slices are views of each entry's own arrays, so the
-// table stays off the heap, each clipped to its length so a caller's
-// append copies instead of writing into the table.
-var significantTable [ConventionPaper + 1][QAM256 + 1]struct {
-	offsets []int
-	values  []bits.Bit
-	offBuf  [8]int
-	valBuf  [8]bits.Bit
-}
-
-func init() {
-	build := [...]func(Modulation) ([]int, []bits.Bit){ConventionIEEE: ieeeSignificant, ConventionPaper: lteSignificant}
-	for m := BPSK; m <= QAM256; m++ {
-		for c := range build {
-			offsets, values := build[c](m)
-			t, n := &significantTable[c][m], len(offsets)
-			t.offsets, t.values = t.offBuf[:n:n], t.valBuf[:n:n]
-			copy(t.offsets, offsets)
-			copy(t.values, values)
-		}
-	}
-}
-
-// ieeeSignificant returns, for one constellation point of m under the
-// IEEE Gray labeling, the bit offsets within the N_BPSC-bit group that
-// must be pinned to force the point onto the lowest-power ring (|I| = |Q|
-// = 1), together with the required values. The first bit of each axis
-// (the sign bit) stays free, which is what lets SledZig keep carrying
-// payload on pinned subcarriers.
-//
-// Levels -1 and +1 share the axis suffix "1 0 ... 0"; so for QAM-16 one
-// bit per axis is pinned to 1, for QAM-64 two bits per axis are pinned to
-// (1, 0), for QAM-256 three bits per axis to (1, 0, 0) — matching the
-// paper's Table I counts of 2/4/6.
-func ieeeSignificant(m Modulation) (offsets []int, values []bits.Bit) {
-	n := axisBits(m)
-	if m == BPSK || n < 2 {
-		return nil, nil // every point already has |I| = 1
-	}
-	// Verify the suffix claim against the Gray mapping rather than assuming
-	// it: compute the common suffix of levels -1 and +1.
-	low := axisBitsFor(-1, n)
-	high := axisBitsFor(1, n)
-	for off := 1; off < n; off++ {
-		if low[off] != high[off] {
-			panic("wifi: Gray mapping violated inner-ring suffix invariant")
-		}
-	}
-	for axis := 0; axis < 2; axis++ {
-		for off := 1; off < n; off++ {
-			offsets = append(offsets, axis*n+off)
-			values = append(values, low[off])
-		}
-	}
-	return offsets, values
 }

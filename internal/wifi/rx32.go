@@ -19,7 +19,7 @@ import (
 //     per point — complex division is by far the slowest primitive in the
 //     loop;
 //   - the max-log soft demapper accumulates its distance search in
-//     float32 (see demap32.go), which the LLR subtraction then widens.
+//     float32 (see demap.go), which the LLR subtraction then widens.
 //
 // Precision: one float32 rounding per input sample plus ~6 butterfly
 // stages and one multiply leaves the equalized constellation points
@@ -35,12 +35,8 @@ import (
 // signalled mode.
 func decodeSignalSymbolInto32(s *rxScratch) (Mode, int, error) {
 	s.symBits = grow(s.symBits, NumDataSubcarriers)
-	for i, p := range s.pts32 {
-		if real(p) >= 0 {
-			s.symBits[i] = 1
-		} else {
-			s.symBits[i] = 0
-		}
+	if err := ConventionIEEE.DemapAll64Into(s.symBits, signalMode.Modulation, s.pts32); err != nil {
+		return Mode{}, 0, err
 	}
 	return s.decodeSignal()
 }

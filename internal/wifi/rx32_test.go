@@ -157,9 +157,11 @@ func TestDemap64MatchesWide(t *testing.T) {
 	}
 }
 
-// FuzzDemap64RoundTrip drives both demappers with arbitrary point
-// coordinates: the hard demaps must agree exactly, the soft LLRs to
-// float32 rounding scale.
+// FuzzDemap64RoundTrip drives the table's demappers with arbitrary point
+// coordinates: the narrow and wide hard demaps must agree exactly with
+// each other and the per-point oracle, the narrow LLRs exactly with the
+// float32 search over every point and to float32 rounding scale with the
+// float64 one.
 func FuzzDemap64RoundTrip(f *testing.F) {
 	f.Add(float32(0.3), float32(-0.9), uint8(2), uint8(0))
 	f.Add(float32(-1.1), float32(1.1), uint8(4), uint8(1))
@@ -190,11 +192,22 @@ func FuzzDemap64RoundTrip(f *testing.F) {
 		if !bits.Equal(got, want) {
 			t.Fatalf("%v %v (%g,%g): hard demap narrow %v != wide %v", c, m, re, im, got, want)
 		}
+		if oracle, _ := c.DemapSymbolC(m, p64[0]); !bits.Equal(got, oracle) {
+			t.Fatalf("%v %v (%g,%g): hard demap %v != oracle %v", c, m, re, im, got, oracle)
+		}
 
 		gotL := make([]float64, bpsc)
 		wantL := make([]float64, bpsc)
 		if err := c.SoftDemapAll64Into(gotL, m, p32); err != nil {
 			t.Fatal(err)
+		}
+		if err := c.softDemapSearch64Into(wantL, m, p32); err != nil {
+			t.Fatal(err)
+		}
+		for b := range gotL {
+			if gotL[b] != wantL[b] {
+				t.Fatalf("%v %v (%g,%g): LLR bit %d %g != float32 search %g", c, m, re, im, b, gotL[b], wantL[b])
+			}
 		}
 		if err := c.SoftDemapAllInto(wantL, m, p64); err != nil {
 			t.Fatal(err)

@@ -179,11 +179,11 @@ func DecodeSignalSymbol(pts []complex128) (Mode, int, error) {
 	if len(pts) != NumDataSubcarriers {
 		return Mode{}, 0, fmt.Errorf("wifi: SIGNAL symbol has %d points, want %d", len(pts), NumDataSubcarriers)
 	}
-	rx, err := DemapAll(signalMode.Modulation, pts)
-	if err != nil {
+	var rx [NumDataSubcarriers]bits.Bit
+	if err := ConventionIEEE.DemapAllCInto(rx[:], signalMode.Modulation, pts); err != nil {
 		return Mode{}, 0, err
 	}
-	return (&rxScratch{symBits: rx}).decodeSignal()
+	return (&rxScratch{symBits: rx[:]}).decodeSignal()
 }
 
 // decodeSignal decodes the SIGNAL field from s.symBits, the symbol's 48

@@ -12,22 +12,24 @@ func TestSoftDemapSignsMatchHardDecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, conv := range []Convention{ConventionIEEE, ConventionPaper} {
 		for _, m := range []Modulation{QPSK, QAM16, QAM64, QAM256} {
-			for trial := 0; trial < 50; trial++ {
-				p := complex(rng.NormFloat64(), rng.NormFloat64())
-				hard, err := conv.DemapSymbolC(m, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				soft := make([]float64, m.BitsPerSubcarrier())
-				if err := conv.SoftDemapSymbolInto(soft, m, p); err != nil {
-					t.Fatal(err)
-				}
-				for b := range hard {
-					wantNeg := hard[b] == 1 // bit 1 => LLR <= 0
-					if soft[b] != 0 && (soft[b] < 0) != wantNeg {
-						t.Fatalf("%v %v: bit %d hard=%d but LLR=%g (point %v)",
-							conv, m, b, hard[b], soft[b], p)
-					}
+			n := m.BitsPerSubcarrier()
+			pts := make([]complex64, 50)
+			for i := range pts {
+				pts[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+			}
+			hard := make([]bits.Bit, len(pts)*n)
+			soft := make([]float64, len(pts)*n)
+			if err := conv.DemapAll64Into(hard, m, pts); err != nil {
+				t.Fatal(err)
+			}
+			if err := conv.SoftDemapAll64Into(soft, m, pts); err != nil {
+				t.Fatal(err)
+			}
+			for b := range hard {
+				wantNeg := hard[b] == 1 // bit 1 => LLR <= 0
+				if soft[b] != 0 && (soft[b] < 0) != wantNeg {
+					t.Fatalf("%v %v: bit %d hard=%d but LLR=%g (point %v)",
+						conv, m, b%n, hard[b], soft[b], pts[b/n])
 				}
 			}
 		}
@@ -39,12 +41,9 @@ func TestSoftDemapCleanPointsAreConfident(t *testing.T) {
 		n := m.BitsPerSubcarrier()
 		for v := 0; v < 1<<n; v++ {
 			label := bits.FromUint(uint64(v), n)
-			p, err := ConventionIEEE.MapSymbolC(m, label)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := mapPoint(t, ConventionIEEE, m, label)
 			llrs := make([]float64, n)
-			if err := ConventionIEEE.SoftDemapSymbolInto(llrs, m, p); err != nil {
+			if err := ConventionIEEE.SoftDemapAll64Into(llrs, m, []complex64{complex64(p)}); err != nil {
 				t.Fatal(err)
 			}
 			for b, l := range llrs {

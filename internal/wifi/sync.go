@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-
-	"sledzig/internal/dsp"
 )
 
 // Frame synchronization for captures that do not begin at the PPDU's
@@ -85,7 +83,7 @@ func (s Synchronizer) detectCoarse(capture []complex128) (int, error) {
 // refineWithLTS cross-correlates the known LTS around the coarse estimate
 // and back-computes the PPDU start.
 func (s Synchronizer) refineWithLTS(capture []complex128, coarse int) (int, error) {
-	ref := dsp.MustIFFT(ltsFreq())
+	ref := preamble()[192 : 192+NumSubcarriers] // one LTS period, synthesized once
 	var refEnergy float64
 	for _, v := range ref {
 		refEnergy += real(v)*real(v) + imag(v)*imag(v)

@@ -272,6 +272,26 @@ func TestInterleaveRoundTrip(t *testing.T) {
 	})
 }
 
+// mapPoint maps one bit group through the production mapper.
+func mapPoint(t *testing.T, c Convention, m Modulation, b []bits.Bit) complex128 {
+	t.Helper()
+	var p [1]complex128
+	if err := c.MapAllCInto(m, b, p[:]); err != nil {
+		t.Fatal(err)
+	}
+	return p[0]
+}
+
+// demapPoint hard-demaps one point through the production demapper.
+func demapPoint(t *testing.T, c Convention, m Modulation, p complex128) []bits.Bit {
+	t.Helper()
+	out := make([]bits.Bit, m.BitsPerSubcarrier())
+	if err := c.DemapAllCInto(out, m, []complex128{p}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestQAMGrayMapping16(t *testing.T) {
 	// 802.11 Table 18-10: b0b1 -> I in {-3,-1,1,3} as 00,01,11,10.
 	k := NormFactor(QAM16)
@@ -283,12 +303,8 @@ func TestQAMGrayMapping16(t *testing.T) {
 		{1, 1, 0, 0}: complex(1*k, -3*k),
 	}
 	for in, want := range cases {
-		got, err := MapSymbol(QAM16, in[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cmplx.Abs(got-want) > 1e-12 {
-			t.Errorf("MapSymbol(QAM16, %v) = %v, want %v", in, got, want)
+		if got := mapPoint(t, ConventionIEEE, QAM16, in[:]); cmplx.Abs(got-want) > 1e-12 {
+			t.Errorf("map(QAM16, %v) = %v, want %v", in, got, want)
 		}
 	}
 }
@@ -298,15 +314,8 @@ func TestQAMRoundTripAllPoints(t *testing.T) {
 		n := m.BitsPerSubcarrier()
 		for v := 0; v < 1<<n; v++ {
 			in := bits.FromUint(uint64(v), n)
-			p, err := MapSymbol(m, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := DemapSymbol(m, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bits.Equal(in, out) {
+			p := mapPoint(t, ConventionIEEE, m, in)
+			if out := demapPoint(t, ConventionIEEE, m, p); !bits.Equal(in, out) {
 				t.Fatalf("%v: point %s demapped to %s", m, bits.String(in), bits.String(out))
 			}
 		}
@@ -318,10 +327,7 @@ func TestQAMUnitAveragePower(t *testing.T) {
 		n := m.BitsPerSubcarrier()
 		var sum float64
 		for v := 0; v < 1<<n; v++ {
-			p, err := MapSymbol(m, bits.FromUint(uint64(v), n))
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := mapPoint(t, ConventionIEEE, m, bits.FromUint(uint64(v), n))
 			sum += real(p)*real(p) + imag(p)*imag(p)
 		}
 		avg := sum / float64(int(1)<<n)
@@ -364,10 +370,7 @@ func TestSignificantOffsetsForceLowestRing(t *testing.T) {
 			for i, off := range offsets {
 				b[off] = values[i]
 			}
-			p, err := MapSymbol(m, b)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := mapPoint(t, ConventionIEEE, m, b)
 			power := (real(p)*real(p) + imag(p)*imag(p)) / (NormFactor(m) * NormFactor(m))
 			if math.Abs(power-2) > 1e-9 {
 				t.Fatalf("%v: pinned point %v has unnormalized power %g, want 2", m, p, power)
@@ -513,33 +516,36 @@ func TestSignalFieldMatchesBuilder(t *testing.T) {
 }
 
 // TestAppendWaveformDoesNotAllocate pins rendering into a buffer of
-// sufficient capacity at zero allocations: the SIGNAL field is a value
-// and every intermediate buffer is pooled.
+// sufficient capacity at zero allocations under both conventions: the
+// SIGNAL field is a value, every intermediate buffer is pooled, and the
+// mapper reads a static table.
 func TestAppendWaveformDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled path: sync.Pool drops Puts under -race")
 	}
-	frame, err := Transmitter{Mode: Mode{QAM64, Rate34}}.Frame(bits.RandomBytes(rand.New(rand.NewSource(7)), 1500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]complex128, 0, PreambleLength+(1+frame.NumSymbols)*SymbolLength)
-	if buf, err = frame.AppendWaveform(buf); err != nil { // warm the pools
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(20, func() {
-		if buf, err = frame.AppendWaveform(buf[:0]); err != nil {
+	for _, c := range []Convention{ConventionIEEE, ConventionPaper} {
+		frame, err := Transmitter{Mode: Mode{QAM64, Rate34}, Convention: c}.Frame(bits.RandomBytes(rand.New(rand.NewSource(7)), 1500))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Errorf("AppendWaveform allocates %.1f times per frame, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(20, func() {
-		if buf, err = frame.AppendDataWaveform(buf[:0]); err != nil {
+		buf := make([]complex128, 0, PreambleLength+(1+frame.NumSymbols)*SymbolLength)
+		if buf, err = frame.AppendWaveform(buf); err != nil { // warm the pools
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Errorf("AppendDataWaveform allocates %.1f times per frame, want 0", avg)
+		if avg := testing.AllocsPerRun(20, func() {
+			if buf, err = frame.AppendWaveform(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%v: AppendWaveform allocates %.1f times per frame, want 0", c, avg)
+		}
+		if avg := testing.AllocsPerRun(20, func() {
+			if buf, err = frame.AppendDataWaveform(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%v: AppendDataWaveform allocates %.1f times per frame, want 0", c, avg)
+		}
 	}
 }
 
