@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"sledzig/internal/codec"
+	"sledzig/internal/obs/trace"
 	"sledzig/internal/wifi"
 )
 
@@ -138,6 +141,46 @@ func TestFacadeCodecRoundTrip(t *testing.T) {
 				t.Fatalf("DecodeResult.Codec = %q, want %q", res.Codec, name)
 			}
 		})
+	}
+}
+
+// panicCodec is a backend whose Encode panics on the payload "boom".
+// Methods it does not override are never called here.
+type panicCodec struct{ codec.Codec }
+
+func (panicCodec) SetTrace(*trace.Frame) {}
+
+func (panicCodec) Encode(payload []byte) (*codec.Encoded, error) {
+	if string(payload) == "boom" {
+		panic("backend bug")
+	}
+	return &codec.Encoded{}, nil
+}
+
+// TestEncoderUnlocksAfterBackendPanic: a backend that panics must not leave
+// the Encoder locked, or every later Encode on it blocks forever.
+func TestEncoderUnlocksAfterBackendPanic(t *testing.T) {
+	enc := &Encoder{cfg: Config{Channel: CH2, Codec: "panicky"}, cdc: panicCodec{}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the backend panic did not reach the caller")
+			}
+		}()
+		enc.Encode([]byte("boom"))
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := enc.Encode([]byte("ok"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Encode after a recovered panic: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Encode still blocked 1 s after a recovered backend panic")
 	}
 }
 

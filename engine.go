@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"sledzig/internal/codec"
 	"sledzig/internal/core"
 	"sledzig/internal/engine"
 )
@@ -117,15 +118,41 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return &Engine{e: e, codec: cfg.Codec}, nil
 }
 
-// frameFromProduct maps an engine product to the public Frame.
-func (e *Engine) frameFromProduct(p *engine.Product) *Frame {
-	if p == nil {
+// frame maps an engine encode result onto the public Frame; a failed
+// frame's zero result maps to nil.
+func (e *Engine) frame(p engine.Product) *Frame {
+	switch {
+	case p.Generic != nil:
+		return &Frame{enc: p.Generic, cdc: e.codec}
+	case p.Core != nil:
+		return &Frame{res: p.Core}
+	}
+	return nil
+}
+
+// result maps an engine decode result onto the public DecodeResult; a
+// failed frame's nil result maps to nil.
+func (e *Engine) result(d *codec.Decoded) *DecodeResult {
+	if d == nil {
 		return nil
 	}
-	if p.Generic != nil {
-		return &Frame{enc: p.Generic, cdc: e.codec}
-	}
-	return &Frame{res: p.Core}
+	return resultFrom(e.codec, d)
+}
+
+// relay forwards an engine stream to the public one through conv. It keeps
+// draining after ctx ends so the inner stream can finish.
+func relay[R, P any](ctx context.Context, src <-chan engine.Outcome[R], conv func(engine.Outcome[R]) P) <-chan P {
+	out := make(chan P)
+	go func() {
+		defer close(out)
+		for o := range src {
+			select {
+			case out <- conv(o):
+			case <-ctx.Done():
+			}
+		}
+	}()
+	return out
 }
 
 // Workers returns the resolved worker count.
@@ -142,7 +169,7 @@ func (e *Engine) EncodeBatch(ctx context.Context, payloads [][]byte) ([]*Frame, 
 	}
 	frames := make([]*Frame, len(results))
 	for i, r := range results {
-		frames[i] = e.frameFromProduct(r)
+		frames[i] = e.frame(r)
 	}
 	return frames, nil
 }
@@ -164,10 +191,7 @@ func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []EncodeOutc
 	results := e.e.EncodeEach(ctx, payloads)
 	out := make([]EncodeOutcome, len(results))
 	for i, r := range results {
-		out[i].Err = wrapEncodeErr(r.Err)
-		if r.Result != nil {
-			out[i].Frame = e.frameFromProduct(r.Result)
-		}
+		out[i] = EncodeOutcome{Frame: e.frame(r.Result), Err: wrapEncodeErr(r.Err)}
 	}
 	return out
 }
@@ -186,23 +210,9 @@ type StreamFrame struct {
 // after in closes (and all work drains) or ctx is cancelled. A stalled
 // consumer backpressures the producer through the bounded queues.
 func (e *Engine) Stream(ctx context.Context, in <-chan []byte) <-chan StreamFrame {
-	src := e.e.Stream(ctx, in)
-	out := make(chan StreamFrame)
-	go func() {
-		defer close(out)
-		for r := range src {
-			sf := StreamFrame{Index: r.Index, Err: wrapEncodeErr(r.Err)}
-			if r.Result != nil {
-				sf.Frame = e.frameFromProduct(r.Result)
-			}
-			select {
-			case out <- sf:
-			case <-ctx.Done():
-				// Keep draining so the inner stream can finish.
-			}
-		}
-	}()
-	return out
+	return relay(ctx, e.e.Stream(ctx, in), func(o engine.Outcome[engine.Product]) StreamFrame {
+		return StreamFrame{Index: o.Index, Frame: e.frame(o.Result), Err: wrapEncodeErr(o.Err)}
+	})
 }
 
 // DecodeBatch decodes every PPDU waveform across the pool and returns the
@@ -218,7 +228,7 @@ func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*
 	}
 	out := make([]*DecodeResult, len(results))
 	for i, r := range results {
-		out[i] = resultFrom(e.codec, r)
+		out[i] = e.result(r)
 	}
 	return out, nil
 }
@@ -238,10 +248,7 @@ func (e *Engine) DecodeEach(ctx context.Context, waveforms [][]complex128) []Dec
 	results := e.e.DecodeEach(ctx, waveforms)
 	out := make([]DecodeOutcome, len(results))
 	for i, r := range results {
-		out[i].Err = wrapDecodeErr(r.Err)
-		if r.Result != nil {
-			out[i].Result = resultFrom(e.codec, r.Result)
-		}
+		out[i] = DecodeOutcome{Result: e.result(r.Result), Err: wrapDecodeErr(r.Err)}
 	}
 	return out
 }
@@ -260,23 +267,9 @@ type DecodeStreamFrame struct {
 // after in closes (and all work drains) or ctx is cancelled. A stalled
 // consumer backpressures the producer through the bounded queues.
 func (e *Engine) DecodeStream(ctx context.Context, in <-chan []complex128) <-chan DecodeStreamFrame {
-	src := e.e.DecodeStream(ctx, in)
-	out := make(chan DecodeStreamFrame)
-	go func() {
-		defer close(out)
-		for r := range src {
-			sf := DecodeStreamFrame{Index: r.Index, Err: wrapDecodeErr(r.Err)}
-			if r.Result != nil {
-				sf.Result = resultFrom(e.codec, r.Result)
-			}
-			select {
-			case out <- sf:
-			case <-ctx.Done():
-				// Keep draining so the inner stream can finish.
-			}
-		}
-	}()
-	return out
+	return relay(ctx, e.e.DecodeStream(ctx, in), func(o engine.Outcome[*codec.Decoded]) DecodeStreamFrame {
+		return DecodeStreamFrame{Index: o.Index, Result: e.result(o.Result), Err: wrapDecodeErr(o.Err)}
+	})
 }
 
 // Close stops accepting work, waits for in-flight frames, and releases the

@@ -28,7 +28,7 @@ func TestSubmitQueueWaitSheds(t *testing.T) {
 	var done sync.WaitGroup
 	var mu sync.Mutex
 	outcomes := map[int]error{}
-	deliver := func(idx int, res *Product, err error) {
+	deliver := func(idx int, r result, err error) {
 		mu.Lock()
 		outcomes[idx] = err
 		mu.Unlock()
@@ -184,7 +184,7 @@ func TestSubmitBlockingContractPreserved(t *testing.T) {
 	defer e.Close()
 	entered, release := stallHook(t)
 
-	var outs []EncodeOutcome
+	var outs []Outcome[Product]
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

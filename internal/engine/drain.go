@@ -183,11 +183,7 @@ func (e *Engine) closeShedding() {
 // failJob delivers err to the job's caller and finishes its trace.
 func (e *Engine) failJob(j *job, err error) {
 	j.tr.Finish(err)
-	if j.deliverDec != nil {
-		j.deliverDec(j.idx, nil, err)
-	} else if j.deliver != nil {
-		j.deliver(j.idx, nil, err)
-	}
+	j.deliver(j.idx, result{}, err)
 	if j.done != nil {
 		j.done.Done()
 	}

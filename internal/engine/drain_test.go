@@ -34,7 +34,7 @@ func TestDrainFlushesCleanly(t *testing.T) {
 	}
 	entered, release := stallHook(t)
 
-	var outs []EncodeOutcome
+	var outs []Outcome[Product]
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -85,7 +85,7 @@ func TestDrainDeadlineShedsQueued(t *testing.T) {
 	}
 	entered, release := stallHook(t)
 
-	var outs []EncodeOutcome
+	var outs []Outcome[Product]
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

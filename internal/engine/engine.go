@@ -115,10 +115,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one unit of work in flight — an encode (payload set) or a decode
-// (waveform set). Exactly one deliver callback is non-nil and is called
-// exactly once with the outcome, then done (when set) is released.
+// job is one unit of work in flight: an encode (payload set) or a decode
+// (decode true, waveform set). deliver is called exactly once with the
+// outcome, then done (when set) is released.
 type job struct {
+	decode   bool
 	payload  []byte
 	waveform []complex128
 	idx      int
@@ -127,9 +128,8 @@ type job struct {
 	// PHY — cancellation drains a full queue at channel speed.
 	ctx context.Context
 
-	deliver    func(idx int, res *Product, err error)
-	deliverDec func(idx int, res *codec.Decoded, err error)
-	done       *sync.WaitGroup
+	deliver func(idx int, r result, err error)
+	done    *sync.WaitGroup
 
 	// probe marks a frame admitted as a half-open circuit-breaker trial;
 	// its outcome (or shed) must hand the probe slot back.
@@ -139,6 +139,13 @@ type job struct {
 	// submission, marked Enqueued/Dequeued around the queue hop, threaded
 	// into the PHY pipelines for stage spans, and finished by the worker.
 	tr *trace.Frame
+}
+
+// result is one frame's product: enc for an encode, dec for a decode. A
+// failed frame's result is zero.
+type result struct {
+	enc Product
+	dec *codec.Decoded
 }
 
 // Engine is a fixed pool of encoder workers sharing one cached plan.
@@ -284,82 +291,106 @@ func SetFrameHook(h func(FrameHookInfo)) {
 
 // strike runs the frame hooks for one frame; called inside the guarded
 // section so an injected panic or stall is contained like a real one.
-func (e *Engine) strike(j *job, decode bool) {
+func (e *Engine) strike(j *job) {
 	if h := testFrameHook; h != nil {
 		h(j)
 	}
 	if hp := frameHook.Load(); hp != nil {
-		(*hp)(FrameHookInfo{Codec: e.cfg.Codec, Decode: decode, Index: j.idx})
+		(*hp)(FrameHookInfo{Codec: e.cfg.Codec, Decode: j.decode, Index: j.idx})
 	}
 }
 
-// runProtected executes fn, converting a panic into a typed per-frame
-// error carrying the stack. This is the boundary that keeps one hostile
-// frame from taking down the worker pool.
-func runProtected(fn func() error) (err error) {
+// frame runs one frame of any kind on the given instances, converting a
+// panic into a typed per-frame error carrying the stack: the boundary that
+// keeps one hostile frame from taking down the worker pool. An encode goes
+// through enc when the engine has one (SledZig's shared plan); every other
+// frame goes through the codec instance, whose trace it attaches for the
+// frame.
+func (e *Engine) frame(j *job, cdc codec.Codec, enc *core.Encoder) (r result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		if p := recover(); p != nil {
 			metrics().panics.Inc()
-			err = fmt.Errorf("%w: %v\n%s", ErrFramePanic, r, debug.Stack())
+			r, err = result{}, fmt.Errorf("%w: %v\n%s", ErrFramePanic, p, debug.Stack())
 		}
 	}()
-	return fn()
+	if j.decode || enc == nil {
+		cdc.SetTrace(j.tr)
+		defer cdc.SetTrace(nil)
+	} else {
+		enc.Trace = j.tr
+	}
+	e.strike(j)
+	switch {
+	case j.decode:
+		r.dec, err = cdc.Decode(j.waveform)
+	case enc != nil:
+		r.enc.Core, err = enc.Encode(j.payload)
+	default:
+		r.enc.Generic, err = cdc.Encode(j.payload)
+	}
+	if err != nil {
+		return result{}, err
+	}
+	return r, nil
 }
 
-// guarded runs fn under panic recovery and, when configured, the per-frame
-// deadline. On deadline or context expiry the computation is abandoned to
-// finish on its own (it holds only w's old state, which reset replaces)
-// and a typed error is returned promptly. Abandoned goroutines are counted
-// in the abandoned_workers gauge and capped by Config.MaxAbandoned: at the
+// guarded runs one frame on the instances the worker held when the frame
+// started, under panic recovery and, when configured, the per-frame
+// deadline. On deadline or context expiry the frame is abandoned to finish
+// on its own, on those instances, which reset replaces in the worker; a
+// typed error is returned promptly. Abandoned goroutines are counted in
+// the abandoned_workers gauge and capped by Config.MaxAbandoned: at the
 // cap a new frame sheds with ErrOverloaded instead of risking yet another
 // background goroutine.
-func (w *workerState) guarded(ctx context.Context, fn func() error) error {
+func (w *workerState) guarded(j *job, cdc codec.Codec, enc *core.Encoder) (result, error) {
 	e := w.e
 	timeout := e.cfg.FrameTimeout
 	if timeout <= 0 {
-		return runProtected(fn)
+		return e.frame(j, cdc, enc)
 	}
 	if limit := e.abandonedCap(); limit > 0 && int(e.abandoned.Load()) >= limit {
 		e.noteShed(&e.sheds.abandoned, metrics().shedAbandoned)
-		return e.overload(OverloadAbandoned, 0)
+		return result{}, e.overload(OverloadAbandoned, 0)
 	}
 	// fate arbitrates the race between the frame finishing and the worker
 	// abandoning it: whichever side loses its CAS settles the abandoned
 	// tally, and a frame that finishes at the buzzer still wins — the
 	// worker takes its real result instead of reporting a timeout.
 	var fate atomic.Int32
-	done := make(chan error, 1)
+	done := make(chan Outcome[result], 1)
 	go func() {
-		err := runProtected(fn)
+		r, err := e.frame(j, cdc, enc)
 		if !fate.CompareAndSwap(frameRunning, frameFinished) {
 			// The worker abandoned this frame; this goroutine was the
 			// tallied abandoned worker and has now retired.
 			e.abandonedDone()
 		}
-		done <- err
+		done <- Outcome[result]{Result: r, Err: err}
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
+	if j.ctx != nil {
+		cancel = j.ctx.Done()
 	}
 	select {
-	case err := <-done:
-		return err
+	case o := <-done:
+		return o.Result, o.Err
 	case <-timer.C:
 		if !e.abandonFrame(&fate) {
-			return <-done
+			o := <-done
+			return o.Result, o.Err
 		}
 		metrics().timeouts.Inc()
 		w.reset()
-		return fmt.Errorf("%w (%v)", ErrFrameTimeout, timeout)
+		return result{}, fmt.Errorf("%w (%v)", ErrFrameTimeout, timeout)
 	case <-cancel:
 		if !e.abandonFrame(&fate) {
-			return <-done
+			o := <-done
+			return o.Result, o.Err
 		}
 		w.reset()
-		return ctx.Err()
+		return result{}, j.ctx.Err()
 	}
 }
 
@@ -369,71 +400,6 @@ func (w *workerState) guarded(ctx context.Context, fn func() error) error {
 type Product struct {
 	Core    *core.EncodeResult
 	Generic *codec.Encoded
-}
-
-func (w *workerState) decodeFrame(j *job) (*codec.Decoded, error) {
-	var res *codec.Decoded
-	cdc := w.cdc
-	cdc.SetTrace(j.tr)
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, true)
-		dec, derr := cdc.Decode(j.waveform)
-		if derr != nil {
-			return derr
-		}
-		res = dec
-		return nil
-	})
-	// On abandonment (timeout/cancel) reset already replaced w.cdc and the
-	// stuck goroutine still owns cdc — leave its trace alone.
-	if cdc == w.cdc {
-		cdc.SetTrace(nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func (w *workerState) encodeFrame(j *job) (*Product, error) {
-	if w.enc == nil {
-		return w.encodeGeneric(j)
-	}
-	var res *core.EncodeResult
-	enc := w.enc
-	enc.Trace = j.tr
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, false)
-		var eerr error
-		res, eerr = enc.Encode(j.payload)
-		return eerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Product{Core: res}, nil
-}
-
-func (w *workerState) encodeGeneric(j *job) (*Product, error) {
-	var out *codec.Encoded
-	cdc := w.cdc
-	cdc.SetTrace(j.tr)
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, false)
-		enc, cerr := cdc.Encode(j.payload)
-		if cerr != nil {
-			return cerr
-		}
-		out = enc
-		return nil
-	})
-	if cdc == w.cdc {
-		cdc.SetTrace(nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Product{Generic: out}, nil
 }
 
 func (e *Engine) worker(i int) {
@@ -466,34 +432,23 @@ func (e *Engine) worker(i int) {
 				continue
 			}
 		}
-		if j.deliverDec != nil {
-			pass := decStage.Start()
-			res, err := w.decodeFrame(j)
-			e.finishFrame(m.decodeFrameLatency, j, err)
-			if err != nil {
-				pass.End(0, err)
-				m.decodeFailures.Inc()
-				j.deliverDec(j.idx, nil, err)
-			} else {
-				pass.End(len(res.Payload), nil)
-				j.deliverDec(j.idx, res, nil)
-			}
-			if j.done != nil {
-				j.done.Done()
-			}
-			e.frameDone(j, err)
-			continue
+		sm, stage := &m.encode, encStage
+		if j.decode {
+			sm, stage = &m.decode, decStage
 		}
-		pass := encStage.Start()
-		res, err := w.encodeFrame(j)
-		e.finishFrame(m.encodeFrameLatency, j, err)
-		pass.End(len(j.payload), err)
+		pass := stage.Start()
+		r, err := w.guarded(j, w.cdc, w.enc)
+		e.finishFrame(sm.frameLatency, j, err)
+		// Stage bytes: the payload in for an encode, out for a decode.
+		n := len(j.payload)
+		if r.dec != nil {
+			n = len(r.dec.Payload)
+		}
+		pass.End(n, err)
 		if err != nil {
-			m.failures.Inc()
-			j.deliver(j.idx, nil, err)
-		} else {
-			j.deliver(j.idx, res, nil)
+			sm.failures.Inc()
 		}
+		j.deliver(j.idx, r, err)
 		if j.done != nil {
 			j.done.Done()
 		}
@@ -610,36 +565,77 @@ func (e *Engine) submit(ctx context.Context, j *job) error {
 	}
 }
 
-// EncodeOutcome is one frame's result in a per-frame batch: exactly one of
-// Result and Err is set.
-type EncodeOutcome struct {
-	Result *Product
+// Outcome is one frame's result. Index is the frame's zero-based position
+// in its batch or input stream; exactly one of Result and Err is set.
+type Outcome[R any] struct {
+	Index  int
+	Result R
 	Err    error
 }
 
-// EncodeEach encodes every payload across the pool and returns one outcome
-// per input, in input order. A failing frame — invalid payload, panic
-// converted by the worker, deadline — fails only its own slot; siblings
-// complete normally. A cancelled context fails the unsubmitted and
-// undecoded remainder with the context error but still waits for frames
-// already on a worker.
-func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []EncodeOutcome {
-	m := metrics()
-	start := e.now()
-	outcomes := make([]EncodeOutcome, len(payloads))
-	var done sync.WaitGroup
-	deliver := func(idx int, res *Product, err error) {
-		outcomes[idx] = EncodeOutcome{Result: res, Err: err}
+// side binds one direction's input and result types to the one job type.
+type side[In, R any] struct {
+	decode bool
+	noun   string // names an input in first-error batch errors
+	set    func(j *job, in In)
+	get    func(r result) R
+}
+
+var (
+	encodeSide = side[[]byte, Product]{
+		noun: "payload",
+		set:  func(j *job, p []byte) { j.payload = p },
+		get:  func(r result) Product { return r.enc },
 	}
-	for i, p := range payloads {
+	decodeSide = side[[]complex128, *codec.Decoded]{
+		decode: true,
+		noun:   "waveform",
+		set:    func(j *job, w []complex128) { j.waveform = w },
+		get:    func(r result) *codec.Decoded { return r.dec },
+	}
+)
+
+// enqueue builds and submits the job for input idx, finishing its trace if
+// the submission fails.
+func (s side[In, R]) enqueue(e *Engine, ctx context.Context, in In, idx int,
+	deliver func(int, result, error), done *sync.WaitGroup) error {
+	j := &job{decode: s.decode, idx: idx, ctx: ctx, deliver: deliver, done: done}
+	s.set(j, in)
+	if s.decode {
+		j.tr = trace.Start("decode")
+	} else {
+		j.tr = trace.Start("encode")
+	}
+	j.tr.Enqueued()
+	err := e.submit(ctx, j)
+	if err != nil {
+		j.tr.Finish(err)
+	}
+	return err
+}
+
+// each runs every input across the pool and returns one outcome per input,
+// in input order. A failing frame — invalid input, a panic converted by the
+// worker, a deadline — fails only its own slot; siblings complete
+// normally. A cancelled context fails the unsubmitted remainder with the
+// context error but still waits for frames already on a worker.
+func (s side[In, R]) each(e *Engine, ctx context.Context, inputs []In) []Outcome[R] {
+	m := &metrics().encode
+	if s.decode {
+		m = &metrics().decode
+	}
+	start := e.now()
+	outcomes := make([]Outcome[R], len(inputs))
+	var done sync.WaitGroup
+	deliver := func(idx int, r result, err error) {
+		outcomes[idx] = Outcome[R]{Index: idx, Result: s.get(r), Err: err}
+	}
+	for i, in := range inputs {
 		done.Add(1)
-		j := &job{payload: p, idx: i, ctx: ctx, deliver: deliver, done: &done, tr: trace.Start("encode")}
-		j.tr.Enqueued()
-		if err := e.submit(ctx, j); err != nil {
-			j.tr.Finish(err)
+		if err := s.enqueue(e, ctx, in, i, deliver, &done); err != nil {
 			done.Done()
-			for k := i; k < len(payloads); k++ {
-				outcomes[k] = EncodeOutcome{Err: err}
+			for k := i; k < len(inputs); k++ {
+				outcomes[k] = Outcome[R]{Index: k, Err: err}
 			}
 			break
 		}
@@ -657,21 +653,106 @@ func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []EncodeOutc
 	return outcomes
 }
 
-// EncodeBatch encodes every payload across the pool and returns the
-// results in input order. The first error (by input order) is returned
-// after all submitted work has drained; a cancelled context abandons the
-// unsubmitted remainder but still waits for in-flight frames. Callers that
-// need sibling results to survive one bad frame use EncodeEach.
-func (e *Engine) EncodeBatch(ctx context.Context, payloads [][]byte) ([]*Product, error) {
-	outcomes := e.EncodeEach(ctx, payloads)
-	results := make([]*Product, len(outcomes))
+// batch runs every input across the pool and returns the results in input
+// order. The first error (by input order) is returned after all submitted
+// work has drained; a cancelled context abandons the unsubmitted remainder
+// but still waits for in-flight frames.
+func (s side[In, R]) batch(e *Engine, ctx context.Context, inputs []In) ([]R, error) {
+	outcomes := s.each(e, ctx, inputs)
+	results := make([]R, len(outcomes))
 	for i, o := range outcomes {
 		if o.Err != nil {
-			return nil, fmt.Errorf("engine: payload %d: %w", i, o.Err)
+			return nil, fmt.Errorf("engine: %s %d: %w", s.noun, i, o.Err)
 		}
 		results[i] = o.Result
 	}
 	return results, nil
+}
+
+// stream runs inputs read from in across the pool, delivering outcomes on
+// the returned channel (buffered to Config.Queue). With more than one
+// worker the delivery order is unspecified. The output channel is closed
+// once every accepted input has been delivered, after in closes or ctx is
+// cancelled. Both queues are bounded: a stalled consumer blocks the
+// workers, a full job queue blocks the reader — backpressure propagates to
+// the producer instead of buffering unboundedly.
+func (s side[In, R]) stream(e *Engine, ctx context.Context, in <-chan In) <-chan Outcome[R] {
+	out := make(chan Outcome[R], e.cfg.Queue)
+	go func() {
+		defer close(out)
+		var inflight sync.WaitGroup
+		send := func(o Outcome[R]) {
+			select {
+			case out <- o:
+			case <-ctx.Done():
+			}
+		}
+		deliver := func(idx int, r result, err error) {
+			send(Outcome[R]{Index: idx, Result: s.get(r), Err: err})
+			inflight.Done()
+		}
+		for idx := 0; ; idx++ {
+			var v In
+			ok := false
+			select {
+			case <-ctx.Done():
+			case v, ok = <-in:
+			}
+			if !ok {
+				break
+			}
+			inflight.Add(1)
+			if err := s.enqueue(e, ctx, v, idx, deliver, nil); err != nil {
+				inflight.Done()
+				send(Outcome[R]{Index: idx, Err: err})
+				break
+			}
+		}
+		inflight.Wait()
+	}()
+	return out
+}
+
+// EncodeEach encodes every payload across the pool and returns one outcome
+// per payload, in input order; see side.each.
+func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []Outcome[Product] {
+	return encodeSide.each(e, ctx, payloads)
+}
+
+// DecodeEach decodes every waveform across the pool and returns one
+// outcome per waveform, in input order; see side.each. A hostile waveform
+// — truncated, bit garbage, one that panics or stalls the decoder — fails
+// only its own slot.
+func (e *Engine) DecodeEach(ctx context.Context, waveforms [][]complex128) []Outcome[*codec.Decoded] {
+	return decodeSide.each(e, ctx, waveforms)
+}
+
+// EncodeBatch encodes every payload across the pool and returns the
+// results in input order, or the first error; see side.batch. Callers that
+// need sibling results to survive one bad frame use EncodeEach.
+func (e *Engine) EncodeBatch(ctx context.Context, payloads [][]byte) ([]Product, error) {
+	return encodeSide.batch(e, ctx, payloads)
+}
+
+// DecodeBatch decodes every waveform across the pool and returns the
+// results in input order, or the first error; see side.batch. The results
+// are identical to decoding the waveforms one after another on a single
+// instance of the configured backend; each is the one the worker's backend
+// built, self-contained and safe to retain. Callers that need sibling
+// results to survive one bad frame use DecodeEach.
+func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*codec.Decoded, error) {
+	return decodeSide.batch(e, ctx, waveforms)
+}
+
+// Stream encodes payloads read from in across the pool; see side.stream.
+func (e *Engine) Stream(ctx context.Context, in <-chan []byte) <-chan Outcome[Product] {
+	return encodeSide.stream(e, ctx, in)
+}
+
+// DecodeStream decodes waveforms read from in across the pool; see
+// side.stream.
+func (e *Engine) DecodeStream(ctx context.Context, in <-chan []complex128) <-chan Outcome[*codec.Decoded] {
+	return decodeSide.stream(e, ctx, in)
 }
 
 // Close stops accepting work, runs everything already queued, and waits

@@ -58,7 +58,7 @@ func TestEncodeBatchMatchesSequentialEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sequential Encode %d: %v", i, err)
 		}
-		if got[i] == nil {
+		if got[i].Core == nil {
 			t.Fatalf("result %d is nil", i)
 		}
 		// Byte-identical: compare the full waveforms, which cover the
@@ -126,7 +126,7 @@ func TestEncodeBatchConcurrentCallers(t *testing.T) {
 				return
 			}
 			for i, r := range res {
-				if r == nil || r.Core.PayloadLength != len(payloads[i]) {
+				if r.Core == nil || r.Core.PayloadLength != len(payloads[i]) {
 					t.Errorf("caller %d: bad result %d", c, i)
 					return
 				}

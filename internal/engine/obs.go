@@ -11,16 +11,10 @@ import (
 // obs registry (nil handles, and therefore no-ops, when observability is
 // off).
 type engineMetrics struct {
-	queueDepth   *obs.Gauge     // jobs enqueued but not yet picked up
-	batchLatency *obs.Histogram // EncodeBatch wall time, seconds
-	batches      *obs.Counter
-	frames       *obs.Counter
-	failures     *obs.Counter
+	queueDepth *obs.Gauge // jobs enqueued but not yet picked up
 
-	decodeBatchLatency *obs.Histogram // DecodeBatch wall time, seconds
-	decodeBatches      *obs.Counter
-	decodeFrames       *obs.Counter
-	decodeFailures     *obs.Counter
+	// Per-direction handles, picked by the job's direction.
+	encode, decode sideMetrics
 
 	panics   *obs.Counter // frames whose worker panicked (recovered)
 	timeouts *obs.Counter // frames abandoned to FrameTimeout
@@ -46,15 +40,21 @@ type engineMetrics struct {
 	healthState *obs.Gauge
 	drains      *obs.Counter
 
+	r      *obs.Registry
+	stages sync.Map // "<worker index>/<kind>" -> *obs.Stage
+}
+
+// sideMetrics are one direction's handles.
+type sideMetrics struct {
+	batchLatency *obs.Histogram // EncodeBatch / DecodeBatch wall time, seconds
+	batches      *obs.Counter
+	frames       *obs.Counter
+	failures     *obs.Counter
 	// Per-frame end-to-end latency (queue wait + service), fed by traced
 	// frames only so every p99 bucket carries an exemplar naming the frame
 	// trace behind it. Aggregate per-worker stage histograms cover all
 	// frames regardless of tracing.
-	encodeFrameLatency *obs.Histogram
-	decodeFrameLatency *obs.Histogram
-
-	r      *obs.Registry
-	stages sync.Map // "<worker index>/<kind>" -> *obs.Stage
+	frameLatency *obs.Histogram
 }
 
 var engineLazy obs.Lazy[*engineMetrics]
@@ -67,16 +67,21 @@ func metrics() *engineMetrics {
 			return engineNil
 		}
 		return &engineMetrics{
-			queueDepth:   r.Gauge("engine.queue_depth"),
-			batchLatency: r.Histogram("engine.batch.latency_seconds"),
-			batches:      r.Counter("engine.batches"),
-			frames:       r.Counter("engine.frames"),
-			failures:     r.Counter("engine.failures"),
-
-			decodeBatchLatency: r.Histogram("engine.decode.batch.latency_seconds"),
-			decodeBatches:      r.Counter("engine.decode.batches"),
-			decodeFrames:       r.Counter("engine.decode.frames"),
-			decodeFailures:     r.Counter("engine.decode.failures"),
+			queueDepth: r.Gauge("engine.queue_depth"),
+			encode: sideMetrics{
+				batchLatency: r.Histogram("engine.batch.latency_seconds"),
+				batches:      r.Counter("engine.batches"),
+				frames:       r.Counter("engine.frames"),
+				failures:     r.Counter("engine.failures"),
+				frameLatency: r.Histogram("engine.frame.encode.latency_seconds"),
+			},
+			decode: sideMetrics{
+				batchLatency: r.Histogram("engine.decode.batch.latency_seconds"),
+				batches:      r.Counter("engine.decode.batches"),
+				frames:       r.Counter("engine.decode.frames"),
+				failures:     r.Counter("engine.decode.failures"),
+				frameLatency: r.Histogram("engine.frame.decode.latency_seconds"),
+			},
 
 			panics:   r.Counter("engine.frame_panics"),
 			timeouts: r.Counter("engine.frame_timeouts"),
@@ -95,9 +100,6 @@ func metrics() *engineMetrics {
 
 			healthState: r.Gauge("engine.health.state"),
 			drains:      r.Counter("engine.drains"),
-
-			encodeFrameLatency: r.Histogram("engine.frame.encode.latency_seconds"),
-			decodeFrameLatency: r.Histogram("engine.frame.decode.latency_seconds"),
 
 			r: r,
 		}

@@ -223,7 +223,7 @@ func TestFrameTimeoutAbandonsStuckFrame(t *testing.T) {
 	const victim = 2
 	release := make(chan struct{})
 	testFrameHook = func(j *job) {
-		if j.idx == victim && j.deliverDec != nil {
+		if j.idx == victim && j.decode {
 			<-release
 		}
 	}

@@ -138,8 +138,9 @@ func CompareCodecs(opts CodecCompareOptions) ([]CodecRow, error) {
 	return rows, nil
 }
 
-// addAWGN returns wave plus white noise sized for the target in-band SNR
-// (52 of 64 subcarriers occupied, as in measurePER).
+// addAWGN returns wave plus white noise sized for the target in-band SNR.
+// Signal power is measured over the whole waveform; 52 of 64 subcarriers
+// are occupied, so the full-rate noise is scaled up by 64/52.
 func addAWGN(rng *rand.Rand, wave []complex128, snrDB float64) []complex128 {
 	var sig float64
 	for _, v := range wave {

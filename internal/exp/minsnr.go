@@ -100,21 +100,7 @@ func measurePER(conv wifi.Convention, mode wifi.Mode, snrDB float64, frames int,
 		if err != nil {
 			return 0, err
 		}
-		// Signal power measured over the occupied samples; noise sized so
-		// in-band SNR hits the target (52 of 64 subcarriers are occupied,
-		// so the full-rate noise is scaled up by 64/52).
-		var sig float64
-		for _, v := range wave {
-			sig += real(v)*real(v) + imag(v)*imag(v)
-		}
-		sig /= float64(len(wave))
-		noise := sig / math.Pow(10, snrDB/10) * 64.0 / 52.0
-		sigma := math.Sqrt(noise / 2)
-		noisy := make([]complex128, len(wave))
-		for i, v := range wave {
-			noisy[i] = v + complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
-		}
-		res, err := rx.Receive(noisy)
+		res, err := rx.Receive(addAWGN(rng, wave, snrDB))
 		if err != nil {
 			failures++
 			continue

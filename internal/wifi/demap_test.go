@@ -178,6 +178,69 @@ func TestConstellationTableMatchesOracles(t *testing.T) {
 	}
 }
 
+// TestHardDecisionsOnHugeCoordinates: a coordinate of any magnitude,
+// infinities included, decides like the outermost level of its sign, at
+// both widths and in NearestIdealPoint; NaN decides like level +1. The
+// reference decisions come from coordinates of ±10 and +1e-9, which the
+// arithmetic handles exactly.
+func TestHardDecisionsOnHugeCoordinates(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	coords := []float64{1e19, -1e19, 1e30, -1e30, inf, -inf, nan}
+	ref := func(v float64) float64 {
+		switch {
+		case math.IsNaN(v):
+			return 1e-9
+		case v > 0:
+			return 10
+		}
+		return -10
+	}
+	for _, c := range demapConventions {
+		for _, m := range []Modulation{QPSK, QAM16, QAM64, QAM256} {
+			n := m.BitsPerSubcarrier()
+			var pts, refs []complex128
+			for _, re := range coords {
+				for _, im := range coords {
+					pts = append(pts, complex(re, im))
+					refs = append(refs, complex(ref(re), ref(im)))
+				}
+			}
+			pts32 := make([]complex64, len(pts))
+			for i, p := range pts {
+				pts32[i] = complex64(p)
+			}
+			wide := make([]bits.Bit, len(pts)*n)
+			narrow := make([]bits.Bit, len(pts)*n)
+			want := make([]bits.Bit, len(pts)*n)
+			if err := c.DemapAllCInto(wide, m, pts); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DemapAll64Into(narrow, m, pts32); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DemapAllCInto(want, m, refs); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pts {
+				w := want[i*n : (i+1)*n]
+				if got := wide[i*n : (i+1)*n]; !bits.Equal(got, w) {
+					t.Errorf("%v %v point %v: hard %v, want %v", c, m, p, got, w)
+				}
+				if got := narrow[i*n : (i+1)*n]; !bits.Equal(got, w) {
+					t.Errorf("%v %v narrow point %v: hard %v, want %v", c, m, pts32[i], got, w)
+				}
+				ideal := NearestIdealPoint(m, refs[i])
+				if got := NearestIdealPoint(m, p); got != ideal {
+					t.Errorf("%v %v point %v: nearest %v, want %v", c, m, p, got, ideal)
+				}
+				if got := NearestIdealPoint(m, complex128(pts32[i])); got != ideal {
+					t.Errorf("%v %v narrow point %v: nearest %v, want %v", c, m, pts32[i], got, ideal)
+				}
+			}
+		}
+	}
+}
+
 // TestDeinterleaveCIntoMatches checks the receive scatter through a
 // rate-1/2 placement table against the DeinterleaveC oracle: with nothing
 // punctured, the mother block is the deinterleaved symbol.

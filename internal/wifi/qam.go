@@ -85,9 +85,11 @@ type axis struct {
 // quantize returns the index of the level nearest v. It is the package's
 // one decision rule: hard demapping, NearestIdealPoint and SymbolEVM all
 // read it. It rounds (v/norm-1)/2 half away from zero to pick an odd
-// multiple of norm, then clamps it to the axis. BPSK keeps 802.11's sign
-// rule instead, which sends 0 and -0 to +1 where rounding would send
-// them to -1.
+// multiple of norm, and clamps that to the axis in float64, before the
+// integer conversion, so a huge or infinite coordinate takes the outermost
+// level of its sign. NaN takes level +1. BPSK keeps 802.11's sign rule
+// instead, which sends 0 and -0 to +1 where rounding would send them to
+// -1.
 func (a *axis) quantize(v float64) int {
 	if a.sign {
 		if v >= 0 {
@@ -96,8 +98,11 @@ func (a *axis) quantize(v float64) int {
 		return 0
 	}
 	top := 1<<a.n - 1
-	l := int(math.Round((v/a.norm-1)/2))*2 + 1
-	return (max(-top, min(l, top)) + top) / 2
+	if math.IsNaN(v) {
+		return (top + 1) / 2
+	}
+	l := max(-float64(top), min(2*math.Round((v/a.norm-1)/2)+1, float64(top)))
+	return (int(l) + top) / 2
 }
 
 // nearest returns the least squared distance from v to any level, and

@@ -271,11 +271,7 @@ type Frame struct {
 func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	if e.cdc != nil {
 		tf := trace.Start("encode")
-		e.mu.Lock()
-		e.cdc.SetTrace(tf)
-		enc, err := e.cdc.Encode(payload)
-		e.cdc.SetTrace(nil)
-		e.mu.Unlock()
+		enc, err := e.encode(payload, tf)
 		tf.Finish(err)
 		if err != nil {
 			return nil, wrapEncodeErr(err)
@@ -306,6 +302,16 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	box.frame.Trace = nil
 	box.f.res = &box.res
 	return &box.f, nil
+}
+
+// encode runs a non-default backend under the mutex, deferring the unlock
+// so a panicking backend never leaves the Encoder locked.
+func (e *Encoder) encode(payload []byte, tf *trace.Frame) (*codec.Encoded, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.cdc.SetTrace(tf)
+	defer e.cdc.SetTrace(nil)
+	return e.cdc.Encode(payload)
 }
 
 // Codec names the backend that produced the frame.
