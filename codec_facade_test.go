@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,6 +102,64 @@ func TestSledZigDecoderReadsModeOffTheAir(t *testing.T) {
 
 // TestFacadeCodecRoundTrip drives every registered backend through the
 // public Encoder/Decoder surface.
+// TestCollectionCostsNoAllocations holds every registered codec's warmed
+// facade round trip (Encode, Waveform, Decode) to the same allocation
+// count whether or not two garbage collections run just before it: the
+// frame path keeps its scratch in buffers its encoders, decoders and
+// results own, or on the stack, so no collection empties a pool that the
+// next frame refills. Each count is the least of a few round trips, so a
+// stray allocation elsewhere in the process cannot raise it; the test
+// runs under -race too.
+func TestCollectionCostsNoAllocations(t *testing.T) {
+	for _, name := range Codecs() {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Channel: CH2, Codec: name}
+			enc, err := NewEncoder(cfg)
+			if err != nil {
+				t.Fatalf("NewEncoder: %v", err)
+			}
+			dec, err := NewDecoder(cfg)
+			if err != nil {
+				t.Fatalf("NewDecoder: %v", err)
+			}
+			payload := bytes.Repeat([]byte("collect "), 12)
+			roundTrip := func() {
+				frame, err := enc.Encode(payload)
+				if err != nil {
+					t.Fatalf("Encode: %v", err)
+				}
+				wave, err := frame.Waveform()
+				if err != nil {
+					t.Fatalf("Waveform: %v", err)
+				}
+				res, err := dec.Decode(wave)
+				if err != nil || !bytes.Equal(res.Payload, payload) {
+					t.Fatalf("Decode: %v", err)
+				}
+			}
+			roundTrip()
+			mallocs := func(collect bool) uint64 {
+				least := uint64(math.MaxUint64)
+				for range 5 {
+					if collect {
+						runtime.GC()
+						runtime.GC()
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					roundTrip()
+					runtime.ReadMemStats(&after)
+					least = min(least, after.Mallocs-before.Mallocs)
+				}
+				return least
+			}
+			if plain, collected := mallocs(false), mallocs(true); plain != collected {
+				t.Errorf("a round trip allocates %d times, %d after two collections: the frame path refills scratch a collection emptied", plain, collected)
+			}
+		})
+	}
+}
+
 func TestFacadeCodecRoundTrip(t *testing.T) {
 	for _, name := range Codecs() {
 		t.Run(name, func(t *testing.T) {

@@ -32,29 +32,6 @@ func FromBytes(data []byte) []Bit {
 	return out
 }
 
-// CopyBytes expands data into dst as bits, LSB first within each byte
-// (FromBytes without the allocation), and returns the number of bit
-// elements written. dst must hold at least 8*len(data) elements.
-func CopyBytes(dst []Bit, data []byte) int {
-	_ = dst[:8*len(data)]
-	for j, b := range data {
-		for i := 0; i < 8; i++ {
-			dst[8*j+i] = (b >> i) & 1
-		}
-	}
-	return 8 * len(data)
-}
-
-// Grow returns s resized to n elements, reusing its backing array when the
-// capacity allows and reallocating otherwise. Contents are unspecified —
-// callers overwrite every element.
-func Grow(s []Bit, n int) []Bit {
-	if cap(s) < n {
-		return make([]Bit, n)
-	}
-	return s[:n]
-}
-
 // ToBytes packs bits into bytes, LSB first within each byte (the inverse of
 // FromBytes). It returns an error if len(b) is not a multiple of eight or if
 // any element is not 0 or 1.

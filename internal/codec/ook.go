@@ -105,8 +105,8 @@ func ookMessage(payload []byte) [ookMessageBits]bits.Bit {
 
 // Encode backs the Contract's MaxEncodeAllocs: the pinning mask (which
 // the result keeps as ProtectedMask), the frame, the waveform and the
-// result. Masked layouts are memoized per (plan, mask), so nothing here
-// may allocate per symbol.
+// result. A masked frame walks the plan's one layout, so nothing here may
+// allocate per symbol.
 //
 //sledzig:noalloc budget=9
 func (c *ook) Encode(payload []byte) (*Encoded, error) {
@@ -128,7 +128,7 @@ func (c *ook) Encode(payload []byte) (*Encoded, error) {
 			}
 		}
 	}
-	frame, _, err := core.AssembleMaskedFrame(c.plan, mask, payload, c.params.Seed)
+	frame, err := core.AssembleMaskedFrame(c.plan, mask, payload, c.params.Seed)
 	mk.End(len(payload), err)
 	if err != nil {
 		return nil, err
@@ -255,11 +255,10 @@ func ReadOOKRSSI(data []complex128, ch core.ZigBeeChannel) ([]bits.Bit, error) {
 func (c *ook) Contract() Contract {
 	// Low symbols use SledZig's exact pinning, so they inherit its 3 dB
 	// band-drop floor — but only the masked symbols are protected. The
-	// alloc bound is 1.5x the measured steady state: masked layouts are
-	// memoized per (plan, mask), so encodes assemble and scramble but
-	// never re-plan clusters (measured 6 allocs/op: the mask, the frame
-	// and its encoder input, the waveform, the result, and the pools the
-	// runtime empties at garbage collection refilling).
+	// alloc bound is 1.5x the measured steady state: a masked frame walks
+	// the plan's one layout, so encodes assemble and scramble but never
+	// re-plan clusters (measured 5 allocs/op: the mask, the frame and its
+	// encoder input, the waveform and the result).
 	return Contract{MinDropDB: 3.0, WholeFrame: false, MaxEncodeAllocs: 9}
 }
 

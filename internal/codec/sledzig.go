@@ -95,12 +95,10 @@ func (c *sledZig) Decode(waveform []complex128) (*Decoded, error) {
 		NumSymbols:    len(c.rx.DataPoints),
 		SymbolEVM:     wifi.SymbolEVM(c.rx.Mode.Modulation, c.rx.DataPoints),
 	}
-	// The extra-bit count follows from the detected plan's layout; both the
-	// plan and its per-length layouts are cached process-wide.
+	// Every symbol of the detected plan carries the same extra bits; the
+	// plan is cached process-wide.
 	if plan, perr := core.CachedPlan(c.dec.Convention, c.rx.Mode, ch); perr == nil {
-		if layout, lerr := plan.FrameLayout(len(c.rx.DataPoints)); lerr == nil {
-			res.ExtraBits = len(layout.Positions)
-		}
+		res.ExtraBits = plan.ExtraBitsPerSymbol() * len(c.rx.DataPoints)
 	}
 	return res, nil
 }

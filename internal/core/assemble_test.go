@@ -11,13 +11,14 @@ import (
 )
 
 // oracleAssembleMaskedFrame is AssembleMaskedFrame as it stood before
-// masked frames ran the encoder's assembler: its own logical, extra-mask
-// and physical streams, an allocating scramble, then the solve and its
+// masked frames ran the encoder's assembler: a layout planned from
+// scratch for the mask, its own logical, extra-mask and physical streams
+// at one bit per element, an allocating scramble, then the solve and its
 // verification. The frame wrap wifi.Transmitter.FrameFromScrambled did is
 // inlined at the end; the frame's encoder input is returned beside it,
 // at one bit per element, as the old frame held it.
 func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*wifi.Frame, []bits.Bit, *FrameLayout, error) {
-	layout, err := MaskedLayout(plan, mask)
+	layout, err := plannedMaskedLayout(plan, mask)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -35,8 +36,8 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 	logical := make([]bits.Bit, total-len(layout.Positions))
 	n := serviceBits
 	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
-	n += bits.CopyBytes(logical[n:], header[:])
-	bits.CopyBytes(logical[n:], payload)
+	n += copy(logical[n:], bits.FromBytes(header[:]))
+	copy(logical[n:], bits.FromBytes(payload))
 
 	// Physical unscrambled stream: logical bits at non-extra positions.
 	extra := make([]bool, total)
@@ -66,10 +67,7 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 	for _, p := range layout.Positions {
 		x[p] = 0
 	}
-	if err := solveClusters(x, layout.Clusters); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := verifyConstraints(x, layout.Clusters); err != nil {
+	if err := oracleSolve(x, layout.Clusters); err != nil {
 		return nil, nil, nil, err
 	}
 	signalledLength := (total - serviceBits - tailBits) / 8
@@ -91,12 +89,79 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 	}, x, layout, nil
 }
 
+// oracleSolve is the cluster solve as it stood before assembly worked in
+// packed octets: per cluster, a Gauss-Jordan elimination over an
+// augmented matrix at one bit per element, on the stream x at one bit per
+// element; then every pinned output is re-checked.
+func oracleSolve(x []bits.Bit, clusters []Cluster) error {
+	output := func(eq Constraint) bits.Bit {
+		var window uint32
+		for d := 0; d < wifi.ConstraintLength; d++ {
+			if idx := eq.Step() - d; idx >= 0 && idx < len(x) {
+				window |= uint32(x[idx]&1) << d
+			}
+		}
+		y0, y1 := wifi.EncodeStep(window)
+		if eq.MotherIndex%2 == 0 {
+			return y0
+		}
+		return y1
+	}
+	for _, cl := range clusters {
+		e := len(cl.Equations)
+		rows := make([][]bits.Bit, e)
+		for r, eq := range cl.Equations {
+			rows[r] = make([]bits.Bit, e+1)
+			for c, p := range cl.Positions {
+				if d := eq.Step() - p; d >= 0 && d < wifi.ConstraintLength {
+					g0, g1 := generatorCoeff(d)
+					rows[r][c] = g0
+					if eq.MotherIndex%2 != 0 {
+						rows[r][c] = g1
+					}
+				}
+			}
+			rows[r][e] = eq.Value ^ output(eq)
+		}
+		for col := 0; col < e; col++ {
+			pivot := -1
+			for r := col; r < e; r++ {
+				if rows[r][col] == 1 {
+					pivot = r
+					break
+				}
+			}
+			if pivot < 0 {
+				return fmt.Errorf("singular cluster system at column %d: %w", col, ErrConstraintUnsatisfied)
+			}
+			rows[col], rows[pivot] = rows[pivot], rows[col]
+			for r := 0; r < e; r++ {
+				if r != col && rows[r][col] == 1 {
+					for cc := col; cc <= e; cc++ {
+						rows[r][cc] ^= rows[col][cc]
+					}
+				}
+			}
+		}
+		for i, p := range cl.Positions {
+			x[p] = rows[i][e]
+		}
+	}
+	for _, cl := range clusters {
+		for _, eq := range cl.Equations {
+			if output(eq) != eq.Value {
+				return fmt.Errorf("constraint at mother index %d unsatisfied: %w", eq.MotherIndex, ErrConstraintUnsatisfied)
+			}
+		}
+	}
+	return nil
+}
+
 // oracleTransmitBits is the transmit-bit stream EncodeTo computed eagerly
 // before TransmitBits became a method: the solved encoder input
 // descrambled with the frame's seed into the result's own buffer.
 func oracleTransmitBits(x []bits.Bit, seed uint8) ([]bits.Bit, error) {
-	var transmitBits []bits.Bit
-	transmitBits = bits.Grow(transmitBits, len(x))
+	transmitBits := make([]bits.Bit, len(x))
 	if err := wifi.ScrambleWithSeedInto(transmitBits, x, seed); err != nil {
 		return nil, err
 	}
@@ -124,10 +189,10 @@ func sameFrame(got, want *wifi.Frame, wantBits []bits.Bit) error {
 // TestAssemblerMatchesOracles holds the shared assembler to the code it
 // replaced, for both conventions, every pinnable mode and all four
 // channels, with random masks, payloads and seeds: masked frames against
-// the old masked assembler, over-capacity payloads to the same typed
-// error, and SledZig frames against the old assembler's all-true-mask
-// frame of the same length, with TransmitBits() against the old eager
-// stream.
+// the old masked assembler, whose layout it planned from scratch,
+// over-capacity payloads to the same typed error, and SledZig frames
+// against the old assembler's all-true-mask frame of the same length,
+// with TransmitBits() against the old eager stream.
 func TestAssemblerMatchesOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pinnable := 0
@@ -172,16 +237,16 @@ func checkMaskedAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 		for i := range mask {
 			mask[i] = rng.Intn(2) == 0
 		}
-		layout, err := MaskedLayout(plan, mask)
+		layout, err := pinnedLayout(plan, mask)
 		if err != nil {
-			t.Fatalf("%s: MaskedLayout: %v", name, err)
+			t.Fatalf("%s: pinnedLayout: %v", name, err)
 		}
 		maxPayload = (len(mask)*nDBPS-len(layout.Positions)-serviceBits-tailBits)/8 - headerOctets
 	}
 	seed := uint8(rng.Intn(128))
 	payload := bits.RandomBytes(rng, 1+rng.Intn(maxPayload))
 
-	got, gotLayout, err := AssembleMaskedFrame(plan, mask, payload, seed)
+	got, err := AssembleMaskedFrame(plan, mask, payload, seed)
 	if err != nil {
 		t.Fatalf("%s: AssembleMaskedFrame: %v", name, err)
 	}
@@ -192,12 +257,12 @@ func checkMaskedAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	if err := sameFrame(got, want, wantBits); err != nil {
 		t.Fatalf("%s: masked frame (%d symbols, seed %d): %v", name, len(mask), seed, err)
 	}
-	if gotLayout != wantLayout {
-		t.Fatalf("%s: masked frame solved a different layout than the oracle", name)
+	if gotLayout, err := pinnedLayout(plan, mask); err != nil || layoutString(gotLayout) != layoutString(wantLayout) {
+		t.Fatalf("%s: masked frame solved a different layout than the oracle (%v)", name, err)
 	}
 
 	tooBig := make([]byte, maxPayload+1)
-	_, _, gerr := AssembleMaskedFrame(plan, mask, tooBig, seed)
+	_, gerr := AssembleMaskedFrame(plan, mask, tooBig, seed)
 	_, _, _, werr := oracleAssembleMaskedFrame(plan, mask, tooBig, seed)
 	if !errors.Is(gerr, ErrPayloadSize) || !errors.Is(werr, ErrPayloadSize) || gerr.Error() != werr.Error() {
 		t.Fatalf("%s: over-capacity payload: got %v, oracle %v", name, gerr, werr)
@@ -224,8 +289,11 @@ func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	if err := sameFrame(res.Frame, want, wantBits); err != nil {
 		t.Fatalf("%s: SledZig frame (seed %d): %v", name, seed, err)
 	}
-	if res.Layout != wantLayout || res.PayloadLength != len(payload) {
+	if layoutString(res.Layout) != layoutString(wantLayout) || res.PayloadLength != len(payload) {
 		t.Fatalf("%s: result layout or payload length differs from the oracle's", name)
+	}
+	if l, err := plan.FrameLayout(len(mask)); err != nil || res.Layout != l {
+		t.Fatalf("%s: result layout is not the plan's header for %d symbols (%v)", name, len(mask), err)
 	}
 	resolved := seed
 	if resolved == 0 {
@@ -243,9 +311,11 @@ func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	}
 }
 
-// TestLayoutCacheHitsDoNotAllocate pins the memo hits ook-ctc makes on
-// every frame at zero allocations: FrameLayout at 320 symbols (an ook-ctc
-// frame) and MaskedLayout with its packed mask key.
+// TestLayoutCacheHitsDoNotAllocate pins what an ook-ctc frame asks of
+// its plan on every encode and decode at zero allocations once the
+// layout covers its 320 symbols: FrameLayout for a length requested
+// before, and locating a masked frame's extra bits. Stripping a masked
+// frame allocates only its payload.
 func TestLayoutCacheHitsDoNotAllocate(t *testing.T) {
 	plan, err := NewPlan(wifi.ConventionIEEE, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, CH2)
 	if err != nil {
@@ -258,9 +328,6 @@ func TestLayoutCacheHitsDoNotAllocate(t *testing.T) {
 	if _, err := plan.FrameLayout(320); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaskedLayout(plan, mask); err != nil {
-		t.Fatal(err)
-	}
 	if avg := testing.AllocsPerRun(50, func() {
 		if _, err := plan.FrameLayout(320); err != nil {
 			t.Fatal(err)
@@ -269,10 +336,25 @@ func TestLayoutCacheHitsDoNotAllocate(t *testing.T) {
 		t.Errorf("FrameLayout(320) hit allocates %.1f times, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		if _, err := MaskedLayout(plan, mask); err != nil {
+		if _, err := maskedFrame(plan, mask); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("MaskedLayout hit allocates %.1f times, want 0", avg)
+		t.Errorf("a masked frame's extra bits allocate %.1f times, want 0", avg)
+	}
+	frame, err := AssembleMaskedFrame(plan, mask, []byte("masked"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataBits := frame.ScrambledBits()
+	if err := wifi.ScrambleWithSeedInto(dataBits, dataBits, wifi.DefaultScramblerSeed); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if p, err := StripMaskedPayload(plan, mask, dataBits); err != nil || string(p) != "masked" {
+			t.Fatalf("StripMaskedPayload: %q, %v", p, err)
+		}
+	}); avg != 1 {
+		t.Errorf("StripMaskedPayload allocates %.1f times, want 1 (the payload)", avg)
 	}
 }

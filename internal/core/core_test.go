@@ -638,7 +638,7 @@ func TestLayoutEquivalenceFullMask(t *testing.T) {
 				})
 			}
 		}
-		got, err := LayoutForGlobalConstraints(all, nSym)
+		got, err := globalLayout(all, nSym)
 		if err != nil {
 			t.Fatal(err)
 		}

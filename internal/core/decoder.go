@@ -41,7 +41,7 @@ func (d Decoder) DecodeAuto(rx *wifi.RxResult) ([]byte, ZigBeeChannel, error) {
 // Decode recovers the payload from a received frame, given the protected
 // channel (use DetectChannel first when it is unknown). Plans come from the
 // process-wide cache, so repeated frames of one mode share a single plan
-// and its memoized frame layouts.
+// and its one layout.
 func (d Decoder) Decode(rx *wifi.RxResult, ch ZigBeeChannel) (payload []byte, err error) {
 	plan, err := CachedPlan(d.Convention, rx.Mode, ch)
 	if err != nil {
@@ -61,7 +61,8 @@ func (d Decoder) Decode(rx *wifi.RxResult, ch ZigBeeChannel) (payload []byte, er
 		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 		return nil, err
 	}
-	payload, class, err := stripFramed(rx.DataBits, layout.Positions)
+	x := newFrameExtras(layout.Clusters, layout.Positions, 1, nil)
+	payload, class, err := stripFramed(rx.DataBits, &x)
 	switch class {
 	case stripOK:
 		m.decFrames.Inc()
@@ -87,27 +88,29 @@ const (
 )
 
 // stripFramed inverts the transmitter's framing in one pass: it walks the
-// DATA bits, skips the extra bits at positions (ascending), drops SERVICE,
-// reads the 16-bit length header and packs the payload bits straight into
-// the returned slice, its only allocation. Every error wraps
+// DATA bits, skips x's extra bits (ascending), drops SERVICE, reads the
+// 16-bit length header and packs the payload bits straight into the
+// returned slice, its only allocation. Every error wraps
 // ErrExtraBitLayout.
 //
 //sledzig:noalloc budget=1
-func stripFramed(dataBits []bits.Bit, positions []int) ([]byte, stripFailure, error) {
-	if n := len(positions); n > 0 && positions[n-1] >= len(dataBits) {
-		return nil, stripLayout, fmt.Errorf("core: layout position %d beyond frame: %w", positions[n-1], ErrExtraBitLayout)
+func stripFramed(dataBits []bits.Bit, x *frameExtras) ([]byte, stripFailure, error) {
+	if x.last >= len(dataBits) {
+		return nil, stripLayout, fmt.Errorf("core: layout position %d beyond frame: %w", x.last, ErrExtraBitLayout)
 	}
-	remain := len(dataBits) - len(positions) - serviceBits - 8*headerOctets // bits after the header
+	remain := len(dataBits) - x.count - serviceBits - 8*headerOctets // bits after the header
 	if remain < 0 {
-		return nil, stripLength, fmt.Errorf("core: stripped stream too short (%d bits): %w", len(dataBits)-len(positions), ErrExtraBitLayout)
+		return nil, stripLength, fmt.Errorf("core: stripped stream too short (%d bits): %w", len(dataBits)-x.count, ErrExtraBitLayout)
 	}
 	// next yields the following bit that is not an extra bit. The checks
-	// bound the calls by len(dataBits) - len(positions), which keeps every
-	// read in range whatever positions holds.
-	i, p := 0, 0
+	// bound the calls by len(dataBits) - x.count, which keeps every read
+	// in range whatever x holds.
+	i := 0
+	extra, k := x.position(0)
 	next := func() bits.Bit {
-		for p < len(positions) && positions[p] == i {
-			p, i = p+1, i+1
+		for extra == i {
+			i++
+			extra, k = x.position(k)
 		}
 		i++
 		return dataBits[i-1]

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"sync"
 
 	"sledzig/internal/bits"
 	"sledzig/internal/obs/trace"
@@ -97,17 +96,6 @@ func (e *Encoder) Encode(payload []byte) (*EncodeResult, error) {
 	return &box.res, nil
 }
 
-// encodeScratch holds an assembly's working bit streams, one bit per
-// element, pooled so steady-state encoding allocates nothing for them:
-// the logical stream, and the physical stream that is scrambled in place
-// into the encoder input the solver completes.
-type encodeScratch struct {
-	logical []bits.Bit
-	x       []bits.Bit
-}
-
-var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
-
 // EncodeTo builds the SledZig frame for payload into res, reusing res's
 // Frame and its packed encoder input when their capacity suffices. On
 // success res is fully overwritten; on error its contents are
@@ -130,44 +118,56 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.validate", err)
 		return err
 	}
+	nSym := e.NumSymbols(len(payload))
+	// A payload no PSDU can signal fails here, before it grows the plan.
+	if _, err := signalledLength(nSym, e.Plan.Mode.DataBitsPerSymbol()); err != nil {
+		return err
+	}
 	mk := e.Trace.Begin(m.encLayout)
-	//sledvet:ignore hotalloc a memo miss computes a frame length's layout once per plan; every later frame of that length reads the memo
-	layout, err := e.Plan.FrameLayout(e.NumSymbols(len(payload)))
+	//sledvet:ignore hotalloc a frame longer than any before grows the plan's one layout to its length, and a length's first frame makes its header; every later frame of that length reads both
+	layout, err := e.Plan.FrameLayout(nSym)
 	mk.End(0, err)
 	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.layout", err)
 		return err
 	}
-	if err := assemble(e.Plan, layout, payload, e.Seed, e.Trace, res); err != nil {
+	x := newFrameExtras(layout.Clusters, layout.Positions, 1, nil)
+	if err := assemble(e.Plan, nSym, &x, payload, e.Seed, e.Trace, res); err != nil {
 		return err
 	}
+	res.Layout = layout
 	m.encFrames.Inc()
 	m.encPayload.Add(uint64(len(payload)))
 	return nil
 }
 
-// assemble builds the frame of layout.NumSymbols OFDM symbols carrying
-// payload into res, reusing res.Frame and its packed encoder input when
-// present: the one assembly pipeline behind SledZig frames (EncodeTo) and
-// masked frames (AssembleMaskedFrame). It solves in a pooled stream at one
-// bit per element and packs the result into the frame once. seed 0
-// selects wifi.DefaultScramblerSeed; tr receives the scramble, solve and
-// verify spans and becomes the frame's trace.
-//
-//sledzig:noalloc
-func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *trace.Frame, res *EncodeResult) error {
-	m := metrics()
-	seed = cmp.Or(seed, wifi.DefaultScramblerSeed)
-	s := encodeScratchPool.Get().(*encodeScratch)
-	defer encodeScratchPool.Put(s)
-	x, err := assembleBits(s, layout, plan.Mode.DataBitsPerSymbol(), payload, seed, tr)
-	if err != nil {
-		return err
-	}
-	signalled := (len(x) - serviceBits - tailBits) / 8
+// signalledLength returns the PLCP LENGTH of a frame of nSym symbols of
+// nDBPS bits: the whole octets between SERVICE and the tail. It fails
+// with ErrPayloadSize outside [1, wifi.MaxPSDULength].
+func signalledLength(nSym, nDBPS int) (int, error) {
+	signalled := (nSym*nDBPS - serviceBits - tailBits) / 8
 	if signalled < 1 || signalled > wifi.MaxPSDULength {
 		err := fmt.Errorf("core: signalled length %d out of range [1, %d]: %w", signalled, wifi.MaxPSDULength, ErrPayloadSize)
+		m := metrics()
 		m.fail(m.failEncoder, "core.encode", "encode_fail.validate", err)
+		return 0, err
+	}
+	return signalled, nil
+}
+
+// assemble builds the frame of nSym OFDM symbols carrying payload, with
+// x's extra bits solved, into res, reusing res.Frame and its packed
+// encoder input when present: the one assembly pipeline behind SledZig
+// frames (EncodeTo) and masked frames (AssembleMaskedFrame). seed 0
+// selects wifi.DefaultScramblerSeed; tr receives the scramble, solve and
+// verify spans and becomes the frame's trace. res.Layout is left alone.
+//
+//sledzig:noalloc
+func assemble(plan *Plan, nSym int, x *frameExtras, payload []byte, seed uint8, tr *trace.Frame, res *EncodeResult) error {
+	seed = cmp.Or(seed, wifi.DefaultScramblerSeed)
+	nDBPS := plan.Mode.DataBitsPerSymbol()
+	signalled, err := signalledLength(nSym, nDBPS)
+	if err != nil {
 		return err
 	}
 	if err := plan.Mode.Validate(); err != nil {
@@ -177,13 +177,16 @@ func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *t
 		res.Frame = new(wifi.Frame)
 	}
 	f := res.Frame
-	f.Mode, f.Convention, f.NumSymbols = plan.Mode, plan.Convention, layout.NumSymbols
+	f.Mode, f.Convention, f.NumSymbols = plan.Mode, plan.Convention, nSym
 	f.PSDULength, f.Terminated, f.Trace = signalled, false, tr
-	if err := f.SetScrambledBits(x); err != nil {
+	octets, err := f.EncoderInput()
+	if err != nil {
+		return err
+	}
+	if err := assembleOctets(octets, nSym*nDBPS, x, payload, seed, tr); err != nil {
 		return err
 	}
 	res.Seed = seed
-	res.Layout = layout
 	res.PayloadLength = len(payload)
 	return nil
 }
@@ -195,184 +198,161 @@ func assemble(plan *Plan, layout *FrameLayout, payload []byte, seed uint8, tr *t
 // extra bits solved and verified, as a fresh slice at one bit per
 // element. seed 0 selects wifi.DefaultScramblerSeed.
 func AssembleBits(layout *FrameLayout, nDBPS int, payload []byte, seed uint8) ([]bits.Bit, error) {
-	s := encodeScratchPool.Get().(*encodeScratch)
-	defer encodeScratchPool.Put(s)
-	x, err := assembleBits(s, layout, nDBPS, payload, seed, nil)
-	if err != nil {
+	total := max(layout.NumSymbols*nDBPS, 0)
+	octets := make([]byte, (total+7)/8)
+	x := newFrameExtras(layout.Clusters, layout.Positions, 1, nil)
+	if err := assembleOctets(octets, total, &x, payload, cmp.Or(seed, wifi.DefaultScramblerSeed), nil); err != nil {
 		return nil, err
 	}
-	return bits.Clone(x), nil
+	return bits.FromBytes(octets)[:total], nil
 }
 
-// assembleBits is the bit half of the frame assembly, working in s. It
-// builds the logical stream (SERVICE zeros, length header, payload, zero
-// padding up to the non-extra capacity), spreads it over the physical
-// stream with zero placeholders at layout's extra positions, scrambles
-// that in place (grown to layout.NumSymbols*nDBPS bits), zeroes the
-// placeholders again and solves and verifies the extra bits. It returns
-// the encoder input, which aliases s.x. seed 0 selects
-// wifi.DefaultScramblerSeed; tr receives the scramble, solve and verify
-// spans.
+// assembleOctets is the bit half of the frame assembly, in dst, the
+// frame's total encoder-input bits packed and zeroed. It writes the
+// length header and the payload around x's extra bits (SERVICE, the pad
+// and the placeholders stay zero), scrambles the stream, zeroes the
+// placeholders again and solves and verifies x's clusters in place. tr
+// receives the scramble, solve and verify spans.
 //
 //sledzig:noalloc
-func assembleBits(s *encodeScratch, layout *FrameLayout, nDBPS int, payload []byte, seed uint8, tr *trace.Frame) ([]bits.Bit, error) {
+func assembleOctets(dst []byte, total int, x *frameExtras, payload []byte, seed uint8, tr *trace.Frame) error {
 	m := metrics()
-	total := layout.NumSymbols * nDBPS
-	pos := layout.Positions
-	if len(pos) >= total {
-		return nil, fmt.Errorf("core: layout consumes the whole frame")
+	if x.count >= total {
+		return fmt.Errorf("core: layout consumes the whole frame")
 	}
 	// Positions ascend strictly (newFrameLayout checks), so bounding the
 	// ends bounds them all.
-	if len(pos) > 0 && (pos[0] < 0 || pos[len(pos)-1] >= total) {
-		return nil, fmt.Errorf("core: extra positions [%d, %d] outside frame of %d bits: %w", pos[0], pos[len(pos)-1], total, ErrExtraBitLayout)
+	if first, _ := x.position(0); x.count > 0 && (first < 0 || x.last >= total) {
+		return fmt.Errorf("core: extra positions [%d, %d] outside frame of %d bits: %w", first, x.last, total, ErrExtraBitLayout)
 	}
-	capacity := total - len(pos)
-	if need := serviceBits + 8*(headerOctets+len(payload)) + tailBits; need > capacity {
-		return nil, fmt.Errorf("core: internal error: logical stream %d exceeds capacity %d", need, capacity)
+	if need := serviceBits + 8*(headerOctets+len(payload)) + tailBits; need > total-x.count {
+		return fmt.Errorf("core: internal error: logical stream %d exceeds capacity %d", need, total-x.count)
 	}
 
-	s.logical = bits.Grow(s.logical, capacity)
-	logical := s.logical
-	clear(logical)
-	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
-	n := serviceBits
-	n += bits.CopyBytes(logical[n:], header[:])
-	bits.CopyBytes(logical[n:], payload)
-
-	s.x = bits.Grow(s.x, total)
-	x := s.x
-	pi, li := 0, 0
-	for i := range x {
-		if pi < len(pos) && pos[pi] == i {
-			x[i] = 0
-			pi++
-			continue
+	// SERVICE, the length header and the payload, LSB first.
+	head := [serviceBits/8 + headerOctets]byte{2: byte(len(payload)), 3: byte(len(payload) >> 8)}
+	extra, next := x.position(0)
+	i := 0 // physical index of the next logical bit
+	for n := range len(head) + len(payload) {
+		var octet byte
+		if n < len(head) {
+			octet = head[n]
+		} else {
+			octet = payload[n-len(head)]
 		}
-		x[i] = logical[li]
-		li++
+		for range 8 {
+			for i == extra {
+				i++
+				extra, next = x.position(next)
+			}
+			wifi.SetPackedBit(dst, i, octet&1)
+			octet >>= 1
+			i++
+		}
 	}
 
 	// Scramble, then solve the extra bits in the scrambled (encoder-input)
 	// domain.
 	mk := tr.Begin(m.encScramble)
-	err := wifi.ScrambleWithSeedInto(x, x, cmp.Or(seed, wifi.DefaultScramblerSeed))
+	err := wifi.ScramblePacked(dst, total, seed)
 	mk.End(len(payload), err)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Scrambling flipped some placeholders to the scrambler sequence; the
 	// solver assumes unknowns start at zero.
-	for _, p := range pos {
-		x[p] = 0
+	for p, k := x.position(0); p >= 0; p, k = x.position(k) {
+		wifi.SetPackedBit(dst, p, 0)
 	}
 	mk = tr.Begin(m.encSolve)
-	err = solveClusters(x, layout.Clusters)
+	var rows [maxClusterEquations]uint64
+	for s := 0; s < x.symbols && err == nil; s++ {
+		for _, cl := range x.symbolClusters(s) {
+			if err = solveCluster(dst, cl, &rows); err != nil {
+				break
+			}
+		}
+	}
 	mk.End(0, err)
 	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.solve", err)
-		return nil, err
+		return err
 	}
 	mk = tr.Begin(m.encVerify)
-	err = verifyConstraints(x, layout.Clusters)
+	for s := 0; s < x.symbols && err == nil; s++ {
+		err = verifyConstraints(dst, x.symbolClusters(s))
+	}
 	mk.End(0, err)
 	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.verify", err)
-		return nil, err
+		return err
 	}
-	return x, nil
+	return nil
 }
 
-// solveScratch backs the augmented matrices of solveClusters; a frame
-// solves hundreds of small clusters, so the backing is pooled rather than
-// reallocated per cluster.
-type solveScratch struct {
-	rows  [][]bits.Bit
-	cells []bits.Bit
-}
+// maxClusterEquations bounds the equations of one cluster, so its GF(2)
+// system is fixed-size: one uint64 row per equation, one bit per unknown.
+// The planner refuses larger clusters; shipped plans have at most 4
+// equations to a cluster.
+const maxClusterEquations = 64
 
-var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
-
-// solveClusters determines the extra bits in the scrambled stream x so
-// every cluster's pinned encoder outputs hold. Clusters are processed in
-// order; each is a small GF(2) linear solve.
+// solveCluster determines cl's extra bits in the packed scrambled stream
+// x so that its pinned encoder outputs hold: a Gauss-Jordan elimination
+// over GF(2) in rows, whose row r holds equation r's coefficients, bit c
+// for unknown Positions[c], and rhs bit r its constant term.
 //
 //sledzig:noalloc
-func solveClusters(x []bits.Bit, clusters []Cluster) error {
-	s := solveScratchPool.Get().(*solveScratch)
-	defer solveScratchPool.Put(s)
-	for _, cl := range clusters {
-		e := len(cl.Equations)
-		w := e + 1
-		// Augmented matrix over the cluster's unknown positions, carved
-		// out of the pooled flat backing.
-		if cap(s.rows) < e {
-			s.rows = make([][]bits.Bit, e)
+func solveCluster(x []byte, cl Cluster, rows *[maxClusterEquations]uint64) error {
+	e := len(cl.Equations)
+	if e > maxClusterEquations || len(cl.Positions) != e {
+		return fmt.Errorf("core: cluster of %d equations and %d unknowns is not solvable in place: %w", e, len(cl.Positions), ErrConstraintUnsatisfied)
+	}
+	var rhs uint64
+	for r, eq := range cl.Equations {
+		// Coefficient of position p: generator tap at delay step-p.
+		step, taps := eq.Step(), wifi.G0Mask
+		if eq.MotherIndex%2 != 0 {
+			taps = wifi.G1Mask
 		}
-		if cap(s.cells) < e*w {
-			s.cells = make([]bits.Bit, e*w)
-		}
-		rows := s.rows[:e]
-		cells := s.cells[:e*w]
-		clear(cells)
-		for r := range rows {
-			rows[r] = cells[r*w : (r+1)*w]
-		}
-		for r, eq := range cl.Equations {
-			for c, p := range cl.Positions {
-				d := eq.Step() - p
-				if d >= 0 && d < wifi.ConstraintLength {
-					g0, g1 := generatorCoeff(d)
-					if eq.MotherIndex%2 == 0 {
-						rows[r][c] = g0
-					} else {
-						rows[r][c] = g1
-					}
-				}
-			}
-			// Constant term: encoder output with unknowns at zero.
-			rows[r][e] = eq.Value ^ encodeOutput(x, eq)
-		}
-		// Gauss-Jordan.
-		for col := 0; col < e; col++ {
-			pivot := -1
-			for r := col; r < e; r++ {
-				if rows[r][col] == 1 {
-					pivot = r
-					break
-				}
-			}
-			if pivot < 0 {
-				return fmt.Errorf("core: singular cluster system at column %d: %w", col, ErrConstraintUnsatisfied)
-			}
-			rows[col], rows[pivot] = rows[pivot], rows[col]
-			for r := 0; r < e; r++ {
-				if r != col && rows[r][col] == 1 {
-					for cc := col; cc <= e; cc++ {
-						rows[r][cc] ^= rows[col][cc]
-					}
-				}
+		var row uint64
+		for c, p := range cl.Positions {
+			if d := uint(step - p); d < wifi.ConstraintLength {
+				row |= uint64(taps>>d&1) << c
 			}
 		}
-		for i, p := range cl.Positions {
-			x[p] = rows[i][e]
+		rows[r] = row
+		// Constant term: encoder output with unknowns at zero.
+		rhs |= uint64(eq.Value^encodeOutput(x, eq)) << r
+	}
+	for col := 0; col < e; col++ {
+		pivot := col
+		for pivot < e && rows[pivot]>>col&1 == 0 {
+			pivot++
 		}
+		if pivot == e {
+			return fmt.Errorf("core: singular cluster system at column %d: %w", col, ErrConstraintUnsatisfied)
+		}
+		rows[col], rows[pivot] = rows[pivot], rows[col]
+		if rhs>>col&1 != rhs>>pivot&1 {
+			rhs ^= 1<<col | 1<<pivot
+		}
+		for r := 0; r < e; r++ {
+			if r != col && rows[r]>>col&1 == 1 {
+				rows[r] ^= rows[col]
+				rhs ^= (rhs >> col & 1) << r
+			}
+		}
+	}
+	for i, p := range cl.Positions {
+		wifi.SetPackedBit(x, p, bits.Bit(rhs>>i&1))
 	}
 	return nil
 }
 
 // encodeOutput computes the mother-code output bit for one constraint
-// given the current stream contents.
-func encodeOutput(x []bits.Bit, eq Constraint) bits.Bit {
-	step := eq.Step()
-	var window uint32
-	for d := 0; d < wifi.ConstraintLength; d++ {
-		idx := step - d
-		if idx >= 0 && idx < len(x) {
-			window |= uint32(x[idx]&1) << d
-		}
-	}
-	y0, y1 := wifi.EncodeStep(window)
+// given the current contents of the packed stream x.
+func encodeOutput(x []byte, eq Constraint) bits.Bit {
+	y0, y1 := wifi.EncodeStep(wifi.PackedWindow(x, eq.Step()))
 	if eq.MotherIndex%2 == 0 {
 		return y0
 	}
@@ -380,8 +360,8 @@ func encodeOutput(x []bits.Bit, eq Constraint) bits.Bit {
 }
 
 // verifyConstraints re-checks every pinned output against the final
-// stream — cheap insurance that the solver and the encoder agree.
-func verifyConstraints(x []bits.Bit, clusters []Cluster) error {
+// packed stream — cheap insurance that the solver and the encoder agree.
+func verifyConstraints(x []byte, clusters []Cluster) error {
 	for _, cl := range clusters {
 		for _, eq := range cl.Equations {
 			if got := encodeOutput(x, eq); got != eq.Value {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"sledzig/internal/wifi"
@@ -23,12 +26,67 @@ func hashLayout(w io.Writer, l *FrameLayout) {
 	fmt.Fprintf(w, "%v\n", l.Positions)
 }
 
+// layoutString renders everything a layout exposes, as hashLayout does.
+func layoutString(l *FrameLayout) string {
+	var b strings.Builder
+	hashLayout(&b, l)
+	return b.String()
+}
+
+// pinnedLayout gathers what a masked frame assembles and strips — the
+// clusters and extra-bit positions of the symbols mask pins, ranges of
+// plan's layout — into one layout of len(mask) symbols.
+func pinnedLayout(plan *Plan, mask []bool) (*FrameLayout, error) {
+	x, err := maskedFrame(plan, mask)
+	if err != nil {
+		return nil, err
+	}
+	l := &FrameLayout{NumSymbols: len(mask), Clusters: []Cluster{}, Positions: []int{}}
+	for s := range x.symbols {
+		l.Clusters = append(l.Clusters, x.symbolClusters(s)...)
+	}
+	for p, k := x.position(0); p >= 0; p, k = x.position(k) {
+		l.Positions = append(l.Positions, p)
+	}
+	return l, nil
+}
+
+// globalLayout plans a frame from scratch from a frame-global constraint
+// list, in any order: what masked frames solved before they shared the
+// plan's layout.
+func globalLayout(all []Constraint, nSymbols int) (*FrameLayout, error) {
+	sorted := slices.Clone(all)
+	slices.SortFunc(sorted, byMotherIndex)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].MotherIndex == sorted[i-1].MotherIndex {
+			return nil, fmt.Errorf("duplicate constraint at mother index %d", sorted[i].MotherIndex)
+		}
+	}
+	return newFrameLayout(sorted, nSymbols)
+}
+
+// plannedMaskedLayout plans the frame of len(mask) symbols that mask pins
+// from scratch: the plan's constraints on every pinned symbol, clustered
+// and solved as one frame-global list.
+func plannedMaskedLayout(plan *Plan, mask []bool) (*FrameLayout, error) {
+	var all []Constraint
+	for s, pinned := range mask {
+		if !pinned {
+			continue
+		}
+		for _, c := range plan.symbolConstraints {
+			all = append(all, Constraint{MotherIndex: c.MotherIndex + s*2*plan.Mode.DataBitsPerSymbol(), Value: c.Value})
+		}
+	}
+	return globalLayout(all, len(mask))
+}
+
 // TestLayoutsMatchGolden pins complete multi-symbol layouts — including
 // clusters whose solver positions fall in the previous symbol, though
 // their equations never do (TestFrameLayoutTilesBySymbol) — for every
-// paper mode and channel under both conventions, through all three
-// layout entry points (the memoized frame layout, a masked layout and the
-// generic LayoutForConstraints). The single-symbol extra-bit positions
+// paper mode and channel under both conventions, through the plan's
+// layout, the generic LayoutForConstraints, and the pinned symbols'
+// ranges a masked frame walks. The single-symbol extra-bit positions
 // are also in testdata/vectors.json; this hash covers what those vectors
 // cannot: the cluster grouping, equation order and solver choices that
 // receivers depend on. Refresh the value only for an intended change to
@@ -59,7 +117,7 @@ func TestLayoutsMatchGolden(t *testing.T) {
 				for i := range mask {
 					mask[i] = i%3 != 1
 				}
-				m, err := MaskedLayout(plan, mask)
+				m, err := pinnedLayout(plan, mask)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,18 +130,19 @@ func TestLayoutsMatchGolden(t *testing.T) {
 	}
 }
 
-// TestFrameLayoutTilesBySymbol pins the property a per-symbol layout
-// would rest on, for both conventions and the 12 pinnable modes, on
-// every contiguous run of data subcarriers within each channel's window
-// (the whole window is CH1-CH4's own plan) and on Fig. 11's larger
-// subsets of up to 8 subcarriers, which reach past the window: no
-// cluster of a 3-symbol layout has equations in two symbols, and
-// FrameLayout(n) is symbol 0's clusters followed by n-1 copies of symbol
-// 1's, each shifted N_DBPS steps per symbol. n is sampled up to the
-// symbol count of the largest PSDU. A cluster may place extra bits in
-// the symbol before its equations, which symbol 0 cannot: the planner
-// never places one before the frame start. So symbol 0 may differ from
-// the steady state; DESIGN.md §5.5 records in which plans it does.
+// TestFrameLayoutTilesBySymbol pins the property the plan's one layout
+// rests on, for both conventions and the 12 pinnable modes, on every
+// contiguous run of data subcarriers within each channel's window (the
+// whole window is CH1-CH4's own plan) and on Fig. 11's larger subsets of
+// up to 8 subcarriers, which reach past the window: no cluster of a
+// 3-symbol layout planned from scratch has equations in two symbols, and
+// FrameLayout(n) is that layout's symbol 0 clusters followed by n-1
+// copies of its symbol 1 clusters, each shifted N_DBPS steps per symbol.
+// n is sampled up to the symbol count of the largest PSDU. A cluster may
+// place extra bits in the symbol before its equations, which symbol 0
+// cannot: the planner never places one before the frame start. So symbol
+// 0 may differ from the steady state; DESIGN.md §5.5 records in which
+// plans it does.
 func TestFrameLayoutTilesBySymbol(t *testing.T) {
 	plans, ownHead := 0, 0
 	for _, conv := range []wifi.Convention{wifi.ConventionIEEE, wifi.ConventionPaper} {
@@ -129,12 +188,13 @@ func TestFrameLayoutTilesBySymbol(t *testing.T) {
 	}
 }
 
-// checkTiling splits plan's 3-symbol layout into symbol 0's and symbol
-// 1's clusters and checks FrameLayout(n) against the tiling for each n.
-// It also reports whether symbol 0 is not symbol 1 shifted back.
+// checkTiling splits the 3-symbol layout the planner computes from
+// scratch for plan's constraints into symbol 0's and symbol 1's clusters
+// and checks FrameLayout(n) against the tiling for each n. It also
+// reports whether symbol 0 is not symbol 1 shifted back.
 func checkTiling(plan *Plan, ns []int) (headDiffers bool, err error) {
 	nDBPS := plan.Mode.DataBitsPerSymbol()
-	three, err := plan.FrameLayout(3)
+	three, err := LayoutForConstraints(plan.symbolConstraints, 3, 2*nDBPS)
 	if err != nil {
 		return false, err
 	}
@@ -209,36 +269,52 @@ func sameShifted(got, want Cluster, shift int) bool {
 	return true
 }
 
-// TestLayoutAllocationsFlat pins the planner's allocation count: building
-// a 60-symbol layout (240 clusters) costs no more allocations than a
-// 2-symbol one, where it used to cost several per cluster.
+// growthAllocs returns the allocations one plan makes growing its
+// layout from construction's two symbols to n, averaged over fresh plans.
+func growthAllocs(t testing.TB, n int) float64 {
+	const runs = 20
+	plans := make([]*Plan, runs)
+	for i := range plans {
+		p, err := NewPlan(wifi.ConventionPaper, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, CH4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = p
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range plans {
+		if _, err := p.grown(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestLayoutAllocationsFlat pins the cost of growing a plan's layout:
+// growing from 2 to 60 symbols (240 clusters) makes as many allocations
+// as growing from 2 to 3, because growth appends shifted copies of
+// symbol 1's clusters into arrays sized once. The averages may differ by
+// a stray runtime allocation, never by one per cluster.
 func TestLayoutAllocationsFlat(t *testing.T) {
-	plan, err := NewPlan(wifi.ConventionPaper, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, CH4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := func(n int) float64 {
-		return testing.AllocsPerRun(10, func() {
-			if _, err := plan.computeFrameLayout(n); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if short, long := allocs(2), allocs(60); long > short+2 {
-		t.Errorf("60-symbol layout: %.0f allocs, 2-symbol layout %.0f: the planner allocates per cluster", long, short)
+	if short, long := growthAllocs(t, 3), growthAllocs(t, 60); long >= short+1 {
+		t.Errorf("growing to 60 symbols: %.1f allocs, to 3 symbols %.1f: growth allocates per cluster", long, short)
 	}
 }
 
-// BenchmarkFrameLayout plans a 60-symbol (240-cluster) frame from
-// scratch, bypassing the plan's memo.
+// BenchmarkFrameLayout grows a fresh plan's layout from 2 to 60 symbols
+// (240 clusters); the plan is built with the timer stopped.
 func BenchmarkFrameLayout(b *testing.B) {
-	plan, err := NewPlan(wifi.ConventionPaper, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, CH4)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.computeFrameLayout(60); err != nil {
+		b.StopTimer()
+		plan, err := NewPlan(wifi.ConventionPaper, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, CH4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := plan.FrameLayout(60); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sledzig/internal/bits"
 	"sledzig/internal/wifi"
@@ -28,14 +29,27 @@ type Plan struct {
 	// symbolConstraints are the constraints of one OFDM symbol, sorted by
 	// mother index.
 	symbolConstraints []Constraint
+	// head and body are the clusters of symbol 0 and of symbol 1; symbol
+	// s > 1 has body's shifted (s-1)·N_DBPS steps (DESIGN.md §5.5).
+	head, body []Cluster
 
-	// mu guards the layout memos: FrameLayout's by symbol count (frames of
-	// recurring sizes pay the cluster planning cost once) and MaskedLayout's
-	// by packed mask (bounded by the CTC codecs' message alphabets, not the
-	// traffic). Layouts are immutable once built and shared freely.
-	mu            sync.RWMutex
-	layouts       map[int]*FrameLayout
-	maskedLayouts map[string]*FrameLayout
+	// layout is the plan's one layout, grown to the longest frame
+	// requested. mu serializes growth and header creation; reads take no
+	// lock.
+	mu     sync.Mutex
+	layout atomic.Pointer[planLayout]
+}
+
+// planLayout is one generation of a plan's layout, immutable once
+// published: the clusters and extra-bit positions of its first n
+// symbols, and the headers of the lengths requested since it was built.
+// A growth publishes a new generation with no headers, so the plan keeps
+// one generation's arrays alive.
+type planLayout struct {
+	n         int
+	clusters  []Cluster
+	positions []int
+	headers   []atomic.Pointer[FrameLayout] // by symbol count, 1..n
 }
 
 // NewPlan builds the plan for a protected ZigBee channel using its full
@@ -53,22 +67,38 @@ func NewPlan(conv wifi.Convention, mode wifi.Mode, ch ZigBeeChannel) (*Plan, err
 }
 
 // NewPlanForSubcarriers builds a plan pinning an explicit set of data
-// subcarriers (the Fig. 11 ablation sweeps these).
+// subcarriers (the Fig. 11 ablation sweeps these). It refuses a set whose
+// clusters would span two symbols, so that the layout could not tile, and
+// a set whose two-symbol layout is unsolvable.
 func NewPlanForSubcarriers(conv wifi.Convention, mode wifi.Mode, subcarriers []int) (*Plan, error) {
 	cs, err := SymbolConstraints(conv, mode, subcarriers)
 	if err != nil {
 		return nil, err
 	}
+	nDBPS := mode.DataBitsPerSymbol()
+	if n := len(cs); n > 0 {
+		if first, last := cs[0].Step(), cs[n-1].Step(); first+nDBPS-last < wifi.ConstraintLength {
+			return nil, fmt.Errorf("core: constrained steps %d..%d of a %d-step symbol leave clusters spanning two symbols: %w",
+				first, last, nDBPS, ErrConstraintUnsatisfied)
+		}
+	}
+	two, err := LayoutForConstraints(cs, 2, 2*nDBPS)
+	if err != nil {
+		return nil, err
+	}
+	// Both symbols group the same shifted constraints into clusters.
+	perSym := len(two.Clusters) / 2
 	p := &Plan{
 		Convention:        conv,
 		Mode:              mode,
 		Subcarriers:       append([]int(nil), subcarriers...),
 		symbolConstraints: cs,
+		head:              two.Clusters[:perSym:perSym],
+		body:              two.Clusters[perSym:],
 	}
-	// Fail fast if even a long frame cannot be planned.
-	if _, err := p.FrameLayout(2); err != nil {
-		return nil, err
-	}
+	l := &planLayout{n: 2, clusters: two.Clusters, positions: two.Positions, headers: make([]atomic.Pointer[FrameLayout], 3)}
+	l.headers[2].Store(two)
+	p.layout.Store(l)
 	return p, nil
 }
 
@@ -101,44 +131,126 @@ type Cluster struct {
 }
 
 // FrameLayout returns the global extra-bit positions and solving clusters
-// for a frame of nSymbols OFDM symbols. Layouts are memoized per plan and
-// shared: the returned value is read-only and must not be modified.
+// for a frame of nSymbols OFDM symbols: a prefix of the plan's one
+// layout, behind a header made on the first request for the length. The
+// returned value is shared and read-only and must not be modified.
 func (p *Plan) FrameLayout(nSymbols int) (*FrameLayout, error) {
-	p.mu.RLock()
-	layout, ok := p.layouts[nSymbols]
-	p.mu.RUnlock()
-	if ok {
-		metrics().layoutHit.Inc()
-		return layout, nil
-	}
-	metrics().layoutMiss.Inc()
-	layout, err := p.computeFrameLayout(nSymbols)
+	l, err := p.grown(nSymbols)
 	if err != nil {
 		return nil, err
 	}
-	return storeLayout(&p.mu, &p.layouts, nSymbols, layout), nil
+	if h := l.headers[nSymbols].Load(); h != nil {
+		return h, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l = p.layout.Load()
+	h := l.headers[nSymbols].Load()
+	if h == nil {
+		c, e := nSymbols*len(p.body), nSymbols*len(p.symbolConstraints)
+		h = &FrameLayout{NumSymbols: nSymbols, Clusters: l.clusters[:c:c], Positions: l.positions[:e:e]}
+		l.headers[nSymbols].Store(h)
+	}
+	return h, nil
 }
 
-// storeLayout memoizes layout under key in *m, created on first use, and
-// returns the instance every caller shares. Concurrent first computations
-// are identical (the planner is deterministic), so whichever landed first
-// wins.
-func storeLayout[K comparable](mu *sync.RWMutex, m *map[K]*FrameLayout, key K, layout *FrameLayout) *FrameLayout {
-	mu.Lock()
-	defer mu.Unlock()
-	if first, ok := (*m)[key]; ok {
-		return first
+// grown returns the plan's layout covering at least n symbols, first
+// growing it to n, at most the longest PSDU's symbols, by appending
+// shifted copies of body to head. core.layout.cache_hits counts the
+// lengths it already covers, cache_misses the growths.
+func (p *Plan) grown(n int) (*planLayout, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("core: frame needs at least one symbol, got %d", n)
 	}
-	if *m == nil {
-		*m = make(map[K]*FrameLayout)
+	if l := p.layout.Load(); n <= l.n {
+		metrics().layoutHit.Inc()
+		return l, nil
 	}
-	(*m)[key] = layout
-	return layout
+	longest := wifi.NumDataSymbols(p.Mode, wifi.MaxPSDULength)
+	if n > longest {
+		return nil, fmt.Errorf("core: %d-symbol frame is longer than the %d symbols of a %d-octet PSDU: %w",
+			n, longest, wifi.MaxPSDULength, ErrPayloadSize)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	old := p.layout.Load()
+	if n <= old.n {
+		metrics().layoutHit.Inc()
+		return old, nil
+	}
+	metrics().layoutMiss.Inc()
+	perSym, nDBPS := len(p.symbolConstraints), p.Mode.DataBitsPerSymbol()
+	eqs := make([]Constraint, n*perSym)
+	pos := make([]int, n*perSym)
+	l := &planLayout{
+		n:         n,
+		clusters:  make([]Cluster, 0, n*len(p.body)),
+		positions: pos,
+		headers:   make([]atomic.Pointer[FrameLayout], n+1),
+	}
+	k := 0
+	for s := 0; s < n; s++ {
+		tile, shift := p.head, 0
+		if s > 0 {
+			tile, shift = p.body, (s-1)*nDBPS
+		}
+		for _, cl := range tile {
+			start := k
+			for i, eq := range cl.Equations {
+				eqs[k] = Constraint{MotherIndex: eq.MotherIndex + 2*shift, Value: eq.Value}
+				pos[k] = cl.Positions[i] + shift
+				k++
+			}
+			l.clusters = append(l.clusters, Cluster{Equations: eqs[start:k:k], Positions: pos[start:k:k]})
+		}
+	}
+	p.layout.Store(l)
+	return l, nil
 }
 
-// computeFrameLayout derives a layout from scratch.
-func (p *Plan) computeFrameLayout(nSymbols int) (*FrameLayout, error) {
-	return LayoutForConstraints(p.symbolConstraints, nSymbols, 2*p.Mode.DataBitsPerSymbol())
+// frameExtras locates one frame's extra bits: the clusters and ascending
+// positions of its symbols, an equal share of each per symbol, of which
+// only the symbols mask pins count (nil pins all); a frame-wide layout is
+// one share. count is the pinned symbols' extra bits, last the position
+// of the last (-1: none).
+type frameExtras struct {
+	clusters    []Cluster
+	positions   []int
+	symbols     int
+	mask        []bool
+	count, last int
+}
+
+func newFrameExtras(clusters []Cluster, positions []int, symbols int, mask []bool) frameExtras {
+	x := frameExtras{clusters: clusters, positions: positions, symbols: symbols, mask: mask, last: -1}
+	for s, per := 0, len(positions)/symbols; s < symbols && per > 0; s++ {
+		if mask == nil || mask[s] {
+			x.count += per
+			x.last = positions[(s+1)*per-1]
+		}
+	}
+	return x
+}
+
+// symbolClusters returns the clusters of symbol s, none when it is not
+// pinned.
+func (x *frameExtras) symbolClusters(s int) []Cluster {
+	if x.mask != nil && !x.mask[s] {
+		return nil
+	}
+	return x.clusters[s*len(x.clusters)/x.symbols : (s+1)*len(x.clusters)/x.symbols]
+}
+
+// position returns the first extra-bit position of a pinned symbol at or
+// after entry k of x.positions, and the entry after it; -1 when none
+// remains.
+func (x *frameExtras) position(k int) (int, int) {
+	for ; k < len(x.positions); k++ {
+		if x.mask == nil || x.mask[k*x.symbols/len(x.positions)] {
+			return x.positions[k], k + 1
+		}
+	}
+	return -1, k
 }
 
 // FrameLayout is the frame-wide solving plan.
@@ -205,6 +317,10 @@ type clusterScratch struct {
 // step; twin -> step-1, step-5) whenever that choice is solvable.
 func (sc *clusterScratch) planCluster(eqs []Constraint, positions []int) error {
 	minStep, maxStep := eqs[0].Step(), eqs[len(eqs)-1].Step()
+	if len(eqs) > maxClusterEquations {
+		return fmt.Errorf("core: cluster of %d constraints at steps %d..%d exceeds the solver's %d: %w",
+			len(eqs), minStep, maxStep, maxClusterEquations, ErrConstraintUnsatisfied)
+	}
 
 	// Candidate preference: paper positions first, then every other
 	// window position from latest to earliest. Candidates live in the
@@ -328,22 +444,3 @@ func LayoutForConstraints(symbolConstraints []Constraint, nSymbols, motherPerSym
 }
 
 func byMotherIndex(a, b Constraint) int { return cmp.Compare(a.MotherIndex, b.MotherIndex) }
-
-// LayoutForGlobalConstraints plans a frame from an already-expanded,
-// frame-global constraint list (callers that pin only selected symbols,
-// like the CTC energy modulator, build this themselves). The list need
-// not be sorted.
-func LayoutForGlobalConstraints(all []Constraint, nSymbols int) (*FrameLayout, error) {
-	if nSymbols < 1 {
-		return nil, fmt.Errorf("core: frame needs at least one symbol, got %d", nSymbols)
-	}
-	sorted := make([]Constraint, len(all))
-	copy(sorted, all)
-	slices.SortFunc(sorted, byMotherIndex)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].MotherIndex == sorted[i-1].MotherIndex {
-			return nil, fmt.Errorf("core: duplicate constraint at mother index %d", sorted[i].MotherIndex)
-		}
-	}
-	return newFrameLayout(sorted, nSymbols)
-}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -107,35 +109,132 @@ func TestFrameLayoutMemoized(t *testing.T) {
 	}
 }
 
+// TestFrameLayoutConcurrent grows one fresh plan from many goroutines
+// at once, each requesting frame lengths and masked frames in its own
+// order, and checks every layout against the planner's from-scratch
+// layout of that length: growth is serialized and published whole, and
+// reads take no lock (run it under -race). Once the layout covers a
+// length, concurrent readers share one header and one backing array.
 func TestFrameLayoutConcurrent(t *testing.T) {
 	mode := wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate23}
-	plan, err := CachedPlan(wifi.ConventionIEEE, mode, 4)
+	plan, err := NewPlan(wifi.ConventionIEEE, mode, CH4)
 	if err != nil {
-		t.Fatalf("CachedPlan: %v", err)
+		t.Fatalf("NewPlan: %v", err)
 	}
-	mask := []bool{true, false, true, true, false, true}
+	const longest = 48
+	want := make([]string, longest+1)
+	for n := 1; n <= longest; n++ {
+		l, err := LayoutForConstraints(plan.symbolConstraints, n, 2*mode.DataBitsPerSymbol())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[n] = layoutString(l)
+	}
 	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < longest; i++ {
+				n := 1 + (i*(2*g+1)+g)%longest
+				l, err := plan.FrameLayout(n)
+				if err != nil {
+					t.Errorf("FrameLayout(%d): %v", n, err)
+					return
+				}
+				if layoutString(l) != want[n] {
+					t.Errorf("goroutine %d: FrameLayout(%d) is not the planner's layout", g, n)
+					return
+				}
+				mask := make([]bool, n)
+				for s := range mask {
+					mask[s] = (s+g)%3 != 0
+				}
+				got, err := pinnedLayout(plan, mask)
+				if err != nil {
+					t.Errorf("masked frame of %d symbols: %v", n, err)
+					return
+				}
+				if planned, err := plannedMaskedLayout(plan, mask); err != nil || layoutString(got) != layoutString(planned) {
+					t.Errorf("goroutine %d: masked frame of %d symbols differs from its planned layout (%v)", g, n, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
 	layouts := make([]*FrameLayout, 16)
-	masked := make([]*FrameLayout, len(layouts))
 	for i := range layouts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			l, err := plan.FrameLayout(6)
+			l, err := plan.FrameLayout(longest / 2)
 			if err != nil {
 				t.Errorf("FrameLayout: %v", err)
 				return
 			}
 			layouts[i] = l
-			if masked[i], err = MaskedLayout(plan, mask); err != nil {
-				t.Errorf("MaskedLayout: %v", err)
-			}
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < len(layouts); i++ {
-		if layouts[i] != layouts[0] || masked[i] != masked[0] {
-			t.Fatalf("goroutine %d got a different layout instance", i)
+	whole, err := plan.FrameLayout(longest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range layouts {
+		if l != layouts[0] || &l.Positions[0] != &whole.Positions[0] || &l.Clusters[0] != &whole.Clusters[0] {
+			t.Fatalf("reader %d does not share the plan's one layout", i)
+		}
+	}
+}
+
+// retainedHeap returns the live heap after two collections.
+func retainedHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestPlanMemoryBounded holds what one plan keeps to a small bound
+// whatever the air asks of it: a sender picks the plan with the SIGNAL
+// field and the frame length with LENGTH, and the ook-ctc decoder strips
+// under any of the 1,024 masks of its 320-symbol frame (ten groups of 32
+// symbols) before the CRC check; a mode whose longest PSDU is shorter
+// gets ten groups of that length. Lengths arrive in increasing order,
+// the order in which headers that kept superseded arrays alive would
+// retain the most.
+func TestPlanMemoryBounded(t *testing.T) {
+	for _, mode := range []wifi.Mode{{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, {Modulation: wifi.QAM64, CodeRate: wifi.Rate34}} {
+		plan, err := NewPlan(wifi.ConventionIEEE, mode, CH4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		longest := wifi.NumDataSymbols(mode, wifi.MaxPSDULength)
+		nSym := min(320, longest)
+		data := make([]bits.Bit, nSym*mode.DataBitsPerSymbol())
+		mask := make([]bool, nSym)
+		before := retainedHeap()
+		for n := 1; n <= longest; n++ {
+			if _, err := plan.FrameLayout(n); err != nil {
+				t.Fatalf("%v: FrameLayout(%d): %v", mode, n, err)
+			}
+		}
+		for m := 0; m < 1<<10; m++ {
+			for s := range mask {
+				mask[s] = m>>min(s/(nSym/10), 9)&1 == 0
+			}
+			if _, err := StripMaskedPayload(plan, mask, data); !errors.Is(err, ErrExtraBitLayout) {
+				t.Fatalf("%v: mask %#x: strip of an all-zero frame gave %v", mode, m, err)
+			}
+		}
+		kept := int64(retainedHeap()) - int64(before)
+		runtime.KeepAlive(plan)
+		t.Logf("%v: the plan keeps %d kB", mode, kept>>10)
+		if kept > 1<<20 {
+			t.Errorf("%v: the plan keeps %.1f MiB after every length and mask, want at most 1 MiB", mode, float64(kept)/(1<<20))
 		}
 	}
 }

@@ -79,12 +79,19 @@ func framedBits(rng *rand.Rand, n int, positions []int, length int, payload []by
 	return out
 }
 
+// stripPositions runs stripFramed on an explicit list of extra-bit
+// positions, the frame-wide layout's form.
+func stripPositions(dataBits []bits.Bit, positions []int) ([]byte, stripFailure, error) {
+	x := newFrameExtras(nil, positions, 1, nil)
+	return stripFramed(dataBits, &x)
+}
+
 // checkStripAgrees runs stripFramed and the oracle on one input and fails
 // unless they return the same payload and failure class; every failure
 // must wrap ErrExtraBitLayout.
 func checkStripAgrees(t *testing.T, name string, dataBits []bits.Bit, positions []int) ([]byte, stripFailure) {
 	t.Helper()
-	got, gotClass, gotErr := stripFramed(dataBits, positions)
+	got, gotClass, gotErr := stripPositions(dataBits, positions)
 	want, wantClass, wantErr := stripOracle(dataBits, positions)
 	if gotClass != wantClass || (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s: class %d err %v, oracle class %d err %v", name, gotClass, gotErr, wantClass, wantErr)
@@ -143,7 +150,7 @@ func TestStripFramedHostileInputs(t *testing.T) {
 			t.Errorf("%s: class %d, want %d", tc.name, got, tc.want)
 		}
 	}
-	payload, _, err := stripFramed(valid, positions)
+	payload, _, err := stripPositions(valid, positions)
 	if err != nil || !bytes.Equal(payload, []byte{1, 2, 3, 4}) {
 		t.Fatalf("valid stream: payload %x err %v", payload, err)
 	}
@@ -151,8 +158,10 @@ func TestStripFramedHostileInputs(t *testing.T) {
 
 // TestStripFramedMatchesOracle compares the one-pass strip with the
 // oracle on the positions every paper mode and channel really produces:
-// whole-frame layouts and masked layouts, on well-framed streams and on
-// random bits.
+// whole-frame layouts and masked frames, on well-framed streams and on
+// random bits. A masked frame's strip, which walks the pinned symbols'
+// ranges of the plan's layout, must match the strip of their positions
+// gathered into one list.
 func TestStripFramedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, conv := range []wifi.Convention{wifi.ConventionIEEE, wifi.ConventionPaper} {
@@ -165,17 +174,26 @@ func TestStripFramedMatchesOracle(t *testing.T) {
 				for trial := 0; trial < 6; trial++ {
 					nSym := 1 + rng.Intn(12)
 					var layout *FrameLayout
+					var mask []bool
 					if trial%2 == 0 {
 						layout, err = plan.FrameLayout(nSym)
 					} else {
-						mask := make([]bool, nSym)
+						mask = make([]bool, nSym)
 						for i := range mask {
 							mask[i] = rng.Intn(2) == 0
 						}
-						layout, err = MaskedLayout(plan, mask)
+						layout, err = pinnedLayout(plan, mask)
 					}
 					if err != nil {
 						t.Fatal(err)
+					}
+					check := func(name string, dataBits []bits.Bit) ([]byte, stripFailure) {
+						t.Helper()
+						got, class := checkStripAgrees(t, name, dataBits, layout.Positions)
+						if mask != nil {
+							checkMaskedStripAgrees(t, name, plan, mask, dataBits)
+						}
+						return got, class
 					}
 					n := nSym * mode.DataBitsPerSymbol()
 					capacity := (n - len(layout.Positions) - serviceBits - 8*headerOctets) / 8
@@ -185,16 +203,37 @@ func TestStripFramedMatchesOracle(t *testing.T) {
 						payload := make([]byte, length)
 						rng.Read(payload)
 						framed := framedBits(rng, n, layout.Positions, length, payload)
-						if got, class := checkStripAgrees(t, name+" framed", framed, layout.Positions); class != stripOK || !bytes.Equal(got, payload) {
+						if got, class := check(name+" framed", framed); class != stripOK || !bytes.Equal(got, payload) {
 							t.Fatalf("%s framed: class %d payload %x, want %x", name, class, got, payload)
 						}
 						over := framedBits(rng, n, layout.Positions, capacity+1, payload)
-						checkStripAgrees(t, name+" overlong", over, layout.Positions)
+						check(name+" overlong", over)
 					}
-					checkStripAgrees(t, name+" random", bits.Random(rng, n), layout.Positions)
+					check(name+" random", bits.Random(rng, n))
 				}
 			}
 		}
+	}
+}
+
+// checkMaskedStripAgrees strips dataBits as the frame of len(mask)
+// symbols that mask pins and fails unless the result equals the strip of
+// the pinned symbols' positions gathered into one list.
+func checkMaskedStripAgrees(t *testing.T, name string, plan *Plan, mask []bool, dataBits []bits.Bit) {
+	t.Helper()
+	x, err := maskedFrame(plan, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := pinnedLayout(plan, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotClass, gotErr := stripFramed(dataBits, &x)
+	want, wantClass, wantErr := stripPositions(dataBits, pinned.Positions)
+	if gotClass != wantClass || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
+		t.Fatalf("%s: masked strip gave class %d err %v payload %x, the gathered positions class %d err %v payload %x",
+			name, gotClass, gotErr, got, wantClass, wantErr, want)
 	}
 }
 
@@ -228,6 +267,6 @@ func FuzzStripFramed(f *testing.F) {
 			unordered[i] = int(int8(g))
 		}
 		checkStripAgrees(t, "fuzz", dataBits, ascending)
-		_, _, _ = stripFramed(dataBits, unordered)
+		_, _, _ = stripPositions(dataBits, unordered)
 	})
 }

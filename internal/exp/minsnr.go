@@ -89,6 +89,8 @@ func paperMinSNR(m wifi.Mode) float64 {
 func measurePER(conv wifi.Convention, mode wifi.Mode, snrDB float64, frames int, soft bool, rng *rand.Rand) (float64, error) {
 	tx := wifi.Transmitter{Mode: mode, Convention: conv}
 	rx := wifi.Receiver{Convention: conv, Soft: soft}
+	// One result, reused, owns the receive buffers for every frame.
+	var res wifi.RxResult
 	failures := 0
 	for f := 0; f < frames; f++ {
 		payload := bits.RandomBytes(rng, 100)
@@ -100,8 +102,7 @@ func measurePER(conv wifi.Convention, mode wifi.Mode, snrDB float64, frames int,
 		if err != nil {
 			return 0, err
 		}
-		res, err := rx.Receive(addAWGN(rng, wave, snrDB))
-		if err != nil {
+		if err := rx.ReceiveInto(addAWGN(rng, wave, snrDB), &res); err != nil {
 			failures++
 			continue
 		}

@@ -88,11 +88,12 @@ func BenchmarkViterbiACSReferenceHard(b *testing.B) {
 	data := bits.Random(rng, 1000)
 	mother := signedMother(ConvolutionalEncode(data), nil)
 	dst := make([]bits.Bit, 0, len(data))
+	var s viterbiScratch
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := viterbiDecodeInto(dst, mother, false, refHardACS); err != nil {
+		if _, err := decode(&s, dst, mother, false, refHardACS); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,11 +114,12 @@ func BenchmarkViterbiACSReferenceSoft(b *testing.B) {
 		}
 	}
 	dst := make([]bits.Bit, 0, len(data))
+	var s viterbiScratch
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := viterbiDecodeSoftInto(dst, llrs, false, refSoftACS); err != nil {
+		if _, err := decode(&s, dst, llrs, false, refSoftACS); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,6 +22,15 @@ func EncodeStep(window uint32) (y0, y1 bits.Bit) {
 	return bits.DotGF2(G0Mask, window), bits.DotGF2(G1Mask, window)
 }
 
+// encodeTable holds EncodeStep's pair for every window, y0<<1 | y1.
+var encodeTable = func() (t [1 << ConstraintLength]uint8) {
+	for w := range t {
+		y0, y1 := EncodeStep(uint32(w))
+		t[w] = y0<<1 | y1
+	}
+	return t
+}()
+
 // ConvolutionalEncode runs the rate-1/2 mother code over in (register
 // initialized to zero) and returns the 2*len(in) coded bits, ordered
 // y1, y2, ... with y_{2n-1} = g0 output and y_{2n} = g1 output of step n.
@@ -36,19 +45,6 @@ func convolutionalEncodeInto(dst, in []bits.Bit) []bits.Bit {
 	var reg uint32
 	for i, x := range in {
 		reg = ((reg << 1) | uint32(x&1)) & 0x7F
-		dst[2*i], dst[2*i+1] = EncodeStep(reg)
-	}
-	return dst
-}
-
-// convolutionalEncodePackedInto is convolutionalEncodeInto over the
-// first n bits of in, packed eight to an octet with the first bit in the
-// LSB (Frame's encoder-input layout).
-func convolutionalEncodePackedInto(dst []bits.Bit, in []byte, n int) []bits.Bit {
-	dst = grow(dst, 2*n)
-	var reg uint32
-	for i := 0; i < n; i++ {
-		reg = (reg<<1 | uint32(in[i/8]>>(i%8))&1) & 0x7F
 		dst[2*i], dst[2*i+1] = EncodeStep(reg)
 	}
 	return dst

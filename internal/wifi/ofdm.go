@@ -2,7 +2,6 @@ package wifi
 
 import (
 	"fmt"
-	"sync"
 
 	"sledzig/internal/dsp"
 )
@@ -31,58 +30,29 @@ func PilotPolarity(n int) float64 {
 // index (for pilot polarity), then returns the 80-sample time-domain symbol
 // (16-sample cyclic prefix + 64-sample IFFT output).
 func AssembleSymbol(data []complex128, symbolIndex int) ([]complex128, error) {
-	freq, err := SubcarrierMap(data, symbolIndex)
-	if err != nil {
-		return nil, err
-	}
-	return TimeDomain(freq), nil
+	return AppendSymbol(make([]complex128, 0, SymbolLength), data, symbolIndex)
 }
-
-// symbolScratch holds the frequency- and time-domain work vectors of one
-// OFDM symbol synthesis; AppendSymbol pools these so steady-state waveform
-// rendering does not allocate per symbol.
-type symbolScratch struct {
-	freq []complex128
-	td   []complex128
-}
-
-var symbolScratchPool = sync.Pool{New: func() any {
-	return &symbolScratch{
-		freq: make([]complex128, NumSubcarriers),
-		td:   make([]complex128, NumSubcarriers),
-	}
-}}
 
 // AppendSymbol is AssembleSymbol in append form: it appends the 80-sample
 // cyclic-prefixed time-domain symbol to dst and returns the extended
-// slice. All intermediate buffers come from an internal pool, so a caller
-// that reuses dst's capacity renders symbols allocation-free.
+// slice. Its frequency- and time-domain vectors are fixed-size locals, so
+// a caller that reuses dst's capacity renders symbols allocation-free.
 func AppendSymbol(dst []complex128, data []complex128, symbolIndex int) ([]complex128, error) {
-	s := symbolScratchPool.Get().(*symbolScratch)
-	defer symbolScratchPool.Put(s)
-	if err := SubcarrierMapInto(s.freq, data, symbolIndex); err != nil {
+	var freq, td [NumSubcarriers]complex128
+	if err := SubcarrierMapInto(freq[:], data, symbolIndex); err != nil {
 		return dst, err
 	}
-	if err := dsp.IFFTInto(s.td, s.freq); err != nil {
+	if err := dsp.IFFTInto(td[:], freq[:]); err != nil {
 		return dst, err
 	}
-	dst = append(dst, s.td[NumSubcarriers-CPLength:]...)
-	dst = append(dst, s.td...)
+	dst = append(dst, td[NumSubcarriers-CPLength:]...)
+	dst = append(dst, td[:]...)
 	return dst, nil
 }
 
-// SubcarrierMap places 48 data points and the 4 pilots into the 64-bin
-// frequency-domain vector (bin k mod 64 for signed subcarrier k).
-func SubcarrierMap(data []complex128, symbolIndex int) ([]complex128, error) {
-	freq := make([]complex128, NumSubcarriers)
-	if err := SubcarrierMapInto(freq, data, symbolIndex); err != nil {
-		return nil, err
-	}
-	return freq, nil
-}
-
-// SubcarrierMapInto is SubcarrierMap writing into a caller-provided 64-bin
-// vector, which is cleared first.
+// SubcarrierMapInto places 48 data points and the 4 pilots into the
+// caller's 64-bin frequency-domain vector (bin k mod 64 for signed
+// subcarrier k), which is cleared first.
 func SubcarrierMapInto(freq, data []complex128, symbolIndex int) error {
 	if len(data) != NumDataSubcarriers {
 		return fmt.Errorf("wifi: need %d data points, got %d", NumDataSubcarriers, len(data))
@@ -131,16 +101,6 @@ func ExtractSubcarriersInto(dst, freq []complex128) error {
 // bin converts a signed subcarrier index to an FFT bin index.
 func bin(k int) int {
 	return ((k % NumSubcarriers) + NumSubcarriers) % NumSubcarriers
-}
-
-// TimeDomain converts a 64-bin frequency vector to the 80-sample
-// cyclic-prefixed time-domain symbol.
-func TimeDomain(freq []complex128) []complex128 {
-	td := dsp.MustIFFT(freq)
-	out := make([]complex128, 0, SymbolLength)
-	out = append(out, td[NumSubcarriers-CPLength:]...)
-	out = append(out, td...)
-	return out
 }
 
 // FrequencyDomain strips the cyclic prefix from an 80-sample symbol and

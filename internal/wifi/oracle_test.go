@@ -18,8 +18,8 @@ import (
 
 // acsPair names the forward-pass kernels one oracle decode runs.
 type acsPair struct {
-	hard hardACS
-	soft softACS
+	hard func(s *viterbiScratch, mother []int8, steps int) *[viterbiStates]int32
+	soft func(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]float64
 }
 
 var (
@@ -139,12 +139,12 @@ func wideReceive(tb testing.TB, waveform []complex128, soft bool, acs acsPair) *
 	if soft {
 		mother, err := DepunctureFloatsInto(nil, llrs, mode.CodeRate)
 		must(err)
-		scrambled, err = viterbiDecodeSoftInto(nil, mother, false, acs.soft)
+		scrambled, err = decode(new(viterbiScratch), nil, mother, false, acs.soft)
 		must(err)
 	} else {
 		mother, erased, err := Depuncture(coded, mode.CodeRate)
 		must(err)
-		scrambled, err = viterbiDecodeInto(nil, signedMother(mother, erased), false, acs.hard)
+		scrambled, err = decode(new(viterbiScratch), nil, signedMother(mother, erased), false, acs.hard)
 		must(err)
 	}
 	res.DataBits = make([]bits.Bit, len(scrambled))

@@ -229,12 +229,11 @@ func TestCodedSlotsMatchPerBitComposition(t *testing.T) {
 // streams, for every mode and convention.
 func TestGatherMatchesPunctureInterleave(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	var s txScratch
 	forEachConventionMode(func(c Convention, mode Mode) {
 		nSym := 1 + rng.Intn(3)
 		f, x := randomFrame(t, rng, c, mode, nSym)
-		pts := make([]complex128, nSym*NumDataSubcarriers)
-		if err := f.renderData(&s, pts); err != nil {
+		_, inter, pts, err := renderFrame(f)
+		if err != nil {
 			t.Fatal(err)
 		}
 		coded, err := EncodeAndPuncture(x, mode.CodeRate)
@@ -245,7 +244,7 @@ func TestGatherMatchesPunctureInterleave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bits.Equal(s.inter, want) {
+		if !bits.Equal(inter, want) {
 			t.Fatalf("%v %v, %d symbols: gathered bits differ from puncture + interleave", c, mode, nSym)
 		}
 		wantPts := make([]complex128, len(pts))

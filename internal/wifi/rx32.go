@@ -30,12 +30,12 @@ import (
 // detection, EVM measurement) are width-agnostic.
 
 // decodeSignalSymbolInto32 decodes the SIGNAL points in s.pts32 through
-// the pooled scratch: BPSK demap into s.symBits, then decodeSignal. It
+// the result's scratch: BPSK demap into s.symBits, then decodeSignal. It
 // runs before the DATA loop, which regrows the same buffers for the
 // signalled mode.
 func decodeSignalSymbolInto32(s *rxScratch) (Mode, int, error) {
 	s.symBits = grow(s.symBits, NumDataSubcarriers)
-	if err := ConventionIEEE.DemapAll64Into(s.symBits, signalMode.Modulation, s.pts32); err != nil {
+	if err := ConventionIEEE.DemapAll64Into(s.symBits, signalMode.Modulation, s.pts32[:]); err != nil {
 		return Mode{}, 0, err
 	}
 	return s.decodeSignal()
@@ -51,10 +51,10 @@ func equalizeSymbolInto32(pts []complex64, s *rxScratch, sym []complex64, symbol
 	if len(sym) != SymbolLength {
 		return fmt.Errorf("wifi: symbol length %d != %d", len(sym), SymbolLength)
 	}
-	if err := dsp.FFTInto32(s.freq32, sym[CPLength:]); err != nil {
+	if err := dsp.FFTInto32(s.freq32[:], sym[CPLength:]); err != nil {
 		return err
 	}
-	if err := extractSubcarriersInto32(pts, s.freq32); err != nil {
+	if err := extractSubcarriersInto32(pts, s.freq32[:]); err != nil {
 		return err
 	}
 	for i := range pts {
@@ -110,10 +110,10 @@ func estimateChannelInto32(s *rxScratch, waveform []complex64) error {
 		// The LTS repetitions are contiguous, so the 64-sample FFT window
 		// can be taken directly — no cyclic prefix to strip.
 		start := 160 + 32 + rep*NumSubcarriers
-		if err := dsp.FFTInto32(s.freq32, waveform[start:start+NumSubcarriers]); err != nil {
+		if err := dsp.FFTInto32(s.freq32[:], waveform[start:start+NumSubcarriers]); err != nil {
 			return err
 		}
-		if err := extractSubcarriersInto32(s.pts32, s.freq32); err != nil {
+		if err := extractSubcarriersInto32(s.pts32[:], s.freq32[:]); err != nil {
 			return err
 		}
 		for i := range h {

@@ -194,7 +194,7 @@ func (s *rxScratch) decodeSignal() (Mode, int, error) {
 	s.mother = grow(s.mother, NumDataSubcarriers)
 	scatterBits(s.mother, s.symBits, ConventionIEEE.CodedSlots(signalMode))
 	var err error
-	s.scrambled, err = ViterbiDecodeInto(s.scrambled, s.mother, true)
+	s.scrambled, err = decode(&s.viterbi, s.scrambled, s.mother, true, wordHardACS)
 	if err != nil {
 		return Mode{}, 0, err
 	}

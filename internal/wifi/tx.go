@@ -2,7 +2,7 @@ package wifi
 
 import (
 	"fmt"
-	"sync"
+	mbits "math/bits"
 
 	"sledzig/internal/bits"
 	"sledzig/internal/obs/trace"
@@ -36,8 +36,8 @@ type Frame struct {
 	// scrambled is the encoder input, N_sym·N_DBPS bits packed eight to
 	// an octet in bits.ToBytes order (bit i is bit i%8 of octet i/8).
 	// N_DBPS need not be a multiple of 8 (BPSK r3/4 has 36), so the last
-	// octet's unused high bits are zero. SetScrambledBits and
-	// ScrambledBits are the only ways in and out.
+	// octet's unused high bits are zero. EncoderInput and ScrambledBits
+	// are the only ways in and out.
 	scrambled []byte
 }
 
@@ -62,8 +62,7 @@ func NumDataSymbols(m Mode, length int) int {
 
 // Frame scrambles SERVICE + PSDU + tail + pad and zeroes the scrambled
 // tail, producing the standard encoder input. It scrambles a packed octet
-// at a time: the LFSR is walked eight steps with an output bit mask, and
-// its octet is XORed onto the data octet (zero for SERVICE, tail and pad).
+// at a time (ScramblePacked).
 func (t Transmitter) Frame(psdu []byte) (*Frame, error) {
 	if err := t.Mode.Validate(); err != nil {
 		return nil, err
@@ -79,32 +78,15 @@ func (t Transmitter) Frame(psdu []byte) (*Frame, error) {
 	total := nSym * t.Mode.DataBitsPerSymbol()
 
 	pass := phy().txScramble.Start()
-	s, err := NewScrambler(seed)
-	if err != nil {
+	x := make([]byte, (total+7)/8)
+	copy(x[serviceBits/8:], psdu)
+	if err := ScramblePacked(x, total, seed); err != nil {
 		pass.End(len(psdu), err)
 		return nil, err
-	}
-	x := make([]byte, (total+7)/8)
-	for i := range x {
-		var data byte
-		if k := i - serviceBits/8; k >= 0 && k < len(psdu) {
-			data = psdu[k]
-		}
-		var seq byte
-		for mask := byte(1); mask != 0; mask <<= 1 {
-			if s.NextBit() == 1 {
-				seq |= mask
-			}
-		}
-		x[i] = data ^ seq
 	}
 	// Zero the scrambled tail so the trellis terminates (17.3.5.3): the
 	// low tailBits bits of the octet after the PSDU.
 	x[serviceBits/8+len(psdu)] &^= 1<<tailBits - 1
-	// Past N_sym·N_DBPS the last octet holds zeros, not scrambler output.
-	if r := total % 8; r != 0 {
-		x[len(x)-1] &= 1<<r - 1
-	}
 	pass.End(len(psdu), nil)
 	return &Frame{
 		Mode:       t.Mode,
@@ -125,25 +107,72 @@ func (f *Frame) dataBits() int {
 	return f.NumSymbols * f.Mode.DataBitsPerSymbol()
 }
 
-// SetScrambledBits stores x, the encoder input at one bit per element, as
-// f's packed stream, reusing f's buffer when its capacity suffices. x must
-// hold N_sym·N_DBPS bits of f's NumSymbols and Mode, so set those first;
-// only each element's low bit is kept.
+// SetPackedBit sets bit i of a stream packed eight to an octet, the
+// layout of a Frame's encoder input (bit i is bit i%8 of octet i/8), to
+// b's low bit.
+func SetPackedBit(x []byte, i int, b bits.Bit) {
+	o, k := uint(i)/8, uint(i)%8
+	x[o] = x[o]&^(1<<k) | (b&1)<<k
+}
+
+// PackedWindow returns EncodeStep's window after input bit n of the
+// packed stream x: bits n, n-1, ..., n-6 at bits 0..6, where bits before
+// the stream start and past its end read 0.
+func PackedWindow(x []byte, n int) uint32 {
+	lo := n - (ConstraintLength - 1)
+	if lo < 0 { // the register still holds its initial zeros
+		return uint32(mbits.Reverse8(uint8(x[0]<<(-lo))&0x7F)) >> 1
+	}
+	o := uint(lo) / 8
+	v := uint32(x[o])
+	if o+1 < uint(len(x)) {
+		v |= uint32(x[o+1]) << 8
+	}
+	return uint32(mbits.Reverse8(uint8(v>>(uint(lo)%8))&0x7F)) >> 1
+}
+
+// ScramblePacked scrambles the first n bits of the packed stream x in
+// place with a fresh scrambler seeded by seed, an octet at a time: eight
+// bits of the cached sequence period are XORed onto each data octet. x
+// must hold (n+7)/8 octets; its bits past n are cleared, not scrambled.
 //
 //sledzig:noalloc
-func (f *Frame) SetScrambledBits(x []bits.Bit) error {
-	if n := f.dataBits(); len(x) != n {
-		return fmt.Errorf("wifi: %d scrambled bits are not %d DATA symbols of %v", len(x), f.NumSymbols, f.Mode)
+func ScramblePacked(x []byte, n int, seed uint8) error {
+	if seed == 0 || seed > 0x7F {
+		return fmt.Errorf("wifi: scrambler seed %#x out of range [1, 0x7f]", seed)
 	}
-	f.scrambled = grow(f.scrambled, (len(x)+7)/8)
-	for i := range f.scrambled {
-		var octet byte
-		for k, b := range x[8*i : min(8*i+8, len(x))] {
-			octet |= (b & 1) << k
+	if n < 0 || len(x) != (n+7)/8 {
+		return fmt.Errorf("wifi: %d octets do not pack %d bits", len(x), n)
+	}
+	seq, k := scramblerSequence(seed), 0
+	for i := range x {
+		for b := range 8 {
+			x[i] ^= seq[k] << b
+			if k++; k == scramblerPeriod {
+				k = 0
+			}
 		}
-		f.scrambled[i] = octet
+	}
+	if r := n % 8; r != 0 {
+		x[len(x)-1] &= 1<<r - 1
 	}
 	return nil
+}
+
+// EncoderInput resizes f's packed encoder input to the N_sym·N_DBPS bits
+// of f's NumSymbols and Mode (set them first), reusing its buffer, and
+// returns it zeroed for assembly in place; bits past N_sym·N_DBPS in the
+// last octet must stay zero.
+//
+//sledzig:noalloc
+func (f *Frame) EncoderInput() ([]byte, error) {
+	n := f.dataBits()
+	if n < 1 {
+		return nil, fmt.Errorf("wifi: no DATA field in %d symbols of %v", f.NumSymbols, f.Mode)
+	}
+	f.scrambled = grow(f.scrambled, (n+7)/8)
+	clear(f.scrambled)
+	return f.scrambled, nil
 }
 
 // ScrambledBits returns the encoder input, N_sym·N_DBPS bits at one bit
@@ -160,15 +189,19 @@ func (f *Frame) ScrambledBits() []bits.Bit {
 // DataPoints returns the constellation points of every DATA symbol:
 // NumSymbols slices of 48 points each, in ascending subcarrier order.
 func (f *Frame) DataPoints() ([][]complex128, error) {
-	s := txScratchPool.Get().(*txScratch)
-	defer txScratchPool.Put(s)
-	pts := make([]complex128, f.NumSymbols*NumDataSubcarriers)
-	if err := f.renderData(s, pts); err != nil {
+	slots, err := f.renderable()
+	if err != nil {
 		return nil, err
 	}
+	pts := make([]complex128, f.NumSymbols*NumDataSubcarriers)
 	out := make([][]complex128, f.NumSymbols)
+	var s txSymbol
+	var reg uint32
 	for sym := range out {
 		out[sym] = pts[sym*NumDataSubcarriers : (sym+1)*NumDataSubcarriers]
+		if reg, err = f.renderSymbol(&s, sym, reg, slots, out[sym]); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -180,70 +213,78 @@ func (f *Frame) Waveform() ([]complex128, error) {
 	return f.AppendWaveform(out)
 }
 
-// txScratch holds the per-frame intermediate buffers of waveform
-// synthesis — the mother-code stream, the interleaved coded bits, and the
-// SIGNAL and DATA constellation points — pooled so steady-state rendering
-// reuses them across frames.
-type txScratch struct {
-	mother, inter []bits.Bit
-	sig           [NumDataSubcarriers]complex128
-	pts           []complex128
+// txSymbol is one DATA symbol's transmit chain in fixed-size storage:
+// its block of the mother code and its interleaved coded bits.
+type txSymbol struct {
+	mother [2 * 320]bits.Bit // 2·N_DBPS; N_DBPS ≤ 320 (QAM-256 r5/6)
+	inter  [384]bits.Bit     // N_CBPS ≤ 384 (QAM-256)
 }
 
-var txScratchPool = sync.Pool{New: func() any { return new(txScratch) }}
+// renderable checks that f's packed stream holds its NumSymbols symbols
+// of a valid mode and returns the mode's placement table.
+func (f *Frame) renderable() ([]uint16, error) {
+	slots := f.Convention.CodedSlots(f.Mode)
+	if n := f.dataBits(); slots == nil || len(f.scrambled) != (n+7)/8 {
+		return nil, fmt.Errorf("wifi: %d scrambled octets are not %d DATA symbols of %v", len(f.scrambled), f.NumSymbols, f.Mode)
+	}
+	return slots, nil
+}
 
-// renderData runs the DATA field's transmit chain into pts (NumSymbols x
-// 48 points): convolutional-encode the packed scrambled bits into
-// s.mother (wifi.tx.encode), gather each symbol's interleaved coded bits
-// from its mother block through the placement table
-// (wifi.tx.interleave), and map them (wifi.tx.map).
+// renderSymbol runs DATA symbol sym's transmit chain into pts (48
+// points): encode its N_DBPS bits into s.mother from register state reg
+// (wifi.tx.encode), gather its coded bits into s.inter through the
+// placement table slots (wifi.tx.interleave), and map them
+// (wifi.tx.map). It returns the register state after the symbol.
 //
 //sledzig:noalloc
-func (f *Frame) renderData(s *txScratch, pts []complex128) error {
-	slots := f.Convention.CodedSlots(f.Mode)
-	n := f.dataBits()
-	if slots == nil || len(f.scrambled) != (n+7)/8 {
-		return fmt.Errorf("wifi: %d scrambled octets are not %d DATA symbols of %v", len(f.scrambled), f.NumSymbols, f.Mode)
-	}
-	block := 2 * f.Mode.DataBitsPerSymbol()
+func (f *Frame) renderSymbol(s *txSymbol, sym int, reg uint32, slots []uint16, pts []complex128) (uint32, error) {
+	nDBPS := f.Mode.DataBitsPerSymbol()
 	m := phy()
 	mk := f.Trace.Begin(m.txEncode)
-	s.mother = convolutionalEncodePackedInto(s.mother, f.scrambled, n)
-	mk.End(n/8, nil)
+	mother := s.mother[:2*nDBPS]
+	for i, k := 0, sym*nDBPS; i < nDBPS; {
+		// The symbol's bits of one packed octet, oldest first.
+		octet := f.scrambled[uint(k)/8] >> (uint(k) % 8)
+		n := min(8-k%8, nDBPS-i)
+		for range n {
+			reg = (reg<<1 | uint32(octet&1)) & 0x7F
+			pair := encodeTable[reg]
+			mother[2*i], mother[2*i+1] = pair>>1, pair&1
+			octet >>= 1
+			i++
+		}
+		k += n
+	}
+	mk.End(nDBPS/8, nil)
 
 	mk = f.Trace.Begin(m.txInterleave)
-	s.inter = grow(s.inter, f.NumSymbols*len(slots))
-	for sym := 0; sym < f.NumSymbols; sym++ {
-		mother, inter := s.mother[sym*block:(sym+1)*block], s.inter[sym*len(slots):]
-		for j, slot := range slots {
-			inter[j] = mother[slot]
-		}
+	inter := s.inter[:len(slots)]
+	for j, slot := range slots {
+		inter[j] = mother[slot]
 	}
-	mk.End(len(s.inter)/8, nil)
+	mk.End(len(inter)/8, nil)
 
 	mk = f.Trace.Begin(m.txMap)
-	err := f.Convention.MapAllCInto(f.Mode.Modulation, s.inter, pts)
-	mk.End(len(s.inter)/8, err)
-	return err
+	err := f.Convention.MapAllCInto(f.Mode.Modulation, inter, pts)
+	mk.End(len(inter)/8, err)
+	return reg, err
 }
 
 // AppendWaveform is Waveform in append form: it renders the complete PPDU
 // into dst and returns the extended slice, producing samples identical to
-// Waveform. Intermediate buffers come from internal pools, so a caller
-// that recycles dst's capacity renders frames with a near-constant number
-// of allocations regardless of frame size. On error dst may have been
-// partially extended; discard it.
+// Waveform. Each symbol runs the whole transmit chain in fixed-size
+// locals, so a caller that recycles dst's capacity renders frames without
+// allocating. On error dst may have been partially extended; discard it.
 func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 	field, err := SignalField(f.Mode, f.PSDULength)
 	if err != nil {
 		return dst, err
 	}
-	s := txScratchPool.Get().(*txScratch)
-	defer txScratchPool.Put(s)
-	if err := signalPointsInto(s.sig[:], field[:]); err != nil {
+	var sig [NumDataSubcarriers]complex128
+	if err := signalPointsInto(sig[:], field[:]); err != nil {
 		return dst, err
 	}
-	return f.appendSymbols(s, dst, true)
+	return f.appendSymbols(dst, sig[:])
 }
 
 // DataWaveform renders only the DATA portion (no preamble, no SIGNAL) —
@@ -258,40 +299,44 @@ func (f *Frame) DataWaveform() ([]complex128, error) {
 }
 
 // AppendDataWaveform is DataWaveform in append form: it renders the DATA
-// symbols into dst through the pooled buffers AppendWaveform uses, and
-// returns the extended slice. On error dst may have been partially
-// extended; discard it.
+// symbols into dst the way AppendWaveform does and returns the extended
+// slice. On error dst may have been partially extended; discard it.
 func (f *Frame) AppendDataWaveform(dst []complex128) ([]complex128, error) {
-	s := txScratchPool.Get().(*txScratch)
-	defer txScratchPool.Put(s)
-	return f.appendSymbols(s, dst, false)
+	return f.appendSymbols(dst, nil)
 }
 
-// appendSymbols renders f's DATA field through s and appends its OFDM
-// symbols to dst (wifi.tx.ifft). A ppdu render first appends the
-// preamble and the SIGNAL symbol of s.sig, which the caller has filled,
-// and counts a transmitted frame.
-func (f *Frame) appendSymbols(s *txScratch, dst []complex128, ppdu bool) ([]complex128, error) {
-	s.pts = grow(s.pts, f.NumSymbols*NumDataSubcarriers)
-	if err := f.renderData(s, s.pts); err != nil {
+// appendSymbols renders f's DATA field a symbol at a time and appends
+// its OFDM symbols to dst (wifi.tx.ifft). Given the SIGNAL points sig, it
+// first appends the preamble and the SIGNAL symbol and counts a
+// transmitted frame.
+func (f *Frame) appendSymbols(dst []complex128, sig []complex128) ([]complex128, error) {
+	slots, err := f.renderable()
+	if err != nil {
 		return dst, err
 	}
 	m := phy()
-	mk := f.Trace.Begin(m.txIFFT)
-	var err error
-	if ppdu {
+	if sig != nil {
+		mk := f.Trace.Begin(m.txIFFT)
 		dst = AppendPreamble(dst)
-		dst, err = AppendSymbol(dst, s.sig[:], 0)
+		dst, err = AppendSymbol(dst, sig, 0)
+		mk.End(0, err)
 	}
+	var s txSymbol
+	var pts [NumDataSubcarriers]complex128
+	var reg uint32
 	for sym := 0; err == nil && sym < f.NumSymbols; sym++ {
-		dst, err = AppendSymbol(dst, s.pts[sym*NumDataSubcarriers:(sym+1)*NumDataSubcarriers], sym+1)
+		if reg, err = f.renderSymbol(&s, sym, reg, slots, pts[:]); err != nil {
+			break
+		}
+		mk := f.Trace.Begin(m.txIFFT)
+		dst, err = AppendSymbol(dst, pts[:], sym+1)
+		mk.End(0, err)
 	}
-	mk.End(0, err)
 	if err != nil {
 		return dst, err
 	}
 	symbols := f.NumSymbols
-	if ppdu {
+	if sig != nil {
 		m.txFrames.Inc()
 		symbols++
 	}

@@ -14,10 +14,11 @@ import (
 // ns&1), and each transition's coded output pair is a 2-bit index into a
 // per-step table of the four possible branch metrics. Path metrics live in
 // fixed-size arrays pointer-swapped between steps, and survivor decisions
-// are bit-packed
-// — one uint64 word per trellis step (64 states, one decision bit each) —
-// so a 1500-byte frame's survivor memory is ~100 KiB smaller than the
-// struct-matrix representation and is recycled through a sync.Pool.
+// are bit-packed — one uint64 word per trellis step (64 states, one
+// decision bit each) — so a 1500-byte frame's survivor memory is ~100 KiB
+// smaller than the struct-matrix representation. The receiver keeps its
+// decoder state in its RxResult; the standalone ViterbiDecodeInto and
+// ViterbiDecodeSoftInto recycle theirs through viterbiPool.
 //
 // The add-compare-select forward pass is a kernel function handed to the
 // decode body (see viterbi_acs.go): production passes the word kernels,
@@ -27,14 +28,6 @@ import (
 // loops the word kernels are tested byte-identical against.
 
 const viterbiStates = 64 // 2^(K-1)
-
-// hardACS and softACS run the full forward pass of one decode, filling
-// s.decisions and returning the final path metrics for the best-state
-// scan.
-type (
-	hardACS func(s *viterbiScratch, mother []int8, steps int) *[viterbiStates]int32
-	softACS func(s *viterbiScratch, llrs []float64, steps int) *[viterbiStates]float64
-)
 
 // trellis holds the per-destination branch-output indices: for destination
 // state ns, out0[ns]/out1[ns] are y0<<1|y1 of the transition from
@@ -92,7 +85,7 @@ func viterbiTrellis() *trellis {
 	return &trellisTab
 }
 
-// viterbiScratch is the recycled working state of one decode: fixed-size
+// viterbiScratch is the reusable working state of one decode: fixed-size
 // metric arrays (float for soft, int32 for hard — pointer-swapped between
 // steps, and sized by a constant so the hot loop needs no bounds checks),
 // the byte-lane metric words of the word-parallel hard kernel, and the
@@ -106,14 +99,15 @@ type viterbiScratch struct {
 
 var viterbiPool = sync.Pool{New: func() any { return new(viterbiScratch) }}
 
-// grow returns s resized to n elements, reusing its capacity. It grows
-// by append's amortized policy rather than to exactly n, so a pooled
-// buffer the runtime recreates after a garbage collection reaches the
-// largest frame's size in a few allocations, not one per larger frame.
-// Callers overwrite all n elements.
+// grow returns s resized to n elements, reusing its capacity. A larger
+// buffer gets a quarter of headroom over the old capacity, so a buffer
+// reaches the largest frame's size in a few allocations, not one per
+// larger frame, and the growth is one allocation with or without the
+// race detector. Contents are unspecified: callers overwrite all n
+// elements.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+		return make([]T, n, max(n, cap(s)+cap(s)/4))
 	}
 	return s[:n]
 }
@@ -125,25 +119,9 @@ func grow[T any](s []T, n int) []T {
 //
 //sledzig:noalloc
 func ViterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool) ([]bits.Bit, error) {
-	return viterbiDecodeSoftInto(dst, llrs, terminated, wordSoftACS)
-}
-
-// viterbiDecodeSoftInto is ViterbiDecodeSoftInto with the forward-pass
-// kernel as an argument.
-//
-//sledzig:noalloc
-func viterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool, acs softACS) ([]bits.Bit, error) {
-	if len(llrs)%2 != 0 {
-		return dst, fmt.Errorf("wifi: LLR stream length %d is odd", len(llrs))
-	}
-	steps := len(llrs) / 2
-	if steps == 0 {
-		return dst[:0], nil
-	}
 	s := viterbiPool.Get().(*viterbiScratch)
 	defer viterbiPool.Put(s)
-	s.decisions = grow(s.decisions, steps)
-	return survivorPath(dst, s.decisions, acs(s, llrs, steps), terminated), nil
+	return decode(s, dst, llrs, terminated, wordSoftACS)
 }
 
 // ViterbiDecodeInto performs hard-decision maximum-likelihood decoding
@@ -158,25 +136,26 @@ func viterbiDecodeSoftInto(dst []bits.Bit, llrs []float64, terminated bool, acs 
 //
 //sledzig:noalloc
 func ViterbiDecodeInto(dst []bits.Bit, mother []int8, terminated bool) ([]bits.Bit, error) {
-	return viterbiDecodeInto(dst, mother, terminated, wordHardACS)
+	s := viterbiPool.Get().(*viterbiScratch)
+	defer viterbiPool.Put(s)
+	return decode(s, dst, mother, terminated, wordHardACS)
 }
 
-// viterbiDecodeInto is ViterbiDecodeInto with the forward-pass kernel as
-// an argument.
+// decode runs one decode of the mother stream in (signed hard values or
+// LLRs) in s. The kernel acs runs the whole forward pass, filling
+// s.decisions, and returns the final path metrics for the best-state scan.
 //
 //sledzig:noalloc
-func viterbiDecodeInto(dst []bits.Bit, mother []int8, terminated bool, acs hardACS) ([]bits.Bit, error) {
-	if len(mother)%2 != 0 {
-		return dst, fmt.Errorf("wifi: coded length %d is odd", len(mother))
+func decode[T int8 | float64, M int32 | float64](s *viterbiScratch, dst []bits.Bit, in []T, terminated bool, acs func(*viterbiScratch, []T, int) *[viterbiStates]M) ([]bits.Bit, error) {
+	if len(in)%2 != 0 {
+		return dst, fmt.Errorf("wifi: mother stream length %d is odd", len(in))
 	}
-	steps := len(mother) / 2
+	steps := len(in) / 2
 	if steps == 0 {
 		return dst[:0], nil
 	}
-	s := viterbiPool.Get().(*viterbiScratch)
-	defer viterbiPool.Put(s)
 	s.decisions = grow(s.decisions, steps)
-	return survivorPath(dst, s.decisions, acs(s, mother, steps), terminated), nil
+	return survivorPath(dst, s.decisions, acs(s, in, steps), terminated), nil
 }
 
 // survivorPath picks the end state — state 0 for a terminated stream,

@@ -171,7 +171,7 @@ func TestViterbiKernelIdentityStreams(t *testing.T) {
 				}
 				mother := signedMother(coded, erased)
 				terminated := trial%2 == 0
-				want, err := viterbiDecodeInto(nil, mother, terminated, refHardACS)
+				want, err := decode(new(viterbiScratch), nil, mother, terminated, refHardACS)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,7 +198,7 @@ func TestViterbiKernelIdentityStreams(t *testing.T) {
 						llrs[i] = sign * (0.25 + rng.Float64()) * (1 - 0.3*float64(trial)*rng.Float64())
 					}
 				}
-				want, err = viterbiDecodeSoftInto(nil, llrs, terminated, refSoftACS)
+				want, err = decode(new(viterbiScratch), nil, llrs, terminated, refSoftACS)
 				if err != nil {
 					t.Fatal(err)
 				}

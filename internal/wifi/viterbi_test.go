@@ -328,7 +328,7 @@ func TestViterbiIntoDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if raceEnabled {
-		t.Skip("pooled path: sync.Pool drops Puts under -race")
+		t.Skip("viterbiPool backs the standalone decoders, and sync.Pool drops Puts under -race")
 	}
 	if avg := testing.AllocsPerRun(50, func() {
 		if _, err := ViterbiDecodeInto(dst, coded, false); err != nil {
@@ -365,15 +365,15 @@ func FuzzDepunctureRoundTrip(f *testing.F) {
 		conv := Convention(n / 5 % 2)
 		rng := rand.New(rand.NewSource(seed))
 		fr, x := randomFrame(t, rng, conv, mode, nSym)
-		var s txScratch
-		if err := fr.renderData(&s, make([]complex128, nSym*NumDataSubcarriers)); err != nil {
+		sent, inter, _, err := renderFrame(fr)
+		if err != nil {
 			t.Fatal(err)
 		}
 		slots := conv.CodedSlots(mode)
 		block := 2 * mode.DataBitsPerSymbol()
 		mother := make([]int8, nSym*block)
 		for sym := 0; sym < nSym; sym++ {
-			scatterBits(mother[sym*block:(sym+1)*block], s.inter[sym*len(slots):(sym+1)*len(slots)], slots)
+			scatterBits(mother[sym*block:(sym+1)*block], inter[sym*len(slots):(sym+1)*len(slots)], slots)
 		}
 		pat, err := puncturePattern(r)
 		if err != nil {
@@ -385,8 +385,8 @@ func FuzzDepunctureRoundTrip(f *testing.F) {
 				if v != 0 {
 					t.Fatalf("%v %v: punctured slot %d = %d, want an erasure", conv, mode, i, v)
 				}
-			case v != 1-2*int8(s.mother[i]):
-				t.Fatalf("%v %v: slot %d = %d, transmitted bit %d", conv, mode, i, v, s.mother[i])
+			case v != 1-2*int8(sent[i]):
+				t.Fatalf("%v %v: slot %d = %d, transmitted bit %d", conv, mode, i, v, sent[i])
 			}
 		}
 		decoded, err := ViterbiDecodeInto(nil, mother, false)

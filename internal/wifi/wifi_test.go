@@ -232,34 +232,72 @@ func randomFrame(t testing.TB, rng *rand.Rand, conv Convention, mode Mode, nSym 
 	t.Helper()
 	x := bits.Random(rng, nSym*mode.DataBitsPerSymbol())
 	f := &Frame{Mode: mode, Convention: conv, NumSymbols: nSym}
-	if err := f.SetScrambledBits(x); err != nil {
+	if err := setScrambledBits(f, x); err != nil {
 		t.Fatal(err)
 	}
 	return f, x
 }
 
+// setScrambledBits stores x, the encoder input at one bit per element, as
+// f's packed stream: N_sym·N_DBPS bits of f's NumSymbols and Mode.
+func setScrambledBits(f *Frame, x []bits.Bit) error {
+	octets, err := f.EncoderInput()
+	if err != nil {
+		return err
+	}
+	if len(x) != f.dataBits() {
+		return fmt.Errorf("%d scrambled bits are not %d DATA symbols of %v", len(x), f.NumSymbols, f.Mode)
+	}
+	for i, b := range x {
+		SetPackedBit(octets, i, b)
+	}
+	return nil
+}
+
+// renderFrame runs every DATA symbol of f through renderSymbol and
+// returns the frame's whole mother stream, interleaved coded bits and
+// points, symbol after symbol.
+func renderFrame(f *Frame) (mother, inter []bits.Bit, pts []complex128, err error) {
+	slots, err := f.renderable()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	block := 2 * f.Mode.DataBitsPerSymbol()
+	pts = make([]complex128, f.NumSymbols*NumDataSubcarriers)
+	var s txSymbol
+	var reg uint32
+	for sym := 0; sym < f.NumSymbols; sym++ {
+		if reg, err = f.renderSymbol(&s, sym, reg, slots, pts[sym*NumDataSubcarriers:(sym+1)*NumDataSubcarriers]); err != nil {
+			return nil, nil, nil, err
+		}
+		mother = append(mother, s.mother[:block]...)
+		inter = append(inter, s.inter[:len(slots)]...)
+	}
+	return mother, inter, pts, nil
+}
+
 // TestInterleaveRoundTrip runs the placement pair the PHY uses: the
-// transmitter's gather from the mother stream (renderData), then the
+// transmitter's gather from the mother stream (renderSymbol), then the
 // receiver's per-symbol scatter back into it (scatterBits), for both
 // conventions, every mode and one- and three-symbol streams. Kept slots
 // come back as the transmitted bits, punctured ones as erasures.
 func TestInterleaveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var s txScratch
 	forEachConventionMode(func(conv Convention, mode Mode) {
 		slots := conv.CodedSlots(mode)
 		block := 2 * mode.DataBitsPerSymbol()
 		pat, _ := puncturePattern(mode.CodeRate)
 		for _, nSym := range []int{1, 3} {
 			f, _ := randomFrame(t, rng, conv, mode, nSym)
-			if err := f.renderData(&s, make([]complex128, nSym*NumDataSubcarriers)); err != nil {
+			sent, inter, _, err := renderFrame(f)
+			if err != nil {
 				t.Fatal(err)
 			}
 			back := make([]int8, nSym*block)
 			for sym := 0; sym < nSym; sym++ {
-				scatterBits(back[sym*block:(sym+1)*block], s.inter[sym*len(slots):(sym+1)*len(slots)], slots)
+				scatterBits(back[sym*block:(sym+1)*block], inter[sym*len(slots):(sym+1)*len(slots)], slots)
 			}
-			want := signedMother(s.mother, nil)
+			want := signedMother(sent, nil)
 			for i := range want {
 				if !pat[i%len(pat)] {
 					want[i] = 0
@@ -516,20 +554,18 @@ func TestSignalFieldMatchesBuilder(t *testing.T) {
 }
 
 // TestAppendWaveformDoesNotAllocate pins rendering into a buffer of
-// sufficient capacity at zero allocations under both conventions: the
-// SIGNAL field is a value, every intermediate buffer is pooled, and the
-// mapper reads a static table.
+// sufficient capacity at zero allocations under both conventions, with
+// and without the race detector: the SIGNAL field is a value, each
+// symbol's transmit chain runs in fixed-size locals, and the mapper reads
+// a static table.
 func TestAppendWaveformDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("pooled path: sync.Pool drops Puts under -race")
-	}
 	for _, c := range []Convention{ConventionIEEE, ConventionPaper} {
 		frame, err := Transmitter{Mode: Mode{QAM64, Rate34}, Convention: c}.Frame(bits.RandomBytes(rand.New(rand.NewSource(7)), 1500))
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]complex128, 0, PreambleLength+(1+frame.NumSymbols)*SymbolLength)
-		if buf, err = frame.AppendWaveform(buf); err != nil { // warm the pools
+		if buf, err = frame.AppendWaveform(buf); err != nil {
 			t.Fatal(err)
 		}
 		if avg := testing.AllocsPerRun(20, func() {
@@ -587,7 +623,7 @@ func TestFrameMatchesBitPipeline(t *testing.T) {
 				t.Fatalf("%v %v, %d octets, seed %#x: scrambled stream differs from the bit pipeline's", c, mode, len(psdu), seed)
 			}
 			g := &Frame{Mode: mode, NumSymbols: f.NumSymbols}
-			if err := g.SetScrambledBits(want); err != nil {
+			if err := setScrambledBits(g, want); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(g.scrambled, f.scrambled) {

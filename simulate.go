@@ -126,11 +126,13 @@ func SimulateCoexistence(cfg CoexistenceConfig) (*CoexistenceResult, error) {
 			}
 			goodput = 1 - cdc.OverheadFraction()
 		} else {
-			plan, err := core.NewPlan(cfg.Convention, mode, cfg.Channel)
+			// Plan.ThroughputLossFraction without building a plan: one
+			// extra bit per constraint of a symbol, over N_DBPS.
+			cs, err := core.SymbolConstraints(cfg.Convention, mode, cfg.Channel.DataSubcarriers())
 			if err != nil {
 				return nil, err
 			}
-			goodput = 1 - plan.ThroughputLossFraction()
+			goodput = 1 - float64(len(cs))/float64(mode.DataBitsPerSymbol())
 		}
 	}
 	return &CoexistenceResult{

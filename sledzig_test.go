@@ -143,20 +143,18 @@ func TestSimulateCoexistenceSledZigBeatsNormal(t *testing.T) {
 }
 
 // TestEncodeAllocations pins the SledZig facade encode at two allocations
-// per frame: one box holding the Frame, its core result and its
-// wifi.Frame, and the frame's packed encoder input. It also pins what a
-// 1500 B QAM-16 r1/2 frame keeps: its 140 symbols of 96 bits pack into
-// 1,680 octets, where one bit per byte cost ~13.7 kB.
+// per frame, with or without the race detector: one box holding the
+// Frame, its core result and its wifi.Frame, and the frame's packed
+// encoder input. It also pins what a 1500 B QAM-16 r1/2 frame keeps: its
+// 140 symbols of 96 bits pack into 1,680 octets, where one bit per byte
+// cost ~13.7 kB.
 func TestEncodeAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("pooled path: sync.Pool drops Puts under -race")
-	}
 	enc, err := NewEncoder(Config{Modulation: QAM64, CodeRate: Rate34, Channel: CH2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 1500)
-	if _, err := enc.Encode(payload); err != nil { // warm the pools
+	if _, err := enc.Encode(payload); err != nil { // grow the plan's layout
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
@@ -171,7 +169,7 @@ func TestEncodeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := enc.Encode(payload); err != nil { // warm the pools
+	if _, err := enc.Encode(payload); err != nil { // grow the plan's layout
 		t.Fatal(err)
 	}
 	const calls = 100
