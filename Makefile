@@ -4,9 +4,9 @@
 
 # Benchmarks gated by the checked-in allocation baseline (hot encode and
 # decode paths with metrics off and on, every codec backend through the
-# public facade, the engine's pooled batches, and the coexistence
-# simulator).
-BENCH_GATED = BenchmarkSledZigEncode1500B$$|BenchmarkEncodeInstrumented$$|BenchmarkDecodeInstrumented$$|BenchmarkCoreEncodeTo1500B$$|BenchmarkWaveformSynthesis$$|BenchmarkAppendWaveform$$|BenchmarkReceiverDecode1500B$$|BenchmarkSledZigDecode1500B$$|BenchmarkViterbiDecodeInto$$|BenchmarkViterbiDecodeSoftInto$$|BenchmarkViterbiACSReferenceHard$$|BenchmarkViterbiACSReferenceSoft$$|BenchmarkFFTPlanForward64$$|BenchmarkCodecOOKEncode400B$$|BenchmarkCodecOfdmFiEncode400B$$|BenchmarkCodecOOKDecode400B$$|BenchmarkCodecOfdmFiDecode400B$$|BenchmarkQfunc$$|BenchmarkQfuncExact$$|BenchmarkSledvetWholeTree$$|BenchmarkRun$$|BenchmarkSimulateCoexistence$$|BenchmarkEngineEncodeBatch$$|BenchmarkEngineDecodeBatch$$
+# public facade, the engine's pooled batches, the coexistence simulator,
+# and a plan's frame-index growth).
+BENCH_GATED = BenchmarkSledZigEncode1500B$$|BenchmarkEncodeInstrumented$$|BenchmarkDecodeInstrumented$$|BenchmarkCoreEncodeTo1500B$$|BenchmarkWaveformSynthesis$$|BenchmarkAppendWaveform$$|BenchmarkReceiverDecode1500B$$|BenchmarkSledZigDecode1500B$$|BenchmarkViterbiDecodeInto$$|BenchmarkViterbiDecodeSoftInto$$|BenchmarkViterbiACSReferenceHard$$|BenchmarkViterbiACSReferenceSoft$$|BenchmarkFFTPlanForward64$$|BenchmarkCodecOOKEncode400B$$|BenchmarkCodecOfdmFiEncode400B$$|BenchmarkCodecOOKDecode400B$$|BenchmarkCodecOfdmFiDecode400B$$|BenchmarkQfunc$$|BenchmarkQfuncExact$$|BenchmarkSledvetWholeTree$$|BenchmarkRun$$|BenchmarkSimulateCoexistence$$|BenchmarkEngineEncodeBatch$$|BenchmarkEngineDecodeBatch$$|BenchmarkFrameLayout$$
 
 test: conformance bench-smoke
 	go test ./...
@@ -49,12 +49,12 @@ bench-json:
 # with BENCHTIME=100x without weakening the gate.
 BENCHTIME ?= 1s
 bench-compare:
-	go test -run '^$$' -bench '$(BENCH_GATED)' -benchtime $(BENCHTIME) -benchmem . ./internal/wifi/ ./internal/mac/ ./internal/analysis/driver/ | tee bench.current.txt
+	go test -run '^$$' -bench '$(BENCH_GATED)' -benchtime $(BENCHTIME) -benchmem . ./internal/wifi/ ./internal/core/ ./internal/mac/ ./internal/analysis/driver/ | tee bench.current.txt
 	go run ./cmd/benchdiff -baseline bench.baseline.txt -current bench.current.txt
 
 # Refresh the checked-in baseline after an intentional allocation change.
 bench-baseline:
-	go test -run '^$$' -bench '$(BENCH_GATED)' -benchmem . ./internal/wifi/ ./internal/mac/ ./internal/analysis/driver/ | tee bench.baseline.txt
+	go test -run '^$$' -bench '$(BENCH_GATED)' -benchmem . ./internal/wifi/ ./internal/core/ ./internal/mac/ ./internal/analysis/driver/ | tee bench.baseline.txt
 
 experiments:
 	go run ./cmd/experiments

@@ -105,8 +105,8 @@ func ookMessage(payload []byte) [ookMessageBits]bits.Bit {
 
 // Encode backs the Contract's MaxEncodeAllocs: the pinning mask (which
 // the result keeps as ProtectedMask), the frame, the waveform and the
-// result. A masked frame walks the plan's one layout, so nothing here may
-// allocate per symbol.
+// result. A masked frame walks the plan's two-symbol tile, so nothing
+// here may allocate per symbol.
 //
 //sledzig:noalloc budget=9
 func (c *ook) Encode(payload []byte) (*Encoded, error) {
@@ -256,9 +256,9 @@ func (c *ook) Contract() Contract {
 	// Low symbols use SledZig's exact pinning, so they inherit its 3 dB
 	// band-drop floor — but only the masked symbols are protected. The
 	// alloc bound is 1.5x the measured steady state: a masked frame walks
-	// the plan's one layout, so encodes assemble and scramble but never
-	// re-plan clusters (measured 5 allocs/op: the mask, the frame and its
-	// encoder input, the waveform and the result).
+	// the plan's two-symbol tile, so encodes assemble and scramble but
+	// never re-plan clusters (measured 5 allocs/op: the mask, the frame
+	// and its encoder input, the waveform and the result).
 	return Contract{MinDropDB: 3.0, WholeFrame: false, MaxEncodeAllocs: 9}
 }
 

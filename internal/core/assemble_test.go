@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sledzig/internal/bits"
@@ -17,23 +18,23 @@ import (
 // verification. The frame wrap wifi.Transmitter.FrameFromScrambled did is
 // inlined at the end; the frame's encoder input is returned beside it,
 // at one bit per element, as the old frame held it.
-func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*wifi.Frame, []bits.Bit, *FrameLayout, error) {
+func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uint8) (*wifi.Frame, []bits.Bit, spelledLayout, error) {
 	layout, err := plannedMaskedLayout(plan, mask)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, layout, err
 	}
 	nSym := len(mask)
 	nDBPS := plan.Mode.DataBitsPerSymbol()
 	total := nSym * nDBPS
 
-	capacity := total - len(layout.Positions) - serviceBits - tailBits
+	capacity := total - len(layout.positions) - serviceBits - tailBits
 	if need := 8 * (headerOctets + len(payload)); need > capacity || len(payload) == 0 {
-		return nil, nil, nil, fmt.Errorf("core: payload of %d octets outside the %d-bit capacity of a %d-symbol masked frame: %w",
+		return nil, nil, layout, fmt.Errorf("core: payload of %d octets outside the %d-bit capacity of a %d-symbol masked frame: %w",
 			len(payload), capacity, nSym, ErrPayloadSize)
 	}
 
 	// Logical stream: SERVICE zeros, length header, payload, zero pad.
-	logical := make([]bits.Bit, total-len(layout.Positions))
+	logical := make([]bits.Bit, total-len(layout.positions))
 	n := serviceBits
 	header := [headerOctets]byte{byte(len(payload)), byte(len(payload) >> 8)}
 	n += copy(logical[n:], bits.FromBytes(header[:]))
@@ -41,9 +42,9 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 
 	// Physical unscrambled stream: logical bits at non-extra positions.
 	extra := make([]bool, total)
-	for _, p := range layout.Positions {
+	for _, p := range layout.positions {
 		if p < 0 || p >= total {
-			return nil, nil, nil, fmt.Errorf("core: extra position %d outside frame of %d bits: %w", p, total, ErrExtraBitLayout)
+			return nil, nil, layout, fmt.Errorf("core: extra position %d outside frame of %d bits: %w", p, total, ErrExtraBitLayout)
 		}
 		extra[p] = true
 	}
@@ -60,25 +61,25 @@ func oracleAssembleMaskedFrame(plan *Plan, mask []bool, payload []byte, seed uin
 	}
 	x, err := wifi.ScrambleWithSeed(u, seed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, layout, err
 	}
 	// Zero the placeholders (scrambling flipped some to the scrambler
 	// sequence; the solver assumes unknowns start at zero), then solve.
-	for _, p := range layout.Positions {
+	for _, p := range layout.positions {
 		x[p] = 0
 	}
-	if err := oracleSolve(x, layout.Clusters); err != nil {
-		return nil, nil, nil, err
+	if err := oracleSolve(x, layout.clusters); err != nil {
+		return nil, nil, layout, err
 	}
 	signalledLength := (total - serviceBits - tailBits) / 8
 	if err := plan.Mode.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, layout, err
 	}
 	if len(x) == 0 || len(x)%nDBPS != 0 {
-		return nil, nil, nil, fmt.Errorf("wifi: scrambled stream length %d not a positive multiple of N_DBPS %d", len(x), nDBPS)
+		return nil, nil, layout, fmt.Errorf("wifi: scrambled stream length %d not a positive multiple of N_DBPS %d", len(x), nDBPS)
 	}
 	if signalledLength < 1 || signalledLength > wifi.MaxPSDULength {
-		return nil, nil, nil, fmt.Errorf("wifi: signalled length %d out of range [1, %d]", signalledLength, wifi.MaxPSDULength)
+		return nil, nil, layout, fmt.Errorf("wifi: signalled length %d out of range [1, %d]", signalledLength, wifi.MaxPSDULength)
 	}
 	return &wifi.Frame{
 		Mode:       plan.Mode,
@@ -241,7 +242,7 @@ func checkMaskedAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 		if err != nil {
 			t.Fatalf("%s: pinnedLayout: %v", name, err)
 		}
-		maxPayload = (len(mask)*nDBPS-len(layout.Positions)-serviceBits-tailBits)/8 - headerOctets
+		maxPayload = (len(mask)*nDBPS-len(layout.positions)-serviceBits-tailBits)/8 - headerOctets
 	}
 	seed := uint8(rng.Intn(128))
 	payload := bits.RandomBytes(rng, 1+rng.Intn(maxPayload))
@@ -289,11 +290,15 @@ func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	if err := sameFrame(res.Frame, want, wantBits); err != nil {
 		t.Fatalf("%s: SledZig frame (seed %d): %v", name, seed, err)
 	}
-	if layoutString(res.Layout) != layoutString(wantLayout) || res.PayloadLength != len(payload) {
-		t.Fatalf("%s: result layout or payload length differs from the oracle's", name)
+	gotLayout, err := frameLayout(plan, len(mask))
+	if err != nil || layoutString(gotLayout) != layoutString(wantLayout) || res.PayloadLength != len(payload) {
+		t.Fatalf("%s: solved layout or payload length differs from the oracle's (%v)", name, err)
+	}
+	if res.Layout.NumSymbols != len(mask) || !slices.Equal(res.Layout.Positions, wantLayout.positions) {
+		t.Fatalf("%s: result layout differs from the oracle's", name)
 	}
 	if l, err := plan.FrameLayout(len(mask)); err != nil || res.Layout != l {
-		t.Fatalf("%s: result layout is not the plan's header for %d symbols (%v)", name, len(mask), err)
+		t.Fatalf("%s: result layout is not the plan's index entry for %d symbols (%v)", name, len(mask), err)
 	}
 	resolved := seed
 	if resolved == 0 {
@@ -312,35 +317,19 @@ func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 }
 
 // TestLayoutCacheHitsDoNotAllocate pins what an ook-ctc frame asks of
-// its plan on every encode and decode at zero allocations once the
-// layout covers its 320 symbols: FrameLayout for a length requested
-// before, and locating a masked frame's extra bits. Stripping a masked
-// frame allocates only its payload.
+// its plan on every encode and decode at zero allocations: FrameLayout
+// for a length the index covers, and locating a masked frame's extra
+// bits. Stripping a masked frame, or decoding a SledZig frame, allocates
+// only its payload, and neither grows the plan's frame index.
 func TestLayoutCacheHitsDoNotAllocate(t *testing.T) {
-	plan, err := NewPlan(wifi.ConventionIEEE, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, CH2)
+	mode := wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}
+	plan, err := NewPlan(wifi.ConventionIEEE, mode, CH2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mask := make([]bool, 320)
 	for i := range mask {
 		mask[i] = i/32%2 == 0
-	}
-	if _, err := plan.FrameLayout(320); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if _, err := plan.FrameLayout(320); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("FrameLayout(320) hit allocates %.1f times, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if _, err := maskedFrame(plan, mask); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("a masked frame's extra bits allocate %.1f times, want 0", avg)
 	}
 	frame, err := AssembleMaskedFrame(plan, mask, []byte("masked"), 0)
 	if err != nil {
@@ -356,5 +345,50 @@ func TestLayoutCacheHitsDoNotAllocate(t *testing.T) {
 		}
 	}); avg != 1 {
 		t.Errorf("StripMaskedPayload allocates %.1f times, want 1 (the payload)", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := plan.frame(len(mask), mask); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("a masked frame's extra bits allocate %.1f times, want 0", avg)
+	}
+	if plan.index.Load() != nil {
+		t.Error("masked frames grew the plan's frame index")
+	}
+	if _, err := plan.FrameLayout(320); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := plan.FrameLayout(320); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("FrameLayout(320) hit allocates %.1f times, want 0", avg)
+	}
+
+	// A frame longer than the cached plan's index, decoded.
+	cached, err := CachedPlan(wifi.ConventionIEEE, mode, CH2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&Encoder{Plan: plan}).Encode(make([]byte, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := &wifi.RxResult{Mode: mode, DataBits: res.TransmitBits()}
+	index := cached.index.Load()
+	if index != nil && len(*index) >= res.Frame.NumSymbols {
+		t.Fatalf("the cached plan's index already covers %d symbols", res.Frame.NumSymbols)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if p, err := (Decoder{Convention: wifi.ConventionIEEE}).Decode(rx, CH2); err != nil || len(p) != 3000 {
+			t.Fatalf("Decode: %d octets, %v", len(p), err)
+		}
+	}); avg != 1 {
+		t.Errorf("Decode allocates %.1f times, want 1 (the payload)", avg)
+	}
+	if cached.index.Load() != index {
+		t.Error("decoding grew the cached plan's frame index")
 	}
 }

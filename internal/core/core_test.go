@@ -126,7 +126,7 @@ func TestTableIIAlgorithmOnePositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := plan.FrameLayout(1)
+	layout, err := frameLayout(plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestTableIIAlgorithmOnePositions(t *testing.T) {
 		14: {13, 9}, 20: {19, 15}, 38: {37, 33}, 44: {43, 39},
 		62: {62}, 68: {68}, 85: {85}, 86: {86}, 91: {91}, 92: {92},
 	}
-	if len(layout.Positions) != 14 || len(layout.Clusters) != 4 {
-		t.Fatalf("%d extra bits in %d clusters, want 14 in 4", len(layout.Positions), len(layout.Clusters))
+	if len(layout.positions) != 14 || len(layout.clusters) != 4 {
+		t.Fatalf("%d extra bits in %d clusters, want 14 in 4", len(layout.positions), len(layout.clusters))
 	}
 	clusterOf := make(map[int]int)
-	for ci, c := range layout.Clusters {
+	for ci, c := range layout.clusters {
 		var want []int
 		for _, eq := range c.Equations {
 			step := eq.Step()
@@ -642,12 +642,12 @@ func TestLayoutEquivalenceFullMask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Positions) != len(want.Positions) {
-			t.Fatalf("%v: %d vs %d positions", mode, len(got.Positions), len(want.Positions))
+		if len(got.positions) != len(want.Positions) {
+			t.Fatalf("%v: %d vs %d positions", mode, len(got.positions), len(want.Positions))
 		}
 		for i := range want.Positions {
-			if got.Positions[i] != want.Positions[i] {
-				t.Fatalf("%v: position %d differs (%d vs %d)", mode, i, got.Positions[i], want.Positions[i])
+			if got.positions[i] != want.Positions[i] {
+				t.Fatalf("%v: position %d differs (%d vs %d)", mode, i, got.positions[i], want.Positions[i])
 			}
 		}
 	}

@@ -40,8 +40,10 @@ func (d Decoder) DecodeAuto(rx *wifi.RxResult) ([]byte, ZigBeeChannel, error) {
 
 // Decode recovers the payload from a received frame, given the protected
 // channel (use DetectChannel first when it is unknown). Plans come from the
-// process-wide cache, so repeated frames of one mode share a single plan
-// and its one layout.
+// process-wide cache; the strip walks the plan's tile, and the payload is
+// the one allocation.
+//
+//sledzig:noalloc budget=1
 func (d Decoder) Decode(rx *wifi.RxResult, ch ZigBeeChannel) (payload []byte, err error) {
 	plan, err := CachedPlan(d.Convention, rx.Mode, ch)
 	if err != nil {
@@ -56,12 +58,11 @@ func (d Decoder) Decode(rx *wifi.RxResult, ch ZigBeeChannel) (payload []byte, er
 		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 		return nil, err
 	}
-	layout, err := plan.FrameLayout(len(rx.DataBits) / nDBPS)
+	x, err := plan.frame(len(rx.DataBits)/nDBPS, nil)
 	if err != nil {
 		m.fail(m.failLayout, "core.decode", "decode_fail.layout", err)
 		return nil, err
 	}
-	x := newFrameExtras(layout.Clusters, layout.Positions, 1, nil)
 	payload, class, err := stripFramed(rx.DataBits, &x)
 	switch class {
 	case stripOK:
@@ -106,11 +107,11 @@ func stripFramed(dataBits []bits.Bit, x *frameExtras) ([]byte, stripFailure, err
 	// bound the calls by len(dataBits) - x.count, which keeps every read
 	// in range whatever x holds.
 	i := 0
-	extra, k := x.position(0)
+	extra, w := x.position(walk{})
 	next := func() bits.Bit {
 		for extra == i {
 			i++
-			extra, k = x.position(k)
+			extra, w = x.position(w)
 		}
 		i++
 		return dataBits[i-1]

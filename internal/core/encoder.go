@@ -101,8 +101,8 @@ func (e *Encoder) Encode(payload []byte) (*EncodeResult, error) {
 // success res is fully overwritten; on error its contents are
 // unspecified. The caller owns res until the next EncodeTo with the same
 // res — results handed to other goroutines must not be reused.
-// res.Layout aliases the plan's shared, read-only layout. The bit-stream
-// outputs are identical to Encode's for the same payload.
+// res.Layout aliases the plan's shared, read-only frame index. The
+// bit-stream outputs are identical to Encode's for the same payload.
 //
 //sledzig:noalloc
 func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
@@ -124,14 +124,14 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		return err
 	}
 	mk := e.Trace.Begin(m.encLayout)
-	//sledvet:ignore hotalloc a frame longer than any before grows the plan's one layout to its length, and a length's first frame makes its header; every later frame of that length reads both
+	//sledvet:ignore hotalloc the first frame longer than the plan's frame index grows the index to its length; every frame the index covers reads it
 	layout, err := e.Plan.FrameLayout(nSym)
 	mk.End(0, err)
 	if err != nil {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.layout", err)
 		return err
 	}
-	x := newFrameExtras(layout.Clusters, layout.Positions, 1, nil)
+	x := e.Plan.tile.frame(nSym, nil)
 	if err := assemble(e.Plan, nSym, &x, payload, e.Seed, e.Trace, res); err != nil {
 		return err
 	}
@@ -193,14 +193,14 @@ func assemble(plan *Plan, nSym int, x *frameExtras, payload []byte, seed uint8, 
 
 // AssembleBits runs the assembly's bit pipeline for a frame format other
 // than the 20 MHz one (the 40 MHz extension): it returns the scrambled
-// encoder-input stream of layout.NumSymbols symbols of nDBPS bits that
-// carries payload under the SledZig length-header framing, with layout's
-// extra bits solved and verified, as a fresh slice at one bit per
-// element. seed 0 selects wifi.DefaultScramblerSeed.
-func AssembleBits(layout *FrameLayout, nDBPS int, payload []byte, seed uint8) ([]bits.Bit, error) {
-	total := max(layout.NumSymbols*nDBPS, 0)
+// encoder-input stream of nSym symbols of t that carries payload under
+// the SledZig length-header framing, with the extra bits solved and
+// verified, as a fresh slice at one bit per element. seed 0 selects
+// wifi.DefaultScramblerSeed.
+func AssembleBits(t *Tile, nSym int, payload []byte, seed uint8) ([]bits.Bit, error) {
+	total := max(nSym*t.nDBPS, 0)
 	octets := make([]byte, (total+7)/8)
-	x := newFrameExtras(layout.Clusters, layout.Positions, 1, nil)
+	x := t.frame(nSym, nil)
 	if err := assembleOctets(octets, total, &x, payload, cmp.Or(seed, wifi.DefaultScramblerSeed), nil); err != nil {
 		return nil, err
 	}
@@ -220,9 +220,9 @@ func assembleOctets(dst []byte, total int, x *frameExtras, payload []byte, seed 
 	if x.count >= total {
 		return fmt.Errorf("core: layout consumes the whole frame")
 	}
-	// Positions ascend strictly (newFrameLayout checks), so bounding the
-	// ends bounds them all.
-	if first, _ := x.position(0); x.count > 0 && (first < 0 || x.last >= total) {
+	// Positions ascend strictly (planClusters checks the tile's), so
+	// bounding the ends bounds them all.
+	if first, _ := x.position(walk{}); x.count > 0 && (first < 0 || x.last >= total) {
 		return fmt.Errorf("core: extra positions [%d, %d] outside frame of %d bits: %w", first, x.last, total, ErrExtraBitLayout)
 	}
 	if need := serviceBits + 8*(headerOctets+len(payload)) + tailBits; need > total-x.count {
@@ -231,7 +231,7 @@ func assembleOctets(dst []byte, total int, x *frameExtras, payload []byte, seed 
 
 	// SERVICE, the length header and the payload, LSB first.
 	head := [serviceBits/8 + headerOctets]byte{2: byte(len(payload)), 3: byte(len(payload) >> 8)}
-	extra, next := x.position(0)
+	extra, next := x.position(walk{})
 	i := 0 // physical index of the next logical bit
 	for n := range len(head) + len(payload) {
 		var octet byte
@@ -261,14 +261,15 @@ func assembleOctets(dst []byte, total int, x *frameExtras, payload []byte, seed 
 	}
 	// Scrambling flipped some placeholders to the scrambler sequence; the
 	// solver assumes unknowns start at zero.
-	for p, k := x.position(0); p >= 0; p, k = x.position(k) {
+	for p, w := x.position(walk{}); p >= 0; p, w = x.position(w) {
 		wifi.SetPackedBit(dst, p, 0)
 	}
 	mk = tr.Begin(m.encSolve)
 	var rows [maxClusterEquations]uint64
 	for s := 0; s < x.symbols && err == nil; s++ {
-		for _, cl := range x.symbolClusters(s) {
-			if err = solveCluster(dst, cl, &rows); err != nil {
+		clusters, shift := x.symbolClusters(s)
+		for _, cl := range clusters {
+			if err = solveCluster(dst, cl, shift, &rows); err != nil {
 				break
 			}
 		}
@@ -280,7 +281,8 @@ func assembleOctets(dst []byte, total int, x *frameExtras, payload []byte, seed 
 	}
 	mk = tr.Begin(m.encVerify)
 	for s := 0; s < x.symbols && err == nil; s++ {
-		err = verifyConstraints(dst, x.symbolClusters(s))
+		clusters, shift := x.symbolClusters(s)
+		err = verifyConstraints(dst, clusters, shift)
 	}
 	mk.End(0, err)
 	if err != nil {
@@ -296,13 +298,15 @@ func assembleOctets(dst []byte, total int, x *frameExtras, payload []byte, seed 
 // equations to a cluster.
 const maxClusterEquations = 64
 
-// solveCluster determines cl's extra bits in the packed scrambled stream
-// x so that its pinned encoder outputs hold: a Gauss-Jordan elimination
-// over GF(2) in rows, whose row r holds equation r's coefficients, bit c
-// for unknown Positions[c], and rhs bit r its constant term.
+// solveCluster determines the extra bits of cl, shifted shift encoder
+// steps, in the packed scrambled stream x so that its pinned encoder
+// outputs hold: a Gauss-Jordan elimination over GF(2) in rows, whose row
+// r holds equation r's coefficients, bit c for unknown Positions[c], and
+// rhs bit r its constant term. The shift moves an equation and its
+// unknowns alike, so it leaves the coefficients as they are.
 //
 //sledzig:noalloc
-func solveCluster(x []byte, cl Cluster, rows *[maxClusterEquations]uint64) error {
+func solveCluster(x []byte, cl Cluster, shift int, rows *[maxClusterEquations]uint64) error {
 	e := len(cl.Equations)
 	if e > maxClusterEquations || len(cl.Positions) != e {
 		return fmt.Errorf("core: cluster of %d equations and %d unknowns is not solvable in place: %w", e, len(cl.Positions), ErrConstraintUnsatisfied)
@@ -322,7 +326,7 @@ func solveCluster(x []byte, cl Cluster, rows *[maxClusterEquations]uint64) error
 		}
 		rows[r] = row
 		// Constant term: encoder output with unknowns at zero.
-		rhs |= uint64(eq.Value^encodeOutput(x, eq)) << r
+		rhs |= uint64(eq.Value^encodeOutput(x, eq, shift)) << r
 	}
 	for col := 0; col < e; col++ {
 		pivot := col
@@ -344,29 +348,30 @@ func solveCluster(x []byte, cl Cluster, rows *[maxClusterEquations]uint64) error
 		}
 	}
 	for i, p := range cl.Positions {
-		wifi.SetPackedBit(x, p, bits.Bit(rhs>>i&1))
+		wifi.SetPackedBit(x, p+shift, bits.Bit(rhs>>i&1))
 	}
 	return nil
 }
 
-// encodeOutput computes the mother-code output bit for one constraint
-// given the current contents of the packed stream x.
-func encodeOutput(x []byte, eq Constraint) bits.Bit {
-	y0, y1 := wifi.EncodeStep(wifi.PackedWindow(x, eq.Step()))
+// encodeOutput computes the mother-code output bit for one constraint,
+// shifted shift encoder steps, in the packed stream x.
+func encodeOutput(x []byte, eq Constraint, shift int) bits.Bit {
+	y0, y1 := wifi.EncodeStep(wifi.PackedWindow(x, eq.Step()+shift))
 	if eq.MotherIndex%2 == 0 {
 		return y0
 	}
 	return y1
 }
 
-// verifyConstraints re-checks every pinned output against the final
-// packed stream — cheap insurance that the solver and the encoder agree.
-func verifyConstraints(x []byte, clusters []Cluster) error {
+// verifyConstraints re-checks every pinned output of clusters, shifted
+// shift encoder steps, against the final packed stream — cheap insurance
+// that the solver and the encoder agree.
+func verifyConstraints(x []byte, clusters []Cluster, shift int) error {
 	for _, cl := range clusters {
 		for _, eq := range cl.Equations {
-			if got := encodeOutput(x, eq); got != eq.Value {
+			if got := encodeOutput(x, eq, shift); got != eq.Value {
 				return fmt.Errorf("core: constraint at mother index %d unsatisfied (got %d, want %d): %w",
-					eq.MotherIndex, got, eq.Value, ErrConstraintUnsatisfied)
+					eq.MotherIndex+2*shift, got, eq.Value, ErrConstraintUnsatisfied)
 			}
 		}
 	}

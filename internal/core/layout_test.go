@@ -12,63 +12,97 @@ import (
 	"sledzig/internal/wifi"
 )
 
-// hashLayout folds everything a layout exposes into w: its symbol count,
-// every cluster's equations and solver positions, and the frame-wide
-// position list.
-func hashLayout(w io.Writer, l *FrameLayout) {
-	fmt.Fprintf(w, "n%d c%d|", l.NumSymbols, len(l.Clusters))
-	for _, cl := range l.Clusters {
+// spelledLayout spells out a frame's extra bits: its clusters in frame
+// order, each at the mother indices and positions the frame solves it
+// at, and its ascending positions.
+type spelledLayout struct {
+	n         int
+	clusters  []Cluster
+	positions []int
+}
+
+// hashLayout folds everything a layout spells out into w: its symbol
+// count, every cluster's equations and solver positions, and the
+// frame-wide position list.
+func hashLayout(w io.Writer, l spelledLayout) {
+	fmt.Fprintf(w, "n%d c%d|", l.n, len(l.clusters))
+	for _, cl := range l.clusters {
 		for _, eq := range cl.Equations {
 			fmt.Fprintf(w, "%d=%d ", eq.MotherIndex, eq.Value)
 		}
 		fmt.Fprintf(w, "%v;", cl.Positions)
 	}
-	fmt.Fprintf(w, "%v\n", l.Positions)
+	fmt.Fprintf(w, "%v\n", l.positions)
 }
 
-// layoutString renders everything a layout exposes, as hashLayout does.
-func layoutString(l *FrameLayout) string {
+// layoutString renders everything a layout spells out, as hashLayout does.
+func layoutString(l spelledLayout) string {
 	var b strings.Builder
 	hashLayout(&b, l)
 	return b.String()
 }
 
-// pinnedLayout gathers what a masked frame assembles and strips — the
-// clusters and extra-bit positions of the symbols mask pins, ranges of
-// plan's layout — into one layout of len(mask) symbols.
-func pinnedLayout(plan *Plan, mask []bool) (*FrameLayout, error) {
-	x, err := maskedFrame(plan, mask)
-	if err != nil {
-		return nil, err
-	}
-	l := &FrameLayout{NumSymbols: len(mask), Clusters: []Cluster{}, Positions: []int{}}
+// walked spells out what a frame assembles and strips as it walks its
+// tile: the pinned symbols' clusters, shifted, and the positions the walk
+// yields.
+func walked(x frameExtras) spelledLayout {
+	l := spelledLayout{n: x.symbols}
 	for s := range x.symbols {
-		l.Clusters = append(l.Clusters, x.symbolClusters(s)...)
+		clusters, shift := x.symbolClusters(s)
+		for _, cl := range clusters {
+			l.clusters = append(l.clusters, shiftCluster(cl, shift))
+		}
 	}
-	for p, k := x.position(0); p >= 0; p, k = x.position(k) {
-		l.Positions = append(l.Positions, p)
+	for p, w := x.position(walk{}); p >= 0; p, w = x.position(w) {
+		l.positions = append(l.positions, p)
 	}
-	return l, nil
+	return l
+}
+
+// shiftCluster returns cl moved shift encoder steps later.
+func shiftCluster(cl Cluster, shift int) Cluster {
+	out := Cluster{Equations: make([]Constraint, len(cl.Equations)), Positions: make([]int, len(cl.Positions))}
+	for i, eq := range cl.Equations {
+		out.Equations[i] = Constraint{MotherIndex: eq.MotherIndex + 2*shift, Value: eq.Value}
+	}
+	for i, p := range cl.Positions {
+		out.Positions[i] = p + shift
+	}
+	return out
+}
+
+// frameLayout spells out the unmasked frame of n symbols on plan's tile.
+func frameLayout(plan *Plan, n int) (spelledLayout, error) {
+	x, err := plan.frame(n, nil)
+	return walked(x), err
+}
+
+// pinnedLayout spells out the masked frame of len(mask) symbols on
+// plan's tile.
+func pinnedLayout(plan *Plan, mask []bool) (spelledLayout, error) {
+	x, err := plan.frame(len(mask), mask)
+	return walked(x), err
 }
 
 // globalLayout plans a frame from scratch from a frame-global constraint
-// list, in any order: what masked frames solved before they shared the
-// plan's layout.
-func globalLayout(all []Constraint, nSymbols int) (*FrameLayout, error) {
+// list, in any order: what masked frames solved before they walked the
+// plan's tile.
+func globalLayout(all []Constraint, nSymbols int) (spelledLayout, error) {
 	sorted := slices.Clone(all)
 	slices.SortFunc(sorted, byMotherIndex)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].MotherIndex == sorted[i-1].MotherIndex {
-			return nil, fmt.Errorf("duplicate constraint at mother index %d", sorted[i].MotherIndex)
+			return spelledLayout{}, fmt.Errorf("duplicate constraint at mother index %d", sorted[i].MotherIndex)
 		}
 	}
-	return newFrameLayout(sorted, nSymbols)
+	clusters, positions, err := planClusters(sorted)
+	return spelledLayout{nSymbols, clusters, positions}, err
 }
 
 // plannedMaskedLayout plans the frame of len(mask) symbols that mask pins
 // from scratch: the plan's constraints on every pinned symbol, clustered
 // and solved as one frame-global list.
-func plannedMaskedLayout(plan *Plan, mask []bool) (*FrameLayout, error) {
+func plannedMaskedLayout(plan *Plan, mask []bool) (spelledLayout, error) {
 	var all []Constraint
 	for s, pinned := range mask {
 		if !pinned {
@@ -84,9 +118,9 @@ func plannedMaskedLayout(plan *Plan, mask []bool) (*FrameLayout, error) {
 // TestLayoutsMatchGolden pins complete multi-symbol layouts — including
 // clusters whose solver positions fall in the previous symbol, though
 // their equations never do (TestFrameLayoutTilesBySymbol) — for every
-// paper mode and channel under both conventions, through the plan's
-// layout, the generic LayoutForConstraints, and the pinned symbols'
-// ranges a masked frame walks. The single-symbol extra-bit positions
+// paper mode and channel under both conventions, through the walk of the
+// plan's tile, the generic LayoutForConstraints, and the pinned symbols
+// a masked frame walks. The single-symbol extra-bit positions
 // are also in testdata/vectors.json; this hash covers what those vectors
 // cannot: the cluster grouping, equation order and solver choices that
 // receivers depend on. Refresh the value only for an intended change to
@@ -102,16 +136,16 @@ func TestLayoutsMatchGolden(t *testing.T) {
 					t.Fatalf("%v %v %v: %v", conv, mode, ch, err)
 				}
 				for _, n := range []int{1, 2, 5, 33} {
-					l, err := plan.FrameLayout(n)
+					l, err := frameLayout(plan, n)
 					if err != nil {
 						t.Fatal(err)
 					}
 					hashLayout(h, l)
-					g, err := LayoutForConstraints(plan.symbolConstraints, n, 2*mode.DataBitsPerSymbol())
+					g, positions, err := LayoutForConstraints(plan.symbolConstraints, n, 2*mode.DataBitsPerSymbol())
 					if err != nil {
 						t.Fatal(err)
 					}
-					hashLayout(h, g)
+					hashLayout(h, spelledLayout{n, g, positions})
 				}
 				mask := make([]bool, 9)
 				for i := range mask {
@@ -130,14 +164,15 @@ func TestLayoutsMatchGolden(t *testing.T) {
 	}
 }
 
-// TestFrameLayoutTilesBySymbol pins the property the plan's one layout
-// rests on, for both conventions and the 12 pinnable modes, on every
+// TestFrameLayoutTilesBySymbol pins the property the plan's tile rests
+// on, for both conventions and the 12 pinnable modes, on every
 // contiguous run of data subcarriers within each channel's window (the
 // whole window is CH1-CH4's own plan) and on Fig. 11's larger subsets of
 // up to 8 subcarriers, which reach past the window: no cluster of a
 // 3-symbol layout planned from scratch has equations in two symbols, and
-// FrameLayout(n) is that layout's symbol 0 clusters followed by n-1
-// copies of its symbol 1 clusters, each shifted N_DBPS steps per symbol.
+// the walk of an n-symbol frame is that layout's symbol 0 clusters
+// followed by n-1 copies of its symbol 1 clusters, each shifted N_DBPS
+// steps per symbol, whose positions the plan's frame index lists for n.
 // n is sampled up to the symbol count of the largest PSDU. A cluster may
 // place extra bits in the symbol before its equations, which symbol 0
 // cannot: the planner never places one before the frame start. So symbol
@@ -190,16 +225,17 @@ func TestFrameLayoutTilesBySymbol(t *testing.T) {
 
 // checkTiling splits the 3-symbol layout the planner computes from
 // scratch for plan's constraints into symbol 0's and symbol 1's clusters
-// and checks FrameLayout(n) against the tiling for each n. It also
-// reports whether symbol 0 is not symbol 1 shifted back.
+// and checks the walk of plan's tile and its frame index against the
+// tiling for each n. It also reports whether symbol 0 is not symbol 1
+// shifted back.
 func checkTiling(plan *Plan, ns []int) (headDiffers bool, err error) {
 	nDBPS := plan.Mode.DataBitsPerSymbol()
-	three, err := LayoutForConstraints(plan.symbolConstraints, 3, 2*nDBPS)
+	three, _, err := LayoutForConstraints(plan.symbolConstraints, 3, 2*nDBPS)
 	if err != nil {
 		return false, err
 	}
 	var head, steady []Cluster
-	for _, cl := range three.Clusters {
+	for _, cl := range three {
 		switch clusterSymbol(cl, nDBPS) {
 		case -1:
 			return false, fmt.Errorf("cluster at steps %d..%d spans a symbol boundary",
@@ -211,25 +247,34 @@ func checkTiling(plan *Plan, ns []int) (headDiffers bool, err error) {
 		}
 	}
 	for _, n := range ns {
-		l, err := plan.FrameLayout(n)
+		l, err := frameLayout(plan, n)
 		if err != nil {
 			return false, err
 		}
-		if want := len(head) + (n-1)*len(steady); len(l.Clusters) != want {
-			return false, fmt.Errorf("%d-symbol layout has %d clusters, want %d", n, len(l.Clusters), want)
+		if want := len(head) + (n-1)*len(steady); len(l.clusters) != want {
+			return false, fmt.Errorf("%d-symbol layout has %d clusters, want %d", n, len(l.clusters), want)
 		}
 		k := 0
+		var positions []int
 		for sym := 0; sym < n; sym++ {
 			tile, shift := head, 0
 			if sym > 0 {
 				tile, shift = steady, (sym-1)*nDBPS
 			}
 			for _, want := range tile {
-				if !sameShifted(l.Clusters[k], want, shift) {
+				if !sameShifted(l.clusters[k], want, shift) {
 					return false, fmt.Errorf("%d-symbol layout: cluster %d (symbol %d) is not the tile shifted %d steps", n, k, sym, shift)
 				}
+				positions = append(positions, l.clusters[k].Positions...)
 				k++
 			}
+		}
+		ix, err := plan.FrameLayout(n)
+		if err != nil {
+			return false, err
+		}
+		if ix.NumSymbols != n || !slices.Equal(ix.Positions, positions) || !slices.Equal(l.positions, positions) {
+			return false, fmt.Errorf("%d-symbol frame: the index and the walk do not list the tiling's positions", n)
 		}
 	}
 	headDiffers = len(head) != len(steady)
@@ -269,8 +314,8 @@ func sameShifted(got, want Cluster, shift int) bool {
 	return true
 }
 
-// growthAllocs returns the allocations one plan makes growing its
-// layout from construction's two symbols to n, averaged over fresh plans.
+// growthAllocs returns the allocations one plan makes building its
+// frame index to n symbols, averaged over fresh plans.
 func growthAllocs(t testing.TB, n int) float64 {
 	const runs = 20
 	plans := make([]*Plan, runs)
@@ -284,7 +329,7 @@ func growthAllocs(t testing.TB, n int) float64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, p := range plans {
-		if _, err := p.grown(n); err != nil {
+		if _, err := p.FrameLayout(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,19 +337,19 @@ func growthAllocs(t testing.TB, n int) float64 {
 	return float64(after.Mallocs-before.Mallocs) / runs
 }
 
-// TestLayoutAllocationsFlat pins the cost of growing a plan's layout:
-// growing from 2 to 60 symbols (240 clusters) makes as many allocations
-// as growing from 2 to 3, because growth appends shifted copies of
-// symbol 1's clusters into arrays sized once. The averages may differ by
-// a stray runtime allocation, never by one per cluster.
+// TestLayoutAllocationsFlat pins the cost of growing a plan's frame
+// index: building it to 60 symbols makes as many allocations as building
+// it to 3, because the index lists positions and per-length layouts in
+// arrays sized once. The averages may differ by a stray runtime
+// allocation, never by one per symbol.
 func TestLayoutAllocationsFlat(t *testing.T) {
 	if short, long := growthAllocs(t, 3), growthAllocs(t, 60); long >= short+1 {
-		t.Errorf("growing to 60 symbols: %.1f allocs, to 3 symbols %.1f: growth allocates per cluster", long, short)
+		t.Errorf("growing to 60 symbols: %.1f allocs, to 3 symbols %.1f: growth allocates per symbol", long, short)
 	}
 }
 
-// BenchmarkFrameLayout grows a fresh plan's layout from 2 to 60 symbols
-// (240 clusters); the plan is built with the timer stopped.
+// BenchmarkFrameLayout builds a fresh plan's frame index to 60 symbols;
+// the plan is built with the timer stopped.
 func BenchmarkFrameLayout(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"sledzig/internal/bits"
@@ -29,27 +28,12 @@ type Plan struct {
 	// symbolConstraints are the constraints of one OFDM symbol, sorted by
 	// mother index.
 	symbolConstraints []Constraint
-	// head and body are the clusters of symbol 0 and of symbol 1; symbol
-	// s > 1 has body's shifted (s-1)·N_DBPS steps (DESIGN.md §5.5).
-	head, body []Cluster
-
-	// layout is the plan's one layout, grown to the longest frame
-	// requested. mu serializes growth and header creation; reads take no
-	// lock.
-	mu     sync.Mutex
-	layout atomic.Pointer[planLayout]
-}
-
-// planLayout is one generation of a plan's layout, immutable once
-// published: the clusters and extra-bit positions of its first n
-// symbols, and the headers of the lengths requested since it was built.
-// A growth publishes a new generation with no headers, so the plan keeps
-// one generation's arrays alive.
-type planLayout struct {
-	n         int
-	clusters  []Cluster
-	positions []int
-	headers   []atomic.Pointer[FrameLayout] // by symbol count, 1..n
+	// tile is the two-symbol layout every frame walks (DESIGN.md §5.5).
+	tile *Tile
+	// index is the frame index EncodeTo grows, immutable once published:
+	// entry n-1 lists the extra bits of n symbols, a prefix of the last
+	// entry's Positions. It is nil before the first encode.
+	index atomic.Pointer[[]FrameLayout]
 }
 
 // NewPlan builds the plan for a protected ZigBee channel using its full
@@ -67,39 +51,24 @@ func NewPlan(conv wifi.Convention, mode wifi.Mode, ch ZigBeeChannel) (*Plan, err
 }
 
 // NewPlanForSubcarriers builds a plan pinning an explicit set of data
-// subcarriers (the Fig. 11 ablation sweeps these). It refuses a set whose
-// clusters would span two symbols, so that the layout could not tile, and
-// a set whose two-symbol layout is unsolvable.
+// subcarriers (the Fig. 11 ablation sweeps these). It refuses a set that
+// does not tile (see NewTile).
 func NewPlanForSubcarriers(conv wifi.Convention, mode wifi.Mode, subcarriers []int) (*Plan, error) {
 	cs, err := SymbolConstraints(conv, mode, subcarriers)
 	if err != nil {
 		return nil, err
 	}
-	nDBPS := mode.DataBitsPerSymbol()
-	if n := len(cs); n > 0 {
-		if first, last := cs[0].Step(), cs[n-1].Step(); first+nDBPS-last < wifi.ConstraintLength {
-			return nil, fmt.Errorf("core: constrained steps %d..%d of a %d-step symbol leave clusters spanning two symbols: %w",
-				first, last, nDBPS, ErrConstraintUnsatisfied)
-		}
-	}
-	two, err := LayoutForConstraints(cs, 2, 2*nDBPS)
+	tile, err := NewTile(cs, mode.DataBitsPerSymbol())
 	if err != nil {
 		return nil, err
 	}
-	// Both symbols group the same shifted constraints into clusters.
-	perSym := len(two.Clusters) / 2
-	p := &Plan{
+	return &Plan{
 		Convention:        conv,
 		Mode:              mode,
 		Subcarriers:       append([]int(nil), subcarriers...),
 		symbolConstraints: cs,
-		head:              two.Clusters[:perSym:perSym],
-		body:              two.Clusters[perSym:],
-	}
-	l := &planLayout{n: 2, clusters: two.Clusters, positions: two.Positions, headers: make([]atomic.Pointer[FrameLayout], 3)}
-	l.headers[2].Store(two)
-	p.layout.Store(l)
-	return p, nil
+		tile:              tile,
+	}, nil
 }
 
 // ExtraBitsPerSymbol returns how many extra bits each OFDM symbol costs:
@@ -130,145 +99,181 @@ type Cluster struct {
 	Positions []int
 }
 
-// FrameLayout returns the global extra-bit positions and solving clusters
-// for a frame of nSymbols OFDM symbols: a prefix of the plan's one
-// layout, behind a header made on the first request for the length. The
-// returned value is shared and read-only and must not be modified.
+// FrameLayout lists the extra bits of a frame of NumSymbols OFDM symbols.
+type FrameLayout struct {
+	NumSymbols int
+	// Positions lists every extra-bit encoder-input index, ascending.
+	Positions []int
+}
+
+// FrameLayout returns the extra-bit positions of a frame of nSymbols
+// OFDM symbols from the plan's frame index, first growing the index to
+// nSymbols when it is shorter. The returned value is shared and
+// read-only and must not be modified. core.layout.cache_hits counts the
+// lengths the index covers, cache_misses its growths.
 func (p *Plan) FrameLayout(nSymbols int) (*FrameLayout, error) {
-	l, err := p.grown(nSymbols)
+	x, err := p.frame(nSymbols, nil)
 	if err != nil {
 		return nil, err
 	}
-	if h := l.headers[nSymbols].Load(); h != nil {
-		return h, nil
+	var grown *[]FrameLayout
+	for {
+		ix := p.index.Load()
+		if ix != nil && nSymbols <= len(*ix) {
+			metrics().layoutHit.Inc()
+			return &(*ix)[nSymbols-1], nil
+		}
+		if grown == nil {
+			positions := make([]int, 0, x.count)
+			for pos, w := x.position(walk{}); pos >= 0; pos, w = x.position(w) {
+				positions = append(positions, pos)
+			}
+			layouts := make([]FrameLayout, nSymbols)
+			for n := range layouts {
+				e := (n + 1) * len(p.symbolConstraints)
+				layouts[n] = FrameLayout{NumSymbols: n + 1, Positions: positions[:e:e]}
+			}
+			grown = &layouts
+		}
+		// A growth that lost a race retries: indexes only grow.
+		if p.index.CompareAndSwap(ix, grown) {
+			metrics().layoutMiss.Inc()
+			return &(*grown)[nSymbols-1], nil
+		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l = p.layout.Load()
-	h := l.headers[nSymbols].Load()
-	if h == nil {
-		c, e := nSymbols*len(p.body), nSymbols*len(p.symbolConstraints)
-		h = &FrameLayout{NumSymbols: nSymbols, Clusters: l.clusters[:c:c], Positions: l.positions[:e:e]}
-		l.headers[nSymbols].Store(h)
-	}
-	return h, nil
 }
 
-// grown returns the plan's layout covering at least n symbols, first
-// growing it to n, at most the longest PSDU's symbols, by appending
-// shifted copies of body to head. core.layout.cache_hits counts the
-// lengths it already covers, cache_misses the growths.
-func (p *Plan) grown(n int) (*planLayout, error) {
+// frame returns the walk of a frame of n symbols on the plan's tile, of
+// which mask pins some (nil: all); no PSDU is longer than the symbols of
+// wifi.MaxPSDULength octets.
+func (p *Plan) frame(n int, mask []bool) (frameExtras, error) {
+	if p == nil {
+		return frameExtras{}, fmt.Errorf("core: frame needs a plan")
+	}
 	if n < 1 {
-		return nil, fmt.Errorf("core: frame needs at least one symbol, got %d", n)
+		return frameExtras{}, fmt.Errorf("core: frame needs at least one symbol, got %d", n)
 	}
-	if l := p.layout.Load(); n <= l.n {
-		metrics().layoutHit.Inc()
-		return l, nil
-	}
-	longest := wifi.NumDataSymbols(p.Mode, wifi.MaxPSDULength)
-	if n > longest {
-		return nil, fmt.Errorf("core: %d-symbol frame is longer than the %d symbols of a %d-octet PSDU: %w",
+	if longest := wifi.NumDataSymbols(p.Mode, wifi.MaxPSDULength); n > longest {
+		return frameExtras{}, fmt.Errorf("core: %d-symbol frame is longer than the %d symbols of a %d-octet PSDU: %w",
 			n, longest, wifi.MaxPSDULength, ErrPayloadSize)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.layout.Load()
-	if n <= old.n {
-		metrics().layoutHit.Inc()
-		return old, nil
-	}
-	metrics().layoutMiss.Inc()
-	perSym, nDBPS := len(p.symbolConstraints), p.Mode.DataBitsPerSymbol()
-	eqs := make([]Constraint, n*perSym)
-	pos := make([]int, n*perSym)
-	l := &planLayout{
-		n:         n,
-		clusters:  make([]Cluster, 0, n*len(p.body)),
-		positions: pos,
-		headers:   make([]atomic.Pointer[FrameLayout], n+1),
-	}
-	k := 0
-	for s := 0; s < n; s++ {
-		tile, shift := p.head, 0
-		if s > 0 {
-			tile, shift = p.body, (s-1)*nDBPS
-		}
-		for _, cl := range tile {
-			start := k
-			for i, eq := range cl.Equations {
-				eqs[k] = Constraint{MotherIndex: eq.MotherIndex + 2*shift, Value: eq.Value}
-				pos[k] = cl.Positions[i] + shift
-				k++
-			}
-			l.clusters = append(l.clusters, Cluster{Equations: eqs[start:k:k], Positions: pos[start:k:k]})
-		}
-	}
-	p.layout.Store(l)
-	return l, nil
+	return p.tile.frame(n, mask), nil
 }
 
-// frameExtras locates one frame's extra bits: the clusters and ascending
-// positions of its symbols, an equal share of each per symbol, of which
-// only the symbols mask pins count (nil pins all); a frame-wide layout is
-// one share. count is the pinned symbols' extra bits, last the position
-// of the last (-1: none).
+// Tile is a frame format's extra-bit layout of two OFDM symbols, which
+// frames of any length and mask walk: symbol 0 solves the head clusters,
+// and each later symbol s the body clusters shifted (s-1)·N_DBPS encoder
+// steps. A body cluster may place extra bits in the symbol before its
+// equations, which symbol 0 cannot (DESIGN.md §5.5).
+type Tile struct {
+	head, body []Cluster
+	// positions are head's extra-bit positions, then body's, ascending.
+	positions []int
+	nDBPS     int
+}
+
+// NewTile plans the tile of one symbol's constraints cs, sorted by
+// mother index, in a format of nDBPS data bits per symbol. It refuses a
+// set whose clusters would span two symbols, so that frames could not
+// repeat the tile, and a set whose two-symbol layout is unsolvable; both
+// errors wrap ErrConstraintUnsatisfied.
+func NewTile(cs []Constraint, nDBPS int) (*Tile, error) {
+	if n := len(cs); n > 0 {
+		if first, last := cs[0].Step(), cs[n-1].Step(); first+nDBPS-last < wifi.ConstraintLength {
+			return nil, fmt.Errorf("core: constrained steps %d..%d of a %d-step symbol leave clusters spanning two symbols: %w",
+				first, last, nDBPS, ErrConstraintUnsatisfied)
+		}
+	}
+	two, positions, err := LayoutForConstraints(cs, 2, 2*nDBPS)
+	if err != nil {
+		return nil, err
+	}
+	// Both symbols group the same shifted constraints into clusters.
+	perSym := len(two) / 2
+	return &Tile{head: two[:perSym:perSym], body: two[perSym:], positions: positions, nDBPS: nDBPS}, nil
+}
+
+// SymbolClusters returns the clusters symbol s of a frame solves, and
+// the encoder steps they are shifted by: a cluster's equation at mother
+// index m and its extra bit at position p stand at m+2·shift and
+// p+shift in the frame.
+func (t *Tile) SymbolClusters(s int) (clusters []Cluster, shift int) {
+	if s == 0 {
+		return t.head, 0
+	}
+	return t.body, (s - 1) * t.nDBPS
+}
+
+// frameExtras walks the clusters and ascending extra-bit positions of a
+// frame's symbols on a tile, of which only the symbols mask pins count
+// (nil pins all). count is their extra bits, last the position of the
+// last (-1: none).
 type frameExtras struct {
-	clusters    []Cluster
-	positions   []int
+	tile        *Tile
 	symbols     int
 	mask        []bool
 	count, last int
 }
 
-func newFrameExtras(clusters []Cluster, positions []int, symbols int, mask []bool) frameExtras {
-	x := frameExtras{clusters: clusters, positions: positions, symbols: symbols, mask: mask, last: -1}
-	for s, per := 0, len(positions)/symbols; s < symbols && per > 0; s++ {
-		if mask == nil || mask[s] {
-			x.count += per
-			x.last = positions[(s+1)*per-1]
+// frame returns the walk of a frame of symbols OFDM symbols, of which
+// mask, when not nil, holds len(mask) == symbols entries.
+func (t *Tile) frame(symbols int, mask []bool) frameExtras {
+	x := frameExtras{tile: t, symbols: symbols, mask: mask, last: -1}
+	pinned := max(symbols, 0)
+	lastPinned := pinned - 1
+	if mask != nil {
+		pinned = 0
+		for s, on := range mask {
+			if on {
+				pinned, lastPinned = pinned+1, s
+			}
 		}
+	}
+	per := len(t.positions) / 2
+	x.count = pinned * per
+	if per > 0 && lastPinned >= 0 {
+		x.last, _ = x.position(walk{lastPinned, per - 1})
 	}
 	return x
 }
 
-// symbolClusters returns the clusters of symbol s, none when it is not
-// pinned.
-func (x *frameExtras) symbolClusters(s int) []Cluster {
+// symbolClusters returns SymbolClusters(s), none when s is not pinned.
+func (x *frameExtras) symbolClusters(s int) ([]Cluster, int) {
 	if x.mask != nil && !x.mask[s] {
-		return nil
+		return nil, 0
 	}
-	return x.clusters[s*len(x.clusters)/x.symbols : (s+1)*len(x.clusters)/x.symbols]
+	return x.tile.SymbolClusters(s)
 }
 
-// position returns the first extra-bit position of a pinned symbol at or
-// after entry k of x.positions, and the entry after it; -1 when none
-// remains.
-func (x *frameExtras) position(k int) (int, int) {
-	for ; k < len(x.positions); k++ {
-		if x.mask == nil || x.mask[k*x.symbols/len(x.positions)] {
-			return x.positions[k], k + 1
+// walk is where a walk of a frame's extra bits stands: entry i of
+// symbol s's share.
+type walk struct{ s, i int }
+
+// position returns the extra-bit position at w, or at the first entry of
+// the next pinned symbol when w is past its symbol's share or the symbol
+// is unpinned, and the walk after it; -1 when none remains.
+func (x *frameExtras) position(w walk) (int, walk) {
+	per := len(x.tile.positions) / 2
+	for ; w.s < x.symbols; w.s, w.i = w.s+1, 0 {
+		if w.i < per && (x.mask == nil || x.mask[w.s]) {
+			if w.s == 0 {
+				return x.tile.positions[w.i], walk{0, w.i + 1}
+			}
+			return x.tile.positions[per+w.i] + (w.s-1)*x.tile.nDBPS, walk{w.s, w.i + 1}
 		}
 	}
-	return -1, k
+	return -1, w
 }
 
-// FrameLayout is the frame-wide solving plan.
-type FrameLayout struct {
-	NumSymbols int
-	Clusters   []Cluster
-	// Positions lists every extra-bit encoder-input index, ascending.
-	Positions []int
-}
-
-// newFrameLayout groups the sorted constraints into clusters of steps
+// planClusters groups the sorted constraints into clusters of steps
 // within the encoder memory of each other and selects an invertible set of
 // solver-controlled positions per cluster, preferring the paper's
-// Algorithm 1 choices. The layout takes ownership of all: each cluster's
+// Algorithm 1 choices. It returns the clusters and every position,
+// ascending. The clusters take ownership of all: each cluster's
 // Equations is a window of it, and its Positions a window of the
-// frame-wide Positions, so a layout costs a few allocations however many
-// clusters it has.
-func newFrameLayout(all []Constraint, nSymbols int) (*FrameLayout, error) {
+// positions, so a layout costs a few allocations however many clusters
+// it has.
+func planClusters(all []Constraint) ([]Cluster, []int, error) {
 	n := 0
 	for i := range all {
 		if i == 0 || all[i].Step()-all[i-1].Step() >= wifi.ConstraintLength {
@@ -284,7 +289,7 @@ func newFrameLayout(all []Constraint, nSymbols int) (*FrameLayout, error) {
 			j++
 		}
 		if err := sc.planCluster(all[i:j], positions[i:j]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		clusters = append(clusters, Cluster{Equations: all[i:j:j], Positions: positions[i:j:j]})
 		i = j
@@ -294,10 +299,10 @@ func newFrameLayout(all []Constraint, nSymbols int) (*FrameLayout, error) {
 	// strictly ascending.
 	for i := 1; i < len(positions); i++ {
 		if positions[i] <= positions[i-1] {
-			return nil, fmt.Errorf("core: internal error: extra positions %d, %d out of order", positions[i-1], positions[i])
+			return nil, nil, fmt.Errorf("core: internal error: extra positions %d, %d out of order", positions[i-1], positions[i])
 		}
 	}
-	return &FrameLayout{NumSymbols: nSymbols, Clusters: clusters, Positions: positions}, nil
+	return clusters, positions, nil
 }
 
 // clusterScratch is planCluster's working storage, reused from one cluster
@@ -419,16 +424,17 @@ func (sc *clusterScratch) planCluster(eqs []Constraint, positions []int) error {
 	return nil
 }
 
-// LayoutForConstraints builds a frame-wide solving layout from an
-// arbitrary per-symbol constraint list and mother-stream stride — the
-// generic entry point wider channel formats (e.g. the 40 MHz extension)
-// use, bypassing the 20 MHz Plan bookkeeping.
-func LayoutForConstraints(symbolConstraints []Constraint, nSymbols, motherPerSymbol int) (*FrameLayout, error) {
+// LayoutForConstraints plans the extra bits of a whole frame of nSymbols
+// symbols from scratch, from one symbol's constraints and the
+// mother-stream stride of a symbol: its clusters in frame order and its
+// extra-bit positions, ascending. NewTile plans its two symbols with it,
+// and tests hold the frames that walk a tile to it.
+func LayoutForConstraints(symbolConstraints []Constraint, nSymbols, motherPerSymbol int) ([]Cluster, []int, error) {
 	if nSymbols < 1 {
-		return nil, fmt.Errorf("core: frame needs at least one symbol, got %d", nSymbols)
+		return nil, nil, fmt.Errorf("core: frame needs at least one symbol, got %d", nSymbols)
 	}
 	if motherPerSymbol < 2 {
-		return nil, fmt.Errorf("core: mother stride %d too small", motherPerSymbol)
+		return nil, nil, fmt.Errorf("core: mother stride %d too small", motherPerSymbol)
 	}
 	all := make([]Constraint, 0, nSymbols*len(symbolConstraints))
 	for s := 0; s < nSymbols; s++ {
@@ -440,7 +446,7 @@ func LayoutForConstraints(symbolConstraints []Constraint, nSymbols, motherPerSym
 		}
 	}
 	slices.SortFunc(all, byMotherIndex)
-	return newFrameLayout(all, nSymbols)
+	return planClusters(all)
 }
 
 func byMotherIndex(a, b Constraint) int { return cmp.Compare(a.MotherIndex, b.MotherIndex) }

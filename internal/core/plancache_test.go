@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -109,12 +110,13 @@ func TestFrameLayoutMemoized(t *testing.T) {
 	}
 }
 
-// TestFrameLayoutConcurrent grows one fresh plan from many goroutines
-// at once, each requesting frame lengths and masked frames in its own
-// order, and checks every layout against the planner's from-scratch
-// layout of that length: growth is serialized and published whole, and
-// reads take no lock (run it under -race). Once the layout covers a
-// length, concurrent readers share one header and one backing array.
+// TestFrameLayoutConcurrent grows one fresh plan's frame index from many
+// goroutines at once, each requesting frame lengths and masked frames in
+// its own order, and checks every layout against the planner's
+// from-scratch layout of that length: growth is published whole by
+// compare-and-swap, and reads take no lock (run it under -race). Once
+// the index covers a length, concurrent readers share one layout and one
+// backing array.
 func TestFrameLayoutConcurrent(t *testing.T) {
 	mode := wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate23}
 	plan, err := NewPlan(wifi.ConventionIEEE, mode, CH4)
@@ -122,13 +124,13 @@ func TestFrameLayoutConcurrent(t *testing.T) {
 		t.Fatalf("NewPlan: %v", err)
 	}
 	const longest = 48
-	want := make([]string, longest+1)
+	want := make([][]int, longest+1)
 	for n := 1; n <= longest; n++ {
-		l, err := LayoutForConstraints(plan.symbolConstraints, n, 2*mode.DataBitsPerSymbol())
+		_, positions, err := LayoutForConstraints(plan.symbolConstraints, n, 2*mode.DataBitsPerSymbol())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[n] = layoutString(l)
+		want[n] = positions
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -142,8 +144,8 @@ func TestFrameLayoutConcurrent(t *testing.T) {
 					t.Errorf("FrameLayout(%d): %v", n, err)
 					return
 				}
-				if layoutString(l) != want[n] {
-					t.Errorf("goroutine %d: FrameLayout(%d) is not the planner's layout", g, n)
+				if l.NumSymbols != n || !slices.Equal(l.Positions, want[n]) {
+					t.Errorf("goroutine %d: FrameLayout(%d) does not list the planner's positions", g, n)
 					return
 				}
 				mask := make([]bool, n)
@@ -183,8 +185,8 @@ func TestFrameLayoutConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, l := range layouts {
-		if l != layouts[0] || &l.Positions[0] != &whole.Positions[0] || &l.Clusters[0] != &whole.Clusters[0] {
-			t.Fatalf("reader %d does not share the plan's one layout", i)
+		if l != layouts[0] || &l.Positions[0] != &whole.Positions[0] {
+			t.Fatalf("reader %d does not share the plan's frame index", i)
 		}
 	}
 }
@@ -203,9 +205,10 @@ func retainedHeap() uint64 {
 // field and the frame length with LENGTH, and the ook-ctc decoder strips
 // under any of the 1,024 masks of its 320-symbol frame (ten groups of 32
 // symbols) before the CRC check; a mode whose longest PSDU is shorter
-// gets ten groups of that length. Lengths arrive in increasing order,
-// the order in which headers that kept superseded arrays alive would
-// retain the most.
+// gets ten groups of that length. Masked frames walk the plan's tile and
+// keep nothing. Encoded lengths then arrive in increasing order, each
+// growing the frame index, of which the plan keeps only the last: its
+// positions and one layout per length, a few tens of kB.
 func TestPlanMemoryBounded(t *testing.T) {
 	for _, mode := range []wifi.Mode{{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, {Modulation: wifi.QAM64, CodeRate: wifi.Rate34}} {
 		plan, err := NewPlan(wifi.ConventionIEEE, mode, CH4)
@@ -216,13 +219,7 @@ func TestPlanMemoryBounded(t *testing.T) {
 		nSym := min(320, longest)
 		data := make([]bits.Bit, nSym*mode.DataBitsPerSymbol())
 		mask := make([]bool, nSym)
-		before := retainedHeap()
-		for n := 1; n <= longest; n++ {
-			if _, err := plan.FrameLayout(n); err != nil {
-				t.Fatalf("%v: FrameLayout(%d): %v", mode, n, err)
-			}
-		}
-		for m := 0; m < 1<<10; m++ {
+		strip := func(plan *Plan, m int) {
 			for s := range mask {
 				mask[s] = m>>min(s/(nSym/10), 9)&1 == 0
 			}
@@ -230,11 +227,32 @@ func TestPlanMemoryBounded(t *testing.T) {
 				t.Fatalf("%v: mask %#x: strip of an all-zero frame gave %v", mode, m, err)
 			}
 		}
+		// A strip on another plan first makes what the process creates
+		// on first use.
+		other, err := NewPlan(wifi.ConventionIEEE, mode, CH3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strip(other, 0)
+		before := retainedHeap()
+		for m := 0; m < 1<<10; m++ {
+			strip(plan, m)
+		}
+		masks := int64(retainedHeap()) - int64(before)
+		for n := 1; n <= longest; n++ {
+			if _, err := plan.FrameLayout(n); err != nil {
+				t.Fatalf("%v: FrameLayout(%d): %v", mode, n, err)
+			}
+		}
 		kept := int64(retainedHeap()) - int64(before)
 		runtime.KeepAlive(plan)
-		t.Logf("%v: the plan keeps %d kB", mode, kept>>10)
-		if kept > 1<<20 {
-			t.Errorf("%v: the plan keeps %.1f MiB after every length and mask, want at most 1 MiB", mode, float64(kept)/(1<<20))
+		runtime.KeepAlive(data)
+		t.Logf("%v: the plan keeps %d B after the masks, %d kB after every length", mode, masks, kept>>10)
+		if masks > 0 {
+			t.Errorf("%v: the plan keeps %d B after the 1,024 masks, want 0", mode, masks)
+		}
+		if kept > 64<<10 {
+			t.Errorf("%v: the plan keeps %.1f kB after every length and mask, want at most 64 kB", mode, float64(kept)/(1<<10))
 		}
 	}
 }

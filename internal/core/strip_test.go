@@ -80,9 +80,10 @@ func framedBits(rng *rand.Rand, n int, positions []int, length int, payload []by
 }
 
 // stripPositions runs stripFramed on an explicit list of extra-bit
-// positions, the frame-wide layout's form.
+// positions, walked as the one symbol of a tile whose head and body both
+// list them.
 func stripPositions(dataBits []bits.Bit, positions []int) ([]byte, stripFailure, error) {
-	x := newFrameExtras(nil, positions, 1, nil)
+	x := (&Tile{positions: append(slices.Clone(positions), positions...)}).frame(1, nil)
 	return stripFramed(dataBits, &x)
 }
 
@@ -158,10 +159,10 @@ func TestStripFramedHostileInputs(t *testing.T) {
 
 // TestStripFramedMatchesOracle compares the one-pass strip with the
 // oracle on the positions every paper mode and channel really produces:
-// whole-frame layouts and masked frames, on well-framed streams and on
-// random bits. A masked frame's strip, which walks the pinned symbols'
-// ranges of the plan's layout, must match the strip of their positions
-// gathered into one list.
+// the plan's frame index and masked frames, on well-framed streams and
+// on random bits. A masked frame's strip, which walks the pinned symbols
+// of the plan's tile, must match the strip of their positions gathered
+// into one list.
 func TestStripFramedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, conv := range []wifi.Convention{wifi.ConventionIEEE, wifi.ConventionPaper} {
@@ -173,40 +174,46 @@ func TestStripFramedMatchesOracle(t *testing.T) {
 				}
 				for trial := 0; trial < 6; trial++ {
 					nSym := 1 + rng.Intn(12)
-					var layout *FrameLayout
+					var positions []int
 					var mask []bool
 					if trial%2 == 0 {
+						var layout *FrameLayout
 						layout, err = plan.FrameLayout(nSym)
+						if err == nil {
+							positions = layout.Positions
+						}
 					} else {
 						mask = make([]bool, nSym)
 						for i := range mask {
 							mask[i] = rng.Intn(2) == 0
 						}
+						var layout spelledLayout
 						layout, err = pinnedLayout(plan, mask)
+						positions = layout.positions
 					}
 					if err != nil {
 						t.Fatal(err)
 					}
 					check := func(name string, dataBits []bits.Bit) ([]byte, stripFailure) {
 						t.Helper()
-						got, class := checkStripAgrees(t, name, dataBits, layout.Positions)
+						got, class := checkStripAgrees(t, name, dataBits, positions)
 						if mask != nil {
 							checkMaskedStripAgrees(t, name, plan, mask, dataBits)
 						}
 						return got, class
 					}
 					n := nSym * mode.DataBitsPerSymbol()
-					capacity := (n - len(layout.Positions) - serviceBits - 8*headerOctets) / 8
+					capacity := (n - len(positions) - serviceBits - 8*headerOctets) / 8
 					name := fmt.Sprintf("%v %v %v %d symbols trial %d", conv, mode, ch, nSym, trial)
 					if capacity > 0 {
 						length := 1 + rng.Intn(capacity)
 						payload := make([]byte, length)
 						rng.Read(payload)
-						framed := framedBits(rng, n, layout.Positions, length, payload)
+						framed := framedBits(rng, n, positions, length, payload)
 						if got, class := check(name+" framed", framed); class != stripOK || !bytes.Equal(got, payload) {
 							t.Fatalf("%s framed: class %d payload %x, want %x", name, class, got, payload)
 						}
-						over := framedBits(rng, n, layout.Positions, capacity+1, payload)
+						over := framedBits(rng, n, positions, capacity+1, payload)
 						check(name+" overlong", over)
 					}
 					check(name+" random", bits.Random(rng, n))
@@ -221,7 +228,7 @@ func TestStripFramedMatchesOracle(t *testing.T) {
 // the pinned symbols' positions gathered into one list.
 func checkMaskedStripAgrees(t *testing.T, name string, plan *Plan, mask []bool, dataBits []bits.Bit) {
 	t.Helper()
-	x, err := maskedFrame(plan, mask)
+	x, err := plan.frame(len(mask), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func checkMaskedStripAgrees(t *testing.T, name string, plan *Plan, mask []bool, 
 		t.Fatal(err)
 	}
 	got, gotClass, gotErr := stripFramed(dataBits, &x)
-	want, wantClass, wantErr := stripPositions(dataBits, pinned.Positions)
+	want, wantClass, wantErr := stripPositions(dataBits, pinned.positions)
 	if gotClass != wantClass || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
 		t.Fatalf("%s: masked strip gave class %d err %v payload %x, the gathered positions class %d err %v payload %x",
 			name, gotClass, gotErr, got, wantClass, wantErr, want)

@@ -109,7 +109,8 @@ func (s *profileScratch) payloadWave(conv wifi.Convention, v Variant, ch core.Zi
 		return nil, err
 	}
 	err = (&core.Encoder{Plan: plan}).EncodeTo(payload, &s.res)
-	// The layout belongs to this call's plan: do not pin it in the pool.
+	// The layout lies in this call's plan's frame index: do not pin it in
+	// the pool.
 	s.res.Layout = nil
 	if err != nil {
 		return nil, err

@@ -3,9 +3,11 @@ package ht40
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sledzig/internal/bits"
+	"sledzig/internal/core"
 	"sledzig/internal/dsp"
 	"sledzig/internal/wifi"
 )
@@ -171,6 +173,53 @@ func TestPlanOverheadScales(t *testing.T) {
 	}
 	if loss := plan.ThroughputLossFraction(); loss > 0.08 {
 		t.Fatalf("40 MHz loss %.3f should be well below the 20 MHz 14.6%%", loss)
+	}
+}
+
+// TestPlanTileWalkMatchesPlanner holds every 40 MHz plan's tile — both
+// conventions, every paper mode and all eight channels, each of which
+// NewPlan accepts as tiling — to the planner: walking it for n symbols
+// gives the clusters LayoutForConstraints plans from scratch for the
+// n-symbol frame, in order and at the same mother indices and positions.
+func TestPlanTileWalkMatchesPlanner(t *testing.T) {
+	plans := 0
+	for _, conv := range []wifi.Convention{wifi.ConventionIEEE, wifi.ConventionPaper} {
+		for _, mode := range wifi.PaperModes() {
+			nDBPS := DataBitsPerSymbol(mode)
+			for _, ch := range AllChannels() {
+				plan, err := NewPlan(conv, mode, ch)
+				if err != nil {
+					t.Fatalf("%v %v %v: %v", conv, mode, ch, err)
+				}
+				plans++
+				for _, n := range []int{1, 2, 3, 17} {
+					want, _, err := core.LayoutForConstraints(plan.constraints, n, 2*nDBPS)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []core.Cluster
+					for s := range n {
+						clusters, shift := plan.tile.SymbolClusters(s)
+						for _, cl := range clusters {
+							moved := core.Cluster{Positions: make([]int, len(cl.Positions))}
+							for _, eq := range cl.Equations {
+								moved.Equations = append(moved.Equations, core.Constraint{MotherIndex: eq.MotherIndex + 2*shift, Value: eq.Value})
+							}
+							for i, p := range cl.Positions {
+								moved.Positions[i] = p + shift
+							}
+							got = append(got, moved)
+						}
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v %v %v: the tile's %d-symbol walk differs from the planner's layout", conv, mode, ch, n)
+					}
+				}
+			}
+		}
+	}
+	if plans != 2*7*8 {
+		t.Fatalf("checked %d plans, want %d", plans, 2*7*8)
 	}
 }
 

@@ -26,25 +26,25 @@ func oracleEncode(e *Encoder, payload []byte) (*Frame, error) {
 	}
 	nSym := e.NumSymbols(len(payload))
 	nDBPS := DataBitsPerSymbol(e.Plan.Mode)
-	layout, err := core.LayoutForConstraints(e.Plan.constraints, nSym, 2*nDBPS)
+	clusters, positions, err := core.LayoutForConstraints(e.Plan.constraints, nSym, 2*nDBPS)
 	if err != nil {
 		return nil, err
 	}
 	total := nSym * nDBPS
 
-	logical := make([]bits.Bit, 0, total-len(layout.Positions))
+	logical := make([]bits.Bit, 0, total-len(positions))
 	logical = append(logical, make([]bits.Bit, serviceBits)...)
 	logical = append(logical, bits.FromBytes([]byte{byte(len(payload)), byte(len(payload) >> 8)})...)
 	logical = append(logical, bits.FromBytes(payload)...)
 	logical = append(logical, make([]bits.Bit, tailBits)...)
-	capacity := total - len(layout.Positions)
+	capacity := total - len(positions)
 	if len(logical) > capacity {
 		return nil, fmt.Errorf("ht40: logical stream %d exceeds capacity %d", len(logical), capacity)
 	}
 	logical = append(logical, make([]bits.Bit, capacity-len(logical))...)
 
 	extra := make([]bool, total)
-	for _, p := range layout.Positions {
+	for _, p := range positions {
 		if p < 0 || p >= total {
 			return nil, fmt.Errorf("ht40: extra position %d outside frame", p)
 		}
@@ -66,10 +66,10 @@ func oracleEncode(e *Encoder, payload []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range layout.Positions {
+	for _, p := range positions {
 		x[p] = 0
 	}
-	if err := oracleSolve(x, layout); err != nil {
+	if err := oracleSolve(x, clusters); err != nil {
 		return nil, err
 	}
 	return &Frame{Plan: e.Plan, NumSymbols: nSym, ScrambledBits: x}, nil
@@ -80,13 +80,13 @@ func oracleEncode(e *Encoder, payload []byte) (*Frame, error) {
 // coefficients it reads off the standard convolutional encoder: flipping
 // one solver position flips exactly the pinned outputs it feeds. The
 // systems are invertible, so any correct solver finds the same bits.
-func oracleSolve(x []bits.Bit, layout *core.FrameLayout) error {
+func oracleSolve(x []bits.Bit, clusters []core.Cluster) error {
 	output := func(eq core.Constraint) bits.Bit {
 		lo := max(eq.Step()-(wifi.ConstraintLength-1), 0)
 		mother := wifi.ConvolutionalEncode(x[lo : eq.Step()+1])
 		return mother[2*(eq.Step()-lo)+eq.MotherIndex%2]
 	}
-	for _, cl := range layout.Clusters {
+	for _, cl := range clusters {
 		n := len(cl.Positions)
 		rows := make([][]bits.Bit, n) // coefficients, then the right-hand side
 		for r, eq := range cl.Equations {
@@ -126,12 +126,12 @@ func oracleSolve(x []bits.Bit, layout *core.FrameLayout) error {
 // oracleStrip is Decode's strip as it stood when the 40 MHz format kept
 // its own: its own extra mask, logical stream and header parse.
 func oracleStrip(plan *Plan, dataBits []bits.Bit, nSym int) ([]byte, error) {
-	layout, err := core.LayoutForConstraints(plan.constraints, nSym, 2*DataBitsPerSymbol(plan.Mode))
+	_, positions, err := core.LayoutForConstraints(plan.constraints, nSym, 2*DataBitsPerSymbol(plan.Mode))
 	if err != nil {
 		return nil, err
 	}
 	extra := make([]bool, len(dataBits))
-	for _, p := range layout.Positions {
+	for _, p := range positions {
 		if p < len(extra) {
 			extra[p] = true
 		}
@@ -212,11 +212,11 @@ func TestAssemblyAndStripMatchOracles(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					layout, err := plan.layout(got.NumSymbols)
+					_, positions, err := core.LayoutForConstraints(plan.constraints, got.NumSymbols, 2*DataBitsPerSymbol(mode))
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotPayload, err := core.StripPayload(dataBits, layout)
+					gotPayload, err := core.StripPayload(dataBits, plan.tile, got.NumSymbols)
 					if err != nil {
 						t.Fatalf("%s: strip: %v", name, err)
 					}
@@ -229,8 +229,8 @@ func TestAssemblyAndStripMatchOracles(t *testing.T) {
 					}
 
 					for _, length := range []int{0, 0xFFFF} {
-						hostile := withDeclaredLength(dataBits, layout.Positions, length)
-						if _, err := core.StripPayload(hostile, layout); !errors.Is(err, core.ErrExtraBitLayout) {
+						hostile := withDeclaredLength(dataBits, positions, length)
+						if _, err := core.StripPayload(hostile, plan.tile, got.NumSymbols); !errors.Is(err, core.ErrExtraBitLayout) {
 							t.Fatalf("%s: declared length %d: strip error %v", name, length, err)
 						}
 						if _, err := oracleStrip(plan, hostile, got.NumSymbols); err == nil {

@@ -11,9 +11,10 @@ import (
 
 // SledZig on 40 MHz: the 20 MHz pipeline on the HT numerology. The plan
 // pins the overlapped subcarriers through the 40 MHz placement table
-// (core.PinConstraints), and core assembles and strips the frames
-// (core.AssembleBits, core.StripPayload); only the numerology, the
-// renderer and the demodulator are specific to 40 MHz.
+// (core.PinConstraints) and keeps their two-symbol tile (core.NewTile),
+// and core assembles and strips the frames on it (core.AssembleBits,
+// core.StripPayload); only the numerology, the renderer and the
+// demodulator are specific to 40 MHz.
 
 const (
 	serviceBits  = 16
@@ -32,6 +33,8 @@ type Plan struct {
 	// wifi.BuildCodedSlots).
 	slots       []uint16
 	constraints []core.Constraint
+	// tile is the extra-bit layout every frame walks.
+	tile *core.Tile
 }
 
 // NewPlan derives the plan.
@@ -47,12 +50,11 @@ func NewPlan(conv wifi.Convention, mode wifi.Mode, ch Channel) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Convention: conv, Mode: mode, Channel: ch, slots: slots, constraints: cs}
-	// Fail fast on unplannable combinations.
-	if _, err := p.layout(2); err != nil {
+	tile, err := core.NewTile(cs, DataBitsPerSymbol(mode))
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &Plan{Convention: conv, Mode: mode, Channel: ch, slots: slots, constraints: cs, tile: tile}, nil
 }
 
 // codedSlots builds the placement table of a valid mode on the 40 MHz
@@ -61,11 +63,6 @@ func codedSlots(conv wifi.Convention, mode wifi.Mode) []uint16 {
 	slots := make([]uint16, CodedBitsPerSymbol(mode))
 	wifi.BuildCodedSlots(slots, mode.CodeRate, func(j int) int { return deinterleaveIndexC(conv, mode.Modulation, j) })
 	return slots
-}
-
-// layout is the extra-bit layout of a frame of nSym symbols.
-func (p *Plan) layout(nSym int) (*core.FrameLayout, error) {
-	return core.LayoutForConstraints(p.constraints, nSym, 2*DataBitsPerSymbol(p.Mode))
 }
 
 // ExtraBitsPerSymbol is the per-symbol overhead.
@@ -105,15 +102,12 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	if len(payload) == 0 || len(payload) > 0xFFFF {
 		return nil, fmt.Errorf("ht40: payload length %d out of range", len(payload))
 	}
-	layout, err := e.Plan.layout(e.NumSymbols(len(payload)))
+	nSym := e.NumSymbols(len(payload))
+	x, err := core.AssembleBits(e.Plan.tile, nSym, payload, e.Seed)
 	if err != nil {
 		return nil, err
 	}
-	x, err := core.AssembleBits(layout, DataBitsPerSymbol(e.Plan.Mode), payload, e.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Frame{Plan: e.Plan, NumSymbols: layout.NumSymbols, ScrambledBits: x}, nil
+	return &Frame{Plan: e.Plan, NumSymbols: nSym, ScrambledBits: x}, nil
 }
 
 // DataPoints returns per-symbol constellation points.
@@ -200,11 +194,7 @@ func Decode(conv wifi.Convention, mode wifi.Mode, ch Channel, wave []complex128,
 	if err != nil {
 		return nil, err
 	}
-	layout, err := plan.layout(nSym)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := core.StripPayload(dataBits, layout)
+	payload, err := core.StripPayload(dataBits, plan.tile, nSym)
 	if err != nil {
 		return nil, fmt.Errorf("ht40: %w", err)
 	}
