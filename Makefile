@@ -43,10 +43,10 @@ bench:
 bench-json:
 	go test -run '^$$' -bench . -benchmem ./... | tee bench.txt
 
-# Run the gated benchmarks and fail if allocs/op regressed against the
-# checked-in bench.baseline.txt (ns/op is reported but not gated — it is
-# machine-dependent). Allocs/op is deterministic, so CI shortens the run
-# with BENCHTIME=100x without weakening the gate.
+# Run the gated benchmarks and fail if allocs/op or B/op regressed against
+# the checked-in bench.baseline.txt (ns/op is reported but not gated — it
+# is machine-dependent). Both follow the code, so CI shortens the run with
+# BENCHTIME=100x without weakening the gate.
 BENCHTIME ?= 1s
 bench-compare:
 	go test -run '^$$' -bench '$(BENCH_GATED)' -benchtime $(BENCHTIME) -benchmem . ./internal/wifi/ ./internal/core/ ./internal/mac/ ./internal/analysis/driver/ | tee bench.current.txt

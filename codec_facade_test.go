@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -100,8 +101,6 @@ func TestSledZigDecoderReadsModeOffTheAir(t *testing.T) {
 	}
 }
 
-// TestFacadeCodecRoundTrip drives every registered backend through the
-// public Encoder/Decoder surface.
 // TestCollectionCostsNoAllocations holds every registered codec's warmed
 // facade round trip (Encode, Waveform, Decode) to the same allocation
 // count whether or not two garbage collections run just before it: the
@@ -160,6 +159,44 @@ func TestCollectionCostsNoAllocations(t *testing.T) {
 	}
 }
 
+// TestCodecFrameRendersOnce pins what a codec frame's render allocates:
+// Waveform of a warmed ook-ctc or ofdmfi frame makes exactly one
+// allocation, a buffer whose length and capacity are the PPDU's sample
+// count. A render neither copies a pre-rendered waveform nor grows its
+// buffer by append.
+func TestCodecFrameRendersOnce(t *testing.T) {
+	for _, name := range []string{CodecOOK, CodecOfdmFi} {
+		t.Run(name, func(t *testing.T) {
+			enc, err := NewEncoder(Config{Channel: CH2, Codec: name})
+			if err != nil {
+				t.Fatalf("NewEncoder: %v", err)
+			}
+			frame, err := enc.Encode(bytes.Repeat([]byte("render "), 40))
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			wave, err := frame.Waveform()
+			if err != nil {
+				t.Fatalf("Waveform: %v", err)
+			}
+			samples := int(math.Round(frame.AirtimeSeconds() * wifi.SampleRate))
+			if len(wave) != samples || cap(wave) != samples {
+				t.Fatalf("Waveform returned %d samples in a buffer of %d; the PPDU holds %d", len(wave), cap(wave), samples)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := frame.Waveform(); err != nil {
+					t.Fatalf("Waveform: %v", err)
+				}
+			})
+			if allocs != 1 {
+				t.Fatalf("Waveform makes %.1f allocations; want exactly 1, the PPDU's buffer", allocs)
+			}
+		})
+	}
+}
+
+// TestFacadeCodecRoundTrip drives every registered backend through the
+// public Encoder/Decoder surface.
 func TestFacadeCodecRoundTrip(t *testing.T) {
 	for _, name := range Codecs() {
 		t.Run(name, func(t *testing.T) {
@@ -204,13 +241,14 @@ func TestFacadeCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// panicCodec is a backend whose Encode panics on the payload "boom".
-// Methods it does not override are never called here.
+// panicCodec is a backend whose Assemble, the call the facade Encoder
+// makes, panics on the payload "boom". Methods it does not override are
+// never called here.
 type panicCodec struct{ codec.Codec }
 
 func (panicCodec) SetTrace(*trace.Frame) {}
 
-func (panicCodec) Encode(payload []byte) (*codec.Encoded, error) {
+func (panicCodec) Assemble(payload []byte) (*codec.Encoded, error) {
 	if string(payload) == "boom" {
 		panic("backend bug")
 	}
@@ -352,7 +390,9 @@ func TestDecodeAsStandardFrame(t *testing.T) {
 }
 
 // TestEngineGenericCodec runs batch encode/decode through the pool with a
-// non-default backend selected by Config.Codec.
+// non-default backend selected by Config.Codec. The engine's frames render
+// on demand, exactly what a facade Encoder's frames render for the same
+// payloads.
 func TestEngineGenericCodec(t *testing.T) {
 	for _, name := range []string{CodecOOK, CodecOfdmFi} {
 		t.Run(name, func(t *testing.T) {
@@ -361,6 +401,10 @@ func TestEngineGenericCodec(t *testing.T) {
 				t.Fatalf("NewEngine: %v", err)
 			}
 			defer eng.Close()
+			enc, err := NewEncoder(Config{Channel: CH2, Codec: name})
+			if err != nil {
+				t.Fatalf("NewEncoder: %v", err)
+			}
 			payloads := [][]byte{
 				[]byte("engine batch frame zero"),
 				[]byte("engine batch frame one is longer"),
@@ -377,6 +421,17 @@ func TestEngineGenericCodec(t *testing.T) {
 				}
 				if waves[i], err = f.Waveform(); err != nil {
 					t.Fatalf("Waveform %d: %v", i, err)
+				}
+				ff, err := enc.Encode(payloads[i])
+				if err != nil {
+					t.Fatalf("Encoder.Encode %d: %v", i, err)
+				}
+				want, err := ff.Waveform()
+				if err != nil {
+					t.Fatalf("Encoder frame %d: Waveform: %v", i, err)
+				}
+				if !slices.Equal(waves[i], want) {
+					t.Fatalf("engine frame %d renders %d samples unlike the Encoder's %d", i, len(waves[i]), len(want))
 				}
 			}
 			results, err := eng.DecodeBatch(context.Background(), waves)

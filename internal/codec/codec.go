@@ -47,11 +47,13 @@ type Params struct {
 	Resilient bool
 }
 
-// Encoded is one encoded frame: the complete baseband PPDU at 20 MS/s
-// plus the accounting the experiment harness and facade report.
+// Encoded is one encoded frame plus the accounting the experiment harness
+// and facade report. Assemble leaves Waveform nil, and AppendWaveform
+// renders the PPDU on demand; Encode fills Waveform with one render.
 type Encoded struct {
 	// Waveform is the full PPDU (preamble + header + DATA), WiFi-centered
-	// complex baseband. The caller owns it.
+	// complex baseband at 20 MS/s: Encode's render, nil after Assemble.
+	// The caller owns it.
 	Waveform []complex128
 	// NumSymbols is the DATA-field length in OFDM symbols.
 	NumSymbols int
@@ -61,6 +63,53 @@ type Encoded struct {
 	ProtectedMask []bool
 	// AirtimeSeconds is the PPDU duration on the air.
 	AirtimeSeconds float64
+	// frame renders the PPDU from what Assemble made and what never
+	// changes after the backend's construction, never the instance's
+	// recycled state: it renders after its instance has moved on to other
+	// frames, and from several goroutines at once.
+	frame interface {
+		samples() int // the PPDU's length
+		appendTo(dst []complex128, tr *trace.Frame) ([]complex128, error)
+	}
+}
+
+// AppendWaveform renders the PPDU appended to dst, growing dst at most
+// once, to exactly the PPDU's length (so a render into nil returns
+// len == cap), and lands the render's stage spans on tr (nil for none).
+// On error dst may have been partially extended; discard it.
+func (e *Encoded) AppendWaveform(dst []complex128, tr *trace.Frame) ([]complex128, error) {
+	if e.frame == nil {
+		return dst, errors.New("codec: frame was not assembled by a backend")
+	}
+	if n := e.frame.samples(); cap(dst)-len(dst) < n {
+		dst = append(make([]complex128, 0, len(dst)+n), dst...)
+	}
+	return e.frame.appendTo(dst, tr)
+}
+
+// wifiFrame renders the sledzig and ook-ctc frames, standard PPDUs, on a
+// value copy, so concurrent renders never race on the frame's Trace.
+type wifiFrame wifi.Frame
+
+func (f *wifiFrame) samples() int { return wifi.PreambleLength + (1+f.NumSymbols)*wifi.SymbolLength }
+
+func (f *wifiFrame) appendTo(dst []complex128, tr *trace.Frame) ([]complex128, error) {
+	wf := wifi.Frame(*f)
+	wf.Trace = tr
+	return wf.AppendWaveform(dst)
+}
+
+// encode is every backend's Encode: Assemble, then one render into
+// Waveform with its spans on tr.
+func encode(c Codec, payload []byte, tr *trace.Frame) (*Encoded, error) {
+	enc, err := c.Assemble(payload)
+	if err == nil {
+		enc.Waveform, err = enc.AppendWaveform(nil, tr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return enc, nil
 }
 
 // Decoded is one recovered frame. Every slice is freshly allocated per
@@ -103,8 +152,9 @@ type Contract struct {
 	// cannot.
 	WholeFrame bool
 	// MaxEncodeAllocs, when positive, bounds steady-state heap
-	// allocations per Encode call; the conformance suite enforces it
-	// with testing.AllocsPerRun. Zero leaves the hot path unchecked.
+	// allocations per Encode call (Assemble and one render); the
+	// conformance suite enforces it with testing.AllocsPerRun. Zero
+	// leaves the hot path unchecked.
 	MaxEncodeAllocs int
 }
 
@@ -136,11 +186,16 @@ func stages() *codecStages {
 type Codec interface {
 	// Name returns the registry name ("sledzig", "ook-ctc", ...).
 	Name() string
-	// SetTrace attaches the frame trace the next Encode or Decode lands
-	// its stage spans on; nil detaches it.
+	// SetTrace attaches the frame trace the next Assemble, Encode or
+	// Decode lands its stage spans on; nil detaches it.
 	SetTrace(*trace.Frame)
-	// Encode embeds payload into a fresh baseband PPDU honouring the
-	// Contract on the configured protected channel.
+	// Assemble embeds payload into a fresh frame honouring the Contract
+	// on the configured protected channel, without rendering it: the
+	// result's Waveform is nil, and its AppendWaveform renders the PPDU
+	// on demand.
+	Assemble(payload []byte) (*Encoded, error)
+	// Encode is Assemble plus one render of the PPDU into Waveform, for
+	// callers that read the waveform right away.
 	Encode(payload []byte) (*Encoded, error)
 	// Decode recovers the payload from a received waveform (aligned to
 	// the PPDU start, as produced by Encode).

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"sledzig/internal/core"
+	"sledzig/internal/obs/trace"
 	"sledzig/internal/wifi"
 )
 
@@ -247,6 +250,91 @@ func TestCodecConformance(t *testing.T) {
 				}
 			})
 
+			t.Run("assemble_renders_encode", func(t *testing.T) {
+				rng := rand.New(rand.NewSource(19))
+				other := make([]byte, 200)
+				rng.Read(other)
+				for _, n := range []int{1, 64, 257, maxP} {
+					payload := make([]byte, n)
+					rng.Read(payload)
+					want, err := c.Encode(payload)
+					if err != nil {
+						t.Fatalf("Encode(%d octets): %v", n, err)
+					}
+					frame, err := c.Assemble(payload)
+					if err != nil {
+						t.Fatalf("Assemble(%d octets): %v", n, err)
+					}
+					if frame.Waveform != nil {
+						t.Fatalf("Assemble(%d octets) rendered %d samples; want a nil Waveform", n, len(frame.Waveform))
+					}
+					if frame.NumSymbols != want.NumSymbols || frame.AirtimeSeconds != want.AirtimeSeconds ||
+						!slices.Equal(frame.ProtectedMask, want.ProtectedMask) {
+						t.Fatalf("Assemble(%d octets) accounts %d symbols, %g s; Encode %d, %g s (or the masks differ)",
+							n, frame.NumSymbols, frame.AirtimeSeconds, want.NumSymbols, want.AirtimeSeconds)
+					}
+					a := renderSame(t, frame, want.Waveform)
+					// The instance moves on to other frames before the
+					// second render.
+					if _, err := c.Assemble(other); err != nil {
+						t.Fatalf("Assemble(other): %v", err)
+					}
+					eo, err := c.Encode(other)
+					if err != nil {
+						t.Fatalf("Encode(other): %v", err)
+					}
+					if _, err := c.Decode(eo.Waveform); err != nil {
+						t.Fatalf("Decode(other): %v", err)
+					}
+					clear(a)
+					renderSame(t, frame, want.Waveform)
+				}
+			})
+
+			t.Run("concurrent_render", func(t *testing.T) {
+				rng := rand.New(rand.NewSource(29))
+				payload, other := make([]byte, 257), make([]byte, 100)
+				rng.Read(payload)
+				rng.Read(other)
+				want, err := c.Encode(payload)
+				if err != nil {
+					t.Fatalf("Encode: %v", err)
+				}
+				frame, err := c.Assemble(payload)
+				if err != nil {
+					t.Fatalf("Assemble: %v", err)
+				}
+				tracer := trace.New(trace.Config{})
+				waves := make([][]complex128, 8)
+				errs := make([]error, len(waves))
+				var wg sync.WaitGroup
+				for g := range waves {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						tf := tracer.Start("waveform")
+						waves[g], errs[g] = frame.AppendWaveform(nil, tf)
+						tf.Finish(errs[g])
+					}()
+				}
+				// The instance assembles and renders another frame while
+				// the eight renders run.
+				if enc, err := c.Assemble(other); err != nil {
+					t.Errorf("Assemble(other): %v", err)
+				} else if _, err := enc.AppendWaveform(nil, nil); err != nil {
+					t.Errorf("render other: %v", err)
+				}
+				wg.Wait()
+				for g, wave := range waves {
+					if errs[g] != nil {
+						t.Fatalf("render %d: %v", g, errs[g])
+					}
+					if !slices.Equal(wave, want.Waveform) {
+						t.Fatalf("render %d differs from Encode's waveform", g)
+					}
+				}
+			})
+
 			if ct.MaxEncodeAllocs > 0 {
 				t.Run("alloc_bound", func(t *testing.T) {
 					payload := make([]byte, 800)
@@ -265,6 +353,25 @@ func TestCodecConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// renderSame renders frame into a fresh buffer and requires want's
+// samples exactly, in a buffer sized exactly to the PPDU.
+func renderSame(t *testing.T, frame *Encoded, want []complex128) []complex128 {
+	t.Helper()
+	wave, err := frame.AppendWaveform(nil, nil)
+	if err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	if len(wave) != len(want) || cap(wave) != len(wave) {
+		t.Fatalf("render of %d samples in a buffer of %d; Encode rendered %d", len(wave), cap(wave), len(want))
+	}
+	for i := range want {
+		if wave[i] != want[i] {
+			t.Fatalf("render differs from Encode's waveform at sample %d: %v, want %v", i, wave[i], want[i])
+		}
+	}
+	return wave
 }
 
 // TestCodecInstancesIndependent guards the one-instance-per-worker

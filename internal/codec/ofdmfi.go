@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"slices"
 
-	"sledzig/internal/bits"
 	"sledzig/internal/core"
 	"sledzig/internal/dsp"
 	"sledzig/internal/obs/trace"
@@ -47,11 +46,29 @@ const (
 // the payload bytes, and a CRC-8, all LSB-first per byte.
 type ofdmFi struct {
 	params Params
-	groups [][]int // 12 groups of 4 data subcarriers, ascending
-	msg    []int   // group indices that carry message chips
-	refPil []int   // pilot subcarriers outside the protected band
-	loPil  []int   // FFT bins of protected-band pilots, attenuated per symbol
-	tr     *trace.Frame
+	*ofdmFiGeometry
+	tr *trace.Frame
+	// raw is Decode's chips, packed eight to an octet as Assemble framed
+	// them, reused from frame to frame.
+	raw []byte
+}
+
+// ofdmFiGeometry is an instance's subcarrier plan, fixed at construction:
+// its frames keep a pointer to it and read it while they render.
+type ofdmFiGeometry struct {
+	msg    []int // indices of the groups (ofdmFiGroup) that carry message chips
+	refPil []int // pilot subcarriers outside the protected band
+	loPil  []int // FFT bins of protected-band pilots, attenuated per symbol
+}
+
+// ofdmFiGroups is the number of data-subcarrier groups.
+const ofdmFiGroups = wifi.NumDataSubcarriers / ofdmFiGroupSize
+
+// ofdmFiGroup returns group g's data subcarriers: the groups partition
+// wifi.DataSubcarriers() in order, so group g spans data indices
+// [g*ofdmFiGroupSize, (g+1)*ofdmFiGroupSize).
+func ofdmFiGroup(g int) []int {
+	return wifi.DataSubcarriers()[g*ofdmFiGroupSize : (g+1)*ofdmFiGroupSize]
 }
 
 func newOfdmFi(p Params) (*ofdmFi, error) {
@@ -59,13 +76,10 @@ func newOfdmFi(p Params) (*ofdmFi, error) {
 		return nil, fmt.Errorf("codec: ofdmfi needs a protected channel, got %d", int(p.Channel))
 	}
 	window := p.Channel.SubcarrierWindow()
-	data := wifi.DataSubcarriers()
-	c := &ofdmFi{params: p}
-	for g := 0; g+ofdmFiGroupSize <= len(data); g += ofdmFiGroupSize {
-		group := data[g : g+ofdmFiGroupSize]
-		c.groups = append(c.groups, group)
-		if !slices.ContainsFunc(group, func(k int) bool { return slices.Contains(window, k) }) {
-			c.msg = append(c.msg, len(c.groups)-1)
+	c := &ofdmFi{params: p, ofdmFiGeometry: new(ofdmFiGeometry)}
+	for g := range ofdmFiGroups {
+		if !slices.ContainsFunc(ofdmFiGroup(g), func(k int) bool { return slices.Contains(window, k) }) {
+			c.msg = append(c.msg, g)
 		}
 	}
 	for _, k := range wifi.PilotSubcarriers() {
@@ -104,48 +118,62 @@ func chip(sym, k int) complex128 {
 	return complex(re, im)
 }
 
-// ofdmFiMessage frames the payload bits carried on the air.
-func ofdmFiMessage(payload []byte) []bits.Bit {
-	framed := make([]byte, 0, len(payload)+3)
-	framed = append(framed, byte(len(payload)), byte(len(payload)>>8))
-	framed = append(framed, payload...)
-	framed = append(framed, crc8(payload))
-	return bits.FromBytes(framed)
+// ofdmFiFrame is an assembled ofdmfi frame: the framed message, eight
+// bits to an octet (bit i is bit i%8 of octet i/8, the order Decode packs
+// them back in), and the geometry of the instance that framed it.
+type ofdmFiFrame struct {
+	enc    Encoded
+	framed []byte
+	geo    *ofdmFiGeometry
 }
 
-// Encode backs the Contract's MaxEncodeAllocs=16: buffers are sized
-// before the symbol loop, which itself must not allocate per iteration.
+// Assemble frames the payload: its length, the payload and its CRC-8.
 //
-//sledzig:noalloc budget=16
-func (c *ofdmFi) Encode(payload []byte) (_ *Encoded, err error) {
+//sledzig:noalloc budget=2
+func (c *ofdmFi) Assemble(payload []byte) (*Encoded, error) {
 	if len(payload) > c.MaxPayload() {
 		return nil, fmt.Errorf("%w: ofdmfi payload of %d octets exceeds %d", core.ErrPayloadSize, len(payload), c.MaxPayload())
 	}
-	mk := c.tr.Begin(stages().ofdmfiEmbed)
-	defer func() { mk.End(len(payload), err) }()
-	message := ofdmFiMessage(payload)
-	perSym := len(c.msg)
-	nSym := (len(message) + perSym - 1) / perSym
-	wave := wifi.AppendPreamble(make([]complex128, 0, wifi.PreambleLength+nSym*wifi.SymbolLength))
+	framed := make([]byte, 0, len(payload)+3)
+	framed = append(framed, byte(len(payload)), byte(len(payload)>>8))
+	framed = append(framed, payload...)
+	f := &ofdmFiFrame{framed: append(framed, crc8(payload)), geo: c.ofdmFiGeometry}
+	f.enc = Encoded{NumSymbols: (8*len(f.framed) + len(c.msg) - 1) / len(c.msg), frame: f}
+	f.enc.AirtimeSeconds = float64(f.samples()) / wifi.SampleRate
+	return &f.enc, nil
+}
+
+func (c *ofdmFi) Encode(payload []byte) (*Encoded, error) { return encode(c, payload, c.tr) }
+
+func (f *ofdmFiFrame) samples() int { return wifi.PreambleLength + f.enc.NumSymbols*wifi.SymbolLength }
+
+// appendTo synthesizes the frame symbol by symbol, which is where the
+// message is embedded in the subcarrier power (codec.ofdmfi.embed). It
+// allocates nothing, since AppendWaveform grew wave to the PPDU, and its
+// symbol loop must never allocate per iteration.
+//
+//sledzig:noalloc budget=0
+func (f *ofdmFiFrame) appendTo(wave []complex128, tr *trace.Frame) (_ []complex128, err error) {
+	mk := tr.Begin(stages().ofdmfiEmbed)
+	defer func() { mk.End(len(f.framed)-3, err) }()
+	nBits, perSym := 8*len(f.framed), len(f.geo.msg)
+	wave = wifi.AppendPreamble(wave)
 	var data [wifi.NumDataSubcarriers]complex128
 	freq := make([]complex128, wifi.NumSubcarriers)
 	td := make([]complex128, wifi.NumSubcarriers)
-	for s := 0; s < nSym; s++ {
+	for s := 0; s < f.enc.NumSymbols; s++ {
 		// Protected (and padding) groups stay low; message groups carry
-		// their chip's amplitude. Group g spans data indices
-		// [g*groupSize, (g+1)*groupSize) — the groups partition
-		// wifi.DataSubcarriers() in order.
+		// their chip's amplitude.
 		next := 0
-		for g, group := range c.groups {
+		for g := range ofdmFiGroups {
 			amp := ofdmFiLoAmp
-			if next < len(c.msg) && c.msg[next] == g {
-				idx := s*perSym + next
-				if idx < len(message) && message[idx] == 1 {
+			if next < perSym && f.geo.msg[next] == g {
+				if idx := s*perSym + next; idx < nBits && f.framed[idx/8]>>(idx%8)&1 == 1 {
 					amp = 1
 				}
 				next++
 			}
-			for j, k := range group {
+			for j, k := range ofdmFiGroup(g) {
 				data[g*ofdmFiGroupSize+j] = complex(amp, 0) * chip(s, k)
 			}
 		}
@@ -154,26 +182,23 @@ func (c *ofdmFi) Encode(payload []byte) (_ *Encoded, err error) {
 		}
 		// Pilots cannot be dropped (receivers track them), but the one
 		// inside the protected band is attenuated like its neighbours.
-		for _, b := range c.loPil {
+		for _, b := range f.geo.loPil {
 			freq[b] *= complex(ofdmFiLoAmp, 0)
 		}
 		if err := dsp.IFFTInto(td, freq); err != nil {
 			return nil, err
 		}
-		wave = append(wave, td[wifi.NumSubcarriers-wifi.CPLength:]...) //sledvet:ignore hotalloc wave is pre-sized to PreambleLength+nSym*SymbolLength before the loop, so neither append ever grows the backing array
+		wave = append(wave, td[wifi.NumSubcarriers-wifi.CPLength:]...) //sledvet:ignore hotalloc Encoded.AppendWaveform grows wave to the whole PPDU before the render, so neither append ever grows the backing array
 		wave = append(wave, td...)
 	}
-	return &Encoded{
-		Waveform:       wave,
-		NumSymbols:     nSym,
-		ProtectedMask:  nil, // every symbol holds the band low
-		AirtimeSeconds: float64(len(wave)) / wifi.SampleRate,
-	}, nil
+	return wave, nil
 }
 
-// Decode sizes its buffers before the symbol loop, never inside it.
+// Decode sizes its buffers before the symbol loop, never inside it, and
+// keeps its chips on the instance: a steady-state call allocates the
+// payload and the result.
 //
-//sledzig:noalloc budget=6
+//sledzig:noalloc budget=2
 func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 	var payload []byte
 	mk := c.tr.Begin(stages().ofdmfiExtract)
@@ -184,7 +209,9 @@ func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 	}
 	nSym := body / wifi.SymbolLength
 	freq := make([]complex128, wifi.NumSubcarriers)
-	raw := make([]bits.Bit, nSym*len(c.msg))
+	nBits := nSym * len(c.msg)
+	raw := append(c.raw[:0], make([]byte, (nBits+7)/8)...)
+	c.raw = raw
 	// Accumulated per-channel window power, to verify the protected band
 	// really is the quiet one.
 	var bandPower [4]float64
@@ -207,11 +234,12 @@ func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 		threshold := hiRef * (1 + ofdmFiLoAmp*ofdmFiLoAmp) / 2
 		for j, g := range c.msg {
 			var p float64
-			for _, k := range c.groups[g] {
+			for _, k := range ofdmFiGroup(g) {
 				p += binPower(freq[fftBin(k)])
 			}
 			if p/ofdmFiGroupSize > threshold {
-				raw[s*len(c.msg)+j] = 1
+				i := s*len(c.msg) + j
+				raw[i/8] |= 1 << (i % 8)
 			}
 		}
 		for ch := core.CH1; ch <= core.CH4; ch++ {
@@ -232,36 +260,29 @@ func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 			return nil, fmt.Errorf("%w: ofdmfi protected band %d is not the quietest window", ErrDecode, int(c.params.Channel))
 		}
 	}
-	if len(raw) < 16 {
-		return nil, fmt.Errorf("%w: ofdmfi message truncated at %d bits", ErrDecode, len(raw))
+	if nBits < 16 {
+		return nil, fmt.Errorf("%w: ofdmfi message truncated at %d bits", ErrDecode, nBits)
 	}
-	n := 0
-	for i := 0; i < 16; i++ {
-		n |= int(raw[i]) << i
+	n := int(raw[0]) | int(raw[1])<<8
+	if total := 16 + 8*n + 8; nBits < total {
+		return nil, fmt.Errorf("%w: ofdmfi header says %d octets but capture holds %d bits", ErrDecode, n, nBits)
 	}
-	total := 16 + 8*n + 8
-	if len(raw) < total {
-		return nil, fmt.Errorf("%w: ofdmfi header says %d octets but capture holds %d bits", ErrDecode, n, len(raw))
-	}
-	framed, err := bits.ToBytes(raw[:total])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
-	}
-	payload = framed[2 : 2+n]
-	if crc8(payload) != framed[2+n] {
+	if crc8(raw[2:2+n]) != raw[2+n] {
 		return nil, fmt.Errorf("%w: ofdmfi CRC mismatch", ErrDecode)
 	}
+	// The payload is the caller's: copy it out of the instance's chips.
+	payload = slices.Clone(raw[2 : 2+n])
 	return &Decoded{Payload: payload, Channel: c.params.Channel}, nil
 }
 
 func (c *ofdmFi) Contract() Contract {
 	// Every in-band subcarrier (data and pilot) runs at amplitude 1/4
 	// for the whole frame: 12 dB per subcarrier, 6 dB band floor after
-	// leakage from the adjacent full-power groups. Encode synthesizes the
-	// waveform append-style into one exact-capacity buffer with
-	// precomputed bin indices (measured ~6 allocs/op regardless of
-	// payload size).
-	return Contract{MinDropDB: 6.0, WholeFrame: true, MaxEncodeAllocs: 16}
+	// leakage from the adjacent full-power groups. A render synthesizes
+	// the waveform append-style into one exact-capacity buffer with
+	// precomputed bin indices (measured 3 allocs/op regardless of payload
+	// size: the result with its frame, the framed message, the waveform).
+	return Contract{MinDropDB: 6.0, WholeFrame: true, MaxEncodeAllocs: 5}
 }
 
 func (c *ofdmFi) MaxPayload() int {

@@ -103,13 +103,13 @@ func ookMessage(payload []byte) [ookMessageBits]bits.Bit {
 	return msg
 }
 
-// Encode backs the Contract's MaxEncodeAllocs: the pinning mask (which
-// the result keeps as ProtectedMask), the frame, the waveform and the
-// result. A masked frame walks the plan's two-symbol tile, so nothing
-// here may allocate per symbol.
+// Assemble keeps the masked frame and its pinning mask (the result's
+// ProtectedMask): one allocation holds the result and the mask, and the
+// frame and its encoder input are the others. A masked frame walks the
+// plan's two-symbol tile, so nothing here may allocate per symbol.
 //
-//sledzig:noalloc budget=9
-func (c *ook) Encode(payload []byte) (*Encoded, error) {
+//sledzig:noalloc budget=3
+func (c *ook) Assemble(payload []byte) (*Encoded, error) {
 	// MaxPayload is the worst-case (all-low) capacity; the actual capacity
 	// varies with the CRC's bit pattern. Enforce the conservative bound so
 	// MaxPayload is a hard contract rather than a payload-dependent one.
@@ -118,8 +118,12 @@ func (c *ook) Encode(payload []byte) (*Encoded, error) {
 			len(payload), c.maxPayload, core.ErrPayloadSize)
 	}
 	mk := c.tr.Begin(stages().ookEmbed)
+	box := new(struct {
+		enc  Encoded
+		mask [ookSymbols]bool
+	})
 	// A low (pinned) group spells bit 0.
-	mask := make([]bool, ookSymbols)
+	mask := box.mask[:]
 	for i, b := range ookMessage(payload) {
 		if b == 0 {
 			group := mask[i*ookSymbolsPerBit : (i+1)*ookSymbolsPerBit]
@@ -133,19 +137,16 @@ func (c *ook) Encode(payload []byte) (*Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	frame.Trace = c.tr
-	wave, err := frame.Waveform()
-	frame.Trace = nil
-	if err != nil {
-		return nil, err
-	}
-	return &Encoded{
-		Waveform:       wave,
+	box.enc = Encoded{
 		NumSymbols:     frame.NumSymbols,
 		ProtectedMask:  mask,
 		AirtimeSeconds: frame.Duration(),
-	}, nil
+		frame:          (*wifiFrame)(frame),
+	}
+	return &box.enc, nil
 }
+
+func (c *ook) Encode(payload []byte) (*Encoded, error) { return encode(c, payload, c.tr) }
 
 //sledzig:noalloc budget=2
 func (c *ook) Decode(waveform []complex128) (*Decoded, error) {
@@ -257,9 +258,9 @@ func (c *ook) Contract() Contract {
 	// band-drop floor — but only the masked symbols are protected. The
 	// alloc bound is 1.5x the measured steady state: a masked frame walks
 	// the plan's two-symbol tile, so encodes assemble and scramble but
-	// never re-plan clusters (measured 5 allocs/op: the mask, the frame
-	// and its encoder input, the waveform and the result).
-	return Contract{MinDropDB: 3.0, WholeFrame: false, MaxEncodeAllocs: 9}
+	// never re-plan clusters (measured 4 allocs/op: the result with its
+	// mask, the frame and its encoder input, and the waveform).
+	return Contract{MinDropDB: 3.0, WholeFrame: false, MaxEncodeAllocs: 6}
 }
 
 func (c *ook) MaxPayload() int { return c.maxPayload }

@@ -4,8 +4,9 @@
 // It exists so callers that process many frames (sweeps, simulators,
 // traffic generators) saturate every core without re-deriving plans or
 // re-implementing fan-out. Each worker owns one registry codec instance
-// (plus, for SledZig, the encoder of the lazy-render encode path) whose
-// scratch buffers are recycled frame to frame.
+// (plus, for SledZig, the encoder of its own encode path) whose scratch
+// buffers are recycled frame to frame. Encoded frames of every backend
+// render their waveforms on demand.
 package engine
 
 import (
@@ -83,8 +84,9 @@ type Config struct {
 
 	// Codec selects a registry backend ("sledzig", "ook-ctc", "ofdmfi",
 	// ...); empty selects "sledzig". Every frame decodes through a
-	// codec.New instance, one per worker. SledZig frames encode through
-	// the shared cached plan instead, so their waveforms render lazily.
+	// codec.New instance, one per worker, and other backends' frames
+	// encode through its Assemble. SledZig frames encode through the
+	// shared cached plan instead.
 	Codec string
 }
 
@@ -326,7 +328,7 @@ func (e *Engine) frame(j *job, cdc codec.Codec, enc *core.Encoder) (r result, er
 	case enc != nil:
 		r.enc.Core, err = enc.Encode(j.payload)
 	default:
-		r.enc.Generic, err = cdc.Encode(j.payload)
+		r.enc.Generic, err = cdc.Assemble(j.payload)
 	}
 	if err != nil {
 		return result{}, err
@@ -396,7 +398,8 @@ func (w *workerState) guarded(j *job, cdc codec.Codec, enc *core.Encoder) (resul
 
 // Product is one encoded frame from either path; exactly one field is
 // set. Core carries the specialized SledZig result, Generic the registry
-// codec's rendered frame.
+// codec's assembled frame, which renders on demand
+// (codec.Encoded.AppendWaveform).
 type Product struct {
 	Core    *core.EncodeResult
 	Generic *codec.Encoded

@@ -102,7 +102,8 @@ func CompareCodecs(opts CodecCompareOptions) ([]CodecRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: codec %s: band drop: %w", name, err)
 		}
-		enc, err := c.Encode(probe)
+		// The airtime is the frame's accounting; it needs no render.
+		probeFrame, err := c.Assemble(probe)
 		if err != nil {
 			return nil, fmt.Errorf("exp: codec %s: %w", name, err)
 		}
@@ -113,7 +114,7 @@ func CompareCodecs(opts CodecCompareOptions) ([]CodecRow, error) {
 			ContractMinDropDB:      ct.MinDropDB,
 			WholeFrame:             ct.WholeFrame,
 			ThroughputLossFraction: c.OverheadFraction(),
-			AirtimeMicros:          enc.AirtimeSeconds * 1e6,
+			AirtimeMicros:          probeFrame.AirtimeSeconds * 1e6,
 			MaxPayload:             c.MaxPayload(),
 		}
 		ok := 0

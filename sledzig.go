@@ -271,7 +271,7 @@ type Frame struct {
 func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	if e.cdc != nil {
 		tf := trace.Start("encode")
-		enc, err := e.encode(payload, tf)
+		enc, err := e.assemble(payload, tf)
 		tf.Finish(err)
 		if err != nil {
 			return nil, wrapEncodeErr(err)
@@ -304,14 +304,15 @@ func (e *Encoder) Encode(payload []byte) (*Frame, error) {
 	return &box.f, nil
 }
 
-// encode runs a non-default backend under the mutex, deferring the unlock
-// so a panicking backend never leaves the Encoder locked.
-func (e *Encoder) encode(payload []byte, tf *trace.Frame) (*codec.Encoded, error) {
+// assemble runs a non-default backend's Assemble under the mutex,
+// deferring the unlock so a panicking backend never leaves the Encoder
+// locked. The frame renders later, outside the mutex.
+func (e *Encoder) assemble(payload []byte, tf *trace.Frame) (*codec.Encoded, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cdc.SetTrace(tf)
 	defer e.cdc.SetTrace(nil)
-	return e.cdc.Encode(payload)
+	return e.cdc.Assemble(payload)
 }
 
 // Codec names the backend that produced the frame.
@@ -326,7 +327,7 @@ func (f *Frame) Codec() string {
 // 20 MS/s complex baseband. The returned slice is the caller's.
 func (f *Frame) Waveform() ([]complex128, error) {
 	if f.enc != nil {
-		return append([]complex128(nil), f.enc.Waveform...), nil
+		return f.AppendWaveform(nil)
 	}
 	// Trace synthesis as its own root frame, on a value copy of the
 	// wifi.Frame so concurrent renders of one Frame never race.
@@ -343,7 +344,12 @@ func (f *Frame) Waveform() ([]complex128, error) {
 // into recycled buffers. The samples are identical to Waveform's.
 func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 	if f.enc != nil {
-		return append(dst, f.enc.Waveform...), nil
+		// A codec frame renders as its own root frame too, growing dst
+		// once, to exactly the PPDU.
+		tf := trace.Start("waveform")
+		out, err := f.enc.AppendWaveform(dst, tf)
+		tf.Finish(err)
+		return out, err
 	}
 	tf := trace.Start("waveform")
 	wf := *f.res.Frame
