@@ -1,8 +1,8 @@
 // Command benchdiff compares two `go test -bench -benchmem` outputs and
 // fails when allocations or bytes allocated per operation regress beyond a
-// tolerance. It backs `make bench-compare`, which guards the pooled hot
-// paths (EncodeTo, AppendWaveform, the engine) against accidental
-// allocation creep.
+// tolerance. It backs `make bench-compare`, which guards the hot paths
+// (EncodeTo, AppendWaveform, the engine) against accidental allocation
+// creep.
 //
 // Only allocs/op and B/op are gated: they follow the code, unlike ns/op,
 // so a checked-in baseline stays meaningful on any hardware. One extra

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -159,13 +160,13 @@ func TestCollectionCostsNoAllocations(t *testing.T) {
 	}
 }
 
-// TestCodecFrameRendersOnce pins what a codec frame's render allocates:
-// Waveform of a warmed ook-ctc or ofdmfi frame makes exactly one
+// TestCodecFrameRendersOnce pins what a frame's render allocates: Waveform
+// of a warmed frame of every registered codec makes exactly one
 // allocation, a buffer whose length and capacity are the PPDU's sample
 // count. A render neither copies a pre-rendered waveform nor grows its
 // buffer by append.
 func TestCodecFrameRendersOnce(t *testing.T) {
-	for _, name := range []string{CodecOOK, CodecOfdmFi} {
+	for _, name := range Codecs() {
 		t.Run(name, func(t *testing.T) {
 			enc, err := NewEncoder(Config{Channel: CH2, Codec: name})
 			if err != nil {
@@ -389,12 +390,13 @@ func TestDecodeAsStandardFrame(t *testing.T) {
 	}
 }
 
-// TestEngineGenericCodec runs batch encode/decode through the pool with a
-// non-default backend selected by Config.Codec. The engine's frames render
-// on demand, exactly what a facade Encoder's frames render for the same
-// payloads.
+// TestEngineGenericCodec runs every registered backend through the pool's
+// generic codec path, selected by Config.Codec. Frames from EncodeBatch,
+// EncodeEach and Stream equal a facade Encoder's frames of the same
+// payloads in every accessor, rendered samples included, and decode back
+// through DecodeBatch.
 func TestEngineGenericCodec(t *testing.T) {
-	for _, name := range []string{CodecOOK, CodecOfdmFi} {
+	for _, name := range Codecs() {
 		t.Run(name, func(t *testing.T) {
 			eng, err := NewEngine(EngineConfig{Config: Config{Channel: CH2, Codec: name}, Workers: 2})
 			if err != nil {
@@ -410,31 +412,48 @@ func TestEngineGenericCodec(t *testing.T) {
 				[]byte("engine batch frame one is longer"),
 				[]byte("f2"),
 			}
-			frames, err := eng.EncodeBatch(context.Background(), payloads)
+			ctx := context.Background()
+			batch, err := eng.EncodeBatch(ctx, payloads)
 			if err != nil {
 				t.Fatalf("EncodeBatch: %v", err)
 			}
-			waves := make([][]complex128, len(frames))
-			for i, f := range frames {
-				if f.Codec() != name {
-					t.Fatalf("frame %d codec %q, want %q", i, f.Codec(), name)
+			each := make([]*Frame, len(payloads))
+			for i, o := range eng.EncodeEach(ctx, payloads) {
+				if o.Err != nil {
+					t.Fatalf("EncodeEach %d: %v", i, o.Err)
 				}
-				if waves[i], err = f.Waveform(); err != nil {
-					t.Fatalf("Waveform %d: %v", i, err)
+				each[i] = o.Frame
+			}
+			in := make(chan []byte, len(payloads))
+			for _, p := range payloads {
+				in <- p
+			}
+			close(in)
+			streamed := make([]*Frame, len(payloads))
+			for o := range eng.Stream(ctx, in) {
+				if o.Err != nil {
+					t.Fatalf("Stream %d: %v", o.Index, o.Err)
 				}
-				ff, err := enc.Encode(payloads[i])
+				streamed[o.Index] = o.Frame
+			}
+			for i, p := range payloads {
+				want, err := enc.Encode(p)
 				if err != nil {
 					t.Fatalf("Encoder.Encode %d: %v", i, err)
 				}
-				want, err := ff.Waveform()
-				if err != nil {
-					t.Fatalf("Encoder frame %d: Waveform: %v", i, err)
-				}
-				if !slices.Equal(waves[i], want) {
-					t.Fatalf("engine frame %d renders %d samples unlike the Encoder's %d", i, len(waves[i]), len(want))
+				for front, got := range map[string]*Frame{"EncodeBatch": batch[i], "EncodeEach": each[i], "Stream": streamed[i]} {
+					if err := sameFrame(got, want); err != nil {
+						t.Fatalf("%s frame %d: %v", front, i, err)
+					}
 				}
 			}
-			results, err := eng.DecodeBatch(context.Background(), waves)
+			waves := make([][]complex128, len(batch))
+			for i, f := range batch {
+				if waves[i], err = f.Waveform(); err != nil {
+					t.Fatalf("Waveform %d: %v", i, err)
+				}
+			}
+			results, err := eng.DecodeBatch(ctx, waves)
 			if err != nil {
 				t.Fatalf("DecodeBatch: %v", err)
 			}
@@ -448,4 +467,36 @@ func TestEngineGenericCodec(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sameFrame reports the first accessor in which got differs from want,
+// comparing rendered samples with ==.
+func sameFrame(got, want *Frame) error {
+	if got == nil {
+		return errors.New("nil frame")
+	}
+	switch {
+	case got.Codec() != want.Codec():
+		return fmt.Errorf("codec %q, want %q", got.Codec(), want.Codec())
+	case got.NumSymbols() != want.NumSymbols() || got.ExtraBits() != want.ExtraBits():
+		return fmt.Errorf("%d symbols and %d extra bits, want %d and %d", got.NumSymbols(), got.ExtraBits(), want.NumSymbols(), want.ExtraBits())
+	case !slices.Equal(got.TransmitBits(), want.TransmitBits()):
+		return errors.New("transmit bits differ")
+	case !slices.Equal(got.ProtectedSymbols(), want.ProtectedSymbols()):
+		return errors.New("protected symbols differ")
+	case got.AirtimeSeconds() != want.AirtimeSeconds():
+		return fmt.Errorf("airtime %g s, want %g s", got.AirtimeSeconds(), want.AirtimeSeconds())
+	}
+	gw, err := got.Waveform()
+	if err != nil {
+		return err
+	}
+	ww, err := want.Waveform()
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(gw, ww) {
+		return fmt.Errorf("renders %d samples unlike the Encoder's %d", len(gw), len(ww))
+	}
+	return nil
 }

@@ -118,18 +118,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return &Engine{e: e, codec: cfg.Codec}, nil
 }
 
-// frame maps an engine encode result onto the public Frame; a failed
-// frame's zero result maps to nil.
-func (e *Engine) frame(p engine.Product) *Frame {
-	switch {
-	case p.Generic != nil:
-		return &Frame{enc: p.Generic, cdc: e.codec}
-	case p.Core != nil:
-		return &Frame{res: p.Core}
-	}
-	return nil
-}
-
 // result maps an engine decode result onto the public DecodeResult; a
 // failed frame's nil result maps to nil.
 func (e *Engine) result(d *codec.Decoded) *DecodeResult {
@@ -169,7 +157,7 @@ func (e *Engine) EncodeBatch(ctx context.Context, payloads [][]byte) ([]*Frame, 
 	}
 	frames := make([]*Frame, len(results))
 	for i, r := range results {
-		frames[i] = e.frame(r)
+		frames[i] = (*Frame)(r)
 	}
 	return frames, nil
 }
@@ -191,7 +179,7 @@ func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []EncodeOutc
 	results := e.e.EncodeEach(ctx, payloads)
 	out := make([]EncodeOutcome, len(results))
 	for i, r := range results {
-		out[i] = EncodeOutcome{Frame: e.frame(r.Result), Err: wrapEncodeErr(r.Err)}
+		out[i] = EncodeOutcome{Frame: (*Frame)(r.Result), Err: wrapEncodeErr(r.Err)}
 	}
 	return out
 }
@@ -210,8 +198,8 @@ type StreamFrame struct {
 // after in closes (and all work drains) or ctx is cancelled. A stalled
 // consumer backpressures the producer through the bounded queues.
 func (e *Engine) Stream(ctx context.Context, in <-chan []byte) <-chan StreamFrame {
-	return relay(ctx, e.e.Stream(ctx, in), func(o engine.Outcome[engine.Product]) StreamFrame {
-		return StreamFrame{Index: o.Index, Frame: e.frame(o.Result), Err: wrapEncodeErr(o.Err)}
+	return relay(ctx, e.e.Stream(ctx, in), func(o engine.Outcome[*codec.Frame]) StreamFrame {
+		return StreamFrame{Index: o.Index, Frame: (*Frame)(o.Result), Err: wrapEncodeErr(o.Err)}
 	})
 }
 

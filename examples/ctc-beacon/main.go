@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("embedded a 10-bit digest into a %d-symbol WiFi frame (%.0f us airtime)\n",
-		frame.NumSymbols, frame.AirtimeSeconds*1e6)
+		frame.NumSymbols(), frame.AirtimeSeconds()*1e6)
 
 	// ZigBee node: RSSI sampling of the DATA field only.
 	data := frame.Waveform[wifi.PreambleLength+wifi.SymbolLength:]

@@ -12,6 +12,7 @@ package codec
 import (
 	"errors"
 
+	"sledzig/internal/bits"
 	"sledzig/internal/core"
 	"sledzig/internal/obs"
 	"sledzig/internal/obs/trace"
@@ -47,49 +48,82 @@ type Params struct {
 	Resilient bool
 }
 
-// Encoded is one encoded frame plus the accounting the experiment harness
-// and facade report. Assemble leaves Waveform nil, and AppendWaveform
-// renders the PPDU on demand; Encode fills Waveform with one render.
+// Frame is one assembled frame: the accounting the experiment harness and
+// the facade report, read off the backend's frame, and the PPDU, rendered
+// on demand. It has no exported fields; only a backend's Assemble makes
+// one that renders.
+type Frame struct {
+	f frame
+}
+
+// frame is a backend's assembled frame. It renders the PPDU from what
+// Assemble made and what never changes after the backend's construction,
+// never the instance's recycled state: it renders after its instance has
+// moved on to other frames, and from several goroutines at once.
+type frame interface {
+	codec() string            // Codec
+	symbols() int             // NumSymbols
+	samples() int             // the PPDU's length
+	mask() []bool             // ProtectedMask
+	extraBits() int           // ExtraBits
+	transmitBits() []bits.Bit // TransmitBits
+	// appendTo renders the PPDU into dst's spare capacity.
+	appendTo(dst []complex128, tr *trace.Frame) ([]complex128, error)
+}
+
+// Encoded is an assembled Frame and, after Encode, its rendered PPDU.
 type Encoded struct {
+	Frame
 	// Waveform is the full PPDU (preamble + header + DATA), WiFi-centered
 	// complex baseband at 20 MS/s: Encode's render, nil after Assemble.
 	// The caller owns it.
 	Waveform []complex128
-	// NumSymbols is the DATA-field length in OFDM symbols.
-	NumSymbols int
-	// ProtectedMask marks, per DATA OFDM symbol, whether the codec held
-	// the protected band low during that symbol. Nil means every symbol
-	// is protected (the SledZig case).
-	ProtectedMask []bool
-	// AirtimeSeconds is the PPDU duration on the air.
-	AirtimeSeconds float64
-	// frame renders the PPDU from what Assemble made and what never
-	// changes after the backend's construction, never the instance's
-	// recycled state: it renders after its instance has moved on to other
-	// frames, and from several goroutines at once.
-	frame interface {
-		samples() int // the PPDU's length
-		appendTo(dst []complex128, tr *trace.Frame) ([]complex128, error)
-	}
 }
+
+// Codec names the backend that assembled the frame.
+func (f *Frame) Codec() string { return f.f.codec() }
+
+// NumSymbols is the DATA-field length in OFDM symbols.
+func (f *Frame) NumSymbols() int { return f.f.symbols() }
+
+// ProtectedMask marks, per DATA OFDM symbol, whether the codec held the
+// protected band low during that symbol. Nil means every symbol is
+// protected (the SledZig case). The mask is the frame's own: read it,
+// never write it.
+func (f *Frame) ProtectedMask() []bool { return f.f.mask() }
+
+// AirtimeSeconds is the PPDU duration on the air.
+func (f *Frame) AirtimeSeconds() float64 { return float64(f.f.samples()) / wifi.SampleRate }
+
+// ExtraBits is how many extra bits the frame spent on the constellation
+// constraints: 0 for backends that do not pin every symbol.
+func (f *Frame) ExtraBits() int { return f.f.extraBits() }
+
+// TransmitBits returns the unscrambled DATA-field bits, what a standard
+// 802.11 transmitter would be fed to emit this frame, as a fresh slice at
+// one bit per element. Only SledZig frames carry them; every other
+// backend returns nil.
+func (f *Frame) TransmitBits() []bits.Bit { return f.f.transmitBits() }
 
 // AppendWaveform renders the PPDU appended to dst, growing dst at most
 // once, to exactly the PPDU's length (so a render into nil returns
 // len == cap), and lands the render's stage spans on tr (nil for none).
 // On error dst may have been partially extended; discard it.
-func (e *Encoded) AppendWaveform(dst []complex128, tr *trace.Frame) ([]complex128, error) {
-	if e.frame == nil {
+func (f *Frame) AppendWaveform(dst []complex128, tr *trace.Frame) ([]complex128, error) {
+	if f.f == nil {
 		return dst, errors.New("codec: frame was not assembled by a backend")
 	}
-	if n := e.frame.samples(); cap(dst)-len(dst) < n {
+	if n := f.f.samples(); cap(dst)-len(dst) < n {
 		dst = append(make([]complex128, 0, len(dst)+n), dst...)
 	}
-	return e.frame.appendTo(dst, tr)
+	return f.f.appendTo(dst, tr)
 }
 
 // wifiFrame renders the sledzig and ook-ctc frames, standard PPDUs, on a
 // value copy, so concurrent renders never race on the frame's Trace.
 type wifiFrame wifi.Frame
+
+func (f *wifiFrame) symbols() int { return f.NumSymbols }
 
 func (f *wifiFrame) samples() int { return wifi.PreambleLength + (1+f.NumSymbols)*wifi.SymbolLength }
 

@@ -106,14 +106,14 @@ func TestCodecConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Encode(%d octets): %v", n, err)
 					}
-					if enc.NumSymbols <= 0 || len(enc.Waveform) == 0 {
-						t.Fatalf("Encode(%d octets): empty frame (%d symbols, %d samples)", n, enc.NumSymbols, len(enc.Waveform))
+					if enc.NumSymbols() <= 0 || len(enc.Waveform) == 0 {
+						t.Fatalf("Encode(%d octets): empty frame (%d symbols, %d samples)", n, enc.NumSymbols(), len(enc.Waveform))
 					}
-					if enc.AirtimeSeconds <= 0 {
-						t.Fatalf("Encode(%d octets): airtime %g", n, enc.AirtimeSeconds)
+					if enc.AirtimeSeconds() <= 0 {
+						t.Fatalf("Encode(%d octets): airtime %g", n, enc.AirtimeSeconds())
 					}
-					if enc.ProtectedMask != nil && len(enc.ProtectedMask) != enc.NumSymbols {
-						t.Fatalf("Encode(%d octets): mask of %d entries for %d symbols", n, len(enc.ProtectedMask), enc.NumSymbols)
+					if mask := enc.ProtectedMask(); mask != nil && len(mask) != enc.NumSymbols() {
+						t.Fatalf("Encode(%d octets): mask of %d entries for %d symbols", n, len(mask), enc.NumSymbols())
 					}
 					dec, err := c.Decode(enc.Waveform)
 					if err != nil {
@@ -176,7 +176,7 @@ func TestCodecConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Encode: %v", err)
 					}
-					for s, prot := range enc.ProtectedMask {
+					for s, prot := range enc.ProtectedMask() {
 						if !prot {
 							t.Fatalf("whole-frame contract but symbol %d unprotected", s)
 						}
@@ -268,10 +268,10 @@ func TestCodecConformance(t *testing.T) {
 					if frame.Waveform != nil {
 						t.Fatalf("Assemble(%d octets) rendered %d samples; want a nil Waveform", n, len(frame.Waveform))
 					}
-					if frame.NumSymbols != want.NumSymbols || frame.AirtimeSeconds != want.AirtimeSeconds ||
-						!slices.Equal(frame.ProtectedMask, want.ProtectedMask) {
+					if frame.NumSymbols() != want.NumSymbols() || frame.AirtimeSeconds() != want.AirtimeSeconds() ||
+						!slices.Equal(frame.ProtectedMask(), want.ProtectedMask()) {
 						t.Fatalf("Assemble(%d octets) accounts %d symbols, %g s; Encode %d, %g s (or the masks differ)",
-							n, frame.NumSymbols, frame.AirtimeSeconds, want.NumSymbols, want.AirtimeSeconds)
+							n, frame.NumSymbols(), frame.AirtimeSeconds(), want.NumSymbols(), want.AirtimeSeconds())
 					}
 					a := renderSame(t, frame, want.Waveform)
 					// The instance moves on to other frames before the

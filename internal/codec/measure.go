@@ -23,9 +23,10 @@ func MeasureBandDrop(c Codec, p Params, payload []byte) (float64, error) {
 	// The DATA symbols occupy the final NumSymbols*SymbolLength samples of
 	// every backend's waveform (what precedes them — preamble, SIGNAL —
 	// differs per codec and is excluded from the contract).
-	span := enc.NumSymbols * wifi.SymbolLength
+	nSym, mask := enc.NumSymbols(), enc.ProtectedMask()
+	span := nSym * wifi.SymbolLength
 	if span <= 0 || span > len(enc.Waveform) {
-		return 0, fmt.Errorf("codec: %s frame of %d samples cannot hold %d DATA symbols", c.Name(), len(enc.Waveform), enc.NumSymbols)
+		return 0, fmt.Errorf("codec: %s frame of %d samples cannot hold %d DATA symbols", c.Name(), len(enc.Waveform), nSym)
 	}
 	// The contract is measured at both sample widths: the wide complex128
 	// waveform as encoded, and the same waveform rounded to complex64 the
@@ -37,8 +38,8 @@ func MeasureBandDrop(c Codec, p Params, payload []byte) (float64, error) {
 	data32 := dsp.Narrow(nil, data)
 	var sum, sum32 float64
 	n := 0
-	for s := 0; s < enc.NumSymbols; s++ {
-		if enc.ProtectedMask != nil && !enc.ProtectedMask[s] {
+	for s := range nSym {
+		if mask != nil && !mask[s] {
 			continue
 		}
 		pwr, perr := dsp.BandPower(data[s*wifi.SymbolLength:(s+1)*wifi.SymbolLength], wifi.SampleRate, lo, hi)

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"slices"
 
+	"sledzig/internal/bits"
 	"sledzig/internal/core"
 	"sledzig/internal/dsp"
 	"sledzig/internal/obs/trace"
@@ -138,14 +139,24 @@ func (c *ofdmFi) Assemble(payload []byte) (*Encoded, error) {
 	framed = append(framed, byte(len(payload)), byte(len(payload)>>8))
 	framed = append(framed, payload...)
 	f := &ofdmFiFrame{framed: append(framed, crc8(payload)), geo: c.ofdmFiGeometry}
-	f.enc = Encoded{NumSymbols: (8*len(f.framed) + len(c.msg) - 1) / len(c.msg), frame: f}
-	f.enc.AirtimeSeconds = float64(f.samples()) / wifi.SampleRate
+	f.enc.Frame = Frame{f}
 	return &f.enc, nil
 }
 
 func (c *ofdmFi) Encode(payload []byte) (*Encoded, error) { return encode(c, payload, c.tr) }
 
-func (f *ofdmFiFrame) samples() int { return wifi.PreambleLength + f.enc.NumSymbols*wifi.SymbolLength }
+func (*ofdmFiFrame) codec() string { return "ofdmfi" }
+
+// symbols is how many symbols the framed message's chips fill.
+func (f *ofdmFiFrame) symbols() int { return (8*len(f.framed) + len(f.geo.msg) - 1) / len(f.geo.msg) }
+
+func (f *ofdmFiFrame) samples() int { return wifi.PreambleLength + f.symbols()*wifi.SymbolLength }
+
+func (*ofdmFiFrame) mask() []bool { return nil } // every symbol is protected
+
+func (*ofdmFiFrame) extraBits() int { return 0 }
+
+func (*ofdmFiFrame) transmitBits() []bits.Bit { return nil }
 
 // appendTo synthesizes the frame symbol by symbol, which is where the
 // message is embedded in the subcarrier power (codec.ofdmfi.embed). It
@@ -161,7 +172,7 @@ func (f *ofdmFiFrame) appendTo(wave []complex128, tr *trace.Frame) (_ []complex1
 	var data [wifi.NumDataSubcarriers]complex128
 	freq := make([]complex128, wifi.NumSubcarriers)
 	td := make([]complex128, wifi.NumSubcarriers)
-	for s := 0; s < f.enc.NumSymbols; s++ {
+	for s := range f.symbols() {
 		// Protected (and padding) groups stay low; message groups carry
 		// their chip's amplitude.
 		next := 0
@@ -188,7 +199,7 @@ func (f *ofdmFiFrame) appendTo(wave []complex128, tr *trace.Frame) (_ []complex1
 		if err := dsp.IFFTInto(td, freq); err != nil {
 			return nil, err
 		}
-		wave = append(wave, td[wifi.NumSubcarriers-wifi.CPLength:]...) //sledvet:ignore hotalloc Encoded.AppendWaveform grows wave to the whole PPDU before the render, so neither append ever grows the backing array
+		wave = append(wave, td[wifi.NumSubcarriers-wifi.CPLength:]...) //sledvet:ignore hotalloc Frame.AppendWaveform grows wave to the whole PPDU before the render, so neither append ever grows the backing array
 		wave = append(wave, td...)
 	}
 	return wave, nil

@@ -49,7 +49,7 @@ const (
 type ook struct {
 	params Params
 	rxr    wifi.Receiver
-	rx     wifi.RxResult
+	rx     *wifi.RxResult // Decode's scratch, made on the first Decode
 	plan   *core.Plan
 	tr     *trace.Frame
 	// maxPayload is MaxPayload, fixed at construction.
@@ -84,7 +84,7 @@ func newOOK(p Params) (*ook, error) {
 		rxr:    wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient},
 		// The worst case pins every symbol (all message bits low): the
 		// capacity of a plain SledZig frame of the same length.
-		maxPayload: (&core.Encoder{Plan: plan}).MaxPayload(ookSymbols),
+		maxPayload: plan.MaxPayload(ookSymbols),
 	}, nil
 }
 
@@ -103,10 +103,25 @@ func ookMessage(payload []byte) [ookMessageBits]bits.Bit {
 	return msg
 }
 
-// Assemble keeps the masked frame and its pinning mask (the result's
-// ProtectedMask): one allocation holds the result and the mask, and the
-// frame and its encoder input are the others. A masked frame walks the
-// plan's two-symbol tile, so nothing here may allocate per symbol.
+// ookFrame is an assembled ook-ctc frame: its standard PPDU and its
+// pinning mask, the ProtectedMask.
+type ookFrame struct {
+	*wifiFrame
+	protected [ookSymbols]bool
+}
+
+func (*ookFrame) codec() string { return "ook-ctc" }
+
+func (f *ookFrame) mask() []bool { return f.protected[:] }
+
+func (*ookFrame) extraBits() int { return 0 }
+
+func (*ookFrame) transmitBits() []bits.Bit { return nil }
+
+// Assemble keeps the masked frame and its pinning mask: one allocation
+// holds the Encoded and the mask, and the frame and its encoder input are
+// the others. A masked frame walks the plan's two-symbol tile, so nothing
+// here may allocate per symbol.
 //
 //sledzig:noalloc budget=3
 func (c *ook) Assemble(payload []byte) (*Encoded, error) {
@@ -119,11 +134,11 @@ func (c *ook) Assemble(payload []byte) (*Encoded, error) {
 	}
 	mk := c.tr.Begin(stages().ookEmbed)
 	box := new(struct {
-		enc  Encoded
-		mask [ookSymbols]bool
+		enc   Encoded
+		frame ookFrame
 	})
 	// A low (pinned) group spells bit 0.
-	mask := box.mask[:]
+	mask := box.frame.protected[:]
 	for i, b := range ookMessage(payload) {
 		if b == 0 {
 			group := mask[i*ookSymbolsPerBit : (i+1)*ookSymbolsPerBit]
@@ -137,12 +152,8 @@ func (c *ook) Assemble(payload []byte) (*Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	box.enc = Encoded{
-		NumSymbols:     frame.NumSymbols,
-		ProtectedMask:  mask,
-		AirtimeSeconds: frame.Duration(),
-		frame:          (*wifiFrame)(frame),
-	}
+	box.frame.wifiFrame = (*wifiFrame)(frame)
+	box.enc.Frame = Frame{&box.frame}
 	return &box.enc, nil
 }
 
@@ -150,8 +161,11 @@ func (c *ook) Encode(payload []byte) (*Encoded, error) { return encode(c, payloa
 
 //sledzig:noalloc budget=2
 func (c *ook) Decode(waveform []complex128) (*Decoded, error) {
+	if c.rx == nil {
+		c.rx = new(wifi.RxResult)
+	}
 	c.rxr.Trace = c.tr
-	if err := c.rxr.ReceiveInto(waveform, &c.rx); err != nil {
+	if err := c.rxr.ReceiveInto(waveform, c.rx); err != nil {
 		return nil, err
 	}
 	mk := c.tr.Begin(stages().ookExtract)

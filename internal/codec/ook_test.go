@@ -52,7 +52,7 @@ func TestOOKRoundTripBothSides(t *testing.T) {
 		t.Fatalf("WiFi side payload differs: got %d octets, want %d", len(dec.Payload), len(payload))
 	}
 	for s, low := range c.mask {
-		if low != enc.ProtectedMask[s] {
+		if low != enc.ProtectedMask()[s] {
 			t.Fatalf("WiFi side mask differs from the transmitted one at symbol %d", s)
 		}
 	}

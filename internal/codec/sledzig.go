@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"sledzig/internal/bits"
 	"sledzig/internal/core"
 	"sledzig/internal/obs/trace"
 	"sledzig/internal/wifi"
@@ -18,16 +19,15 @@ func init() {
 // whole frame honours the band-power promise while remaining a 100%
 // standard PPDU carrying the payload as ordinary (strippable) WiFi data.
 //
-// Every SledZig decode in the repository runs through this backend: the
-// facade Decoder, the engine workers, the conformance suite and the
-// experiment harness. Encoding still has a path of its own in the facade
-// and the engine, which encode into their own result boxes.
+// Every SledZig encode and decode in the facade and the engine runs
+// through this backend, as do the conformance suite and the experiment
+// harness.
 type sledZig struct {
 	params Params
 	plan   *core.Plan
 	enc    core.Encoder
 	rxr    wifi.Receiver
-	rx     wifi.RxResult
+	rx     *wifi.RxResult // Decode's scratch, made on the first Decode
 	dec    core.Decoder
 	tr     *trace.Frame
 }
@@ -54,43 +54,60 @@ func (c *sledZig) Name() string { return "sledzig" }
 
 func (c *sledZig) SetTrace(tr *trace.Frame) { c.tr = tr }
 
-// Assemble encodes into a fresh result box, not the instance's reused
-// res, so the frame outlives the instance's next encode: one allocation
-// holds the result, the core result and its frame, the other is the
-// frame's encoder input.
+// sledZigFrame is an assembled SledZig frame: its standard PPDU, the seed
+// that scrambled it (TransmitBits descrambles with it) and its extra-bit
+// count. The seed and the count share one word, so the frame and its
+// Encoded fit one 128 B allocation.
+type sledZigFrame struct {
+	wifiFrame
+	seed  uint8
+	extra int32
+}
+
+func (*sledZigFrame) codec() string { return "sledzig" }
+
+func (*sledZigFrame) mask() []bool { return nil } // every symbol is pinned
+
+func (f *sledZigFrame) extraBits() int { return int(f.extra) }
+
+func (f *sledZigFrame) transmitBits() []bits.Bit {
+	return (&core.EncodeResult{Frame: (*wifi.Frame)(&f.wifiFrame), Seed: f.seed}).TransmitBits()
+}
+
+// Assemble encodes into a fresh box, never a reused result, so the frame
+// outlives the instance's next encode: one allocation holds the Encoded
+// and its frame, the other is the frame's encoder input.
 //
 //sledzig:noalloc budget=2
 func (c *sledZig) Assemble(payload []byte) (*Encoded, error) {
 	box := new(struct {
 		enc   Encoded
-		res   core.EncodeResult
-		frame wifi.Frame
+		frame sledZigFrame
 	})
-	box.res.Frame = &box.frame
+	res := core.EncodeResult{Frame: (*wifi.Frame)(&box.frame.wifiFrame)}
 	c.enc.Trace = c.tr
-	if err := c.enc.EncodeTo(payload, &box.res); err != nil {
+	if err := c.enc.EncodeTo(payload, &res); err != nil {
 		return nil, err
 	}
 	// Detach the encode's trace: each render names its own.
 	box.frame.Trace = nil
-	box.enc = Encoded{
-		NumSymbols:     box.frame.NumSymbols,
-		ProtectedMask:  nil, // every symbol is pinned
-		AirtimeSeconds: box.frame.Duration(),
-		frame:          (*wifiFrame)(&box.frame),
-	}
+	box.frame.seed, box.frame.extra = res.Seed, int32(len(res.Layout.Positions))
+	box.enc.Frame = Frame{&box.frame}
 	return &box.enc, nil
 }
 
 func (c *sledZig) Encode(payload []byte) (*Encoded, error) { return encode(c, payload, c.tr) }
 
 func (c *sledZig) Decode(waveform []complex128) (*Decoded, error) {
+	if c.rx == nil {
+		c.rx = new(wifi.RxResult)
+	}
 	c.rxr.Trace = c.tr
 	c.dec.Trace = c.tr
-	if err := c.rxr.ReceiveInto(waveform, &c.rx); err != nil {
+	if err := c.rxr.ReceiveInto(waveform, c.rx); err != nil {
 		return nil, err
 	}
-	payload, ch, err := c.dec.DecodeAuto(&c.rx)
+	payload, ch, err := c.dec.DecodeAuto(c.rx)
 	if err != nil {
 		return nil, err
 	}
@@ -121,9 +138,8 @@ func (c *sledZig) Contract() Contract {
 }
 
 func (c *sledZig) MaxPayload() int {
-	nDBPS := c.plan.Mode.DataBitsPerSymbol()
-	maxSym := (8*wifi.MaxPSDULength + 22) / nDBPS
-	return c.enc.MaxPayload(maxSym)
+	maxSym := (8*wifi.MaxPSDULength + 22) / c.plan.Mode.DataBitsPerSymbol()
+	return c.plan.MaxPayload(maxSym)
 }
 
 func (c *sledZig) OverheadFraction() float64 {

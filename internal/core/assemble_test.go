@@ -279,7 +279,7 @@ func checkEncodeAgainstOracle(t *testing.T, name string, rng *rand.Rand, plan *P
 	if err != nil {
 		t.Fatalf("%s: Encode: %v", name, err)
 	}
-	mask := make([]bool, enc.NumSymbols(len(payload)))
+	mask := make([]bool, plan.NumSymbols(len(payload)))
 	for i := range mask {
 		mask[i] = true
 	}

@@ -484,16 +484,15 @@ func TestMaxPayloadAndNumSymbolsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := &Encoder{Plan: plan}
 	for _, n := range []int{1, 2, 5, 30} {
-		maxLen := enc.MaxPayload(n)
+		maxLen := plan.MaxPayload(n)
 		if maxLen < 1 {
 			continue
 		}
-		if got := enc.NumSymbols(maxLen); got != n {
+		if got := plan.NumSymbols(maxLen); got != n {
 			t.Errorf("MaxPayload(%d)=%d but NumSymbols=%d", n, maxLen, got)
 		}
-		if got := enc.NumSymbols(maxLen + 1); got != n+1 {
+		if got := plan.NumSymbols(maxLen + 1); got != n+1 {
 			t.Errorf("NumSymbols(MaxPayload(%d)+1)=%d, want %d", n, got, n+1)
 		}
 	}

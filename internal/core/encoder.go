@@ -65,21 +65,6 @@ func (r *EncodeResult) TransmitBits() []bits.Bit {
 	return tb
 }
 
-// MaxPayload returns the largest payload (octets) a frame of nSymbols can
-// carry under the plan.
-func (e *Encoder) MaxPayload(nSymbols int) int {
-	capacity := nSymbols*e.Plan.EffectiveDataBitsPerSymbol() - serviceBits - tailBits
-	return capacity/8 - headerOctets
-}
-
-// NumSymbols returns the frame size in OFDM symbols for a payload of
-// length octets.
-func (e *Encoder) NumSymbols(length int) int {
-	needed := serviceBits + 8*(headerOctets+length) + tailBits
-	eff := e.Plan.EffectiveDataBitsPerSymbol()
-	return (needed + eff - 1) / eff
-}
-
 // Encode builds the SledZig frame for payload into a fresh result: one
 // allocation holds the result and its frame, one the frame's packed
 // encoder input. Batch and streaming callers that can recycle results
@@ -118,7 +103,7 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		m.fail(m.failEncoder, "core.encode", "encode_fail.validate", err)
 		return err
 	}
-	nSym := e.NumSymbols(len(payload))
+	nSym := e.Plan.NumSymbols(len(payload))
 	// A payload no PSDU can signal fails here, before it grows the plan.
 	if _, err := signalledLength(nSym, e.Plan.Mode.DataBitsPerSymbol()); err != nil {
 		return err

@@ -88,6 +88,22 @@ func (p *Plan) ThroughputLossFraction() float64 {
 	return float64(p.ExtraBitsPerSymbol()) / float64(p.Mode.DataBitsPerSymbol())
 }
 
+// MaxPayload returns the largest payload (octets) a SledZig frame of
+// nSymbols can carry under the plan; it is negative when nSymbols cannot
+// hold the framing.
+func (p *Plan) MaxPayload(nSymbols int) int {
+	capacity := nSymbols*p.EffectiveDataBitsPerSymbol() - serviceBits - tailBits
+	return capacity/8 - headerOctets
+}
+
+// NumSymbols returns the SledZig frame size in OFDM symbols for a payload
+// of length octets.
+func (p *Plan) NumSymbols(length int) int {
+	needed := serviceBits + 8*(headerOctets+length) + tailBits
+	eff := p.EffectiveDataBitsPerSymbol()
+	return (needed + eff - 1) / eff
+}
+
 // Cluster is a maximal run of constrained encoder steps closer than the
 // constraint length, solved jointly: Equations lists the pinned outputs,
 // Positions the encoder-input bits the solver controls. len(Positions) ==

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sledzig/internal/codec"
 )
 
 // TestSubmitQueueWaitSheds: with MaxQueueWait set, a submission that
@@ -184,7 +186,7 @@ func TestSubmitBlockingContractPreserved(t *testing.T) {
 	defer e.Close()
 	entered, release := stallHook(t)
 
-	var outs []Outcome[Product]
+	var outs []Outcome[*codec.Frame]
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -22,7 +22,7 @@ func testWaveforms(t *testing.T, e *Engine, n int) ([][]byte, [][]complex128) {
 	}
 	waves := make([][]complex128, len(frames))
 	for i, f := range frames {
-		w, err := f.Core.Frame.Waveform()
+		w, err := f.AppendWaveform(nil, nil)
 		if err != nil {
 			t.Fatalf("Waveform %d: %v", i, err)
 		}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sledzig/internal/codec"
 )
 
 // stallHook installs a frame hook that parks every frame on a release
@@ -34,7 +36,7 @@ func TestDrainFlushesCleanly(t *testing.T) {
 	}
 	entered, release := stallHook(t)
 
-	var outs []Outcome[Product]
+	var outs []Outcome[*codec.Frame]
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -85,7 +87,7 @@ func TestDrainDeadlineShedsQueued(t *testing.T) {
 	}
 	entered, release := stallHook(t)
 
-	var outs []Outcome[Product]
+	var outs []Outcome[*codec.Frame]
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

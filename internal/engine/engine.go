@@ -4,9 +4,9 @@
 // It exists so callers that process many frames (sweeps, simulators,
 // traffic generators) saturate every core without re-deriving plans or
 // re-implementing fan-out. Each worker owns one registry codec instance
-// (plus, for SledZig, the encoder of its own encode path) whose scratch
-// buffers are recycled frame to frame. Encoded frames of every backend
-// render their waveforms on demand.
+// whose scratch buffers are recycled frame to frame; every frame encodes
+// and decodes through it, and encoded frames render their waveforms on
+// demand.
 package engine
 
 import (
@@ -39,8 +39,8 @@ var ErrFramePanic = errors.New("engine: frame worker panicked")
 // private state) and continues with fresh encoder/decoder state.
 var ErrFrameTimeout = errors.New("engine: frame deadline exceeded")
 
-// Config selects the frame parameters (one engine encodes one
-// plan — convention, mode, channel, seed) and the pool geometry.
+// Config selects the frame parameters (one engine serves one codec
+// configuration — convention, mode, channel, seed) and the pool geometry.
 type Config struct {
 	Convention wifi.Convention
 	Mode       wifi.Mode
@@ -83,10 +83,8 @@ type Config struct {
 	Resilient bool
 
 	// Codec selects a registry backend ("sledzig", "ook-ctc", "ofdmfi",
-	// ...); empty selects "sledzig". Every frame decodes through a
-	// codec.New instance, one per worker, and other backends' frames
-	// encode through its Assemble. SledZig frames encode through the
-	// shared cached plan instead.
+	// ...); empty selects "sledzig". Every frame encodes (Assemble) and
+	// decodes through a codec.New instance, one per worker.
 	Codec string
 }
 
@@ -143,18 +141,18 @@ type job struct {
 	tr *trace.Frame
 }
 
-// result is one frame's product: enc for an encode, dec for a decode. A
-// failed frame's result is zero.
+// result is one frame's product: enc for an encode, an assembled frame
+// that renders on demand, dec for a decode. A failed frame's result is
+// zero.
 type result struct {
-	enc Product
+	enc *codec.Frame
 	dec *codec.Decoded
 }
 
-// Engine is a fixed pool of encoder workers sharing one cached plan.
+// Engine is a fixed pool of workers, each on its own codec instance.
 // All methods are safe for concurrent use.
 type Engine struct {
-	cfg  Config
-	plan *core.Plan
+	cfg Config
 	// id is the engine's slot in the live-engine health registry.
 	id uint64
 
@@ -197,25 +195,16 @@ type Engine struct {
 
 // New builds the engine and starts the workers. The backend is
 // constructed once up front to surface configuration errors here rather
-// than per frame. For SledZig the plan resolves through the process-wide
-// plan cache, so engines and plain Encoders with the same parameters
-// share constraint state.
+// than per frame. SledZig instances resolve their plan through the
+// process-wide plan cache, so engines and plain Encoders with the same
+// parameters share constraint state.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if _, err := codec.New(cfg.Codec, cfg.codecParams()); err != nil {
 		return nil, err
 	}
-	var plan *core.Plan
-	if cfg.Codec == codecSledZig {
-		var err error
-		plan, err = core.CachedPlan(cfg.Convention, cfg.Mode, cfg.Channel)
-		if err != nil {
-			return nil, err
-		}
-	}
 	e := &Engine{
 		cfg:     cfg,
-		plan:    plan,
 		now:     time.Now,
 		breaker: newBreaker(cfg.Breaker),
 		drained: make(chan struct{}),
@@ -232,18 +221,12 @@ func New(cfg Config) (*Engine, error) {
 // Workers returns the resolved worker count.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// Plan exposes the engine's shared, read-only plan (nil when a generic
-// codec backend is selected — those own their pinning state).
-func (e *Engine) Plan() *core.Plan { return e.plan }
-
 // workerState is one worker's mutable PHY state. It is rebuilt whenever a
 // frame is abandoned to a deadline: the timed-out goroutine still owns the
-// old codec instance (and encoder), so the worker must never touch them
-// again.
+// old codec instance, so the worker must never touch it again.
 type workerState struct {
 	e   *Engine
 	cdc codec.Codec
-	enc *core.Encoder // SledZig encode path; nil for other codecs
 }
 
 func (w *workerState) reset() {
@@ -254,9 +237,6 @@ func (w *workerState) reset() {
 		panic(fmt.Sprintf("engine: codec %q vanished mid-run: %v", w.e.cfg.Codec, err))
 	}
 	w.cdc = cdc
-	if w.e.plan != nil {
-		w.enc = &core.Encoder{Plan: w.e.plan, Seed: w.e.cfg.Seed}
-	}
 }
 
 // testFrameHook, when non-nil, runs inside the guarded section before each
@@ -302,33 +282,27 @@ func (e *Engine) strike(j *job) {
 	}
 }
 
-// frame runs one frame of any kind on the given instances, converting a
-// panic into a typed per-frame error carrying the stack: the boundary that
-// keeps one hostile frame from taking down the worker pool. An encode goes
-// through enc when the engine has one (SledZig's shared plan); every other
-// frame goes through the codec instance, whose trace it attaches for the
-// frame.
-func (e *Engine) frame(j *job, cdc codec.Codec, enc *core.Encoder) (r result, err error) {
+// frame runs one frame of either kind on the given codec instance, with
+// the frame's trace attached, converting a panic into a typed per-frame
+// error carrying the stack: the boundary that keeps one hostile frame from
+// taking down the worker pool.
+func (e *Engine) frame(j *job, cdc codec.Codec) (r result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			metrics().panics.Inc()
 			r, err = result{}, fmt.Errorf("%w: %v\n%s", ErrFramePanic, p, debug.Stack())
 		}
 	}()
-	if j.decode || enc == nil {
-		cdc.SetTrace(j.tr)
-		defer cdc.SetTrace(nil)
-	} else {
-		enc.Trace = j.tr
-	}
+	cdc.SetTrace(j.tr)
+	defer cdc.SetTrace(nil)
 	e.strike(j)
-	switch {
-	case j.decode:
+	if j.decode {
 		r.dec, err = cdc.Decode(j.waveform)
-	case enc != nil:
-		r.enc.Core, err = enc.Encode(j.payload)
-	default:
-		r.enc.Generic, err = cdc.Assemble(j.payload)
+	} else {
+		var enc *codec.Encoded
+		if enc, err = cdc.Assemble(j.payload); err == nil {
+			r.enc = &enc.Frame
+		}
 	}
 	if err != nil {
 		return result{}, err
@@ -336,19 +310,19 @@ func (e *Engine) frame(j *job, cdc codec.Codec, enc *core.Encoder) (r result, er
 	return r, nil
 }
 
-// guarded runs one frame on the instances the worker held when the frame
+// guarded runs one frame on the instance the worker held when the frame
 // started, under panic recovery and, when configured, the per-frame
 // deadline. On deadline or context expiry the frame is abandoned to finish
-// on its own, on those instances, which reset replaces in the worker; a
+// on its own, on that instance, which reset replaces in the worker; a
 // typed error is returned promptly. Abandoned goroutines are counted in
 // the abandoned_workers gauge and capped by Config.MaxAbandoned: at the
 // cap a new frame sheds with ErrOverloaded instead of risking yet another
 // background goroutine.
-func (w *workerState) guarded(j *job, cdc codec.Codec, enc *core.Encoder) (result, error) {
+func (w *workerState) guarded(j *job, cdc codec.Codec) (result, error) {
 	e := w.e
 	timeout := e.cfg.FrameTimeout
 	if timeout <= 0 {
-		return e.frame(j, cdc, enc)
+		return e.frame(j, cdc)
 	}
 	if limit := e.abandonedCap(); limit > 0 && int(e.abandoned.Load()) >= limit {
 		e.noteShed(&e.sheds.abandoned, metrics().shedAbandoned)
@@ -361,7 +335,7 @@ func (w *workerState) guarded(j *job, cdc codec.Codec, enc *core.Encoder) (resul
 	var fate atomic.Int32
 	done := make(chan Outcome[result], 1)
 	go func() {
-		r, err := e.frame(j, cdc, enc)
+		r, err := e.frame(j, cdc)
 		if !fate.CompareAndSwap(frameRunning, frameFinished) {
 			// The worker abandoned this frame; this goroutine was the
 			// tallied abandoned worker and has now retired.
@@ -394,15 +368,6 @@ func (w *workerState) guarded(j *job, cdc codec.Codec, enc *core.Encoder) (resul
 		w.reset()
 		return result{}, j.ctx.Err()
 	}
-}
-
-// Product is one encoded frame from either path; exactly one field is
-// set. Core carries the specialized SledZig result, Generic the registry
-// codec's assembled frame, which renders on demand
-// (codec.Encoded.AppendWaveform).
-type Product struct {
-	Core    *core.EncodeResult
-	Generic *codec.Encoded
 }
 
 func (e *Engine) worker(i int) {
@@ -440,7 +405,7 @@ func (e *Engine) worker(i int) {
 			sm, stage = &m.decode, decStage
 		}
 		pass := stage.Start()
-		r, err := w.guarded(j, w.cdc, w.enc)
+		r, err := w.guarded(j, w.cdc)
 		e.finishFrame(sm.frameLatency, j, err)
 		// Stage bytes: the payload in for an encode, out for a decode.
 		n := len(j.payload)
@@ -585,10 +550,10 @@ type side[In, R any] struct {
 }
 
 var (
-	encodeSide = side[[]byte, Product]{
+	encodeSide = side[[]byte, *codec.Frame]{
 		noun: "payload",
 		set:  func(j *job, p []byte) { j.payload = p },
-		get:  func(r result) Product { return r.enc },
+		get:  func(r result) *codec.Frame { return r.enc },
 	}
 	decodeSide = side[[]complex128, *codec.Decoded]{
 		decode: true,
@@ -718,7 +683,7 @@ func (s side[In, R]) stream(e *Engine, ctx context.Context, in <-chan In) <-chan
 
 // EncodeEach encodes every payload across the pool and returns one outcome
 // per payload, in input order; see side.each.
-func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []Outcome[Product] {
+func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []Outcome[*codec.Frame] {
 	return encodeSide.each(e, ctx, payloads)
 }
 
@@ -733,7 +698,7 @@ func (e *Engine) DecodeEach(ctx context.Context, waveforms [][]complex128) []Out
 // EncodeBatch encodes every payload across the pool and returns the
 // results in input order, or the first error; see side.batch. Callers that
 // need sibling results to survive one bad frame use EncodeEach.
-func (e *Engine) EncodeBatch(ctx context.Context, payloads [][]byte) ([]Product, error) {
+func (e *Engine) EncodeBatch(ctx context.Context, payloads [][]byte) ([]*codec.Frame, error) {
 	return encodeSide.batch(e, ctx, payloads)
 }
 
@@ -748,7 +713,7 @@ func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*
 }
 
 // Stream encodes payloads read from in across the pool; see side.stream.
-func (e *Engine) Stream(ctx context.Context, in <-chan []byte) <-chan Outcome[Product] {
+func (e *Engine) Stream(ctx context.Context, in <-chan []byte) <-chan Outcome[*codec.Frame] {
 	return encodeSide.stream(e, ctx, in)
 }
 

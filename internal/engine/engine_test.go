@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sledzig/internal/bits"
+	"sledzig/internal/codec"
 	"sledzig/internal/core"
 	"sledzig/internal/wifi"
 )
@@ -19,6 +20,16 @@ func testConfig(workers int) Config {
 		Channel:    core.CH2,
 		Workers:    workers,
 	}
+}
+
+// testPlan is testConfig's plan, from the process-wide cache.
+func testPlan(t *testing.T) *core.Plan {
+	t.Helper()
+	plan, err := core.CachedPlan(wifi.ConventionIEEE, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, core.CH2)
+	if err != nil {
+		t.Fatalf("CachedPlan: %v", err)
+	}
+	return plan
 }
 
 func testPayloads(n int) [][]byte {
@@ -58,8 +69,12 @@ func TestEncodeBatchMatchesSequentialEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sequential Encode %d: %v", i, err)
 		}
-		if got[i].Core == nil {
+		if got[i] == nil {
 			t.Fatalf("result %d is nil", i)
+		}
+		if got[i].NumSymbols() != want.Frame.NumSymbols || got[i].ExtraBits() != len(want.Layout.Positions) {
+			t.Fatalf("payload %d: %d symbols, %d extra bits; sequential %d, %d",
+				i, got[i].NumSymbols(), got[i].ExtraBits(), want.Frame.NumSymbols, len(want.Layout.Positions))
 		}
 		// Byte-identical: compare the full waveforms, which cover the
 		// scrambled stream, SIGNAL field and OFDM assembly end to end.
@@ -67,7 +82,7 @@ func TestEncodeBatchMatchesSequentialEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sequential Waveform %d: %v", i, err)
 		}
-		gotWave, err := got[i].Core.Frame.Waveform()
+		gotWave, err := got[i].AppendWaveform(nil, nil)
 		if err != nil {
 			t.Fatalf("batch Waveform %d: %v", i, err)
 		}
@@ -79,32 +94,46 @@ func TestEncodeBatchMatchesSequentialEncode(t *testing.T) {
 				t.Fatalf("payload %d: waveform diverges at sample %d", i, s)
 			}
 		}
-		if !bits.Equal(got[i].Core.TransmitBits(), want.TransmitBits()) {
+		if !bits.Equal(got[i].TransmitBits(), want.TransmitBits()) {
 			t.Fatalf("payload %d: transmit bits diverge", i)
 		}
 	}
 }
 
+// TestEngineSharesCachedPlan checks that engines and codec instances of
+// one configuration share the process-wide plan: the first engine puts it
+// in the cache, at most once, and every later engine, worker and instance
+// finds it there, so the cache does not grow again.
 func TestEngineSharesCachedPlan(t *testing.T) {
-	e1, err := New(testConfig(2))
+	// A configuration no other test in the package uses.
+	cfg := testConfig(2)
+	cfg.Convention, cfg.Mode, cfg.Channel = wifi.ConventionPaper, wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate23}, core.CH3
+	before := core.PlanCacheLen()
+	e1, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer e1.Close()
-	e2, err := New(testConfig(3))
+	first := core.PlanCacheLen()
+	if first > before+1 {
+		t.Fatalf("one engine added %d plans to the cache", first-before)
+	}
+	cfg.Workers = 3
+	e2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer e2.Close()
-	if e1.Plan() != e2.Plan() {
-		t.Fatal("engines with identical parameters built distinct plans")
+	for _, e := range []*Engine{e1, e2} {
+		if _, err := e.EncodeBatch(context.Background(), testPayloads(6)); err != nil {
+			t.Fatalf("EncodeBatch: %v", err)
+		}
 	}
-	p, err := core.CachedPlan(wifi.ConventionIEEE, wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}, core.CH2)
-	if err != nil {
-		t.Fatalf("CachedPlan: %v", err)
+	if _, err := codec.New(codecSledZig, cfg.codecParams()); err != nil {
+		t.Fatalf("codec.New: %v", err)
 	}
-	if e1.Plan() != p {
-		t.Fatal("engine plan is not the process-wide cached plan")
+	if got := core.PlanCacheLen(); got != first {
+		t.Fatalf("the plan cache grew from %d to %d plans after the first engine", first, got)
 	}
 }
 
@@ -114,6 +143,7 @@ func TestEncodeBatchConcurrentCallers(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer e.Close()
+	plan := testPlan(t)
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -126,7 +156,7 @@ func TestEncodeBatchConcurrentCallers(t *testing.T) {
 				return
 			}
 			for i, r := range res {
-				if r.Core == nil || r.Core.PayloadLength != len(payloads[i]) {
+				if r == nil || r.NumSymbols() != plan.NumSymbols(len(payloads[i])) {
 					t.Errorf("caller %d: bad result %d", c, i)
 					return
 				}
@@ -179,6 +209,7 @@ func TestStreamDeliversEverything(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer e.Close()
+	plan := testPlan(t)
 	payloads := testPayloads(20)
 	in := make(chan []byte)
 	go func() {
@@ -196,8 +227,8 @@ func TestStreamDeliversEverything(t *testing.T) {
 			t.Fatalf("index %d delivered twice", r.Index)
 		}
 		seen[r.Index] = true
-		if r.Result.Core.PayloadLength != len(payloads[r.Index]) {
-			t.Fatalf("index %d: payload length %d != %d", r.Index, r.Result.Core.PayloadLength, len(payloads[r.Index]))
+		if got, want := r.Result.NumSymbols(), plan.NumSymbols(len(payloads[r.Index])); got != want {
+			t.Fatalf("index %d: %d symbols, want %d", r.Index, got, want)
 		}
 	}
 	if len(seen) != len(payloads) {

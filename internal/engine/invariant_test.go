@@ -163,7 +163,7 @@ func TestEveryFrameGetsOneOutcome(t *testing.T) {
 					}
 					close(in)
 					for r := range e.Stream(ctx, in) {
-						got = append(got, outcomeSeen{r.Index, r.Result.Core != nil, r.Err})
+						got = append(got, outcomeSeen{r.Index, r.Result != nil, r.Err})
 					}
 				case decode:
 					for i, o := range e.DecodeEach(ctx, waves[:size]) {
@@ -171,7 +171,7 @@ func TestEveryFrameGetsOneOutcome(t *testing.T) {
 					}
 				default:
 					for i, o := range e.EncodeEach(ctx, payloads[:size]) {
-						got = append(got, outcomeSeen{i, o.Result.Core != nil, o.Err})
+						got = append(got, outcomeSeen{i, o.Result != nil, o.Err})
 					}
 				}
 				checkOutcomes(t, decode, stream, got, size)

@@ -114,7 +114,7 @@ func CompareCodecs(opts CodecCompareOptions) ([]CodecRow, error) {
 			ContractMinDropDB:      ct.MinDropDB,
 			WholeFrame:             ct.WholeFrame,
 			ThroughputLossFraction: c.OverheadFraction(),
-			AirtimeMicros:          probeFrame.AirtimeSeconds * 1e6,
+			AirtimeMicros:          probeFrame.AirtimeSeconds() * 1e6,
 			MaxPayload:             c.MaxPayload(),
 		}
 		ok := 0

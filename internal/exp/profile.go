@@ -102,7 +102,7 @@ func (s *profileScratch) payloadWave(conv wifi.Convention, v Variant, ch core.Zi
 		}
 		// The DATA symbols are the final NumSymbols*SymbolLength samples
 		// regardless of the backend's framing.
-		return enc.Waveform[len(enc.Waveform)-enc.NumSymbols*wifi.SymbolLength:], nil
+		return enc.Waveform[len(enc.Waveform)-enc.NumSymbols()*wifi.SymbolLength:], nil
 	}
 	plan, err := core.NewPlan(conv, v.Mode, ch)
 	if err != nil {

@@ -185,10 +185,12 @@ func MeasureBandReduction(cfg Config, payload []byte) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sledWave, err := frame.res.Frame.DataWaveform()
+	wave, err := frame.Waveform()
 	if err != nil {
 		return 0, err
 	}
+	// The DATA symbols are the final NumSymbols*SymbolLength samples.
+	sledWave := wave[len(wave)-frame.NumSymbols()*wifi.SymbolLength:]
 	lo, hi := cfg.Channel.BandHz()
 	pn, err := dsp.BandPower(normalWave, wifi.SampleRate, lo, hi)
 	if err != nil {

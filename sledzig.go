@@ -36,6 +36,7 @@ package sledzig
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"sledzig/internal/codec"
@@ -217,14 +218,16 @@ func (c Config) newCodec() (codec.Codec, error) {
 }
 
 // Encoder produces coexistence-encoded frames for the configured codec
-// backend (SledZig by default). It is safe for concurrent use.
+// backend (SledZig by default). It is safe for concurrent use, but calls
+// serialize on one backend instance: parallel encoding is the Engine's
+// job.
 type Encoder struct {
-	cfg  Config
+	cfg Config
+	// plan is SledZig's extra-bit plan, the one its backend resolved
+	// through the process-wide cache; nil for other codecs.
 	plan *core.Plan
-	enc  *core.Encoder
 
-	// Non-default codec backends encode through the registry contract;
-	// instances hold recycled state, so calls serialize on mu.
+	// cdc holds recycled state, so calls serialize on mu.
 	cdc codec.Codec
 	mu  sync.Mutex
 }
@@ -239,74 +242,38 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.Channel.Valid() {
-		return nil, fmt.Errorf("%w: config must name a protected channel (CH1..CH4)", ErrInvalidChannel)
-	}
-	if cfg.Codec != CodecSledZig {
-		cdc, err := cfg.newCodec()
-		if err != nil {
-			return nil, err
-		}
-		return &Encoder{cfg: cfg, cdc: cdc}, nil
-	}
-	plan, err := core.CachedPlan(cfg.Convention, cfg.mode(), cfg.Channel)
+	cdc, err := cfg.newCodec()
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{
-		cfg:  cfg,
-		plan: plan,
-		enc:  &core.Encoder{Plan: plan, Seed: cfg.ScramblerSeed},
-	}, nil
+	e := &Encoder{cfg: cfg, cdc: cdc}
+	if cfg.Codec == CodecSledZig {
+		if e.plan, err = core.CachedPlan(cfg.Convention, cfg.mode(), cfg.Channel); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
 // Frame is an encoded PPDU from one of the codec backends.
-type Frame struct {
-	res *core.EncodeResult // SledZig path
-	enc *codec.Encoded     // generic codec path
-	cdc string             // backend name ("" means CodecSledZig)
-}
+type Frame codec.Frame
 
 // Encode builds the frame carrying payload.
 func (e *Encoder) Encode(payload []byte) (*Frame, error) {
-	if e.cdc != nil {
-		tf := trace.Start("encode")
-		enc, err := e.assemble(payload, tf)
-		tf.Finish(err)
-		if err != nil {
-			return nil, wrapEncodeErr(err)
-		}
-		return &Frame{enc: enc, cdc: e.cfg.Codec}, nil
-	}
-	// Root frame trace (nil, and free, with no tracer installed). The
-	// shared core encoder is copied by value so setting the trace never
-	// races concurrent Encode calls on the same Encoder.
+	// Root frame trace (nil, and free, with no tracer installed): the
+	// backend lands its stage spans here.
 	tf := trace.Start("encode")
-	enc := *e.enc
-	enc.Trace = tf
-	// One allocation holds the Frame, its result and its wifi.Frame; the
-	// encode adds only the frame's encoder input, packed eight bits to an
-	// octet (⌈N_sym·N_DBPS/8⌉ octets).
-	box := new(struct {
-		f     Frame
-		res   core.EncodeResult
-		frame wifi.Frame
-	})
-	box.res.Frame = &box.frame
-	err := enc.EncodeTo(payload, &box.res)
+	enc, err := e.assemble(payload, tf)
 	tf.Finish(err)
 	if err != nil {
 		return nil, wrapEncodeErr(err)
 	}
-	// Detach the closed trace: waveform synthesis gets its own root.
-	box.frame.Trace = nil
-	box.f.res = &box.res
-	return &box.f, nil
+	return (*Frame)(&enc.Frame), nil
 }
 
-// assemble runs a non-default backend's Assemble under the mutex,
-// deferring the unlock so a panicking backend never leaves the Encoder
-// locked. The frame renders later, outside the mutex.
+// assemble runs the backend's Assemble under the mutex, deferring the
+// unlock so a panicking backend never leaves the Encoder locked. The frame
+// renders later, outside the mutex.
 func (e *Encoder) assemble(payload []byte, tf *trace.Frame) (*codec.Encoded, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -316,45 +283,20 @@ func (e *Encoder) assemble(payload []byte, tf *trace.Frame) (*codec.Encoded, err
 }
 
 // Codec names the backend that produced the frame.
-func (f *Frame) Codec() string {
-	if f.cdc == "" {
-		return CodecSledZig
-	}
-	return f.cdc
-}
+func (f *Frame) Codec() string { return (*codec.Frame)(f).Codec() }
 
 // Waveform renders the complete PPDU (preamble + header + DATA) at
 // 20 MS/s complex baseband. The returned slice is the caller's.
-func (f *Frame) Waveform() ([]complex128, error) {
-	if f.enc != nil {
-		return f.AppendWaveform(nil)
-	}
-	// Trace synthesis as its own root frame, on a value copy of the
-	// wifi.Frame so concurrent renders of one Frame never race.
-	tf := trace.Start("waveform")
-	wf := *f.res.Frame
-	wf.Trace = tf
-	wave, err := wf.Waveform()
-	tf.Finish(err)
-	return wave, err
-}
+func (f *Frame) Waveform() ([]complex128, error) { return f.AppendWaveform(nil) }
 
 // AppendWaveform renders the PPDU appended to dst and returns the extended
 // slice — the allocation-lean variant for callers that render many frames
 // into recycled buffers. The samples are identical to Waveform's.
 func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
-	if f.enc != nil {
-		// A codec frame renders as its own root frame too, growing dst
-		// once, to exactly the PPDU.
-		tf := trace.Start("waveform")
-		out, err := f.enc.AppendWaveform(dst, tf)
-		tf.Finish(err)
-		return out, err
-	}
+	// Synthesis traces as its own root frame, growing dst once, to
+	// exactly the PPDU.
 	tf := trace.Start("waveform")
-	wf := *f.res.Frame
-	wf.Trace = tf
-	out, err := wf.AppendWaveform(dst)
+	out, err := (*codec.Frame)(f).AppendWaveform(dst, tf)
 	tf.Finish(err)
 	return out, err
 }
@@ -364,59 +306,29 @@ func (f *Frame) AppendWaveform(dst []complex128) ([]complex128, error) {
 // fresh slice. Each byte holds one bit (0/1). Only frames of the default
 // SledZig codec carry them; every other backend returns nil, including
 // CodecOOK, whose frames are standard PPDUs too.
-func (f *Frame) TransmitBits() []byte {
-	if f.res == nil {
-		return nil
-	}
-	return f.res.TransmitBits()
-}
+func (f *Frame) TransmitBits() []byte { return (*codec.Frame)(f).TransmitBits() }
 
 // NumSymbols returns the frame length in DATA OFDM symbols.
-func (f *Frame) NumSymbols() int {
-	if f.enc != nil {
-		return f.enc.NumSymbols
-	}
-	return f.res.Frame.NumSymbols
-}
+func (f *Frame) NumSymbols() int { return (*codec.Frame)(f).NumSymbols() }
 
 // ExtraBits returns how many extra bits the frame spent satisfying the
 // constellation constraints (0 for codec backends that do not use the
 // extra-bit mechanism frame-wide).
-func (f *Frame) ExtraBits() int {
-	if f.res == nil {
-		return 0
-	}
-	return len(f.res.Layout.Positions)
-}
+func (f *Frame) ExtraBits() int { return (*codec.Frame)(f).ExtraBits() }
 
 // ProtectedSymbols reports, per DATA OFDM symbol, whether the codec held
 // the protected band low during that symbol. Nil means every symbol is
 // protected — SledZig's whole-frame contract. Energy-modulation codecs
 // (CodecOOK) protect only the low half of their symbols.
-func (f *Frame) ProtectedSymbols() []bool {
-	if f.enc == nil || f.enc.ProtectedMask == nil {
-		return nil
-	}
-	return append([]bool(nil), f.enc.ProtectedMask...)
-}
+func (f *Frame) ProtectedSymbols() []bool { return slices.Clone((*codec.Frame)(f).ProtectedMask()) }
 
 // AirtimeSeconds returns the PPDU duration on the air.
-func (f *Frame) AirtimeSeconds() float64 {
-	if f.enc != nil {
-		return f.enc.AirtimeSeconds
-	}
-	return f.res.Frame.Duration()
-}
+func (f *Frame) AirtimeSeconds() float64 { return (*codec.Frame)(f).AirtimeSeconds() }
 
 // OverheadFraction is the fraction of the frame's standard WiFi data
 // throughput the mechanism costs: the per-symbol extra-bit loss for
 // SledZig (paper Table IV), 1 for codecs that carry no WiFi data.
-func (e *Encoder) OverheadFraction() float64 {
-	if e.cdc != nil {
-		return e.cdc.OverheadFraction()
-	}
-	return e.plan.ThroughputLossFraction()
-}
+func (e *Encoder) OverheadFraction() float64 { return e.cdc.OverheadFraction() }
 
 // ExtraBitsPerSymbol is the paper's Table III count for this plan (0 for
 // codec backends that do not pin every symbol).
@@ -427,14 +339,15 @@ func (e *Encoder) ExtraBitsPerSymbol() int {
 	return e.plan.ExtraBitsPerSymbol()
 }
 
-// MaxPayload returns the largest payload that fits in n OFDM symbols.
-// Codec backends with their own framing ignore n and report their
-// single-frame bound.
+// MaxPayload returns the largest payload that fits in n OFDM symbols,
+// never less than 0 nor more than one frame carries. Codec backends with
+// their own framing ignore n and report their single-frame bound.
 func (e *Encoder) MaxPayload(nSymbols int) int {
-	if e.cdc != nil {
-		return e.cdc.MaxPayload()
+	bound := e.cdc.MaxPayload()
+	if e.plan == nil {
+		return bound
 	}
-	return e.enc.MaxPayload(nSymbols)
+	return min(max(e.plan.MaxPayload(nSymbols), 0), bound)
 }
 
 // PowerReductionDB returns the theoretical per-subcarrier power drop of

@@ -184,6 +184,85 @@ func TestEncodeAllocations(t *testing.T) {
 	if perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls; perCall > 2.5*1024 {
 		t.Errorf("Encode of a 1500 B QAM-16 r1/2 frame allocates %.0f B per call, want at most 2.5 KiB", perCall)
 	}
+
+	// A 1-octet frame allocates its box and its encoder input alone: the
+	// pin catches the box drifting into a larger size class. More calls
+	// dilute any stray allocation elsewhere in the process.
+	const oneCalls = 1000
+	runtime.ReadMemStats(&before)
+	for i := 0; i < oneCalls; i++ {
+		if _, err := enc.Encode(payload[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := float64(after.TotalAlloc-before.TotalAlloc) / oneCalls; perCall > 160 {
+		t.Errorf("Encode of a 1 B QAM-16 r1/2 frame allocates %.0f B per call, want at most 160 B", perCall)
+	}
+}
+
+// TestNewEncoderCarriesNoReceiveScratch pins what an encode-only backend
+// instance costs: with the plan cache warm, NewEncoder allocates at most
+// 1 KiB for every registered codec, since an instance makes its receive
+// scratch on its first decode.
+func TestNewEncoderCarriesNoReceiveScratch(t *testing.T) {
+	for _, name := range Codecs() {
+		cfg := Config{Channel: CH2, Codec: name}
+		if _, err := NewEncoder(cfg); err != nil { // warm the plan cache
+			t.Fatalf("%s: NewEncoder: %v", name, err)
+		}
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := NewEncoder(cfg); err != nil {
+				t.Fatalf("%s: NewEncoder: %v", name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls; perCall > 1024 {
+			t.Errorf("%s: NewEncoder allocates %.0f B per call, want at most 1 KiB", name, perCall)
+		}
+	}
+}
+
+// TestMaxPayloadKeepsItsPromise holds MaxPayload(n) to what Encode
+// accepts, across SledZig modes and symbol counts on both sides of the
+// PSDU bound: the result is never negative, a payload of that size
+// encodes into at most n symbols, and one octet more needs more than n
+// symbols or fails to encode.
+func TestMaxPayloadKeepsItsPromise(t *testing.T) {
+	for _, cfg := range []Config{
+		{Modulation: QAM16, CodeRate: Rate12, Channel: CH2},
+		{Modulation: QAM16, CodeRate: Rate34, Channel: CH4},
+		{Modulation: QAM64, CodeRate: Rate34, Channel: CH1},
+		{Modulation: QAM64, CodeRate: Rate23, Channel: CH3, Convention: ConventionPaper},
+		{Modulation: QAM256, CodeRate: Rate34, Channel: CH3},
+	} {
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatalf("NewEncoder(%+v): %v", cfg, err)
+		}
+		mode := fmt.Sprintf("%v r=%v %v", cfg.Modulation, cfg.CodeRate, cfg.Channel)
+		for _, n := range []int{-1, 0, 1, 64, 341, 342, 1000} {
+			mp := enc.MaxPayload(n)
+			if mp < 0 {
+				t.Errorf("%s: MaxPayload(%d) = %d", mode, n, mp)
+				continue
+			}
+			if mp > 0 {
+				f, err := enc.Encode(make([]byte, mp))
+				if err != nil {
+					t.Errorf("%s: MaxPayload(%d) = %d, which Encode rejects: %v", mode, n, mp, err)
+				} else if f.NumSymbols() > n {
+					t.Errorf("%s: MaxPayload(%d) = %d fills %d symbols", mode, n, mp, f.NumSymbols())
+				}
+			}
+			if f, err := enc.Encode(make([]byte, mp+1)); err == nil && f.NumSymbols() <= n {
+				t.Errorf("%s: MaxPayload(%d) = %d, yet %d octets fit in %d symbols", mode, n, mp, mp+1, f.NumSymbols())
+			}
+		}
+	}
 }
 
 func TestTransmitBitsAreBinary(t *testing.T) {
