@@ -5,9 +5,11 @@
 // creep.
 //
 // Only allocs/op and B/op are gated: they follow the code, unlike ns/op,
-// so a checked-in baseline stays meaningful on any hardware. One extra
-// copy of a large buffer is one allocation, inside the count's slack; the
-// bytes gate catches it.
+// so a checked-in baseline stays meaningful on any hardware. allocs/op
+// has no slack beyond the relative tolerance: go test prints it as a whole
+// number, so a line carries no noise below one allocation. One extra copy
+// of a large buffer is one allocation, inside a large count's tolerance;
+// the bytes gate catches it.
 package main
 
 import (
@@ -39,7 +41,6 @@ func main() {
 	baselinePath := flag.String("baseline", "bench.baseline.txt", "checked-in baseline benchmark output")
 	currentPath := flag.String("current", "bench.current.txt", "fresh benchmark output to compare")
 	relTol := flag.Float64("rel", 0.10, "relative allocs/op and B/op increase tolerated")
-	absTol := flag.Float64("abs", 2, "absolute allocs/op increase always tolerated (shields tiny counts from ratio noise)")
 	flag.Parse()
 
 	base, err := parseFile(*baselinePath)
@@ -54,16 +55,16 @@ func main() {
 		log.Fatalf("baseline %s holds no benchmark lines", *baselinePath)
 	}
 
-	if !compare(os.Stdout, base, cur, *relTol, *absTol) {
+	if !compare(os.Stdout, base, cur, *relTol) {
 		fmt.Println("\nallocation regression detected — if intentional, refresh the baseline with `make bench-baseline`")
 		os.Exit(1)
 	}
 }
 
 // compare prints one line per benchmark and reports whether every
-// baseline line is in cur with allocs/op ≤ base·(1+rel)+abs and B/op ≤
+// baseline line is in cur with allocs/op ≤ base·(1+rel) and B/op ≤
 // base·(1+rel)+bytesSlack.
-func compare(w io.Writer, base, cur map[string]result, rel, abs float64) bool {
+func compare(w io.Writer, base, cur map[string]result, rel float64) bool {
 	ok := true
 	for name, b := range base {
 		c, found := cur[name]
@@ -76,7 +77,7 @@ func compare(w io.Writer, base, cur map[string]result, rel, abs float64) bool {
 			continue
 		}
 		status := "ok"
-		if c.allocsPerOp > b.allocsPerOp*(1+rel)+abs || c.bytesPerOp > b.bytesPerOp*(1+rel)+bytesSlack {
+		if c.allocsPerOp > b.allocsPerOp*(1+rel) || c.bytesPerOp > b.bytesPerOp*(1+rel)+bytesSlack {
 			status = "REGRESSED"
 			ok = false
 		}

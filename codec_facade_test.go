@@ -196,6 +196,50 @@ func TestCodecFrameRendersOnce(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocations pins what a warmed facade decode allocates, with
+// or without the race detector: exactly what the backend hands out, with
+// no facade copy and no option box. That is the DecodeResult and its
+// payload, plus SymbolEVM where the backend fills it.
+func TestDecodeAllocations(t *testing.T) {
+	want := map[string]float64{CodecSledZig: 3, CodecOOK: 2, CodecOfdmFi: 2}
+	for _, name := range Codecs() {
+		t.Run(name, func(t *testing.T) {
+			n, ok := want[name]
+			if !ok {
+				t.Fatalf("no pinned decode allocation count for codec %q", name)
+			}
+			cfg := Config{Channel: CH2, Codec: name}
+			enc, err := NewEncoder(cfg)
+			if err != nil {
+				t.Fatalf("NewEncoder: %v", err)
+			}
+			dec, err := NewDecoder(cfg)
+			if err != nil {
+				t.Fatalf("NewDecoder: %v", err)
+			}
+			frame, err := enc.Encode(bytes.Repeat([]byte("decode "), 40))
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			wave, err := frame.Waveform()
+			if err != nil {
+				t.Fatalf("Waveform: %v", err)
+			}
+			if _, err := dec.Decode(wave); err != nil { // warm the instance's scratch
+				t.Fatalf("Decode: %v", err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := dec.Decode(wave); err != nil {
+					t.Fatalf("Decode: %v", err)
+				}
+			})
+			if allocs != n {
+				t.Fatalf("Decode makes %.1f allocations; want exactly %.0f", allocs, n)
+			}
+		})
+	}
+}
+
 // TestFacadeCodecRoundTrip drives every registered backend through the
 // public Encoder/Decoder surface.
 func TestFacadeCodecRoundTrip(t *testing.T) {

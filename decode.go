@@ -43,51 +43,20 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 }
 
 // DecodeResult carries everything Decode learns about a received frame
-// beyond the payload itself. The SledZig codec fills every field; other
-// codec backends fill Payload, Channel and Codec and leave the
-// PHY-detail fields zero.
-type DecodeResult struct {
-	// Payload is the recovered original payload.
-	Payload []byte
-	// Channel is the protected ZigBee channel (detected from the
-	// constellation for SledZig, configured for fixed-channel codecs;
-	// zero for standard-frame decodes).
-	Channel Channel
-	// Codec names the backend that produced the result; empty for
-	// standard-frame decodes (AsStandardFrame).
-	Codec string
-	// Modulation and CodeRate are the mode signalled in the PLCP header.
-	Modulation Modulation
-	CodeRate   CodeRate
-	// ScramblerSeed is the seed the descrambler used (the configured one,
-	// or the 802.11 Annex G default).
-	ScramblerSeed uint8
-	// ExtraBits is how many extra bits the frame spent on the
-	// constellation constraints.
-	ExtraBits int
-	// NumSymbols is the DATA-field length in OFDM symbols.
-	NumSymbols int
-	// SymbolEVM is the per-DATA-symbol RMS error-vector magnitude of the
-	// equalized constellation points against the nearest ideal points
-	// (linear scale, relative to unit average constellation power). On a
-	// clean channel it is ~0; it grows with noise and residual channel
-	// error.
-	SymbolEVM []float64
-}
+// beyond the payload itself; see the field docs on the underlying type.
+// The SledZig codec fills every field; other codec backends fill Payload,
+// Channel and Codec and leave the PHY-detail fields zero.
+type DecodeResult = codec.Decoded
 
 // DecodeOption customises one Decode call.
-type DecodeOption func(*decodeOptions)
-
-type decodeOptions struct {
+type DecodeOption struct {
 	standard bool
 }
 
 // AsStandardFrame makes Decode treat the capture as a plain 802.11 PPDU:
 // the codec-specific stages are skipped and the result carries the raw
 // PSDU — useful for baseline comparisons against unmodified WiFi.
-func AsStandardFrame() DecodeOption {
-	return func(o *decodeOptions) { o.standard = true }
-}
+func AsStandardFrame() DecodeOption { return DecodeOption{standard: true} }
 
 // Decode demodulates a PPDU waveform with the configured codec backend
 // and returns the payload together with everything else the receive
@@ -95,12 +64,10 @@ func AsStandardFrame() DecodeOption {
 // protected channel is detected from the constellation and the extra
 // bits are stripped; options adjust the interpretation of the capture.
 func (d *Decoder) Decode(waveform []complex128, opts ...DecodeOption) (*DecodeResult, error) {
-	var o decodeOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.standard {
-		return d.decodeStandard(waveform)
+	for _, o := range opts {
+		if o.standard {
+			return d.decodeStandard(waveform)
+		}
 	}
 	// Root frame trace (nil, and free, when no tracer is installed): the
 	// backend lands its stage spans here.
@@ -110,7 +77,7 @@ func (d *Decoder) Decode(waveform []complex128, opts ...DecodeOption) (*DecodeRe
 	if err != nil {
 		return nil, wrapDecodeErr(err)
 	}
-	return resultFrom(d.cfg.Codec, dec), nil
+	return dec, nil
 }
 
 // decode runs the backend under the mutex, deferring the unlock so a
@@ -123,35 +90,10 @@ func (d *Decoder) decode(waveform []complex128, tf *trace.Frame) (*codec.Decoded
 	return d.cdc.Decode(waveform)
 }
 
-// resultFrom maps a backend's decode onto the public result, sharing its
-// slices: every backend hands out self-contained results.
-func resultFrom(codecName string, dec *codec.Decoded) *DecodeResult {
-	return &DecodeResult{
-		Payload:       dec.Payload,
-		Channel:       dec.Channel,
-		Codec:         codecName,
-		Modulation:    dec.Mode.Modulation,
-		CodeRate:      dec.Mode.CodeRate,
-		ScramblerSeed: dec.ScramblerSeed,
-		ExtraBits:     dec.ExtraBits,
-		NumSymbols:    dec.NumSymbols,
-		SymbolEVM:     dec.SymbolEVM,
-	}
-}
-
-// seed resolves the configured scrambler seed.
-func (d *Decoder) seed() uint8 {
-	if d.cfg.ScramblerSeed == 0 {
-		return wifi.DefaultScramblerSeed
-	}
-	return d.cfg.ScramblerSeed
-}
-
 // decodeStandard skips every codec stage and returns the raw PSDU.
 func (d *Decoder) decodeStandard(waveform []complex128) (*DecodeResult, error) {
-	seed := d.seed()
 	tf := trace.Start("decode")
-	rx, err := wifi.Receiver{Seed: seed, Convention: d.cfg.Convention, Resync: d.cfg.Resilient, Trace: tf}.Receive(waveform)
+	rx, err := wifi.Receiver{Seed: d.cfg.ScramblerSeed, Convention: d.cfg.Convention, Resync: d.cfg.Resilient, Trace: tf}.Receive(waveform)
 	tf.Finish(err)
 	if err != nil {
 		return nil, wrapDecodeErr(err)
@@ -160,7 +102,7 @@ func (d *Decoder) decodeStandard(waveform []complex128) (*DecodeResult, error) {
 		Payload:       rx.PSDU,
 		Modulation:    rx.Mode.Modulation,
 		CodeRate:      rx.Mode.CodeRate,
-		ScramblerSeed: seed,
+		ScramblerSeed: d.cfg.ScramblerSeed,
 		NumSymbols:    len(rx.DataPoints),
 		SymbolEVM:     wifi.SymbolEVM(rx.Mode.Modulation, rx.DataPoints),
 	}, nil

@@ -79,8 +79,7 @@ const (
 // the pool, per-stage pipeline spans, and tail capture of failed, slow,
 // panicked or timed-out frames in the flight recorder.
 type Engine struct {
-	e     *engine.Engine
-	codec string
+	e *engine.Engine
 }
 
 // NewEngine resolves the config defaults, validates it, and starts the
@@ -98,10 +97,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, fmt.Errorf("%w: config must name a protected channel (CH1..CH4)", ErrInvalidChannel)
 	}
 	e, err := engine.New(engine.Config{
-		Convention:   cfg.Convention,
-		Mode:         cfg.mode(),
-		Channel:      cfg.Channel,
-		Seed:         cfg.ScramblerSeed,
+		Codec:        cfg.Codec,
+		Params:       cfg.codecParams(),
 		Workers:      cfg.Workers,
 		Queue:        cfg.Queue,
 		FrameTimeout: cfg.FrameTimeout,
@@ -109,22 +106,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		MaxInflight:  cfg.MaxInflight,
 		MaxAbandoned: cfg.MaxAbandonedWorkers,
 		Breaker:      cfg.Breaker,
-		Resilient:    cfg.Resilient,
-		Codec:        cfg.Codec,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{e: e, codec: cfg.Codec}, nil
-}
-
-// result maps an engine decode result onto the public DecodeResult; a
-// failed frame's nil result maps to nil.
-func (e *Engine) result(d *codec.Decoded) *DecodeResult {
-	if d == nil {
-		return nil
-	}
-	return resultFrom(e.codec, d)
+	return &Engine{e: e}, nil
 }
 
 // relay forwards an engine stream to the public one through conv. It keeps
@@ -214,11 +200,7 @@ func (e *Engine) DecodeBatch(ctx context.Context, waveforms [][]complex128) ([]*
 	if err != nil {
 		return nil, wrapDecodeErr(err)
 	}
-	out := make([]*DecodeResult, len(results))
-	for i, r := range results {
-		out[i] = e.result(r)
-	}
-	return out, nil
+	return results, nil
 }
 
 // DecodeOutcome is one frame's result in a per-frame batch: exactly one of
@@ -236,7 +218,7 @@ func (e *Engine) DecodeEach(ctx context.Context, waveforms [][]complex128) []Dec
 	results := e.e.DecodeEach(ctx, waveforms)
 	out := make([]DecodeOutcome, len(results))
 	for i, r := range results {
-		out[i] = DecodeOutcome{Result: e.result(r.Result), Err: wrapDecodeErr(r.Err)}
+		out[i] = DecodeOutcome{Result: r.Result, Err: wrapDecodeErr(r.Err)}
 	}
 	return out
 }
@@ -256,7 +238,7 @@ type DecodeStreamFrame struct {
 // consumer backpressures the producer through the bounded queues.
 func (e *Engine) DecodeStream(ctx context.Context, in <-chan []complex128) <-chan DecodeStreamFrame {
 	return relay(ctx, e.e.DecodeStream(ctx, in), func(o engine.Outcome[*codec.Decoded]) DecodeStreamFrame {
-		return DecodeStreamFrame{Index: o.Index, Result: e.result(o.Result), Err: wrapDecodeErr(o.Err)}
+		return DecodeStreamFrame{Index: o.Index, Result: o.Result, Err: wrapDecodeErr(o.Err)}
 	})
 }
 

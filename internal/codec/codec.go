@@ -146,21 +146,28 @@ func encode(c Codec, payload []byte, tr *trace.Frame) (*Encoded, error) {
 	return enc, nil
 }
 
-// Decoded is one recovered frame. Every slice is freshly allocated per
-// call: a backend's recycled demodulation buffers never leak into it, so
-// callers may retain it across later decodes on the same instance. The
-// sledzig backend fills every field; ook-ctc and ofdmfi fill Payload and
-// Channel and leave the PHY-detail fields zero.
+// Decoded carries everything a decode learns about a received frame
+// beyond the payload itself; the public DecodeResult is this type. Every
+// slice is freshly allocated per call: a backend's recycled demodulation
+// buffers never leak into it, so callers may retain it across later
+// decodes on the same instance. The sledzig backend fills every field;
+// ook-ctc and ofdmfi fill Payload, Channel and Codec and leave the
+// PHY-detail fields zero.
 type Decoded struct {
-	// Payload is the original payload handed to Encode.
+	// Payload is the recovered original payload.
 	Payload []byte
-	// Channel is the protected channel the frame was decoded against
-	// (detected from the air where the mechanism allows, configured
-	// otherwise).
+	// Channel is the protected ZigBee channel (detected from the
+	// constellation for SledZig, configured for fixed-channel codecs;
+	// zero for standard-frame decodes).
 	Channel core.ZigBeeChannel
-	// Mode is the modulation and code rate signalled in the PLCP header.
-	Mode wifi.Mode
-	// ScramblerSeed is the seed the descrambler used.
+	// Codec names the backend that produced the result; empty for
+	// standard-frame decodes (AsStandardFrame).
+	Codec string
+	// Modulation and CodeRate are the mode signalled in the PLCP header.
+	Modulation wifi.Modulation
+	CodeRate   wifi.CodeRate
+	// ScramblerSeed is the seed the descrambler used (the configured one,
+	// or the 802.11 Annex G default).
 	ScramblerSeed uint8
 	// ExtraBits is how many extra bits the frame spent on the
 	// constellation constraints.
@@ -168,7 +175,10 @@ type Decoded struct {
 	// NumSymbols is the DATA-field length in OFDM symbols.
 	NumSymbols int
 	// SymbolEVM is the per-DATA-symbol RMS error-vector magnitude of the
-	// equalized points against the nearest ideal points.
+	// equalized constellation points against the nearest ideal points
+	// (linear scale, relative to unit average constellation power). On a
+	// clean channel it is ~0; it grows with noise and residual channel
+	// error.
 	SymbolEVM []float64
 }
 

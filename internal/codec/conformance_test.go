@@ -65,10 +65,10 @@ func addNoise(rng *rand.Rand, wave []complex128, snrDB float64) []complex128 {
 }
 
 // TestCodecConformance is the shared conformance suite: every registered
-// backend must round-trip payloads, honour its own band-power contract,
-// keep decode failures inside the typed-error taxonomy, hand out results
-// that later decodes on the same instance leave intact, and hold any
-// allocation bound it claims. Adding a backend to the registry opts it
+// backend must round-trip payloads under its own name, honour its own
+// band-power contract, keep decode failures inside the typed-error
+// taxonomy, hand out results that later decodes on the same instance
+// leave intact, and hold any allocation bound it claims. Adding a backend to the registry opts it
 // into all of this automatically.
 func TestCodecConformance(t *testing.T) {
 	for _, name := range Names() {
@@ -124,6 +124,9 @@ func TestCodecConformance(t *testing.T) {
 					}
 					if dec.Channel != p.Channel {
 						t.Fatalf("round trip of %d octets: channel %v, want %v", n, dec.Channel, p.Channel)
+					}
+					if dec.Codec != name {
+						t.Fatalf("round trip of %d octets: Decoded.Codec = %q, want %q", n, dec.Codec, name)
 					}
 				}
 				// Low-entropy payloads hold nearly every message bit at one

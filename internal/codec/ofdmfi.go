@@ -221,7 +221,10 @@ func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 	nSym := body / wifi.SymbolLength
 	freq := make([]complex128, wifi.NumSubcarriers)
 	nBits := nSym * len(c.msg)
-	raw := append(c.raw[:0], make([]byte, (nBits+7)/8)...)
+	// Not append(c.raw[:0], make(...)...): the race detector turns off the
+	// compiler's in-place rewrite of that idiom, and the make allocates.
+	raw := slices.Grow(c.raw[:0], (nBits+7)/8)[:(nBits+7)/8]
+	clear(raw)
 	c.raw = raw
 	// Accumulated per-channel window power, to verify the protected band
 	// really is the quiet one.
@@ -283,7 +286,7 @@ func (c *ofdmFi) Decode(waveform []complex128) (_ *Decoded, err error) {
 	}
 	// The payload is the caller's: copy it out of the instance's chips.
 	payload = slices.Clone(raw[2 : 2+n])
-	return &Decoded{Payload: payload, Channel: c.params.Channel}, nil
+	return &Decoded{Payload: payload, Channel: c.params.Channel, Codec: c.Name()}, nil
 }
 
 func (c *ofdmFi) Contract() Contract {

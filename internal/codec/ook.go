@@ -174,7 +174,7 @@ func (c *ook) Decode(waveform []complex128) (*Decoded, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrDecode, err)
 	}
-	return &Decoded{Payload: payload, Channel: c.params.Channel}, nil
+	return &Decoded{Payload: payload, Channel: c.params.Channel, Codec: c.Name()}, nil
 }
 
 // extract recovers the OOK message and the pinning mask from the received

@@ -114,7 +114,9 @@ func (c *sledZig) Decode(waveform []complex128) (*Decoded, error) {
 	res := &Decoded{
 		Payload:       payload,
 		Channel:       ch,
-		Mode:          c.rx.Mode,
+		Codec:         c.Name(),
+		Modulation:    c.rx.Mode.Modulation,
+		CodeRate:      c.rx.Mode.CodeRate,
 		ScramblerSeed: c.rxr.Seed,
 		NumSymbols:    len(c.rx.DataPoints),
 		SymbolEVM:     wifi.SymbolEVM(c.rx.Mode.Modulation, c.rx.DataPoints),

@@ -74,8 +74,8 @@ func TestDecodeBatchMatchesSequentialDecode(t *testing.T) {
 		if r.Channel != ch {
 			t.Fatalf("waveform %d: channel %v != %v", i, r.Channel, ch)
 		}
-		if r.Mode != rx.Mode {
-			t.Fatalf("waveform %d: mode %v != %v", i, r.Mode, rx.Mode)
+		if mode := (wifi.Mode{Modulation: r.Modulation, CodeRate: r.CodeRate}); mode != rx.Mode {
+			t.Fatalf("waveform %d: mode %v != %v", i, mode, rx.Mode)
 		}
 		if r.NumSymbols != len(rx.DataPoints) {
 			t.Fatalf("waveform %d: %d symbols != %d", i, r.NumSymbols, len(rx.DataPoints))

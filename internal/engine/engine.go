@@ -20,10 +20,8 @@ import (
 	"time"
 
 	"sledzig/internal/codec"
-	"sledzig/internal/core"
 	"sledzig/internal/obs"
 	"sledzig/internal/obs/trace"
-	"sledzig/internal/wifi"
 )
 
 // ErrClosed is returned by batch and stream submissions after Close.
@@ -39,14 +37,14 @@ var ErrFramePanic = errors.New("engine: frame worker panicked")
 // private state) and continues with fresh encoder/decoder state.
 var ErrFrameTimeout = errors.New("engine: frame deadline exceeded")
 
-// Config selects the frame parameters (one engine serves one codec
-// configuration — convention, mode, channel, seed) and the pool geometry.
+// Config selects the codec configuration (one engine serves one backend
+// with one set of parameters) and the pool geometry.
 type Config struct {
-	Convention wifi.Convention
-	Mode       wifi.Mode
-	Channel    core.ZigBeeChannel
-	// Seed is the scrambler seed (0 selects wifi.DefaultScramblerSeed).
-	Seed uint8
+	// Codec selects a registry backend ("sledzig", "ook-ctc", "ofdmfi",
+	// ...); empty selects "sledzig". Every frame encodes (Assemble) and
+	// decodes through a codec.New(Codec, Params) instance, one per worker.
+	Codec  string
+	Params codec.Params
 
 	// Workers is the number of encoder goroutines; <= 0 selects
 	// runtime.GOMAXPROCS(0).
@@ -78,28 +76,9 @@ type Config struct {
 	// Breaker configures the engine's circuit breaker; the zero value
 	// disables it (see BreakerConfig).
 	Breaker BreakerConfig
-	// Resilient enables the receivers' graceful-degradation ladder
-	// (preamble resync after a failed decode at sample 0).
-	Resilient bool
-
-	// Codec selects a registry backend ("sledzig", "ook-ctc", "ofdmfi",
-	// ...); empty selects "sledzig". Every frame encodes (Assemble) and
-	// decodes through a codec.New instance, one per worker.
-	Codec string
 }
 
 const codecSledZig = "sledzig"
-
-// codecParams maps the engine config onto codec-layer parameters.
-func (c Config) codecParams() codec.Params {
-	return codec.Params{
-		Convention: c.Convention,
-		Mode:       c.Mode,
-		Channel:    c.Channel,
-		Seed:       c.Seed,
-		Resilient:  c.Resilient,
-	}
-}
 
 // withDefaults resolves the pool geometry and the backend name.
 func (c Config) withDefaults() Config {
@@ -200,7 +179,7 @@ type Engine struct {
 // parameters share constraint state.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if _, err := codec.New(cfg.Codec, cfg.codecParams()); err != nil {
+	if _, err := codec.New(cfg.Codec, cfg.Params); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -232,7 +211,7 @@ type workerState struct {
 func (w *workerState) reset() {
 	// New validated this construction; a failure here means the registry
 	// changed underneath a running engine — fail loudly.
-	cdc, err := codec.New(w.e.cfg.Codec, w.e.cfg.codecParams())
+	cdc, err := codec.New(w.e.cfg.Codec, w.e.cfg.Params)
 	if err != nil {
 		panic(fmt.Sprintf("engine: codec %q vanished mid-run: %v", w.e.cfg.Codec, err))
 	}

@@ -15,10 +15,12 @@ import (
 
 func testConfig(workers int) Config {
 	return Config{
-		Convention: wifi.ConventionIEEE,
-		Mode:       wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12},
-		Channel:    core.CH2,
-		Workers:    workers,
+		Params: codec.Params{
+			Convention: wifi.ConventionIEEE,
+			Mode:       wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12},
+			Channel:    core.CH2,
+		},
+		Workers: workers,
 	}
 }
 
@@ -107,7 +109,7 @@ func TestEncodeBatchMatchesSequentialEncode(t *testing.T) {
 func TestEngineSharesCachedPlan(t *testing.T) {
 	// A configuration no other test in the package uses.
 	cfg := testConfig(2)
-	cfg.Convention, cfg.Mode, cfg.Channel = wifi.ConventionPaper, wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate23}, core.CH3
+	cfg.Params = codec.Params{Convention: wifi.ConventionPaper, Mode: wifi.Mode{Modulation: wifi.QAM64, CodeRate: wifi.Rate23}, Channel: core.CH3}
 	before := core.PlanCacheLen()
 	e1, err := New(cfg)
 	if err != nil {
@@ -129,7 +131,7 @@ func TestEngineSharesCachedPlan(t *testing.T) {
 			t.Fatalf("EncodeBatch: %v", err)
 		}
 	}
-	if _, err := codec.New(codecSledZig, cfg.codecParams()); err != nil {
+	if _, err := codec.New(codecSledZig, cfg.Params); err != nil {
 		t.Fatalf("codec.New: %v", err)
 	}
 	if got := core.PlanCacheLen(); got != first {
@@ -184,13 +186,9 @@ func TestEncodeBatchPropagatesEncodeError(t *testing.T) {
 }
 
 func TestEncodeBatchContextCancel(t *testing.T) {
-	e, err := New(Config{
-		Convention: wifi.ConventionIEEE,
-		Mode:       wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12},
-		Channel:    core.CH2,
-		Workers:    1,
-		Queue:      1,
-	})
+	cfg := testConfig(1)
+	cfg.Queue = 1
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -267,7 +265,7 @@ func TestEngineClosedRejectsWork(t *testing.T) {
 
 func TestNewRejectsInvalidChannel(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Channel = 42
+	cfg.Params.Channel = 42
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected error for invalid channel")
 	}
