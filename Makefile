@@ -5,7 +5,7 @@
 # Benchmarks gated by the checked-in allocation baseline (hot encode and
 # decode paths with metrics off and on, every codec backend through the
 # public facade, the engine's pooled batches, the coexistence simulator,
-# and a plan's frame-index growth).
+# and the list of a 60-symbol frame's extra-bit positions).
 BENCH_GATED = BenchmarkSledZigEncode1500B$$|BenchmarkEncodeInstrumented$$|BenchmarkDecodeInstrumented$$|BenchmarkCoreEncodeTo1500B$$|BenchmarkWaveformSynthesis$$|BenchmarkAppendWaveform$$|BenchmarkReceiverDecode1500B$$|BenchmarkSledZigDecode1500B$$|BenchmarkViterbiDecodeInto$$|BenchmarkViterbiDecodeSoftInto$$|BenchmarkViterbiACSReferenceHard$$|BenchmarkViterbiACSReferenceSoft$$|BenchmarkFFTPlanForward64$$|BenchmarkCodecOOKEncode400B$$|BenchmarkCodecOfdmFiEncode400B$$|BenchmarkCodecOOKDecode400B$$|BenchmarkCodecOfdmFiDecode400B$$|BenchmarkQfunc$$|BenchmarkQfuncExact$$|BenchmarkSledvetWholeTree$$|BenchmarkRun$$|BenchmarkSimulateCoexistence$$|BenchmarkEngineEncodeBatch$$|BenchmarkEngineDecodeBatch$$|BenchmarkFrameLayout$$
 
 test: conformance bench-smoke

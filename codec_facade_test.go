@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sledzig/internal/codec"
+	"sledzig/internal/core"
 	"sledzig/internal/obs/trace"
 	"sledzig/internal/wifi"
 )
@@ -98,6 +99,64 @@ func TestSledZigDecoderReadsModeOffTheAir(t *testing.T) {
 		}
 		if res.Channel != CH2 || res.Modulation != QAM64 || res.CodeRate != Rate34 {
 			t.Fatalf("decoder %+v reported %v %v r=%v, want CH2 QAM-64 r=3/4", cfg, res.Channel, res.Modulation, res.CodeRate)
+		}
+	}
+}
+
+// TestNewDecoderResolvesNoPlan checks when a SledZig configuration
+// resolves its extra-bit plan: NewDecoder, whose decodes read mode and
+// channel off the air, never does, so the plan cache sees no lookup,
+// while NewEncoder and NewEngine still refuse a mode SledZig cannot pin.
+func TestNewDecoderResolvesNoPlan(t *testing.T) {
+	reg := withMetrics(t)
+	if _, err := NewDecoder(Config{Modulation: QAM64, CodeRate: Rate34}); err != nil {
+		t.Fatalf("NewDecoder: %v", err)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters["core.plan.cache_hits"] + snap.Counters["core.plan.cache_misses"]; n != 0 {
+		t.Fatalf("NewDecoder looked up %d plans, want none", n)
+	}
+	bpsk := Config{Modulation: BPSK, Channel: CH1}
+	if _, err := NewEncoder(bpsk); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("NewEncoder(BPSK): %v does not wrap ErrInvalidConfig", err)
+	}
+	if _, err := NewEngine(EngineConfig{Config: bpsk}); err == nil {
+		t.Fatal("NewEngine accepted BPSK, a mode SledZig cannot pin")
+	}
+}
+
+// TestExtraBitsMatchLayout holds a facade SledZig frame's ExtraBits, which
+// its backend counts as NumSymbols × ExtraBitsPerSymbol, to the positions
+// core.Encoder.EncodeTo lists for the same payload, in every paper mode
+// and channel under both conventions.
+func TestExtraBitsMatchLayout(t *testing.T) {
+	payload := bytes.Repeat([]byte("extra bits "), 137)
+	for _, conv := range []Convention{ConventionIEEE, ConventionPaper} {
+		for _, mode := range wifi.PaperModes() {
+			for ch := CH1; ch <= CH4; ch++ {
+				enc, err := NewEncoder(Config{Modulation: mode.Modulation, CodeRate: mode.CodeRate, Channel: ch, Convention: conv})
+				if err != nil {
+					t.Fatalf("%v %v %v: NewEncoder: %v", conv, mode, ch, err)
+				}
+				plan, err := core.CachedPlan(conv, mode, ch)
+				if err != nil {
+					t.Fatalf("%v %v %v: CachedPlan: %v", conv, mode, ch, err)
+				}
+				var res core.EncodeResult
+				for _, n := range []int{1, 257, len(payload)} {
+					frame, err := enc.Encode(payload[:n])
+					if err != nil {
+						t.Fatalf("%v %v %v: Encode of %d octets: %v", conv, mode, ch, n, err)
+					}
+					if err := (&core.Encoder{Plan: plan}).EncodeTo(payload[:n], &res); err != nil {
+						t.Fatalf("%v %v %v: EncodeTo of %d octets: %v", conv, mode, ch, n, err)
+					}
+					if frame.ExtraBits() != len(res.Layout.Positions) || frame.NumSymbols() != res.Frame.NumSymbols {
+						t.Fatalf("%v %v %v, %d octets: %d extra bits in %d symbols, EncodeTo lists %d in %d",
+							conv, mode, ch, n, frame.ExtraBits(), frame.NumSymbols(), len(res.Layout.Positions), res.Frame.NumSymbols)
+					}
+				}
+			}
 		}
 	}
 }

@@ -96,6 +96,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if !cfg.Channel.Valid() {
 		return nil, fmt.Errorf("%w: config must name a protected channel (CH1..CH4)", ErrInvalidChannel)
 	}
+	if cfg.Codec == CodecSledZig {
+		// Its backend resolves the plan on its first encode: refuse a mode
+		// SledZig cannot pin here, as NewEncoder does.
+		if _, err := core.CachedPlan(cfg.Convention, cfg.mode(), cfg.Channel); err != nil {
+			return nil, err
+		}
+	}
 	e, err := engine.New(engine.Config{
 		Codec:        cfg.Codec,
 		Params:       cfg.codecParams(),

@@ -73,9 +73,6 @@ func ofdmFiGroup(g int) []int {
 }
 
 func newOfdmFi(p Params) (*ofdmFi, error) {
-	if !p.Channel.Valid() {
-		return nil, fmt.Errorf("codec: ofdmfi needs a protected channel, got %d", int(p.Channel))
-	}
 	window := p.Channel.SubcarrierWindow()
 	c := &ofdmFi{params: p, ofdmFiGeometry: new(ofdmFiGeometry)}
 	for g := range ofdmFiGroups {

@@ -59,9 +59,6 @@ type ook struct {
 }
 
 func newOOK(p Params) (*ook, error) {
-	if !p.Channel.Valid() {
-		return nil, fmt.Errorf("codec: ook-ctc needs a protected channel, got %d", int(p.Channel))
-	}
 	mode := p.Mode
 	if mode.Modulation == 0 {
 		mode = wifi.Mode{Modulation: wifi.QAM16, CodeRate: wifi.Rate12}

@@ -32,13 +32,16 @@ func Register(name string, f Factory) {
 }
 
 // New builds the named codec. Unknown names wrap ErrUnknownCodec and list
-// the registered backends.
+// the registered backends; every backend needs a valid protected channel.
 func New(name string, p Params) (Codec, error) {
 	registryMu.RLock()
 	f, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownCodec, name, Names())
+	}
+	if !p.Channel.Valid() {
+		return nil, fmt.Errorf("codec: %s needs a protected channel, got %d", name, int(p.Channel))
 	}
 	return f(p)
 }

@@ -9,7 +9,7 @@ import (
 
 func init() {
 	Register("sledzig", func(p Params) (Codec, error) {
-		return newSledZig(p)
+		return newSledZig(p), nil
 	})
 }
 
@@ -24,30 +24,33 @@ func init() {
 // harness.
 type sledZig struct {
 	params Params
-	plan   *core.Plan
-	enc    core.Encoder
+	enc    core.Encoder // its Plan is set by the first Assemble
 	rxr    wifi.Receiver
 	rx     *wifi.RxResult // Decode's scratch, made on the first Decode
 	dec    core.Decoder
 	tr     *trace.Frame
 }
 
-func newSledZig(p Params) (*sledZig, error) {
-	plan, err := core.CachedPlan(p.Convention, p.Mode, p.Channel)
-	if err != nil {
-		return nil, err
-	}
+func newSledZig(p Params) *sledZig {
 	seed := p.Seed
 	if seed == 0 {
 		seed = wifi.DefaultScramblerSeed
 	}
 	return &sledZig{
 		params: p,
-		plan:   plan,
-		enc:    core.Encoder{Plan: plan, Seed: p.Seed},
+		enc:    core.Encoder{Seed: p.Seed},
 		rxr:    wifi.Receiver{Seed: seed, Convention: p.Convention, Resync: p.Resilient},
 		dec:    core.Decoder{Convention: p.Convention},
-	}, nil
+	}
+}
+
+// plan looks the configured mode's plan up in the process-wide cache,
+// only for the calls that need it: a decoder reads mode and channel off
+// the air, so a decode-only instance never builds one. Only Assemble,
+// which the facade serializes, keeps it on the instance; MaxPayload and
+// OverheadFraction, which it does not, write nothing.
+func (c *sledZig) plan() (*core.Plan, error) {
+	return core.CachedPlan(c.params.Convention, c.params.Mode, c.params.Channel)
 }
 
 func (c *sledZig) Name() string { return "sledzig" }
@@ -76,22 +79,31 @@ func (f *sledZigFrame) transmitBits() []bits.Bit {
 
 // Assemble encodes into a fresh box, never a reused result, so the frame
 // outlives the instance's next encode: one allocation holds the Encoded
-// and its frame, the other is the frame's encoder input.
+// and its frame, the other is the frame's encoder input. Every symbol
+// carries the plan's extra bits, so the frame walks the plan's tile and
+// lists no positions.
 //
 //sledzig:noalloc budget=2
 func (c *sledZig) Assemble(payload []byte) (*Encoded, error) {
+	if c.enc.Plan == nil {
+		plan, err := c.plan()
+		if err != nil {
+			return nil, err
+		}
+		c.enc.Plan = plan
+	}
 	box := new(struct {
 		enc   Encoded
 		frame sledZigFrame
 	})
 	res := core.EncodeResult{Frame: (*wifi.Frame)(&box.frame.wifiFrame)}
 	c.enc.Trace = c.tr
-	if err := c.enc.EncodeTo(payload, &res); err != nil {
+	if err := c.enc.AssembleTo(payload, &res); err != nil {
 		return nil, err
 	}
 	// Detach the encode's trace: each render names its own.
 	box.frame.Trace = nil
-	box.frame.seed, box.frame.extra = res.Seed, int32(len(res.Layout.Positions))
+	box.frame.seed, box.frame.extra = res.Seed, int32(res.Frame.NumSymbols*c.enc.Plan.ExtraBitsPerSymbol())
 	box.enc.Frame = Frame{&box.frame}
 	return &box.enc, nil
 }
@@ -139,11 +151,21 @@ func (c *sledZig) Contract() Contract {
 	return Contract{MinDropDB: 3.0, WholeFrame: true, MaxEncodeAllocs: 3}
 }
 
+// MaxPayload is 0 when the configured mode cannot be pinned.
 func (c *sledZig) MaxPayload() int {
-	maxSym := (8*wifi.MaxPSDULength + 22) / c.plan.Mode.DataBitsPerSymbol()
-	return c.plan.MaxPayload(maxSym)
+	plan, err := c.plan()
+	if err != nil {
+		return 0
+	}
+	maxSym := (8*wifi.MaxPSDULength + 22) / plan.Mode.DataBitsPerSymbol()
+	return plan.MaxPayload(maxSym)
 }
 
+// OverheadFraction is 1 when the configured mode cannot be pinned.
 func (c *sledZig) OverheadFraction() float64 {
-	return c.plan.ThroughputLossFraction()
+	plan, err := c.plan()
+	if err != nil {
+		return 1
+	}
+	return plan.ThroughputLossFraction()
 }

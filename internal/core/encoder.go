@@ -41,10 +41,10 @@ type EncodeResult struct {
 	// Seed is the scrambler seed the frame was scrambled with, with 0
 	// already resolved to wifi.DefaultScramblerSeed.
 	Seed uint8
-	// Layout records the extra-bit positions of this frame.
-	Layout *FrameLayout
-	// PayloadLength is the original payload size in octets.
-	PayloadLength int
+	// Layout lists the frame's extra-bit positions: EncodeTo walks them
+	// from the plan's tile into storage the result owns and reuses, and
+	// AssembleTo leaves it as it was.
+	Layout FrameLayout
 }
 
 // TransmitBits returns the unscrambled DATA-field bit stream — what one
@@ -67,8 +67,8 @@ func (r *EncodeResult) TransmitBits() []bits.Bit {
 
 // Encode builds the SledZig frame for payload into a fresh result: one
 // allocation holds the result and its frame, one the frame's packed
-// encoder input. Batch and streaming callers that can recycle results
-// should use EncodeTo.
+// encoder input and one its Layout's positions. Batch and streaming
+// callers that can recycle results should use EncodeTo.
 func (e *Encoder) Encode(payload []byte) (*EncodeResult, error) {
 	box := new(struct {
 		res   EncodeResult
@@ -82,21 +82,36 @@ func (e *Encoder) Encode(payload []byte) (*EncodeResult, error) {
 }
 
 // EncodeTo builds the SledZig frame for payload into res, reusing res's
-// Frame and its packed encoder input when their capacity suffices. On
-// success res is fully overwritten; on error its contents are
-// unspecified. The caller owns res until the next EncodeTo with the same
-// res — results handed to other goroutines must not be reused.
-// res.Layout aliases the plan's shared, read-only frame index. The
-// bit-stream outputs are identical to Encode's for the same payload.
+// Frame, its packed encoder input and res.Layout's positions when their
+// capacity suffices. On success res is fully overwritten; on error its
+// contents are unspecified. The caller owns res until the next EncodeTo
+// with the same res — results handed to other goroutines must not be
+// reused. The bit-stream outputs are identical to Encode's for the same
+// payload.
 //
 //sledzig:noalloc
 func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
+	if err := e.AssembleTo(payload, res); err != nil {
+		return err
+	}
+	x := e.Plan.tile.frame(res.Frame.NumSymbols, nil)
+	x.fill(&res.Layout)
+	return nil
+}
+
+// AssembleTo is EncodeTo without the position list: the frame walks the
+// plan's tile and res.Layout stays as it was, so a frame costs no memory
+// that grows with its length beyond its own encoder input. The codec
+// backend and the coexistence profile assemble through it.
+//
+//sledzig:noalloc
+func (e *Encoder) AssembleTo(payload []byte, res *EncodeResult) error {
 	m := metrics()
 	if e.Plan == nil {
 		return fmt.Errorf("core: encoder has no plan")
 	}
 	if res == nil {
-		return fmt.Errorf("core: EncodeTo needs a result to fill")
+		return fmt.Errorf("core: encoder needs a result to fill")
 	}
 	if len(payload) == 0 || len(payload) > 0xFFFF {
 		err := fmt.Errorf("core: payload length %d outside [1, 65535]: %w", len(payload), ErrPayloadSize)
@@ -104,23 +119,12 @@ func (e *Encoder) EncodeTo(payload []byte, res *EncodeResult) error {
 		return err
 	}
 	nSym := e.Plan.NumSymbols(len(payload))
-	// A payload no PSDU can signal fails here, before it grows the plan.
-	if _, err := signalledLength(nSym, e.Plan.Mode.DataBitsPerSymbol()); err != nil {
-		return err
-	}
 	mk := e.Trace.Begin(m.encLayout)
-	//sledvet:ignore hotalloc the first frame longer than the plan's frame index grows the index to its length; every frame the index covers reads it
-	layout, err := e.Plan.FrameLayout(nSym)
-	mk.End(0, err)
-	if err != nil {
-		m.fail(m.failEncoder, "core.encode", "encode_fail.layout", err)
-		return err
-	}
 	x := e.Plan.tile.frame(nSym, nil)
+	mk.End(0, nil)
 	if err := assemble(e.Plan, nSym, &x, payload, e.Seed, e.Trace, res); err != nil {
 		return err
 	}
-	res.Layout = layout
 	m.encFrames.Inc()
 	m.encPayload.Add(uint64(len(payload)))
 	return nil
@@ -143,7 +147,7 @@ func signalledLength(nSym, nDBPS int) (int, error) {
 // assemble builds the frame of nSym OFDM symbols carrying payload, with
 // x's extra bits solved, into res, reusing res.Frame and its packed
 // encoder input when present: the one assembly pipeline behind SledZig
-// frames (EncodeTo) and masked frames (AssembleMaskedFrame). seed 0
+// frames (AssembleTo) and masked frames (AssembleMaskedFrame). seed 0
 // selects wifi.DefaultScramblerSeed; tr receives the scramble, solve and
 // verify spans and becomes the frame's trace. res.Layout is left alone.
 //
@@ -172,7 +176,6 @@ func assemble(plan *Plan, nSym int, x *frameExtras, payload []byte, seed uint8, 
 		return err
 	}
 	res.Seed = seed
-	res.PayloadLength = len(payload)
 	return nil
 }
 

@@ -172,7 +172,7 @@ func TestLayoutsMatchGolden(t *testing.T) {
 // 3-symbol layout planned from scratch has equations in two symbols, and
 // the walk of an n-symbol frame is that layout's symbol 0 clusters
 // followed by n-1 copies of its symbol 1 clusters, each shifted N_DBPS
-// steps per symbol, whose positions the plan's frame index lists for n.
+// steps per symbol, whose positions FrameLayout lists for n.
 // n is sampled up to the symbol count of the largest PSDU. A cluster may
 // place extra bits in the symbol before its equations, which symbol 0
 // cannot: the planner never places one before the frame start. So symbol
@@ -225,7 +225,7 @@ func TestFrameLayoutTilesBySymbol(t *testing.T) {
 
 // checkTiling splits the 3-symbol layout the planner computes from
 // scratch for plan's constraints into symbol 0's and symbol 1's clusters
-// and checks the walk of plan's tile and its frame index against the
+// and checks the walk of plan's tile and FrameLayout against the
 // tiling for each n. It also reports whether symbol 0 is not symbol 1
 // shifted back.
 func checkTiling(plan *Plan, ns []int) (headDiffers bool, err error) {
@@ -274,7 +274,7 @@ func checkTiling(plan *Plan, ns []int) (headDiffers bool, err error) {
 			return false, err
 		}
 		if ix.NumSymbols != n || !slices.Equal(ix.Positions, positions) || !slices.Equal(l.positions, positions) {
-			return false, fmt.Errorf("%d-symbol frame: the index and the walk do not list the tiling's positions", n)
+			return false, fmt.Errorf("%d-symbol frame: FrameLayout and the walk do not list the tiling's positions", n)
 		}
 	}
 	headDiffers = len(head) != len(steady)
@@ -314,9 +314,22 @@ func sameShifted(got, want Cluster, shift int) bool {
 	return true
 }
 
-// growthAllocs returns the allocations one plan makes building its
-// frame index to n symbols, averaged over fresh plans.
-func growthAllocs(t testing.TB, n int) float64 {
+// FrameLayout lists the extra-bit positions of a frame of nSymbols OFDM
+// symbols, walked from the plan's tile into a fresh list: what EncodeTo
+// fills in its result, for tests that hold a plan and no encode.
+func (p *Plan) FrameLayout(nSymbols int) (*FrameLayout, error) {
+	x, err := p.frame(nSymbols, nil)
+	if err != nil {
+		return nil, err
+	}
+	l := new(FrameLayout)
+	x.fill(l)
+	return l, nil
+}
+
+// layoutAllocs returns the allocations of one FrameLayout of n symbols,
+// averaged over fresh plans.
+func layoutAllocs(t testing.TB, n int) float64 {
 	const runs = 20
 	plans := make([]*Plan, runs)
 	for i := range plans {
@@ -337,19 +350,18 @@ func growthAllocs(t testing.TB, n int) float64 {
 	return float64(after.Mallocs-before.Mallocs) / runs
 }
 
-// TestLayoutAllocationsFlat pins the cost of growing a plan's frame
-// index: building it to 60 symbols makes as many allocations as building
-// it to 3, because the index lists positions and per-length layouts in
-// arrays sized once. The averages may differ by a stray runtime
-// allocation, never by one per symbol.
+// TestLayoutAllocationsFlat pins the cost of listing a frame's extra
+// bits: a layout of 60 symbols makes as many allocations as one of 3,
+// because the walk fills one array sized once. The averages may differ by
+// a stray runtime allocation, never by one per symbol.
 func TestLayoutAllocationsFlat(t *testing.T) {
-	if short, long := growthAllocs(t, 3), growthAllocs(t, 60); long >= short+1 {
-		t.Errorf("growing to 60 symbols: %.1f allocs, to 3 symbols %.1f: growth allocates per symbol", long, short)
+	if short, long := layoutAllocs(t, 3), layoutAllocs(t, 60); long >= short+1 {
+		t.Errorf("a 60-symbol layout: %.1f allocs, a 3-symbol one %.1f: the walk allocates per symbol", long, short)
 	}
 }
 
-// BenchmarkFrameLayout builds a fresh plan's frame index to 60 symbols;
-// the plan is built with the timer stopped.
+// BenchmarkFrameLayout lists a fresh plan's extra bits of a 60-symbol
+// frame; the plan is built with the timer stopped.
 func BenchmarkFrameLayout(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -25,11 +25,9 @@ type coreMetrics struct {
 	failLength  *obs.Counter // stream too short for declared length
 	failEncoder *obs.Counter // encoder-side failures (singular cluster, ...)
 
-	// Plan/layout cache effectiveness.
-	planHit    *obs.Counter
-	planMiss   *obs.Counter
-	layoutHit  *obs.Counter
-	layoutMiss *obs.Counter
+	// Plan cache effectiveness.
+	planHit  *obs.Counter
+	planMiss *obs.Counter
 
 	bus *obs.Bus
 }
@@ -58,10 +56,8 @@ func metrics() *coreMetrics {
 			failLength:  dec.Counter("fail.length"),
 			failEncoder: enc.Counter("fail"),
 
-			planHit:    r.Counter("core.plan.cache_hits"),
-			planMiss:   r.Counter("core.plan.cache_misses"),
-			layoutHit:  r.Counter("core.layout.cache_hits"),
-			layoutMiss: r.Counter("core.layout.cache_misses"),
+			planHit:  r.Counter("core.plan.cache_hits"),
+			planMiss: r.Counter("core.plan.cache_misses"),
 
 			bus: r.Bus(),
 		}

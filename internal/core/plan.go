@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"sledzig/internal/bits"
 	"sledzig/internal/wifi"
@@ -28,12 +27,9 @@ type Plan struct {
 	// symbolConstraints are the constraints of one OFDM symbol, sorted by
 	// mother index.
 	symbolConstraints []Constraint
-	// tile is the two-symbol layout every frame walks (DESIGN.md §5.5).
+	// tile is the two-symbol layout every frame walks (DESIGN.md §5.5);
+	// the plan keeps nothing else that depends on a frame's length.
 	tile *Tile
-	// index is the frame index EncodeTo grows, immutable once published:
-	// entry n-1 lists the extra bits of n symbols, a prefix of the last
-	// entry's Positions. It is nil before the first encode.
-	index atomic.Pointer[[]FrameLayout]
 }
 
 // NewPlan builds the plan for a protected ZigBee channel using its full
@@ -120,43 +116,6 @@ type FrameLayout struct {
 	NumSymbols int
 	// Positions lists every extra-bit encoder-input index, ascending.
 	Positions []int
-}
-
-// FrameLayout returns the extra-bit positions of a frame of nSymbols
-// OFDM symbols from the plan's frame index, first growing the index to
-// nSymbols when it is shorter. The returned value is shared and
-// read-only and must not be modified. core.layout.cache_hits counts the
-// lengths the index covers, cache_misses its growths.
-func (p *Plan) FrameLayout(nSymbols int) (*FrameLayout, error) {
-	x, err := p.frame(nSymbols, nil)
-	if err != nil {
-		return nil, err
-	}
-	var grown *[]FrameLayout
-	for {
-		ix := p.index.Load()
-		if ix != nil && nSymbols <= len(*ix) {
-			metrics().layoutHit.Inc()
-			return &(*ix)[nSymbols-1], nil
-		}
-		if grown == nil {
-			positions := make([]int, 0, x.count)
-			for pos, w := x.position(walk{}); pos >= 0; pos, w = x.position(w) {
-				positions = append(positions, pos)
-			}
-			layouts := make([]FrameLayout, nSymbols)
-			for n := range layouts {
-				e := (n + 1) * len(p.symbolConstraints)
-				layouts[n] = FrameLayout{NumSymbols: n + 1, Positions: positions[:e:e]}
-			}
-			grown = &layouts
-		}
-		// A growth that lost a race retries: indexes only grow.
-		if p.index.CompareAndSwap(ix, grown) {
-			metrics().layoutMiss.Inc()
-			return &(*grown)[nSymbols-1], nil
-		}
-	}
 }
 
 // frame returns the walk of a frame of n symbols on the plan's tile, of
@@ -259,6 +218,22 @@ func (x *frameExtras) symbolClusters(s int) ([]Cluster, int) {
 		return nil, 0
 	}
 	return x.tile.SymbolClusters(s)
+}
+
+// fill lists the walk's extra-bit positions in l, reusing the capacity
+// of l.Positions.
+//
+//sledzig:noalloc
+func (x *frameExtras) fill(l *FrameLayout) {
+	if cap(l.Positions) < x.count {
+		l.Positions = make([]int, x.count)
+	}
+	l.NumSymbols, l.Positions = x.symbols, l.Positions[:x.count]
+	i := 0
+	for p, w := x.position(walk{}); p >= 0; p, w = x.position(w) {
+		l.Positions[i] = p
+		i++
+	}
 }
 
 // walk is where a walk of a frame's extra bits stands: entry i of

@@ -159,7 +159,7 @@ func TestStripFramedHostileInputs(t *testing.T) {
 
 // TestStripFramedMatchesOracle compares the one-pass strip with the
 // oracle on the positions every paper mode and channel really produces:
-// the plan's frame index and masked frames, on well-framed streams and
+// whole frames (FrameLayout) and masked frames, on well-framed streams and
 // on random bits. A masked frame's strip, which walks the pinned symbols
 // of the plan's tile, must match the strip of their positions gathered
 // into one list.

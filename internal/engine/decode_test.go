@@ -93,12 +93,12 @@ func TestDecodeBatchMatchesSequentialDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CachedPlan: %v", err)
 		}
-		layout, err := plan.FrameLayout(len(rx.DataPoints))
-		if err != nil {
-			t.Fatalf("FrameLayout: %v", err)
+		var enc core.EncodeResult
+		if err := (&core.Encoder{Plan: plan}).EncodeTo(payloads[i], &enc); err != nil {
+			t.Fatalf("EncodeTo: %v", err)
 		}
-		if r.ExtraBits != len(layout.Positions) {
-			t.Fatalf("waveform %d: ExtraBits %d != %d", i, r.ExtraBits, len(layout.Positions))
+		if r.ExtraBits != len(enc.Layout.Positions) {
+			t.Fatalf("waveform %d: ExtraBits %d != %d", i, r.ExtraBits, len(enc.Layout.Positions))
 		}
 	}
 }

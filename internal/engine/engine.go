@@ -175,8 +175,8 @@ type Engine struct {
 // New builds the engine and starts the workers. The backend is
 // constructed once up front to surface configuration errors here rather
 // than per frame. SledZig instances resolve their plan through the
-// process-wide plan cache, so engines and plain Encoders with the same
-// parameters share constraint state.
+// process-wide plan cache on their first encode, so engines and plain
+// Encoders with the same parameters share constraint state.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if _, err := codec.New(cfg.Codec, cfg.Params); err != nil {

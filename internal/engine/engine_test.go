@@ -103,9 +103,9 @@ func TestEncodeBatchMatchesSequentialEncode(t *testing.T) {
 }
 
 // TestEngineSharesCachedPlan checks that engines and codec instances of
-// one configuration share the process-wide plan: the first engine puts it
-// in the cache, at most once, and every later engine, worker and instance
-// finds it there, so the cache does not grow again.
+// one configuration share the process-wide plan: the first engine's
+// encodes put it in the cache, at most once, and every later engine,
+// worker and instance finds it there, so the cache does not grow again.
 func TestEngineSharesCachedPlan(t *testing.T) {
 	// A configuration no other test in the package uses.
 	cfg := testConfig(2)
@@ -116,6 +116,9 @@ func TestEngineSharesCachedPlan(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer e1.Close()
+	if _, err := e1.EncodeBatch(context.Background(), testPayloads(6)); err != nil {
+		t.Fatalf("EncodeBatch: %v", err)
+	}
 	first := core.PlanCacheLen()
 	if first > before+1 {
 		t.Fatalf("one engine added %d plans to the cache", first-before)

@@ -136,7 +136,9 @@ func TestBatchCancellationFailsQueuedFramesPromptly(t *testing.T) {
 	defer e.Close()
 	payloads, waves := testWaveforms(t, e, 2)
 
-	big := make([][]complex128, 200)
+	// Far more frames than one worker decodes in the 20 ms before the
+	// cancel, so the cancellation lands mid-batch on a fast host too.
+	big := make([][]complex128, 2000)
 	for i := range big {
 		big[i] = waves[i%len(waves)]
 	}

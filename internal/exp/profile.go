@@ -108,11 +108,7 @@ func (s *profileScratch) payloadWave(conv wifi.Convention, v Variant, ch core.Zi
 	if err != nil {
 		return nil, err
 	}
-	err = (&core.Encoder{Plan: plan}).EncodeTo(payload, &s.res)
-	// The layout lies in this call's plan's frame index: do not pin it in
-	// the pool.
-	s.res.Layout = nil
-	if err != nil {
+	if err := (&core.Encoder{Plan: plan}).AssembleTo(payload, &s.res); err != nil {
 		return nil, err
 	}
 	s.wave, err = s.res.Frame.AppendDataWaveform(s.wave[:0])

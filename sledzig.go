@@ -223,7 +223,7 @@ func (c Config) newCodec() (codec.Codec, error) {
 // job.
 type Encoder struct {
 	cfg Config
-	// plan is SledZig's extra-bit plan, the one its backend resolved
+	// plan is SledZig's extra-bit plan, the one its backend resolves
 	// through the process-wide cache; nil for other codecs.
 	plan *core.Plan
 
@@ -249,7 +249,7 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	e := &Encoder{cfg: cfg, cdc: cdc}
 	if cfg.Codec == CodecSledZig {
 		if e.plan, err = core.CachedPlan(cfg.Convention, cfg.mode(), cfg.Channel); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}
 	}
 	return e, nil

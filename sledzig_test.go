@@ -442,6 +442,12 @@ func TestEncoderConcurrentUse(t *testing.T) {
 					// message chip is low.
 					payload := []byte{byte(w), 0xA5, 0x5A, 0xC3, 0x3C, 0x96, 0x69, 0xF0}
 					for i := 0; i < 10; i++ {
+						// The accessors take no lock: they read nothing
+						// an encode writes.
+						if enc.MaxPayload(64) < len(payload) || enc.OverheadFraction() <= 0 {
+							errs <- fmt.Errorf("worker %d: MaxPayload %d, OverheadFraction %g", w, enc.MaxPayload(64), enc.OverheadFraction())
+							return
+						}
 						frame, err := enc.Encode(payload)
 						if err != nil {
 							errs <- err
